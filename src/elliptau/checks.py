@@ -43,7 +43,7 @@ from .elliptic import (
     wp_prime,
     zeta,
 )
-from .errors import ScenarioError
+from .errors import EllipTauError, ScenarioError
 from .isomono import (
     build_phi,
     coefficients,
@@ -122,14 +122,27 @@ class CheckContext:
         self.cfg = cfg
         self.draw_scale = draw_scale
         self._cache = {}
+        self._failed = {}
 
     def draws(self, base, minimum=2):
         return max(minimum, int(round(base * self.draw_scale)))
 
     def _get(self, key, builder):
+        """Build a stage once.  A stage that raised stays failed: later
+        requests re-raise the stored exception instead of rebuilding it."""
+        if key in self._failed:
+            raise self._failed[key]
         if key not in self._cache:
-            self._cache[key] = builder()
+            try:
+                self._cache[key] = builder()
+            except Exception as exc:
+                self._failed[key] = exc
+                raise
         return self._cache[key]
+
+    def failed_stage(self, exc):
+        """The first stage whose build raised exc, or None."""
+        return next((k for k, v in self._failed.items() if v is exc), None)
 
     @property
     def branch(self):
@@ -219,7 +232,7 @@ def _random_branch(rng):
                 b = BranchConfig(*es)
                 if periods(b).Omega.imag >= 0.05:
                     return b
-            except Exception:
+            except EllipTauError:
                 continue
 
 
@@ -640,7 +653,7 @@ def _admissible_neighbors(ctx, rng, count):
         try:
             b = BranchConfig(*es)
             make_params(b, s.a, t, s.p, s.q, ctx.cfg, ctx.quad)
-        except Exception:
+        except EllipTauError:
             continue
         out.append((b, t))
     return out
@@ -897,7 +910,10 @@ def run_checks(scenario, checks=None, tol_scale=1.0, draw_scale=1.0,
             if notes.startswith("INCONCLUSIVE"):
                 status = "inconclusive"
         except Exception as exc:  # isolation: a crash is a failed check
-            residual, notes, status = math.inf, f"error: {exc!r}", "fail"
+            stage = ctx.failed_stage(exc)
+            where = f" in stage {stage!r}" if stage is not None else ""
+            residual, status = math.inf, "fail"
+            notes = f"error: {type(exc).__name__}{where}: {exc}"
         ms = 1000.0 * (time.perf_counter() - start)
         results.append(CheckResult(name, status, residual, tol, ms, notes))
     overall = "pass" if all(r.status == "pass" for r in results) else "fail"

@@ -6,13 +6,15 @@ tau sweeps the deformation time over a grid and emits CSV with the
 branch-continuous log tau and the Hamiltonian.  monodromy prints one
 numerically continued 2x2 monodromy matrix.
 
-Exit codes: 0 all selected checks pass, 1 at least one failed,
-2 configuration or scenario error.
+Exit codes: 0 all selected checks pass (tau: every row finite), 1 at least
+one failed (tau: a nan row, summarized on stderr), 2 configuration or
+scenario error.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -73,6 +75,7 @@ def _cmd_tau(args):
     scenario = load_scenario(args.scenario)
     grid = _parse_grid(args.grid)
     out = open(args.out, "w") if args.out else sys.stdout
+    failed, first = 0, None
     try:
         out.write("t,re_log_tau,im_log_tau,re_H_t,im_H_t\n")
         prev = None
@@ -80,17 +83,27 @@ def _cmd_tau(args):
             try:
                 params = make_params(scenario.branch, scenario.a, complex(t),
                                      scenario.p, scenario.q)
-                lt = _unwrap(log_tau(params), prev)
-                ht = H_t(params)
+                lt, ht = log_tau(params), H_t(params)
+                if not (cmath.isfinite(lt) and cmath.isfinite(ht)):
+                    raise EllipTauError("log tau or H_t is not finite")
+                lt = _unwrap(lt, prev)
                 prev = lt
                 out.write(f"{t:.12g},{lt.real:.17g},{lt.imag:.17g},"
                           f"{ht.real:.17g},{ht.imag:.17g}\n")
-            except EllipTauError:
+            except EllipTauError as exc:
                 out.write(f"{t:.12g},nan,nan,nan,nan\n")
                 prev = None
+                failed += 1
+                if first is None:
+                    first = (t, exc)
     finally:
         if args.out:
             out.close()
+    if failed:
+        t, exc = first
+        print(f"tau: {failed}/{len(grid)} rows failed; first at t={t:.12g}: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

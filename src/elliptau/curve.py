@@ -14,13 +14,16 @@ Geometry conventions (the "sheet-1" frame everything downstream relies on):
   a stadium around {e1, e2} (it crosses both cuts); the second period's sign
   is flipped if needed so that Im(omega2/omega1) > 0, and the flip is
   recorded.
+* Period values come from the complex AGM; a coarse pass over the two
+  cycles only picks which lattice vectors they are.  Full-accuracy cycle
+  quadrature remains as the independent oracle (second_kind_period).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -115,7 +118,7 @@ class QuadratureConfig:
     order: int = 12
     tol: float = 5e-13
     min_panels: int = 8
-    max_doublings: int = 7
+    max_doublings: int = 8
     clearance: float = 0.1  # detour radius, in units of the min branch gap
 
     def __post_init__(self):
@@ -234,21 +237,22 @@ def path_integral(pieces, fsq, y_start, quad=DEFAULT_QUAD, numerator=None):
     refinements agree to quad.tol relative.
     """
     num = numerator if numerator is not None else (lambda x: 1.0)
-    panels = quad.min_panels
-    prev = None
-    for _ in range(quad.max_doublings + 1):
+    prev, delta = None, math.nan
+    for k in range(quad.max_doublings + 1):
+        panels = quad.min_panels * 2**k
         total = 0j
         y = y_start
         for piece in pieces:
             val, y = _integrate_piece(piece, fsq, y, num, panels, quad.order)
             total += val
-        if prev is not None and abs(total - prev) <= quad.tol * max(1.0, abs(total)):
-            return total, y
+        if prev is not None:
+            delta = abs(total - prev)
+            if delta <= quad.tol * max(1.0, abs(total)):
+                return total, y
         prev = total
-        panels *= 2
     raise QuadratureError(
         f"contour integral did not converge (last delta "
-        f"{abs(total - prev):.3e} at {panels // 2} panels)"
+        f"{delta:.3e} at {panels} panels)"
     )
 
 
@@ -337,11 +341,10 @@ def _tail_g(branch, x):
 
 @dataclass(frozen=True)
 class SheetFrame:
-    """Anchor data fixing sheet 1 and the Abel-map base value there."""
+    """Anchor data fixing sheet 1: the anchor, y there, and the detour radius."""
 
     branch: BranchConfig
     anchor: complex
-    u_anchor: complex
     y_anchor: complex
     clearance: float
 
@@ -360,10 +363,18 @@ def _sheet_frame(branch, quad):
         if best is None or clear > best[0] + 1e-12 * R:
             best = (clear, a)
     anchor = best[1]
+    phase = cmath.phase(anchor)
+    y_anchor = 2.0 * abs(anchor) ** 1.5 * cmath.exp(1.5j * phase) * _tail_g(branch, anchor)
+    return SheetFrame(branch, anchor, y_anchor, quad.clearance * branch.min_gap)
+
+
+@lru_cache(maxsize=64)
+def _u_anchor(branch, quad):
+    """Abel-map value at the anchor: the tail integral from infinity."""
+    anchor = _sheet_frame(branch, quad).anchor
     # regularized tail: x = anchor/s^2 maps s in (0,1] onto the ray to infinity
     xs, ws = _leggauss(24)
-    phase = cmath.phase(anchor)
-    inv_sqrt_a = abs(anchor) ** -0.5 * cmath.exp(-0.5j * phase)
+    inv_sqrt_a = abs(anchor) ** -0.5 * cmath.exp(-0.5j * cmath.phase(anchor))
     panels = 16
     prev = None
     while True:
@@ -375,14 +386,11 @@ def _sheet_frame(branch, quad):
                 total += w * (0.5 / panels) / _tail_g(branch, anchor / (s * s))
         u_tail = -inv_sqrt_a * total
         if prev is not None and abs(u_tail - prev) <= quad.tol * max(1.0, abs(u_tail)):
-            break
+            return u_tail
         if panels > 4096:
             raise QuadratureError("tail integral did not converge")
         prev = u_tail
         panels *= 2
-    y_anchor = 2.0 * abs(anchor) ** 1.5 * cmath.exp(1.5j * phase) * _tail_g(branch, anchor)
-    return SheetFrame(branch, anchor, u_tail, y_anchor,
-                      quad.clearance * branch.min_gap)
 
 
 @dataclass(frozen=True)
@@ -411,15 +419,73 @@ def _cycle_integral(branch, frame, pieces, quad, numerator=None):
     return val
 
 
+# The coarse cycle pass only has to fix integer lattice coordinates.
+_COARSE_TOL = 1e-3
+_COORD_SLACK = 0.05
+
+
+def _agm(a, b):
+    """Optimal complex AGM: each root is signed so that |a - b| <= |a + b|."""
+    for _ in range(64):
+        if abs(a - b) > abs(a + b):
+            b = -b
+        if abs(a - b) <= 1e-15 * abs(a):
+            return 0.5 * (a + b)
+        a, b = 0.5 * (a + b), cmath.sqrt(a * b)
+    raise QuadratureError(f"complex AGM did not converge (a={a}, b={b})")
+
+
+def _agm_basis(branch):
+    """The period basis pi/AGM(sqrt(e1-e3), sqrt(e1-e2)),
+    pi/AGM(sqrt(e3-e1), sqrt(e3-e2)) of the optimal complex AGM (Cremona &
+    Thongjunthug, J. Number Theory 133, 2013)."""
+    e1, e2, e3 = branch.es
+    return (math.pi / _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2)),
+            math.pi / _agm(cmath.sqrt(e3 - e1), cmath.sqrt(e3 - e2)))
+
+
+def _lattice_coords(w, b1, b2):
+    """Integer (m, n) with w = m b1 + n b2, or QuadratureError if w is off the lattice."""
+    det = (b1.conjugate() * b2).imag
+    if abs(det) <= 1e-12 * abs(b1) * abs(b2):
+        raise QuadratureError("AGM periods are collinear")
+    m = (w.conjugate() * b2).imag / det
+    n = (b1.conjugate() * w).imag / det
+    fm, fn = m - round(m), n - round(n)
+    if max(abs(fm), abs(fn)) > _COORD_SLACK:
+        raise QuadratureError(
+            f"cycle is not a lattice vector of the AGM basis "
+            f"(fractional parts {fm:+.3f}, {fn:+.3f})"
+        )
+    return round(m), round(n)
+
+
 @lru_cache(maxsize=64)
 def period_data(branch, quad=DEFAULT_QUAD, cfg=DEFAULT_CFG):
-    """Both periods from cycle quadrature, oriented so Im(omega2/omega1) > 0."""
+    """Both periods from the complex AGM, oriented so Im(omega2/omega1) > 0.
+
+    The AGM basis is carried onto the cycle convention (omega1 around
+    {e2, e3}, omega2 around {e1, e2}, both on the sheet-1 frame) by a coarse
+    pass over the two cycles, which fixes the integer lattice coordinates.
+    """
     e1, e2, e3 = branch.es
+    b1, b2 = _agm_basis(branch)
     frame = _sheet_frame(branch, quad)
-    om1 = _cycle_integral(branch, frame,
-                          _cycle_pieces(branch, (e2, e3), e1), quad)
-    om2 = _cycle_integral(branch, frame,
-                          _cycle_pieces(branch, (e1, e2), e3), quad)
+    # from one 8-node panel up to the finest panel count quad allows
+    coarse = replace(quad, order=8, min_panels=1,
+                     max_doublings=quad.max_doublings + quad.min_panels.bit_length() - 1,
+                     tol=_COARSE_TOL * min(1.0, abs(b1), abs(b2)))
+
+    def coords(pair, excluded):
+        w = _cycle_integral(branch, frame, _cycle_pieces(branch, pair, excluded), coarse)
+        return _lattice_coords(w, b1, b2)
+
+    m1, n1 = coords((e2, e3), e1)
+    m2, n2 = coords((e1, e2), e3)
+    if abs(m1 * n2 - m2 * n1) != 1:
+        raise QuadratureError(
+            f"cycles do not span the period lattice: {(m1, n1)}, {(m2, n2)}")
+    om1, om2 = m1 * b1 + n1 * b2, m2 * b1 + n2 * b2
     flipped = False
     if (om2 / om1).imag <= 0:
         om2, flipped = -om2, True
@@ -459,7 +525,7 @@ def abel_with_y(branch, x, quad=DEFAULT_QUAD):
     frame = _sheet_frame(branch, quad)
     pieces = detoured_path(frame.anchor, x, branch.es, frame.clearance)
     val, y_end = path_integral(pieces, branch.y_squared, frame.y_anchor, quad)
-    return frame.u_anchor + val, y_end
+    return _u_anchor(branch, quad) + val, y_end
 
 
 def abel(branch, lat, point, quad=DEFAULT_QUAD):

@@ -12,8 +12,10 @@ off-diagonal monodromy matrices, trivial Stokes matrices, and formal
 exponents diag(-1/4, 1/4) at the four branch points.
 
 Everything here evaluates on one coherent branch: alpha and the sign of
-wp'(alpha) come from the curve module's sheet-1 frame, and square roots of
-det Phi are continued from x = a.
+wp'(alpha) come from the curve module's sheet-1 frame.  In the standard
+frame det Phi(u) = sigma[p,q](t)^2 sigma(2 alpha) sigma(2u), so the square
+root of det Phi is sigma[p,q](t) sigma(2 alpha) times the root of
+sigma(2u)/sigma(2 alpha), continued from 1 at u = alpha.
 """
 
 from __future__ import annotations
@@ -399,13 +401,13 @@ class YSolution:
     # -- global evaluation ---------------------------------------------------
 
     def y_at(self, x):
-        """Y at an arbitrary regular point.
+        """Y at an arbitrary regular point, standard frame only.
 
-        u(x) follows the curve module's canonical sheet-1 path; the square
-        root of det Phi is continued from alpha along a straight u-segment
-        detoured around the zeros of det Phi.  A path-dependent overall sign
-        is possible, which every consumer here is invariant under
-        (monodromy and logarithmic derivatives conjugate or cancel it).
+        u(x) follows the curve module's canonical sheet-1 path, and
+        sqrt(det Phi(u)) comes from the closed form of sqrt_det_continued.
+        A path-dependent overall sign is possible, which every consumer here
+        is invariant under (monodromy and logarithmic derivatives conjugate
+        or cancel it).
         """
         p = self.params
         u, _ = _curve.abel_with_y(p.branch, x, p.quad)
@@ -414,15 +416,26 @@ class YSolution:
         return (self.N @ mat) / w
 
     def sqrt_det_continued(self, u):
-        """sqrt(det Phi(u)), continued from u = alpha via the log-derivative."""
+        """sqrt(det Phi(u)) from det Phi(u) = sigma[p,q](t)^2 sigma(2 alpha) sigma(2u).
+
+        This is sqrt_det_a times r(u), where r = sqrt(sigma(2v)/sigma(2 alpha))
+        is continued from r = 1 at v = alpha along a straight v-segment
+        detoured around the zeros of sigma(2v).  The identity holds in the
+        standard frame only.
+        """
         p = self.params
+        if not p.standard_frame:
+            raise DegenerateParameterError(
+                "closed-form sqrt(det Phi) requires the standard frame "
+                "u_phi=alpha, u_psi=-alpha"
+            )
         zeros = self._det_zeros_near(p.alpha, u)
         pieces = _curve.detoured_path(p.alpha, u, zeros,
                                       0.2 * min(abs(h) for h in
                                                 p.half_periods.omega_tilde))
-        val = _line_integral(pieces, lambda v: self.phi.det_du(v) / self.phi.det(v),
-                             p.quad)
-        return self.sqrt_det_a * cmath.exp(0.5 * val)
+        s2a = sigma(p.lat, 2.0 * p.alpha, p.cfg)
+        r = _curve.continue_y(pieces, lambda v: sigma(p.lat, 2.0 * v, p.cfg) / s2a, 1.0)
+        return self.sqrt_det_a * r
 
     def _det_zeros_near(self, u0, u1):
         """Lattice translates of 0 and the half periods near the segment."""
@@ -437,28 +450,6 @@ class YSolution:
                     for b in base:
                         pts.append(b + (m + dm) * lat.omega1 + (n + dn) * lat.omega2)
         return list(set(pts))
-
-
-def _line_integral(pieces, f, quad):
-    """Plain adaptive complex line integral of f along path pieces."""
-    from .curve import _leggauss
-    xs, ws = _leggauss(quad.order)
-    panels = quad.min_panels
-    prev = None
-    for _ in range(quad.max_doublings + 1):
-        total = 0j
-        for piece in pieces:
-            for k in range(panels):
-                a, b = k / panels, (k + 1) / panels
-                for tt, wq in zip(xs, ws):
-                    s = 0.5 * (a + b) + 0.5 * (b - a) * tt
-                    total += wq * (0.5 / panels) * f(piece.x(s)) * piece.dx(s)
-        if prev is not None and abs(total - prev) <= quad.tol * max(1.0, abs(total)):
-            return total
-        prev = total
-        panels *= 2
-    from .errors import QuadratureError
-    raise QuadratureError("line integral did not converge")
 
 
 def normalize_Y(params, phi=None):

@@ -168,13 +168,6 @@ def continue_solution(coeffs, pieces, Y0, rtol=1e-10, atol=1e-12):
     return y.reshape(2, 2)
 
 
-def continue_monodromy(params, coeffs, Y_base, which, rtol=1e-10, atol=1e-12):
-    """Monodromy matrix of the loop around branch point `which` (or 'inf')."""
-    pieces = loop_pieces(params, which)
-    W = continue_solution(coeffs, pieces, Y_base, rtol, atol)
-    return np.linalg.inv(Y_base) @ W
-
-
 def trivial_loop_identity(params, coeffs, rtol=1e-10, atol=1e-12):
     """Continuation along a contractible loop away from all singular points."""
     sing = singularities(params)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .curve import BranchConfig
-from .errors import ScenarioError
+from .errors import EllipTauError, ScenarioError
 
 _MASK = (1 << 64) - 1
 
@@ -182,7 +182,7 @@ def random_admissible_scenario(rng, seed=0):
         try:
             branch = BranchConfig(*es)
             lat = periods(branch)
-        except Exception:
+        except EllipTauError:
             continue
         if lat.Omega.imag < 0.05:
             continue

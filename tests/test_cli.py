@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+import elliptau.checks
+import elliptau.cli
 from elliptau.checks import CHECKS, SUITES, resolve_check_names, run_checks
 from elliptau.cli import main
-from elliptau.errors import ScenarioError
+from elliptau.errors import DegenerateParameterError, ScenarioError
 from elliptau.scenario import (
     GOLDEN,
     SplitMix64,
@@ -156,6 +158,64 @@ def test_cli_tau_grid(tmp_path, capsys):
     assert len(row) == 5
     assert abs(float(row[0]) - 0.1) < 1e-12
     float(row[1]), float(row[3])
+
+
+def test_cli_tau_failed_row_exits_1(tmp_path, monkeypatch, capsys):
+    scenario = tmp_path / "golden.json"
+    scenario.write_text(json.dumps(golden_dict()))
+    real = elliptau.cli.make_params
+
+    def flaky(branch, a, t, *args, **kwargs):
+        if abs(t - 0.1) < 1e-12:
+            raise DegenerateParameterError("forced failure")
+        return real(branch, a, t, *args, **kwargs)
+
+    monkeypatch.setattr(elliptau.cli, "make_params", flaky)
+    code = main(["tau", "--scenario", str(scenario), "--grid", "t=0:0.2:0.1"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    lines = out.strip().splitlines()
+    assert len(lines) == 4  # the CSV keeps every row
+    assert lines[2] == "0.1,nan,nan,nan,nan"
+    assert all("nan" not in line for line in (lines[1], lines[3]))
+    assert err.strip() == ("tau: 1/3 rows failed; first at t=0.1: "
+                           "DegenerateParameterError: forced failure")
+
+
+def test_cli_tau_nonfinite_row_exits_1(tmp_path, monkeypatch, capsys):
+    scenario = tmp_path / "golden.json"
+    scenario.write_text(json.dumps(golden_dict()))
+    real = elliptau.cli.log_tau
+
+    def overflowing(params):
+        return complex("nan") if abs(params.t - 0.2) < 1e-12 else real(params)
+
+    monkeypatch.setattr(elliptau.cli, "log_tau", overflowing)
+    code = main(["tau", "--scenario", str(scenario), "--grid", "t=0:0.2:0.1"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out.strip().splitlines()[3] == "0.2,nan,nan,nan,nan"
+    assert err.strip() == ("tau: 1/3 rows failed; first at t=0.2: "
+                           "EllipTauError: log tau or H_t is not finite")
+
+
+def test_failed_stage_is_built_once(monkeypatch):
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        raise DegenerateParameterError("forced stage failure")
+
+    monkeypatch.setattr(elliptau.checks, "make_params", failing)
+    names = ["phi_transformation", "det_phi_zeros", "y_normalization",
+             "ode_residual"]
+    rep = run_checks(GOLDEN, checks=names)
+    assert len(calls) == 1
+    assert [r.name for r in rep.results] == names
+    for r in rep.results:
+        assert r.status == "fail"
+        assert r.notes == ("error: DegenerateParameterError in stage 'params': "
+                           "forced stage failure")
 
 
 def test_cli_tau_bad_grid_exits_2(tmp_path):

@@ -2,18 +2,26 @@
 
 import cmath
 import math
+import re
 
 import pytest
 
 from elliptau.curve import (
+    DEFAULT_QUAD,
     BranchConfig,
     CurvePoint,
+    Line,
+    QuadratureConfig,
+    _cycle_integral,
+    _cycle_pieces,
+    _sheet_frame,
     abel,
     abel_with_y,
     dOmega_de,
     dlog_omega1_de,
     half_period_table,
     local_inverse_coeffs,
+    path_integral,
     period_data,
     periods,
     quasiperiod_ratio_derivative_residual,
@@ -23,7 +31,7 @@ from elliptau.curve import (
     x_from_u,
 )
 from elliptau.elliptic import wp
-from elliptau.errors import ContourGeometryError
+from elliptau.errors import ContourGeometryError, QuadratureError
 from elliptau.scenario import SplitMix64
 
 # sqrt(2) * K(m = 1/2); mpmath, 40 digits.  The self-dual modulus makes the
@@ -49,6 +57,48 @@ def test_golden_periods_against_elliptic_integral():
     assert abs(pd.lattice.Omega - 1j) < 1e-10
     assert abs(pd.omega1 - OMEGA1_GOLDEN) < 1e-10
     assert abs(abs(pd.omega2) - OMEGA1_GOLDEN) < 1e-10
+
+
+def _quadrature_period_data(branch):
+    """The cycle-quadrature route: both stadium cycles at full accuracy on
+    the sheet-1 frame, then the same orientation flip as period_data."""
+    e1, e2, e3 = branch.es
+    frame = _sheet_frame(branch, DEFAULT_QUAD)
+    om1 = _cycle_integral(branch, frame,
+                          _cycle_pieces(branch, (e2, e3), e1), DEFAULT_QUAD)
+    om2 = _cycle_integral(branch, frame,
+                          _cycle_pieces(branch, (e1, e2), e3), DEFAULT_QUAD)
+    flipped = (om2 / om1).imag <= 0
+    return om1, -om2 if flipped else om2, flipped
+
+
+# Stadium cycles keep Im(Omega) above about 0.3 for every branch shape with
+# a relative gap >= 1e-3; "small Im" is e1 just outside e2 (Im Omega ~ 0.39).
+@pytest.mark.parametrize("es", [
+    (1.0, 0.0, -1.0),
+    (1.0, 0.9, -1.0 + 0.01j),
+    (0.3 + 0.2j, -0.8 + 0.5j, 0.1 - 0.9j),
+    (1.01, 1.0, -1.0),
+], ids=["golden", "skewed-near-real", "generic-complex", "small-im-omega"])
+def test_agm_periods_match_cycle_quadrature(es):
+    branch = BranchConfig(*es)
+    pd = period_data(branch)
+    om1, om2, flipped = _quadrature_period_data(branch)
+    assert abs(pd.omega1 - om1) <= 1e-12 * abs(om1)
+    assert abs(pd.omega2 - om2) <= 1e-12 * abs(om2)
+    assert pd.delta_flipped == flipped
+
+
+def test_path_integral_nonconvergence_reports_last_delta(golden_branch):
+    # passes 0.02 above e1 = 1, where 1/y is nearly singular
+    line = Line(0.5 + 0.02j, 1.5 + 0.02j)
+    y0 = cmath.sqrt(golden_branch.y_squared(line.a))
+    with pytest.raises(QuadratureError) as info:
+        path_integral([line], golden_branch.y_squared, y0,
+                      QuadratureConfig(tol=1e-30, max_doublings=1))
+    found = re.search(r"last delta (\S+) at (\d+) panels", str(info.value))
+    assert float(found.group(1)) > 0.0
+    assert int(found.group(2)) == 16  # min_panels 8, doubled once
 
 
 def test_periods_scaling_and_translation():

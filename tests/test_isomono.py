@@ -6,15 +6,17 @@ import math
 import numpy as np
 import pytest
 
+from elliptau.elliptic import sigma, sigma_char
 from elliptau.errors import DegenerateParameterError
 from elliptau.isomono import (
+    build_phi,
     coefficients,
     deformation_residual,
     make_params,
     normalize_Y,
     theoretical_monodromy,
 )
-from elliptau.scenario import SplitMix64
+from elliptau.scenario import GOLDEN, SplitMix64, random_admissible_scenario
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +54,21 @@ def test_det_phi_vanishes_only_at_branch_places(golden):
         assert abs(phi.det(h)) < 1e-8 * abs(phi.det_du(h)) * p.lat.unit()
     # generic points are far from the zero set
     assert abs(phi.det(0.31 * p.lat.omega1 + 0.22 * p.lat.omega2)) > 1e-3
+
+
+@pytest.mark.parametrize("seed", [None, 3, 4])
+def test_det_phi_closed_form(seed):
+    # det Phi(u) = sigma[p,q](t)^2 sigma(2 alpha) sigma(2u), standard frame
+    s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
+    p = make_params(s.branch, s.a, s.t, s.p, s.q)
+    phi = build_phi(p)
+    c = sigma_char(p.lat, p.char, p.t) ** 2 * sigma(p.lat, 2.0 * p.alpha)
+    rng = SplitMix64(43)
+    for _ in range(8):
+        u = (rng.uniform(-0.5, 0.5) * p.lat.omega1
+             + rng.uniform(-0.5, 0.5) * p.lat.omega2)
+        closed = c * sigma(p.lat, 2.0 * u)
+        assert abs(phi.det(u) - closed) <= 1e-12 * abs(closed)
 
 
 def test_det_phi_du_matches_difference_quotient(golden):
@@ -235,3 +252,6 @@ def test_nonstandard_frame_normalizes_too(golden_branch):
     assert np.max(np.abs(mom[0] - np.eye(2))) < 1e-8
     with pytest.raises(DegenerateParameterError):
         sol.y1_closed_form()
+    # sqrt(det Phi) has a closed form only in the standard frame
+    with pytest.raises(DegenerateParameterError):
+        sol.y_at(0.5 + 1.5j)
