@@ -2,7 +2,8 @@
 
 Every check compares a closed form against an independent route (series
 oracle, finite difference, contour quadrature, or ODE continuation) and
-returns a residual to be judged against its tolerance.  Checks are isolated:
+returns a residual to be judged against its tolerance, or a status of its
+own when the residual cannot be judged (inconclusive).  Checks are isolated:
 one failure or exception never aborts the others.  Random draws come from
 per-check SplitMix64 streams derived from the scenario seed, so a report is
 reproducible bit-for-bit given the same platform floating point.
@@ -50,12 +51,11 @@ from .isomono import (
     deformation_residual,
     make_params,
     normalize_Y,
+    shifted_params,
     theoretical_monodromy,
 )
 from .monodromy import (
-    base_point,
-    calibrate_loops,
-    continue_solution,
+    monodromy_matrices,
     sector_connection_residuals,
     trivial_loop_identity,
 )
@@ -172,35 +172,9 @@ class CheckContext:
         return self._get("theory", lambda: theoretical_monodromy(self.params))
 
     @property
-    def Y0(self):
-        return self._get("Y0", lambda: self.sol.y_at(base_point(self.branch)))
-
-    @property
-    def loops(self):
-        return self._get("loops", lambda: calibrate_loops(self.params))
-
-    @property
     def numerical_monodromy(self):
-        def build():
-            pieces, offsets = self.loops
-            out = {}
-            for which in (1, 2, 3, "inf"):
-                W = continue_solution(self.coeffs, pieces[which], self.Y0)
-                out[which] = np.linalg.inv(self.Y0) @ W
-            return out, offsets
-        return self._get("numM", build)
-
-    def params_at(self, branch=None, a=None, t=None):
-        s = self.scenario
-        return make_params(branch if branch is not None else self.branch,
-                           a if a is not None else s.a,
-                           t if t is not None else s.t,
-                           s.p, s.q, self.cfg, self.quad)
-
-    def perturbed_branch(self, nu, h):
-        es = list(self.branch.es)
-        es[nu - 1] += h
-        return BranchConfig(*es)
+        return self._get("numM", lambda: monodromy_matrices(
+            self.params, sol=self.sol, coeffs=self.coeffs))
 
 
 def _random_lattice(rng, cfg=DEFAULT_CFG):
@@ -375,10 +349,8 @@ def check_domega_de(ctx, rng, tol):
         total = 0j
         biggest = 0.0
         for nu in (1, 2, 3):
-            es_p = list(b.es); es_p[nu - 1] += h
-            es_m = list(b.es); es_m[nu - 1] -= h
-            fd = (periods(BranchConfig(*es_p), ctx.quad, ctx.cfg).Omega
-                  - periods(BranchConfig(*es_m), ctx.quad, ctx.cfg).Omega) / (2 * h)
+            fd = (periods(b.moved(nu, h), ctx.quad, ctx.cfg).Omega
+                  - periods(b.moved(nu, -h), ctx.quad, ctx.cfg).Omega) / (2 * h)
             cl = dOmega_de(b, lat, nu)
             total += cl
             biggest = max(biggest, abs(cl))
@@ -397,10 +369,8 @@ def check_dlog_omega1_de(ctx, rng, tol):
         euler = 0j
         biggest = 0.0
         for nu in (1, 2, 3):
-            es_p = list(b.es); es_p[nu - 1] += h
-            es_m = list(b.es); es_m[nu - 1] -= h
-            fd = (cmath.log(periods(BranchConfig(*es_p), ctx.quad, ctx.cfg).omega1)
-                  - cmath.log(periods(BranchConfig(*es_m), ctx.quad, ctx.cfg).omega1)) / (2 * h)
+            fd = (cmath.log(periods(b.moved(nu, h), ctx.quad, ctx.cfg).omega1)
+                  - cmath.log(periods(b.moved(nu, -h), ctx.quad, ctx.cfg).omega1)) / (2 * h)
             cl = dlog_omega1_de(b, lat, nu, ctx.cfg)
             total += cl
             euler += b.es[nu - 1] * cl
@@ -566,23 +536,12 @@ def check_stokes_triviality(ctx, rng, tol):
 
 
 def check_monodromy_invariance(ctx, rng, tol):
-    s = ctx.scenario
     nums, _ = ctx.numerical_monodromy
     worst = 0.0
-    moves = [("t", None, s.t + 1e-3)]
-    for nu in (1, 2, 3):
-        moves.append((f"e{nu}", ctx.perturbed_branch(nu, 1e-3), None))
-    for label, br, t in moves:
-        p2 = ctx.params_at(branch=br, t=t)
-        phi2 = build_phi(p2)
-        sol2 = normalize_Y(p2, phi2)
-        co2 = coefficients(p2, phi=phi2, sol=sol2)
-        Y02 = sol2.y_at(base_point(p2.branch))
-        loops2, _ = calibrate_loops(p2)
+    for direction in ("t", "e1", "e2", "e3"):
+        moved, _ = monodromy_matrices(shifted_params(ctx.params, direction, 1e-3))
         for which in (1, 2, 3, "inf"):
-            W = continue_solution(co2, loops2[which], Y02)
-            M = np.linalg.inv(Y02) @ W
-            worst = max(worst, float(np.max(np.abs(M - nums[which]))))
+            worst = max(worst, float(np.max(np.abs(moved[which] - nums[which]))))
     return worst, "drift under 1e-3 moves of t, e1, e2, e3"
 
 
@@ -596,7 +555,8 @@ def check_deformation_equation(ctx, rng, tol):
         big, small = max(r1["paired"].values()), max(r2["paired"].values())
         ratios.append(big / max(small, 1e-30))
     if any(r < 1.5 for r in ratios):
-        return worst, f"INCONCLUSIVE: residual not shrinking with step (ratios {ratios})"
+        return (worst, f"residual not shrinking with step (ratios {ratios})",
+                "inconclusive")
     return worst, f"paired reading; halving ratios {['%.1f' % r for r in ratios]}"
 
 
@@ -632,14 +592,10 @@ def check_residue_sum_rule(ctx, rng, tol):
     return abs(total - big), "finite residues vs the enclosing contour"
 
 
-def _fd_dt(ctx, f, h):
-    s = ctx.scenario
-    return (f(ctx.params_at(t=s.t + h)) - f(ctx.params_at(t=s.t - h))) / (2 * h)
-
-
-def _fd_de(ctx, f, nu, h):
-    return (f(ctx.params_at(branch=ctx.perturbed_branch(nu, h)))
-            - f(ctx.params_at(branch=ctx.perturbed_branch(nu, -h)))) / (2 * h)
+def _fd(params, f, direction, h):
+    """Central difference of f(params) as t or e_nu (direction) moves by +-h."""
+    return (f(shifted_params(params, direction, h))
+            - f(shifted_params(params, direction, -h))) / (2 * h)
 
 
 def _admissible_neighbors(ctx, rng, count):
@@ -662,16 +618,13 @@ def _admissible_neighbors(ctx, rng, count):
 def check_dlogtau_dt(ctx, rng, tol):
     worst = 0.0
     gap = 0.0
+    s = ctx.scenario
     for b, t in _admissible_neighbors(ctx, rng, ctx.draws(4, minimum=1)):
-        s = ctx.scenario
         h = 1e-6 * (1.0 + abs(t))
-
-        def lt(tt):
-            return log_tau(make_params(b, s.a, tt, s.p, s.q, ctx.cfg, ctx.quad))
-
-        v = H_t(make_params(b, s.a, t, s.p, s.q, ctx.cfg, ctx.quad))
-        fd1 = (lt(t + h) - lt(t - h)) / (2 * h)
-        fd2 = (lt(t + h / 2) - lt(t - h / 2)) / h
+        p = make_params(b, s.a, t, s.p, s.q, ctx.cfg, ctx.quad)
+        v = H_t(p)
+        fd1 = _fd(p, log_tau, "t", h)
+        fd2 = _fd(p, log_tau, "t", h / 2)
         worst = max(worst, abs(v - fd2) / max(1.0, abs(v)))
         gap = max(gap, abs(fd1 - fd2))
     return worst, f"richardson gap {gap:.2e}"
@@ -679,19 +632,13 @@ def check_dlogtau_dt(ctx, rng, tol):
 
 def check_dlogtau_de(ctx, rng, tol):
     worst = 0.0
+    s = ctx.scenario
     for b, t in _admissible_neighbors(ctx, rng, ctx.draws(4, minimum=1)):
-        s = ctx.scenario
         h = 5e-7 * (1.0 + b.scale)
+        p = make_params(b, s.a, t, s.p, s.q, ctx.cfg, ctx.quad)
         for nu in (1, 2, 3):
-            v = H_nu(make_params(b, s.a, t, s.p, s.q, ctx.cfg, ctx.quad), nu)
-
-            def lt(delta):
-                es = list(b.es)
-                es[nu - 1] += delta
-                return log_tau(make_params(BranchConfig(*es), s.a, t,
-                                           s.p, s.q, ctx.cfg, ctx.quad))
-
-            fd = (lt(h) - lt(-h)) / (2 * h)
+            v = H_nu(p, nu)
+            fd = _fd(p, log_tau, f"e{nu}", h)
             worst = max(worst, abs(v - fd) / max(1.0, abs(v)))
     return worst, "H_nu vs branch-continuous finite differences"
 
@@ -699,14 +646,15 @@ def check_dlogtau_de(ctx, rng, tol):
 def check_omega_closedness(ctx, rng, tol):
     worst = 0.0
     h = 1e-5 * (1.0 + ctx.branch.scale)
+    p = ctx.params
     for nu in (1, 2, 3):
-        lhs = _fd_de(ctx, H_t, nu, h)
-        rhs = _fd_dt(ctx, lambda p, nu=nu: H_nu(p, nu), h)
+        lhs = _fd(p, H_t, f"e{nu}", h)
+        rhs = _fd(p, lambda q, nu=nu: H_nu(q, nu), "t", h)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     for nu in (1, 2):
         for mu in range(nu + 1, 4):
-            lhs = _fd_de(ctx, lambda p, mu=mu: H_nu(p, mu), nu, h)
-            rhs = _fd_de(ctx, lambda p, nu=nu: H_nu(p, nu), mu, h)
+            lhs = _fd(p, lambda q, mu=mu: H_nu(q, mu), f"e{nu}", h)
+            rhs = _fd(p, lambda q, nu=nu: H_nu(q, nu), f"e{mu}", h)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return worst, "all six mixed partials of the 1-form"
 
@@ -805,65 +753,47 @@ def check_shifted_tau_cross_family(ctx, rng, tol):
 # Registry and runner
 # ---------------------------------------------------------------------------
 
+# name -> (check, suite, default tolerance); a suite runs its checks in this order
 CHECKS = {
-    # elliptic identities
-    "legendre": (check_legendre, 1e-10),
-    "heat_equation": (check_heat_equation, 1e-9),
-    "wp_ode": (check_wp_ode, 1e-9),
-    "wp_addition": (check_wp_addition, 1e-9),
-    "wp_triple": (check_wp_triple, 1e-9),
-    "quasi_periodicity": (check_quasi_periodicity, 1e-10),
-    "sigma_homogeneity": (check_sigma_homogeneity, 1e-10),
-    # branch derivatives
-    "theta_constants": (check_theta_constants, 1e-6),
-    "domega_de": (check_domega_de, 1e-6),
-    "dlog_omega1_de": (check_dlog_omega1_de, 1e-6),
-    "quasiperiod_ratio_derivative": (check_quasiperiod_ratio_derivative, 1e-6),
-    "abel_roundtrip": (check_abel_roundtrip, 1e-9),
-    "periods_scaling": (check_periods_scaling, 1e-10),
-    # explicit solution
-    "phi_transformation": (check_phi_transformation, 1e-9),
-    "det_phi_zeros": (check_det_phi_zeros, 1e-8),
-    "y_normalization": (check_y_normalization, 1e-8),
-    "y1_closed_form": (check_y1_closed_form, 1e-7),
-    # ODE and monodromy
-    "ode_residual": (check_ode_residual, 1e-7),
-    "monodromy_match": (check_monodromy_match, 1e-6),
-    "cyclic_relation": (check_cyclic_relation, 1e-6),
-    "stokes_triviality": (check_stokes_triviality, 1e-6),
-    "monodromy_invariance": (check_monodromy_invariance, 1e-6),
-    "deformation_equation": (check_deformation_equation, 1e-5),
-    # tau function
-    "residue_identity": (check_residue_identity, 1e-6),
-    "residue_sum_rule": (check_residue_sum_rule, 1e-7),
-    "dlogtau_dt": (check_dlogtau_dt, 1e-6),
-    "dlogtau_de": (check_dlogtau_de, 1e-6),
-    "omega_closedness": (check_omega_closedness, 1e-5),
-    "hamiltonian_cross": (check_hamiltonian_cross, 1e-7),
-    "h_t_residue_oracle": (check_h_t_residue_oracle, 1e-6),
-    # zero-sum special case
-    "shifted_tau_at_zero": (check_shifted_tau_at_zero, 1e-12),
-    "shifted_tau_dlog": (check_shifted_tau_dlog, 1e-7),
-    "shifted_tau_trace": (check_shifted_tau_trace, 1e-7),
-    "shifted_tau_cross_family": (check_shifted_tau_cross_family, 1e-6),
+    "legendre": (check_legendre, "elliptic", 1e-10),
+    "heat_equation": (check_heat_equation, "elliptic", 1e-9),
+    "wp_ode": (check_wp_ode, "elliptic", 1e-9),
+    "wp_addition": (check_wp_addition, "elliptic", 1e-9),
+    "wp_triple": (check_wp_triple, "elliptic", 1e-9),
+    "quasi_periodicity": (check_quasi_periodicity, "elliptic", 1e-10),
+    "sigma_homogeneity": (check_sigma_homogeneity, "elliptic", 1e-10),
+    "theta_constants": (check_theta_constants, "branch", 1e-6),
+    "domega_de": (check_domega_de, "branch", 1e-6),
+    "dlog_omega1_de": (check_dlog_omega1_de, "branch", 1e-6),
+    "quasiperiod_ratio_derivative": (check_quasiperiod_ratio_derivative, "branch", 1e-6),
+    "abel_roundtrip": (check_abel_roundtrip, "branch", 1e-9),
+    "periods_scaling": (check_periods_scaling, "branch", 1e-10),
+    "phi_transformation": (check_phi_transformation, "solution", 1e-9),
+    "det_phi_zeros": (check_det_phi_zeros, "solution", 1e-8),
+    "y_normalization": (check_y_normalization, "solution", 1e-8),
+    "y1_closed_form": (check_y1_closed_form, "solution", 1e-7),
+    "ode_residual": (check_ode_residual, "monodromy", 1e-7),
+    "monodromy_match": (check_monodromy_match, "monodromy", 1e-6),
+    "cyclic_relation": (check_cyclic_relation, "monodromy", 1e-6),
+    "stokes_triviality": (check_stokes_triviality, "monodromy", 1e-6),
+    "monodromy_invariance": (check_monodromy_invariance, "monodromy", 1e-6),
+    "deformation_equation": (check_deformation_equation, "monodromy", 1e-5),
+    "residue_identity": (check_residue_identity, "tau", 1e-6),
+    "residue_sum_rule": (check_residue_sum_rule, "tau", 1e-7),
+    "dlogtau_dt": (check_dlogtau_dt, "tau", 1e-6),
+    "dlogtau_de": (check_dlogtau_de, "tau", 1e-6),
+    "omega_closedness": (check_omega_closedness, "tau", 1e-5),
+    "hamiltonian_cross": (check_hamiltonian_cross, "tau", 1e-7),
+    "h_t_residue_oracle": (check_h_t_residue_oracle, "tau", 1e-6),
+    "shifted_tau_at_zero": (check_shifted_tau_at_zero, "shifted", 1e-12),
+    "shifted_tau_dlog": (check_shifted_tau_dlog, "shifted", 1e-7),
+    "shifted_tau_trace": (check_shifted_tau_trace, "shifted", 1e-7),
+    "shifted_tau_cross_family": (check_shifted_tau_cross_family, "shifted", 1e-6),
 }
 
-SUITES = {
-    "elliptic": ["legendre", "heat_equation", "wp_ode", "wp_addition",
-                 "wp_triple", "quasi_periodicity", "sigma_homogeneity"],
-    "branch": ["theta_constants", "domega_de", "dlog_omega1_de",
-               "quasiperiod_ratio_derivative", "abel_roundtrip",
-               "periods_scaling"],
-    "solution": ["phi_transformation", "det_phi_zeros", "y_normalization",
-                 "y1_closed_form"],
-    "monodromy": ["ode_residual", "monodromy_match", "cyclic_relation",
-                  "stokes_triviality", "monodromy_invariance",
-                  "deformation_equation"],
-    "tau": ["residue_identity", "residue_sum_rule", "dlogtau_dt", "dlogtau_de",
-            "omega_closedness", "hamiltonian_cross", "h_t_residue_oracle"],
-    "shifted": ["shifted_tau_at_zero", "shifted_tau_dlog", "shifted_tau_trace",
-                 "shifted_tau_cross_family"],
-}
+SUITES = {}
+for _name, (_, _suite, _) in CHECKS.items():
+    SUITES.setdefault(_suite, []).append(_name)
 
 
 def resolve_check_names(names):
@@ -900,15 +830,13 @@ def run_checks(scenario, checks=None, tol_scale=1.0, draw_scale=1.0,
     ctx = CheckContext(scenario, quad=quad, cfg=cfg, draw_scale=draw_scale)
     results = []
     for name in names:
-        fn, default_tol = CHECKS[name]
+        fn, _, default_tol = CHECKS[name]
         tol = tol_scale * float(scenario.tolerances.get(name, default_tol))
         rng = check_stream(scenario.seed, name)
         start = time.perf_counter()
         try:
-            residual, notes = fn(ctx, rng, tol)
-            status = "pass" if residual < tol else "fail"
-            if notes.startswith("INCONCLUSIVE"):
-                status = "inconclusive"
+            residual, notes, *verdict = fn(ctx, rng, tol)
+            status = verdict[0] if verdict else ("pass" if residual < tol else "fail")
         except Exception as exc:  # isolation: a crash is a failed check
             stage = ctx.failed_stage(exc)
             where = f" in stage {stage!r}" if stage is not None else ""

@@ -20,12 +20,10 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .checks import CheckContext, run_checks
+from .checks import run_checks
 from .errors import EllipTauError, ScenarioError
 from .isomono import make_params
-from .monodromy import base_point, continue_solution
+from .monodromy import base_point, monodromy_matrices
 from .scenario import load_scenario
 from .tau import H_t, log_tau
 
@@ -108,16 +106,14 @@ def _cmd_tau(args):
 
 
 def _cmd_monodromy(args):
-    scenario = load_scenario(args.scenario)
-    ctx = CheckContext(scenario)
+    s = load_scenario(args.scenario)
     which = int(args.loop) if args.loop != "inf" else "inf"
-    pieces, offsets = ctx.loops
-    W = continue_solution(ctx.coeffs, pieces[which], ctx.Y0)
-    M = np.linalg.inv(ctx.Y0) @ W
+    mats, offsets = monodromy_matrices(make_params(s.branch, s.a, s.t, s.p, s.q),
+                                       (which,))
     print(f"# loop {args.loop} around "
-          f"{'infinity' if which == 'inf' else ctx.branch.es[which - 1]}, "
-          f"base point {base_point(ctx.branch)}, frame offset {offsets[which]}")
-    for row in M:
+          f"{'infinity' if which == 'inf' else s.branch.es[which - 1]}, "
+          f"base point {base_point(s.branch)}, frame offset {offsets[which]}")
+    for row in mats[which]:
         print("  ".join(f"{z.real:+.12e}{z.imag:+.12e}j" for z in row))
     return 0
 

@@ -81,6 +81,12 @@ class BranchConfig:
         return min(abs(self.es[i] - self.es[j])
                    for i in range(3) for j in range(i + 1, 3))
 
+    def moved(self, nu, delta):
+        """The configuration with e_nu moved by delta."""
+        es = list(self.es)
+        es[nu - 1] += delta
+        return BranchConfig(*es)
+
     def y_squared(self, x):
         e1, e2, e3 = self.es
         return 4.0 * (x - e1) * (x - e2) * (x - e3)
@@ -370,27 +376,18 @@ def _sheet_frame(branch, quad):
 
 @lru_cache(maxsize=64)
 def _u_anchor(branch, quad):
-    """Abel-map value at the anchor: the tail integral from infinity."""
+    """Abel-map value at the anchor: the tail integral from infinity.
+
+    x = anchor/s^2 maps s in (0, 1] onto the ray from infinity to the anchor,
+    where dx/y = -anchor^{-1/2} ds / g(x) with g = prod sqrt(1 - e_nu/x) -> 1
+    at s = 0; the Gauss nodes never touch s = 0.
+    """
     anchor = _sheet_frame(branch, quad).anchor
-    # regularized tail: x = anchor/s^2 maps s in (0,1] onto the ray to infinity
-    xs, ws = _leggauss(24)
     inv_sqrt_a = abs(anchor) ** -0.5 * cmath.exp(-0.5j * cmath.phase(anchor))
-    panels = 16
-    prev = None
-    while True:
-        total = 0j
-        for k in range(panels):
-            a0, b0 = k / panels, (k + 1) / panels
-            for t, w in zip(xs, ws):
-                s = 0.5 * (a0 + b0) + 0.5 * (b0 - a0) * t
-                total += w * (0.5 / panels) / _tail_g(branch, anchor / (s * s))
-        u_tail = -inv_sqrt_a * total
-        if prev is not None and abs(u_tail - prev) <= quad.tol * max(1.0, abs(u_tail)):
-            return u_tail
-        if panels > 4096:
-            raise QuadratureError("tail integral did not converge")
-        prev = u_tail
-        panels *= 2
+    total, _ = path_integral([Line(0j, 1.0 + 0j)],
+                             lambda s: _tail_g(branch, anchor / (s * s)) ** 2,
+                             1.0 + 0j, quad)
+    return -inv_sqrt_a * total
 
 
 @dataclass(frozen=True)
@@ -636,18 +633,6 @@ def local_inverse_coeffs(branch, lat, a, quad=DEFAULT_QUAD):
     return (c1, c2, c3)
 
 
-def local_inverse_alternative_gap(branch, lat, a, quad=DEFAULT_QUAD):
-    """Gap between the reversion c2 and the variant carrying wp''' in its
-    denominator.  The variant is dimensionally inconsistent and agrees with
-    the reversion only where wp'(alpha)^2 = 12 wp(alpha); the gap quantifies
-    the difference at the given point.
-    """
-    rel = wp_alpha_relations(branch, a, quad)
-    _, c2, _ = local_inverse_coeffs(branch, lat, a, quad)
-    alt = -rel.wp_pp / (2.0 * rel.wp_ppp)
-    return abs(c2 - alt)
-
-
 def dOmega_de(branch, lat, nu):
     """Closed-form derivative of the period ratio in a branch point,
     dOmega/de_nu = pi i / (omega1^2 prod_{mu != nu} (e_nu - e_mu))."""
@@ -692,12 +677,6 @@ def theta_constant_residuals(branch, lat, quad=DEFAULT_QUAD, cfg=DEFAULT_CFG):
     return r1, r2
 
 
-def _perturbed(branch, nu, h):
-    es = list(branch.es)
-    es[nu - 1] += h
-    return BranchConfig(*es)
-
-
 def quasiperiod_ratio_derivative_residual(branch, nu, t, quad=DEFAULT_QUAD,
                                           cfg=DEFAULT_CFG, h=None):
     """Residual of the closed form for d/de_nu (eta1 t^2 / (2 omega1)).
@@ -709,8 +688,8 @@ def quasiperiod_ratio_derivative_residual(branch, nu, t, quad=DEFAULT_QUAD,
     if h is None:
         h = 1e-5 * branch.scale
     lat = periods(branch, quad, cfg)
-    lp = periods(_perturbed(branch, nu, h), quad, cfg)
-    lm = periods(_perturbed(branch, nu, -h), quad, cfg)
+    lp = periods(branch.moved(nu, h), quad, cfg)
+    lm = periods(branch.moved(nu, -h), quad, cfg)
     fd = t * t * ((lp.eta1 / (2 * lp.omega1)) - (lm.eta1 / (2 * lm.omega1))) / (2 * h)
     es = branch.es
     e = es[nu - 1]

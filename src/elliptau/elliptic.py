@@ -237,19 +237,12 @@ def _theta11_logdiv(lat, u, depth, cfg):
     return [g[m] * _FACT[m] for m in range(depth)]
 
 
-def sigma(lat, u, cfg=DEFAULT_CFG, half_argument=False):
-    """Weierstrass sigma: odd, sigma'(0) = 1, simple zeros exactly on the lattice.
-
-    half_argument=True evaluates the theta factor at u/(2*omega1) instead of
-    u/omega1.  That variant is kept only for comparing the two argument
-    conventions: it is not normalized (slope 1/2 at 0) and vanishes on the
-    doubled lattice, which the default convention's tests rule out.
-    """
+def sigma(lat, u, cfg=DEFAULT_CFG):
+    """Weierstrass sigma: odd, sigma'(0) = 1, simple zeros exactly on the lattice."""
     u = complex(u)
     d1, _, _ = theta11_constants(lat.Omega, cfg)
-    arg = u / (2 * lat.omega1) if half_argument else u / lat.omega1
     gauss = cmath.exp(lat.eta1 * u * u / (2 * lat.omega1))
-    return gauss * (lat.omega1 / d1) * theta(HALF_HALF, arg, lat.Omega, cfg)
+    return gauss * (lat.omega1 / d1) * theta(HALF_HALF, u / lat.omega1, lat.Omega, cfg)
 
 
 def sigma_char(lat, char, u, cfg=DEFAULT_CFG):

@@ -15,8 +15,9 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .curve import Arc, detoured_path
+from .curve import Arc, Line, _cycle_pieces, abel_with_y, detoured_path, path_integral
 from .errors import QuadratureError
+from .isomono import coefficients, normalize_Y
 
 
 def base_point(branch):
@@ -59,7 +60,6 @@ def _clearance(params):
 
 
 def _reverse(pieces):
-    from .curve import Line
     out = []
     for piece in reversed(pieces):
         if isinstance(piece, Line):
@@ -71,7 +71,6 @@ def _reverse(pieces):
 
 def _connected_cycle(params, pair, excluded):
     """Cycle stadium around a branch-point pair, based at the base point."""
-    from .curve import _cycle_pieces
     pieces = _cycle_pieces(params.branch, pair, excluded)
     x0 = base_point(params.branch)
     start = pieces[0].x(0.0)
@@ -92,8 +91,6 @@ def calibrate_loops(params):
     (pieces_by_loop, offsets_by_loop); the offsets record the applied
     correction as lattice coordinates.
     """
-    from .curve import abel_with_y, path_integral
-
     p = params
     lat = p.lat
     x0 = base_point(p.branch)
@@ -166,6 +163,22 @@ def continue_solution(coeffs, pieces, Y0, rtol=1e-10, atol=1e-12):
             raise QuadratureError(f"ODE continuation failed: {sol.message}")
         y = sol.y[:, -1]
     return y.reshape(2, 2)
+
+
+def monodromy_matrices(params, loops=(1, 2, 3, "inf"), sol=None, coeffs=None):
+    """Numerical monodromy M = Y(x0)^{-1} W of each loop, W being Y(x0)
+    continued around the calibrated loop.  sol and coeffs are built from
+    params unless given.  Returns ({loop: M}, offsets of calibrate_loops).
+    """
+    if sol is None:
+        sol = normalize_Y(params)
+    if coeffs is None:
+        coeffs = coefficients(params, phi=sol.phi, sol=sol)
+    Y0 = sol.y_at(base_point(params.branch))
+    pieces, offsets = calibrate_loops(params)
+    Y0_inv = np.linalg.inv(Y0)
+    return ({which: Y0_inv @ continue_solution(coeffs, pieces[which], Y0)
+             for which in loops}, offsets)
 
 
 def trivial_loop_identity(params, coeffs, rtol=1e-10, atol=1e-12):

@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .curve import BranchConfig
+from .curve import BranchConfig, periods
 from .errors import EllipTauError, ScenarioError
 
 _MASK = (1 << 64) - 1
@@ -160,8 +160,6 @@ def random_admissible_scenario(rng, seed=0):
     0.05, and the period ratio satisfies Im >= 0.05 (checked by the caller
     when the lattice is built).
     """
-    from .curve import periods
-
     for _ in range(500):
         es = tuple(rng.complex_box(-1.2, 1.2) for _ in range(3))
         scale = max(abs(es[i] - es[j]) for i in range(3) for j in range(i + 1, 3))

@@ -9,6 +9,8 @@ import elliptau.cli
 from elliptau.checks import CHECKS, SUITES, resolve_check_names, run_checks
 from elliptau.cli import main
 from elliptau.errors import DegenerateParameterError, ScenarioError
+from elliptau.isomono import make_params
+from elliptau.monodromy import monodromy_matrices
 from elliptau.scenario import (
     GOLDEN,
     SplitMix64,
@@ -84,6 +86,35 @@ def test_suite_names_expand():
     names = resolve_check_names(["elliptic"])
     assert names == SUITES["elliptic"]
     assert resolve_check_names([]) == list(CHECKS)
+
+
+def test_every_check_sits_in_one_suite():
+    # each check appears once over all suites, and in registry order
+    members = [n for names in SUITES.values() for n in names]
+    assert members == list(CHECKS)
+
+
+def test_inconclusive_is_a_structured_status(monkeypatch):
+    # a residual that does not shrink with the step cannot be judged, even
+    # though it is below the tolerance
+    def flat(params, direction, h):
+        return {"paired": {1: 1e-7, 2: 1e-7, 3: 1e-7}}
+
+    monkeypatch.setattr(elliptau.checks, "deformation_residual", flat)
+    rep = run_checks(GOLDEN, checks=["deformation_equation"])
+    assert rep.results[0].status == "inconclusive"
+    assert rep.results[0].residual < rep.results[0].tolerance
+    assert rep.overall == "fail"
+
+
+def test_notes_prefix_is_not_a_status(monkeypatch):
+    def check(ctx, rng, tol):
+        return 0.0, "INCONCLUSIVE in name only"
+
+    monkeypatch.setitem(CHECKS, "legendre", (check, "elliptic", 1e-10))
+    rep = run_checks(GOLDEN, checks=["legendre"])
+    assert rep.results[0].status == "pass"
+    assert rep.overall == "pass"
 
 
 def test_single_check_report():
@@ -234,3 +265,10 @@ def test_cli_monodromy_prints_matrix(tmp_path, capsys):
     assert out[0].startswith("# loop 3")
     assert len(out) == 3  # header + two matrix rows
     assert len(out[1].split()) == 2
+    g = GOLDEN
+    mats, offsets = monodromy_matrices(make_params(g.branch, g.a, g.t, g.p, g.q), (3,))
+    assert out[0].endswith(f"frame offset {offsets[3]}")
+    printed = [[complex(z) for z in line.split()] for line in out[1:]]
+    for row, expect in zip(printed, mats[3]):
+        for z, w in zip(row, expect):
+            assert abs(z - w) <= 1e-12 * max(1.0, abs(w))

@@ -4,6 +4,7 @@ import cmath
 import math
 import re
 
+import mpmath
 import pytest
 
 from elliptau.curve import (
@@ -15,6 +16,7 @@ from elliptau.curve import (
     _cycle_integral,
     _cycle_pieces,
     _sheet_frame,
+    _u_anchor,
     abel,
     abel_with_y,
     dOmega_de,
@@ -87,6 +89,34 @@ def test_agm_periods_match_cycle_quadrature(es):
     assert abs(pd.omega1 - om1) <= 1e-12 * abs(om1)
     assert abs(pd.omega2 - om2) <= 1e-12 * abs(om2)
     assert pd.delta_flipped == flipped
+
+
+@pytest.mark.parametrize("es", [
+    (1.0, 0.0, -1.0),
+    (1.0, 0.9, -1.0 + 0.01j),
+    (0.3 + 0.7j, -0.9 + 0.1j, 0.5 - 0.8j),
+    (1.01, 1.0, -1.0),
+    (-0.444 - 0.178j, -0.522 + 0.710j, -0.355 - 1.170j),
+], ids=["golden", "skewed-near-real", "generic-complex", "small-im-omega",
+        "near-collinear"])
+def test_anchor_tail_integral_matches_mpmath(es):
+    # u(anchor) = -integral of dx/y along the ray from the anchor to
+    # infinity, with y = 2 x^{3/2} prod sqrt(1 - e/x) and the phase of
+    # x^{3/2} taken from arg(anchor); mpmath at 30 digits
+    branch = BranchConfig(*es)
+    anchor = _sheet_frame(branch, DEFAULT_QUAD).anchor
+    with mpmath.workdps(30):
+        d = mpmath.mpc(anchor) / abs(anchor)
+        x32_phase = mpmath.exp(1.5j * mpmath.mpf(cmath.phase(anchor)))
+
+        def integrand(r):
+            g = 1
+            for e in branch.es:
+                g *= mpmath.sqrt(1 - mpmath.mpc(e) / (r * d))
+            return d / (2 * r**1.5 * x32_phase * g)
+
+        ref = complex(-mpmath.quad(integrand, [abs(anchor), mpmath.inf]))
+    assert abs(_u_anchor(branch, DEFAULT_QUAD) - ref) <= 1e-14 * abs(ref)
 
 
 def test_path_integral_nonconvergence_reports_last_delta(golden_branch):
@@ -240,11 +270,16 @@ def test_inverse_map_laurent_behavior(golden_branch, golden_lattice):
 
 
 def test_local_inverse_alternative_gap(golden_branch, golden_lattice):
-    from elliptau.curve import local_inverse_alternative_gap
-    # zero exactly at the golden point (wp'^2 = 12 wp there), nonzero generically
-    assert local_inverse_alternative_gap(golden_branch, golden_lattice, 2.0) < 1e-14
-    assert local_inverse_alternative_gap(golden_branch, golden_lattice,
-                                         0.7 + 1.1j) > 1e-3
+    # the variant c2 = -wp''/(2 wp''') is dimensionally inconsistent: it meets
+    # the reversion coefficient exactly at the golden point (wp'^2 = 12 wp
+    # there) and misses it generically
+    def gap(a):
+        rel = wp_alpha_relations(golden_branch, a)
+        _, c2, _ = local_inverse_coeffs(golden_branch, golden_lattice, a)
+        return abs(c2 + rel.wp_pp / (2.0 * rel.wp_ppp))
+
+    assert gap(2.0) < 1e-14
+    assert gap(0.7 + 1.1j) > 1e-3
 
 
 def test_theta_constant_residuals_random():

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from elliptau.elliptic import (
+    HALF_HALF,
     ThetaChar,
     lattice_from_periods,
     sigma,
@@ -13,6 +14,8 @@ from elliptau.elliptic import (
     sigma_char_dlog,
     sigma_char_du,
     sigma_du,
+    theta,
+    theta11_constants,
     wp,
     wp_n,
     wp_prime,
@@ -88,11 +91,21 @@ def test_sigma_vanishes_exactly_on_lattice():
 
 
 def test_half_argument_variant_is_not_normalized():
-    # the alternative theta-argument convention: slope 1/2 at the origin and
-    # no zero at omega1, which the default convention's tests exclude
+    # the alternative theta-argument convention, theta11 at u/(2 omega1):
+    # slope 1/2 at the origin and no zero at omega1, which the default
+    # convention's tests exclude
     lat = lattice_from_periods(1.0, 1j)
-    assert abs(sigma(lat, 1e-3, half_argument=True) / 1e-3 - 0.5) < 1e-5
-    assert abs(sigma(lat, lat.omega1, half_argument=True)) > 0.1
+    d1, _, _ = theta11_constants(lat.Omega)
+
+    def sigma_half(u):
+        gauss = cmath.exp(lat.eta1 * u * u / (2 * lat.omega1))
+        return (gauss * (lat.omega1 / d1)
+                * theta(HALF_HALF, u / (2 * lat.omega1), lat.Omega))
+
+    assert abs(sigma_half(1e-3) / 1e-3 - 0.5) < 1e-5
+    assert abs(sigma_half(lat.omega1)) > 0.1
+    assert abs(sigma(lat, 1e-3) / 1e-3 - 1.0) < 1e-5
+    assert abs(sigma(lat, lat.omega1)) < 1e-12
 
 
 def test_sigma_char_quasi_periodicity():
