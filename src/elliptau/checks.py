@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .curve import (
-    DEFAULT_QUAD,
     BranchConfig,
     CurvePoint,
     abel,
@@ -32,7 +31,6 @@ from .curve import (
     x_from_u,
 )
 from .elliptic import (
-    DEFAULT_CFG,
     ThetaChar,
     lattice_from_periods,
     sigma,
@@ -115,11 +113,8 @@ class Report:
 class CheckContext:
     """Lazily built shared state for a scenario's checks."""
 
-    def __init__(self, scenario, quad=DEFAULT_QUAD, cfg=DEFAULT_CFG,
-                 draw_scale=1.0):
+    def __init__(self, scenario, draw_scale=1.0):
         self.scenario = scenario
-        self.quad = quad
-        self.cfg = cfg
         self.draw_scale = draw_scale
         self._cache = {}
         self._failed = {}
@@ -152,7 +147,7 @@ class CheckContext:
     def params(self):
         s = self.scenario
         return self._get("params", lambda: make_params(
-            self.branch, s.a, s.t, s.p, s.q, self.cfg, self.quad))
+            self.branch, s.a, s.t, s.p, s.q))
 
     @property
     def phi(self):
@@ -177,10 +172,10 @@ class CheckContext:
             self.params, sol=self.sol, coeffs=self.coeffs))
 
 
-def _random_lattice(rng, cfg=DEFAULT_CFG):
+def _random_lattice(rng):
     w1 = (0.6 + rng.uniform(0.0, 1.2)) * rng.unit_phase()
     Om = complex(rng.uniform(-0.45, 0.45), rng.uniform(0.25, 1.8))
-    return lattice_from_periods(w1, w1 * Om, cfg)
+    return lattice_from_periods(w1, w1 * Om)
 
 
 def _random_char(rng):
@@ -210,13 +205,13 @@ def _random_branch(rng):
                 continue
 
 
-def circle_mean(f, center, radius, n=64, moment=1):
-    """Trapezoidal (1/n) sum of f(x) (x-center)^moment over |x-center|=radius;
-    moment=1 gives the Cauchy residue of f at the center."""
+def circle_mean(f, center, radius, n=64):
+    """Trapezoidal (1/n) sum of f(x) (x-center) over |x-center|=radius: the
+    Cauchy residue of f at the center."""
     acc = 0j
     for j in range(n):
         w = radius * cmath.exp(2j * math.pi * j / n)
-        acc += f(center + w) * w**moment
+        acc += f(center + w) * w
     return acc / n
 
 
@@ -228,15 +223,13 @@ def circle_mean(f, center, radius, n=64, moment=1):
 def check_legendre(ctx, rng, tol):
     worst = 0.0
     for _ in range(ctx.draws(20)):
-        lat = _random_lattice(rng, ctx.cfg)
+        lat = _random_lattice(rng)
         worst = max(worst, abs(lat.eta1 * lat.omega2 - lat.eta2 * lat.omega1
                                - 2j * math.pi) / TWO_PI)
         u = _random_u(rng, lat)
-        worst = max(worst, abs(zeta(lat, u + lat.omega1, ctx.cfg)
-                               - zeta(lat, u, ctx.cfg) - lat.eta1)
+        worst = max(worst, abs(zeta(lat, u + lat.omega1) - zeta(lat, u) - lat.eta1)
                     / max(1.0, abs(lat.eta1)))
-        worst = max(worst, abs(zeta(lat, u + lat.omega2, ctx.cfg)
-                               - zeta(lat, u, ctx.cfg) - lat.eta2)
+        worst = max(worst, abs(zeta(lat, u + lat.omega2) - zeta(lat, u) - lat.eta2)
                     / max(1.0, abs(lat.eta2)))
     return worst, "normalization plus zeta-increment cross-check"
 
@@ -248,8 +241,8 @@ def check_heat_equation(ctx, rng, tol):
             Om = complex(-0.4 + 0.08 * i, 0.3 + 0.15 * j)
             z = complex(-0.5 + 0.1 * i, -0.3 + 0.07 * j)
             ch = _random_char(rng)
-            lhs = theta_dz(ch, z, Om, 2, ctx.cfg)
-            rhs = 4j * math.pi * theta_dOmega(ch, z, Om, ctx.cfg)
+            lhs = theta_dz(ch, z, Om, 2)
+            rhs = 4j * math.pi * theta_dOmega(ch, z, Om)
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-30))
     return worst, "second z-derivative vs 4 pi i Omega-derivative"
 
@@ -257,9 +250,9 @@ def check_heat_equation(ctx, rng, tol):
 def check_wp_ode(ctx, rng, tol):
     worst = 0.0
     for _ in range(ctx.draws(20)):
-        lat = _random_lattice(rng, ctx.cfg)
+        lat = _random_lattice(rng)
         u = _random_u(rng, lat)
-        w, w1 = wp(lat, u, ctx.cfg), wp_prime(lat, u, ctx.cfg)
+        w, w1 = wp(lat, u), wp_prime(lat, u)
         res = w1 * w1 - (4.0 * w**3 - lat.g2 * w - lat.g3)
         worst = max(worst, abs(res) / max(abs(w1 * w1), abs(4 * w**3), 1e-30))
     return worst, "wp'^2 = 4 wp^3 - g2 wp - g3"
@@ -268,11 +261,11 @@ def check_wp_ode(ctx, rng, tol):
 def check_wp_addition(ctx, rng, tol):
     worst = 0.0
     for _ in range(ctx.draws(20)):
-        lat = _random_lattice(rng, ctx.cfg)
+        lat = _random_lattice(rng)
         u = _random_u(rng, lat)
-        w, w1 = wp(lat, u, ctx.cfg), wp_prime(lat, u, ctx.cfg)
-        w2 = wp_n(lat, u, 2, ctx.cfg)
-        lhs = wp(lat, 2 * u, ctx.cfg)
+        w, w1 = wp(lat, u), wp_prime(lat, u)
+        w2 = wp_n(lat, u, 2)
+        lhs = wp(lat, 2 * u)
         rhs = -2.0 * w + 0.25 * (w2 / w1) ** 2
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
     return worst, "duplication wp(2u) = -2 wp + (wp''/wp')^2/4"
@@ -281,10 +274,10 @@ def check_wp_addition(ctx, rng, tol):
 def check_wp_triple(ctx, rng, tol):
     worst = 0.0
     for _ in range(ctx.draws(20)):
-        lat = _random_lattice(rng, ctx.cfg)
+        lat = _random_lattice(rng)
         u = _random_u(rng, lat)
-        lhs = wp_n(lat, u, 3, ctx.cfg)
-        rhs = 12.0 * wp(lat, u, ctx.cfg) * wp_prime(lat, u, ctx.cfg)
+        lhs = wp_n(lat, u, 3)
+        rhs = 12.0 * wp(lat, u) * wp_prime(lat, u)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
     return worst, "wp''' = 12 wp wp'"
 
@@ -292,15 +285,15 @@ def check_wp_triple(ctx, rng, tol):
 def check_quasi_periodicity(ctx, rng, tol):
     worst = 0.0
     for _ in range(ctx.draws(100, minimum=10)):
-        lat = _random_lattice(rng, ctx.cfg)
+        lat = _random_lattice(rng)
         ch = _random_char(rng)
         u = _random_u(rng, lat)
-        s0 = sigma_char(lat, ch, u, ctx.cfg)
-        lhs = sigma_char(lat, ch, u + lat.omega1, ctx.cfg)
+        s0 = sigma_char(lat, ch, u)
+        lhs = sigma_char(lat, ch, u + lat.omega1)
         rhs = (cmath.exp(2j * math.pi * ch.p)
                * cmath.exp(lat.eta1 * (u + lat.omega1 / 2.0)) * s0)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-        lhs = sigma_char(lat, ch, u + lat.omega2, ctx.cfg)
+        lhs = sigma_char(lat, ch, u + lat.omega2)
         rhs = (cmath.exp(-2j * math.pi * ch.q)
                * cmath.exp(lat.eta2 * (u + lat.omega2 / 2.0)) * s0)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
@@ -310,12 +303,12 @@ def check_quasi_periodicity(ctx, rng, tol):
 def check_sigma_homogeneity(ctx, rng, tol):
     worst = 0.0
     for _ in range(ctx.draws(20)):
-        lat = _random_lattice(rng, ctx.cfg)
+        lat = _random_lattice(rng)
         lam = (0.5 + rng.uniform(0.0, 1.5)) * rng.unit_phase()
-        lat2 = lattice_from_periods(lam * lat.omega1, lam * lat.omega2, ctx.cfg)
+        lat2 = lattice_from_periods(lam * lat.omega1, lam * lat.omega2)
         u = _random_u(rng, lat)
-        lhs = sigma(lat2, lam * u, ctx.cfg)
-        rhs = lam * sigma(lat, u, ctx.cfg)
+        lhs = sigma(lat2, lam * u)
+        rhs = lam * sigma(lat, u)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     return worst, "sigma(lu; lw1, lw2) = l sigma(u; w1, w2)"
 
@@ -335,8 +328,8 @@ def _branch_samples(ctx, rng, base_count):
 def check_theta_constants(ctx, rng, tol):
     worst = 0.0
     for b in _branch_samples(ctx, rng, 9):
-        lat = periods(b, ctx.quad, ctx.cfg)
-        r1, r2 = theta_constant_residuals(b, lat, ctx.quad, ctx.cfg)
+        lat = periods(b)
+        r1, r2 = theta_constant_residuals(b, lat)
         worst = max(worst, r1, r2)
     return worst, "odd theta-constant identities vs geometric quasi-period"
 
@@ -344,13 +337,13 @@ def check_theta_constants(ctx, rng, tol):
 def check_domega_de(ctx, rng, tol):
     worst = 0.0
     for b in _branch_samples(ctx, rng, 9):
-        lat = periods(b, ctx.quad, ctx.cfg)
+        lat = periods(b)
         h = 1e-5 * b.scale
         total = 0j
         biggest = 0.0
         for nu in (1, 2, 3):
-            fd = (periods(b.moved(nu, h), ctx.quad, ctx.cfg).Omega
-                  - periods(b.moved(nu, -h), ctx.quad, ctx.cfg).Omega) / (2 * h)
+            fd = (periods(b.moved(nu, h)).Omega
+                  - periods(b.moved(nu, -h)).Omega) / (2 * h)
             cl = dOmega_de(b, lat, nu)
             total += cl
             biggest = max(biggest, abs(cl))
@@ -363,15 +356,15 @@ def check_domega_de(ctx, rng, tol):
 def check_dlog_omega1_de(ctx, rng, tol):
     worst = 0.0
     for b in _branch_samples(ctx, rng, 9):
-        lat = periods(b, ctx.quad, ctx.cfg)
+        lat = periods(b)
         h = 1e-5 * b.scale
         total = 0j
         euler = 0j
         biggest = 0.0
         for nu in (1, 2, 3):
-            fd = (cmath.log(periods(b.moved(nu, h), ctx.quad, ctx.cfg).omega1)
-                  - cmath.log(periods(b.moved(nu, -h), ctx.quad, ctx.cfg).omega1)) / (2 * h)
-            cl = dlog_omega1_de(b, lat, nu, ctx.cfg)
+            fd = (cmath.log(periods(b.moved(nu, h)).omega1)
+                  - cmath.log(periods(b.moved(nu, -h)).omega1)) / (2 * h)
+            cl = dlog_omega1_de(b, lat, nu)
             total += cl
             euler += b.es[nu - 1] * cl
             biggest = max(biggest, abs(cl))
@@ -387,14 +380,13 @@ def check_quasiperiod_ratio_derivative(ctx, rng, tol):
     t = ctx.scenario.t if abs(ctx.scenario.t) > 1e-3 else 0.1
     for b in _branch_samples(ctx, rng, 9):
         for nu in (1, 2, 3):
-            worst = max(worst, quasiperiod_ratio_derivative_residual(
-                b, nu, t, ctx.quad, ctx.cfg))
+            worst = max(worst, quasiperiod_ratio_derivative_residual(b, nu, t))
     return worst, "eta1 t^2/(2 omega1) derivative vs closed form"
 
 
 def check_abel_roundtrip(ctx, rng, tol):
     b = ctx.branch
-    lat = periods(b, ctx.quad, ctx.cfg)
+    lat = periods(b)
     worst = 0.0
     for _ in range(ctx.draws(50, minimum=8)):
         x = b.centroid + rng.complex_box(-2.0, 2.0) * b.scale
@@ -402,10 +394,9 @@ def check_abel_roundtrip(ctx, rng, tol):
             continue
         if b.distance_to_cuts(x) < 1e-3 * b.scale:
             continue
-        u = abel(b, lat, CurvePoint(x, 1), ctx.quad)
-        worst = max(worst, abs(x_from_u(b, lat, u, ctx.cfg) - x)
-                    / max(abs(x), 1.0))
-        u2 = abel(b, lat, CurvePoint(x, 2), ctx.quad)
+        u = abel(b, CurvePoint(x, 1))
+        worst = max(worst, abs(x_from_u(b, lat, u) - x) / max(abs(x), 1.0))
+        u2 = abel(b, CurvePoint(x, 2))
         r, _, _ = lat.reduce(u + u2)
         worst = max(worst, abs(r) / lat.unit())
     return worst, "inversion and involution mod lattice"
@@ -413,17 +404,17 @@ def check_abel_roundtrip(ctx, rng, tol):
 
 def check_periods_scaling(ctx, rng, tol):
     b = ctx.branch
-    lat = periods(b, ctx.quad, ctx.cfg)
+    lat = periods(b)
     worst = 0.0
     for _ in range(ctx.draws(4, minimum=1)):
         lam = (0.5 + rng.uniform(0.0, 1.0)) * rng.unit_phase()
-        lat_s = periods(BranchConfig(*(lam * e for e in b.es)), ctx.quad, ctx.cfg)
+        lat_s = periods(BranchConfig(*(lam * e for e in b.es)))
         # dx/y scales by lambda^{-1/2}; compare the ratio squared to kill the
         # orientation-dependent square-root sign
         ratio_sq = (lat_s.omega1 / lat.omega1) ** 2 * lam
         worst = max(worst, abs(ratio_sq - 1.0))
         c = rng.complex_box(-1.0, 1.0)
-        lat_t = periods(BranchConfig(*(e + c for e in b.es)), ctx.quad, ctx.cfg)
+        lat_t = periods(BranchConfig(*(e + c for e in b.es)))
         worst = max(worst, abs(lat_t.omega1 - lat.omega1) / abs(lat.omega1))
         worst = max(worst, abs(lat_t.omega2 - lat.omega2) / abs(lat.omega2))
     return worst, "sqrt-scaling law and translation invariance"
@@ -549,8 +540,10 @@ def check_deformation_equation(ctx, rng, tol):
     worst = 0.0
     ratios = []
     for direction in ("t", "e1", "e2"):
-        r1 = deformation_residual(ctx.params, direction, 1e-4)
-        r2 = deformation_residual(ctx.params, direction, 5e-5)
+        r1 = deformation_residual(ctx.params, direction, 1e-4,
+                                  sol=ctx.sol, coeffs=ctx.coeffs)
+        r2 = deformation_residual(ctx.params, direction, 5e-5,
+                                  sol=ctx.sol, coeffs=ctx.coeffs)
         worst = max(worst, max(r1["paired"].values()))
         big, small = max(r1["paired"].values()), max(r2["paired"].values())
         ratios.append(big / max(small, 1e-30))
@@ -608,7 +601,7 @@ def _admissible_neighbors(ctx, rng, count):
         t = s.t + 0.05 * rng.complex_box()
         try:
             b = BranchConfig(*es)
-            make_params(b, s.a, t, s.p, s.q, ctx.cfg, ctx.quad)
+            make_params(b, s.a, t, s.p, s.q)
         except EllipTauError:
             continue
         out.append((b, t))
@@ -621,7 +614,7 @@ def check_dlogtau_dt(ctx, rng, tol):
     s = ctx.scenario
     for b, t in _admissible_neighbors(ctx, rng, ctx.draws(4, minimum=1)):
         h = 1e-6 * (1.0 + abs(t))
-        p = make_params(b, s.a, t, s.p, s.q, ctx.cfg, ctx.quad)
+        p = make_params(b, s.a, t, s.p, s.q)
         v = H_t(p)
         fd1 = _fd(p, log_tau, "t", h)
         fd2 = _fd(p, log_tau, "t", h / 2)
@@ -635,7 +628,7 @@ def check_dlogtau_de(ctx, rng, tol):
     s = ctx.scenario
     for b, t in _admissible_neighbors(ctx, rng, ctx.draws(4, minimum=1)):
         h = 5e-7 * (1.0 + b.scale)
-        p = make_params(b, s.a, t, s.p, s.q, ctx.cfg, ctx.quad)
+        p = make_params(b, s.a, t, s.p, s.q)
         for nu in (1, 2, 3):
             v = H_nu(p, nu)
             fd = _fd(p, log_tau, f"e{nu}", h)
@@ -686,17 +679,16 @@ def check_h_t_residue_oracle(ctx, rng, tol):
 
 def _shift_params(ctx, l):
     p = ctx.params
-    return SigmaShiftParams(l, p.t if abs(p.t) > 1e-3 else 0.1, p.alpha, p.lat,
-                          ctx.cfg)
+    return SigmaShiftParams(l, p.t if abs(p.t) > 1e-3 else 0.1, p.alpha, p.lat)
 
 
 def check_shifted_tau_at_zero(ctx, rng, tol):
     worst = 0.0
     for l in (-1, 1, 2):
         ap = _shift_params(ctx, l)
-        ap0 = SigmaShiftParams(l, 0.0, ap.alpha, ap.lat, ctx.cfg)
+        ap0 = SigmaShiftParams(l, 0.0, ap.alpha, ap.lat)
         lhs = sigma_shift_tau(ap0)
-        rhs = sigma(ap.lat, 2 * l * ap.alpha, ctx.cfg)
+        rhs = sigma(ap.lat, 2 * l * ap.alpha)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return worst, "tau_l(0) = sigma(2 l alpha)"
 
@@ -707,9 +699,9 @@ def check_shifted_tau_dlog(ctx, rng, tol):
         ap = _shift_params(ctx, l)
         h = 1e-6 * (1.0 + abs(ap.t))
         fd = (cmath.log(sigma_shift_tau(
-                  SigmaShiftParams(l, ap.t + h / 2, ap.alpha, ap.lat, ctx.cfg)))
+                  SigmaShiftParams(l, ap.t + h / 2, ap.alpha, ap.lat)))
               - cmath.log(sigma_shift_tau(
-                  SigmaShiftParams(l, ap.t - h / 2, ap.alpha, ap.lat, ctx.cfg)))) / h
+                  SigmaShiftParams(l, ap.t - h / 2, ap.alpha, ap.lat)))) / h
         cl = sigma_shift_dlog_tau_dt(ap)
         worst = max(worst, abs(cl - fd) / max(1.0, abs(cl)))
     return worst, "closed d/dt log tau_l vs finite difference, l in {-1,0,1,2}"
@@ -732,16 +724,15 @@ def check_shifted_tau_cross_family(ctx, rng, tol):
     al = p.alpha
     pc = 0.5 + lat.eta1 * l * al / (1j * math.pi)
     qc = 0.5 - lat.eta2 * l * al / (1j * math.pi)
-    a_of_alpha = wp(lat, al, ctx.cfg) + ctx.branch.e_sum / 3.0
+    a_of_alpha = wp(lat, al) + ctx.branch.e_sum / 3.0
     t = p.t if abs(p.t) > 1e-3 else 0.1
     h = 1e-5 * (1.0 + abs(t))
 
     def main_ht(tt):
-        return H_t(make_params(ctx.branch, a_of_alpha, tt, pc, qc,
-                               ctx.cfg, ctx.quad))
+        return H_t(make_params(ctx.branch, a_of_alpha, tt, pc, qc))
 
     def app_dl(tt):
-        return sigma_shift_dlog_tau_dt(SigmaShiftParams(l, tt, al, lat, ctx.cfg))
+        return sigma_shift_dlog_tau_dt(SigmaShiftParams(l, tt, al, lat))
 
     d2_main = (main_ht(t + h) - main_ht(t - h)) / (2 * h)
     d2_app = (app_dl(t + h) - app_dl(t - h)) / (2 * h)
@@ -817,8 +808,7 @@ def resolve_check_names(names):
     return uniq
 
 
-def run_checks(scenario, checks=None, tol_scale=1.0, draw_scale=1.0,
-               quad=DEFAULT_QUAD, cfg=DEFAULT_CFG):
+def run_checks(scenario, checks=None, tol_scale=1.0, draw_scale=1.0):
     """Run the selected checks and assemble the report.
 
     Checks come from `checks` when given, else from the scenario, else all.
@@ -827,7 +817,7 @@ def run_checks(scenario, checks=None, tol_scale=1.0, draw_scale=1.0,
     """
     names = resolve_check_names(list(checks) if checks is not None
                                 else list(scenario.checks))
-    ctx = CheckContext(scenario, quad=quad, cfg=cfg, draw_scale=draw_scale)
+    ctx = CheckContext(scenario, draw_scale=draw_scale)
     results = []
     for name in names:
         fn, _, default_tol = CHECKS[name]

@@ -44,6 +44,10 @@ def _parse_grid(spec):
 
 
 def _cmd_verify(args):
+    for flag, value in (("--tol-scale", args.tol_scale),
+                        ("--draw-scale", args.draw_scale)):
+        if not (math.isfinite(value) and value > 0):
+            raise ScenarioError(f"{flag} must be a positive finite number, got {value}")
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)

@@ -17,19 +17,24 @@ Geometry conventions (the "sheet-1" frame everything downstream relies on):
 * Period values come from the complex AGM; a coarse pass over the two
   cycles only picks which lattice vectors they are.  Full-accuracy cycle
   quadrature remains as the independent oracle (second_kind_period).
+
+Every full-accuracy contour integral uses one setting: Gauss-Legendre panels
+of ORDER = 12 nodes, doubled from MIN_PANELS = 8 at most MAX_DOUBLINGS = 8
+times until two passes agree to TOL = 5e-13 relative, on paths detoured by
+CLEARANCE = 0.1 of the smallest branch gap.  path_integral takes the four
+quadrature settings as keywords only for period_data's coarse pass.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .elliptic import (
-    DEFAULT_CFG,
     Lattice,
     lattice_from_periods,
     theta11_constants,
@@ -117,22 +122,12 @@ class CurvePoint:
         return CurvePoint(self.x, 3 - self.sheet)
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Adaptive Gauss-Legendre settings for contour work."""
-
-    order: int = 12
-    tol: float = 5e-13
-    min_panels: int = 8
-    max_doublings: int = 8
-    clearance: float = 0.1  # detour radius, in units of the min branch gap
-
-    def __post_init__(self):
-        if self.order < 2 or self.min_panels < 1:
-            raise ValueError("quadrature settings out of range")
-
-
-DEFAULT_QUAD = QuadratureConfig()
+ORDER = 12
+TOL = 5e-13
+MIN_PANELS = 8
+MAX_DOUBLINGS = 8
+CLEARANCE = 0.1  # detour radius around branch points, in min branch gaps
+CONTINUE_SAMPLES = 64  # branch-continuation steps per piece in continue_y
 
 
 def _dist_to_segment(x, a, b):
@@ -236,24 +231,26 @@ def _integrate_piece(piece, fsq, y_in, numerator, panels, order):
     return total, y_out
 
 
-def path_integral(pieces, fsq, y_start, quad=DEFAULT_QUAD, numerator=None):
+def path_integral(pieces, fsq, y_start, numerator=None, *, order=ORDER,
+                  tol=TOL, min_panels=MIN_PANELS, max_doublings=MAX_DOUBLINGS):
     """Integrate numerator(x)/y dx along the pieces, tracking the y-branch.
 
-    Returns (value, y_end).  Panel counts double until two successive
-    refinements agree to quad.tol relative.
+    Returns (value, y_end).  Panel counts double from min_panels until two
+    successive refinements agree to tol relative.  The keyword settings
+    default to the full-accuracy pass; period_data's coarse pass sets them.
     """
     num = numerator if numerator is not None else (lambda x: 1.0)
     prev, delta = None, math.nan
-    for k in range(quad.max_doublings + 1):
-        panels = quad.min_panels * 2**k
+    for k in range(max_doublings + 1):
+        panels = min_panels * 2**k
         total = 0j
         y = y_start
         for piece in pieces:
-            val, y = _integrate_piece(piece, fsq, y, num, panels, quad.order)
+            val, y = _integrate_piece(piece, fsq, y, num, panels, order)
             total += val
         if prev is not None:
             delta = abs(total - prev)
-            if delta <= quad.tol * max(1.0, abs(total)):
+            if delta <= tol * max(1.0, abs(total)):
                 return total, y
         prev = total
     raise QuadratureError(
@@ -262,13 +259,13 @@ def path_integral(pieces, fsq, y_start, quad=DEFAULT_QUAD, numerator=None):
     )
 
 
-def continue_y(pieces, fsq, y_start, samples=64):
+def continue_y(pieces, fsq, y_start):
     """Continue y along the pieces without integrating; returns y at the end."""
     y = y_start
     for piece in pieces:
         s_prev = 0.0
-        for k in range(1, samples + 1):
-            s = k / samples
+        for k in range(1, CONTINUE_SAMPLES + 1):
+            s = k / CONTINUE_SAMPLES
             y = _continue_step(fsq, piece, s_prev, s, y)
             s_prev = s
     return y
@@ -349,14 +346,13 @@ def _tail_g(branch, x):
 class SheetFrame:
     """Anchor data fixing sheet 1: the anchor, y there, and the detour radius."""
 
-    branch: BranchConfig
     anchor: complex
     y_anchor: complex
     clearance: float
 
 
 @lru_cache(maxsize=64)
-def _sheet_frame(branch, quad):
+def _sheet_frame(branch):
     c = branch.centroid
     spread = max(abs(e - c) for e in branch.es)
     R = 8.0 * (1.0 + spread + abs(c))
@@ -371,22 +367,22 @@ def _sheet_frame(branch, quad):
     anchor = best[1]
     phase = cmath.phase(anchor)
     y_anchor = 2.0 * abs(anchor) ** 1.5 * cmath.exp(1.5j * phase) * _tail_g(branch, anchor)
-    return SheetFrame(branch, anchor, y_anchor, quad.clearance * branch.min_gap)
+    return SheetFrame(anchor, y_anchor, CLEARANCE * branch.min_gap)
 
 
 @lru_cache(maxsize=64)
-def _u_anchor(branch, quad):
+def _u_anchor(branch):
     """Abel-map value at the anchor: the tail integral from infinity.
 
     x = anchor/s^2 maps s in (0, 1] onto the ray from infinity to the anchor,
     where dx/y = -anchor^{-1/2} ds / g(x) with g = prod sqrt(1 - e_nu/x) -> 1
     at s = 0; the Gauss nodes never touch s = 0.
     """
-    anchor = _sheet_frame(branch, quad).anchor
+    anchor = _sheet_frame(branch).anchor
     inv_sqrt_a = abs(anchor) ** -0.5 * cmath.exp(-0.5j * cmath.phase(anchor))
     total, _ = path_integral([Line(0j, 1.0 + 0j)],
                              lambda s: _tail_g(branch, anchor / (s * s)) ** 2,
-                             1.0 + 0j, quad)
+                             1.0 + 0j)
     return -inv_sqrt_a * total
 
 
@@ -406,11 +402,12 @@ def _cycle_pieces(branch, pair, excluded):
     return stadium(p, q, margin)
 
 
-def _cycle_integral(branch, frame, pieces, quad, numerator=None):
+def _cycle_integral(branch, frame, pieces, numerator=None, **settings):
+    """Integral of numerator(x)/y dx around a cycle; settings go to path_integral."""
     start = pieces[0].x(0.0)
     approach = detoured_path(frame.anchor, start, branch.es, frame.clearance)
     y0 = continue_y(approach, branch.y_squared, frame.y_anchor)
-    val, y_end = path_integral(pieces, branch.y_squared, y0, quad, numerator)
+    val, y_end = path_integral(pieces, branch.y_squared, y0, numerator, **settings)
     if abs(y_end - y0) > 1e-8 * abs(y0):
         raise QuadratureError("y-branch did not close along the cycle")
     return val
@@ -458,7 +455,7 @@ def _lattice_coords(w, b1, b2):
 
 
 @lru_cache(maxsize=64)
-def period_data(branch, quad=DEFAULT_QUAD, cfg=DEFAULT_CFG):
+def period_data(branch):
     """Both periods from the complex AGM, oriented so Im(omega2/omega1) > 0.
 
     The AGM basis is carried onto the cycle convention (omega1 around
@@ -467,14 +464,15 @@ def period_data(branch, quad=DEFAULT_QUAD, cfg=DEFAULT_CFG):
     """
     e1, e2, e3 = branch.es
     b1, b2 = _agm_basis(branch)
-    frame = _sheet_frame(branch, quad)
-    # from one 8-node panel up to the finest panel count quad allows
-    coarse = replace(quad, order=8, min_panels=1,
-                     max_doublings=quad.max_doublings + quad.min_panels.bit_length() - 1,
-                     tol=_COARSE_TOL * min(1.0, abs(b1), abs(b2)))
+    frame = _sheet_frame(branch)
+    # from one 8-node panel up to the finest panel count of the full pass
+    coarse = dict(order=8, min_panels=1,
+                  max_doublings=MAX_DOUBLINGS + MIN_PANELS.bit_length() - 1,
+                  tol=_COARSE_TOL * min(1.0, abs(b1), abs(b2)))
 
     def coords(pair, excluded):
-        w = _cycle_integral(branch, frame, _cycle_pieces(branch, pair, excluded), coarse)
+        w = _cycle_integral(branch, frame, _cycle_pieces(branch, pair, excluded),
+                            **coarse)
         return _lattice_coords(w, b1, b2)
 
     m1, n1 = coords((e2, e3), e1)
@@ -486,26 +484,25 @@ def period_data(branch, quad=DEFAULT_QUAD, cfg=DEFAULT_CFG):
     flipped = False
     if (om2 / om1).imag <= 0:
         om2, flipped = -om2, True
-    lat = lattice_from_periods(om1, om2, cfg, e_values=branch.tilde_es)
+    lat = lattice_from_periods(om1, om2, e_values=branch.tilde_es)
     return PeriodData(lat, om1, om2, flipped)
 
 
-def periods(branch, quad=DEFAULT_QUAD, cfg=DEFAULT_CFG):
+def periods(branch):
     """The lattice of the curve (see period_data for orientation bookkeeping)."""
-    return period_data(branch, quad, cfg).lattice
+    return period_data(branch).lattice
 
 
-def second_kind_period(branch, quad=DEFAULT_QUAD):
+def second_kind_period(branch):
     """Quasi-period of zeta over the first cycle, via -loop(x - e_sum/3) dx/y.
 
     Independent of the theta-constant route used by lattice_from_periods;
     serves as the geometric oracle for eta1.
     """
     e1, e2, e3 = branch.es
-    frame = _sheet_frame(branch, quad)
+    frame = _sheet_frame(branch)
     shift = branch.e_sum / 3.0
-    val = _cycle_integral(branch, frame,
-                          _cycle_pieces(branch, (e2, e3), e1), quad,
+    val = _cycle_integral(branch, frame, _cycle_pieces(branch, (e2, e3), e1),
                           numerator=lambda x: x - shift)
     return -val
 
@@ -516,16 +513,16 @@ def second_kind_period(branch, quad=DEFAULT_QUAD):
 
 
 @lru_cache(maxsize=4096)
-def abel_with_y(branch, x, quad=DEFAULT_QUAD):
+def abel_with_y(branch, x):
     """Sheet-1 Abel map value u(x) together with the sheet-1 value y(x)."""
     x = complex(x)
-    frame = _sheet_frame(branch, quad)
+    frame = _sheet_frame(branch)
     pieces = detoured_path(frame.anchor, x, branch.es, frame.clearance)
-    val, y_end = path_integral(pieces, branch.y_squared, frame.y_anchor, quad)
-    return _u_anchor(branch, quad) + val, y_end
+    val, y_end = path_integral(pieces, branch.y_squared, frame.y_anchor)
+    return _u_anchor(branch) + val, y_end
 
 
-def abel(branch, lat, point, quad=DEFAULT_QUAD):
+def abel(branch, point):
     """Abel map with base point infinity on sheet 1; u(P*) = -u(P).
 
     A CurvePoint carries an explicit sheet label, which is ambiguous on the
@@ -540,13 +537,13 @@ def abel(branch, lat, point, quad=DEFAULT_QUAD):
             raise ContourGeometryError(f"point {x} lies on a branch cut")
     else:
         x, sheet = complex(point), 1
-    u, _ = abel_with_y(branch, x, quad)
+    u, _ = abel_with_y(branch, x)
     return -u if sheet == 2 else u
 
 
-def x_from_u(branch, lat, u, cfg=DEFAULT_CFG):
+def x_from_u(branch, lat, u):
     """Inverse Abel map: x = wp(u) + (e1+e2+e3)/3."""
-    return wp(lat, u, cfg) + branch.e_sum / 3.0
+    return wp(lat, u) + branch.e_sum / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -570,13 +567,13 @@ class HalfPeriodTable:
         return self.perm.index(nu)
 
 
-def half_period_table(branch, lat, cfg=DEFAULT_CFG):
+def half_period_table(branch, lat):
     tildes = (lat.omega1 / 2.0, (lat.omega1 + lat.omega2) / 2.0, lat.omega2 / 2.0)
     etas = (lat.eta1, lat.eta1 + lat.eta2, lat.eta2)
     te = branch.tilde_es
     perm = []
     for h in tildes:
-        vals = [abs(wp(lat, h, cfg) - t) for t in te]
+        vals = [abs(wp(lat, h) - t) for t in te]
         k = vals.index(min(vals))
         if min(vals) > 1e-6 * max(1.0, branch.scale):
             raise QuadratureError(
@@ -604,7 +601,7 @@ class WpAtA:
     wp_ppp: complex
 
 
-def wp_alpha_relations(branch, a, quad=DEFAULT_QUAD):
+def wp_alpha_relations(branch, a):
     """wp(alpha) = a - e_sum/3, wp'(alpha)^2 = 4 prod(a - e_nu),
     wp''(alpha) = 2 sum_{i<j} (a-e_i)(a-e_j); the sign of wp'(alpha) is the
     sheet-1 y(a)."""
@@ -616,14 +613,14 @@ def wp_alpha_relations(branch, a, quad=DEFAULT_QUAD):
     prod = (a - es[0]) * (a - es[1]) * (a - es[2])
     wpp = 2.0 * ((a - es[0]) * (a - es[1]) + (a - es[1]) * (a - es[2])
                  + (a - es[0]) * (a - es[2]))
-    _, y = abel_with_y(branch, a, quad)
+    _, y = abel_with_y(branch, a)
     return WpAtA(w, 4.0 * prod, y, wpp, 12.0 * w * y)
 
 
-def local_inverse_coeffs(branch, lat, a, quad=DEFAULT_QUAD):
+def local_inverse_coeffs(branch, a):
     """Series u - alpha = c1 (x-a) + c2 (x-a)^2 + c3 (x-a)^3 + ... by formal
     reversion of x(u) = wp(u) + e_sum/3 at alpha.  c1 = 1/wp'(alpha)."""
-    rel = wp_alpha_relations(branch, a, quad)
+    rel = wp_alpha_relations(branch, a)
     if rel.wp_prime == 0:
         raise ContourGeometryError("a is a branch point; series inversion degenerates")
     b1, b2, b3 = rel.wp_prime, rel.wp_pp / 2.0, rel.wp_ppp / 6.0
@@ -645,10 +642,10 @@ def dOmega_de(branch, lat, nu):
     return 1j * math.pi / (lat.omega1**2 * prod)
 
 
-def dlog_omega1_de(branch, lat, nu, cfg=DEFAULT_CFG):
+def dlog_omega1_de(branch, lat, nu):
     """Closed-form d(log omega1)/de_nu, obtained from the discriminant /
     theta-constant relation and the heat equation."""
-    d1, d3, _ = theta11_constants(lat.Omega, cfg)
+    d1, d3, _ = theta11_constants(lat.Omega)
     dtheta1p_dOmega = d3 / (4j * math.pi)
     es = branch.es
     e = es[nu - 1]
@@ -656,7 +653,7 @@ def dlog_omega1_de(branch, lat, nu, cfg=DEFAULT_CFG):
     return (2.0 * (dtheta1p_dOmega / d1) * dOmega_de(branch, lat, nu) - 0.5 * s) / 3.0
 
 
-def theta_constant_residuals(branch, lat, quad=DEFAULT_QUAD, cfg=DEFAULT_CFG):
+def theta_constant_residuals(branch, lat):
     """Residuals of the two odd theta-constant identities.
 
     First: omega1*eta1 = -theta11'''/(3 theta11'), with eta1 taken from the
@@ -665,8 +662,8 @@ def theta_constant_residuals(branch, lat, quad=DEFAULT_QUAD, cfg=DEFAULT_CFG):
     (theta11^(5)/(2 theta11') - 5 (theta11'''/theta11')^2 / 6) / omega1^4.
     Returns the two relative residuals.
     """
-    d1, d3, d5 = theta11_constants(lat.Omega, cfg)
-    eta1_geom = second_kind_period(branch, quad)
+    d1, d3, d5 = theta11_constants(lat.Omega)
+    eta1_geom = second_kind_period(branch)
     lhs1 = lat.omega1 * eta1_geom
     rhs1 = -d3 / (3.0 * d1)
     r1 = abs(lhs1 - rhs1) / max(abs(lhs1), abs(rhs1))
@@ -677,19 +674,17 @@ def theta_constant_residuals(branch, lat, quad=DEFAULT_QUAD, cfg=DEFAULT_CFG):
     return r1, r2
 
 
-def quasiperiod_ratio_derivative_residual(branch, nu, t, quad=DEFAULT_QUAD,
-                                          cfg=DEFAULT_CFG, h=None):
+def quasiperiod_ratio_derivative_residual(branch, nu, t):
     """Residual of the closed form for d/de_nu (eta1 t^2 / (2 omega1)).
 
     The left side is a central finite difference of eta1/(2 omega1) over
     recomputed periods; the right side is
     t^2 (dlog omega1/de_nu)^2 prod_{mu != nu}(e_nu - e_mu) - t^2/12.
     """
-    if h is None:
-        h = 1e-5 * branch.scale
-    lat = periods(branch, quad, cfg)
-    lp = periods(branch.moved(nu, h), quad, cfg)
-    lm = periods(branch.moved(nu, -h), quad, cfg)
+    h = 1e-5 * branch.scale
+    lat = periods(branch)
+    lp = periods(branch.moved(nu, h))
+    lm = periods(branch.moved(nu, -h))
     fd = t * t * ((lp.eta1 / (2 * lp.omega1)) - (lm.eta1 / (2 * lm.omega1))) / (2 * h)
     es = branch.es
     e = es[nu - 1]
@@ -697,6 +692,6 @@ def quasiperiod_ratio_derivative_residual(branch, nu, t, quad=DEFAULT_QUAD,
     for m, other in enumerate(es, start=1):
         if m != nu:
             prod *= e - other
-    closed = t * t * dlog_omega1_de(branch, lat, nu, cfg) ** 2 * prod - t * t / 12.0
+    closed = t * t * dlog_omega1_de(branch, lat, nu) ** 2 * prod - t * t / 12.0
     scale = max(abs(fd), abs(closed), abs(t * t) / 12.0)
     return abs(fd - closed) / scale

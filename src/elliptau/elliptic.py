@@ -12,6 +12,11 @@ Conventions, fixed once for the whole package:
   lattice.  sigma[p,q] replaces theta11 by theta[p,q] (same prefactors).
 * zeta = sigma'/sigma, wp = -zeta'; derivatives of wp are taken analytically
   through the theta representation, never by finite differences.
+
+Every theta value is summed to one fixed precision: the series stops when
+its edge terms fall below SERIES_TOL = 1e-16 of the running scale and
+raises ThetaConvergenceError after MAX_TERMS = 200 rings.  No caller sets
+these; they are module constants, not options.
 """
 
 from __future__ import annotations
@@ -36,32 +41,18 @@ class ThetaChar:
 
 HALF_HALF = ThetaChar(0.5, 0.5)
 
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Series truncation control for all theta-based evaluations."""
-
-    series_tol: float = 1e-16
-    max_terms: int = 200
-
-    def __post_init__(self):
-        if not self.series_tol > 0:
-            raise ValueError("series_tol must be positive")
-        if self.max_terms < 8:
-            raise ValueError("max_terms must be at least 8")
-
-
-DEFAULT_CFG = EvalConfig()
+SERIES_TOL = 1e-16
+MAX_TERMS = 200
 
 
 @lru_cache(maxsize=16384)
-def _theta_jet(char, z, Omega, dz_orders, cfg, with_dOmega=False):
+def _theta_jet(char, z, Omega, dz_orders, with_dOmega=False):
     """Evaluate theta[p,q] and z-derivatives (termwise) in a single pass.
 
     Returns (jet, dOmega) where jet[k] = d^k/dz^k theta for k in
     0..max(dz_orders), and dOmega = d/dOmega theta (or None).  The sum runs
     over symmetric index rings n = 0, +-1, +-2, ... and stops once the edge
-    terms of every requested order drop below series_tol relative to that
+    terms of every requested order drop below SERIES_TOL relative to that
     order's scale.  The scale is max(|partial sum|, largest |term| seen):
     the bare partial sum would deadlock at symmetric zeros such as
     theta11(0).  Results are cached; evaluation is pure.
@@ -104,55 +95,49 @@ def _theta_jet(char, z, Omega, dz_orders, cfg, with_dOmega=False):
     n = 0
     while True:
         n += 1
-        if n > cfg.max_terms:
-            raise ThetaConvergenceError(z, Omega, cfg.max_terms)
+        if n > MAX_TERMS:
+            raise ThetaConvergenceError(z, Omega, MAX_TERMS)
         mpos, mneg = add(n), add(-n)
         if n < 8:
             continue
         edges = [max(a, b) for a, b in zip(mpos, mneg)]
         done = all(
-            edges[k] <= cfg.series_tol * max(abs(sums[k]), peaks[k])
+            edges[k] <= SERIES_TOL * max(abs(sums[k]), peaks[k])
             for k in range(norders)
         )
         if with_dOmega:
-            done = done and edges[-1] <= cfg.series_tol * max(abs(s_om), peak_om)
+            done = done and edges[-1] <= SERIES_TOL * max(abs(s_om), peak_om)
         if done:
             break
     return tuple(sums), (s_om if with_dOmega else None)
 
 
-def theta(char, z, Omega, cfg=DEFAULT_CFG):
+def theta(char, z, Omega):
     """theta[p,q](z; Omega) by direct summation."""
-    jet, _ = _theta_jet(char, complex(z), complex(Omega), (0,), cfg)
+    jet, _ = _theta_jet(char, complex(z), complex(Omega), (0,))
     return jet[0]
 
 
-def theta_dz(char, z, Omega, order=1, cfg=DEFAULT_CFG):
+def theta_dz(char, z, Omega, order=1):
     """Termwise z-derivative of theta[p,q], order in 1..5."""
     if order not in (1, 2, 3, 4, 5):
         raise ValueError(f"derivative order must be in 1..5, got {order}")
-    jet, _ = _theta_jet(char, complex(z), complex(Omega), (order,), cfg)
+    jet, _ = _theta_jet(char, complex(z), complex(Omega), (order,))
     return jet[order]
 
 
-def theta_dOmega(char, z, Omega, cfg=DEFAULT_CFG):
+def theta_dOmega(char, z, Omega):
     """Termwise Omega-derivative of theta[p,q]; satisfies the heat equation
     theta_zz = 4*pi*i * theta_dOmega."""
-    _, dom = _theta_jet(char, complex(z), complex(Omega), (0,), cfg, with_dOmega=True)
+    _, dom = _theta_jet(char, complex(z), complex(Omega), (0,), with_dOmega=True)
     return dom
 
 
 @lru_cache(maxsize=256)
-def _theta11_consts(Omega, series_tol, max_terms):
-    """(theta11', theta11''', theta11^(5)) at z = 0."""
-    cfg = EvalConfig(series_tol, max_terms)
-    jet, _ = _theta_jet(HALF_HALF, 0j, Omega, (5,), cfg)
-    return jet[1], jet[3], jet[5]
-
-
-def theta11_constants(Omega, cfg=DEFAULT_CFG):
+def theta11_constants(Omega):
     """Odd theta-constant derivatives (theta11', theta11''', theta11^(5)) at 0."""
-    return _theta11_consts(complex(Omega), cfg.series_tol, cfg.max_terms)
+    jet, _ = _theta_jet(HALF_HALF, 0j, complex(Omega), (5,))
+    return jet[1], jet[3], jet[5]
 
 
 @dataclass(frozen=True)
@@ -183,7 +168,7 @@ class Lattice:
         return max(abs(self.omega1), abs(self.omega2))
 
 
-def lattice_from_periods(omega1, omega2, cfg=DEFAULT_CFG, e_values=None):
+def lattice_from_periods(omega1, omega2, e_values=None):
     """Build a Lattice from its full periods.
 
     eta1 comes from the odd theta-constant relation
@@ -196,12 +181,12 @@ def lattice_from_periods(omega1, omega2, cfg=DEFAULT_CFG, e_values=None):
     Omega = omega2 / omega1
     if Omega.imag <= 0:
         raise LatticeOrientationError(f"Im(omega2/omega1) must be positive, got {Omega}")
-    d1, d3, _ = theta11_constants(Omega, cfg)
+    d1, d3, _ = theta11_constants(Omega)
     eta1 = -d3 / (3.0 * d1 * omega1)
     eta2 = (eta1 * omega2 - TWO_PI_I) / omega1
     lat = Lattice(omega1, omega2, Omega, eta1, eta2, 0j, 0j)
     if e_values is None:
-        e_values = [wp(lat, h, cfg) for h in
+        e_values = [wp(lat, h) for h in
                     (omega1 / 2, (omega1 + omega2) / 2, omega2 / 2)]
     e1, e2, e3 = (complex(e) for e in e_values)
     return replace(lat, g2=-4.0 * (e1 * e2 + e2 * e3 + e3 * e1),
@@ -229,84 +214,81 @@ def _check_pole(lat, u):
         raise LatticePoleError(f"u={u} is within 1e-12 of a lattice point")
 
 
-def _theta11_logdiv(lat, u, depth, cfg):
+def _theta11_logdiv(lat, u, depth):
     """Derivatives d^m/dz^m [theta11'/theta11](u/omega1) for m = 0..depth-1."""
-    jet, _ = _theta_jet(HALF_HALF, u / lat.omega1, lat.Omega, (depth,), cfg)
+    jet, _ = _theta_jet(HALF_HALF, u / lat.omega1, lat.Omega, (depth,))
     cs = [jet[k] / _FACT[k] for k in range(depth + 1)]
     g = _logdiv_coeffs(cs)
     return [g[m] * _FACT[m] for m in range(depth)]
 
 
-def sigma(lat, u, cfg=DEFAULT_CFG):
-    """Weierstrass sigma: odd, sigma'(0) = 1, simple zeros exactly on the lattice."""
-    u = complex(u)
-    d1, _, _ = theta11_constants(lat.Omega, cfg)
-    gauss = cmath.exp(lat.eta1 * u * u / (2 * lat.omega1))
-    return gauss * (lat.omega1 / d1) * theta(HALF_HALF, u / lat.omega1, lat.Omega, cfg)
-
-
-def sigma_char(lat, char, u, cfg=DEFAULT_CFG):
+def sigma_char(lat, char, u):
     """sigma[p,q](u) = exp(eta1 u^2/(2 omega1)) (omega1/theta11') theta[p,q](u/omega1)."""
     u = complex(u)
-    d1, _, _ = theta11_constants(lat.Omega, cfg)
+    d1, _, _ = theta11_constants(lat.Omega)
     gauss = cmath.exp(lat.eta1 * u * u / (2 * lat.omega1))
-    return gauss * (lat.omega1 / d1) * theta(char, u / lat.omega1, lat.Omega, cfg)
+    return gauss * (lat.omega1 / d1) * theta(char, u / lat.omega1, lat.Omega)
 
 
-def sigma_char_dlog(lat, char, u, cfg=DEFAULT_CFG):
+def sigma(lat, u):
+    """Weierstrass sigma: odd, sigma'(0) = 1, simple zeros exactly on the lattice."""
+    return sigma_char(lat, HALF_HALF, u)
+
+
+def sigma_char_dlog(lat, char, u):
     """Logarithmic derivative sigma[p,q]'(u)/sigma[p,q](u)."""
     u = complex(u)
     z = u / lat.omega1
-    jet, _ = _theta_jet(char, z, lat.Omega, (1,), cfg)
+    jet, _ = _theta_jet(char, z, lat.Omega, (1,))
     return lat.eta1 * u / lat.omega1 + jet[1] / (jet[0] * lat.omega1)
 
 
-def sigma_char_du(lat, char, u, cfg=DEFAULT_CFG):
+def sigma_char_du(lat, char, u):
     """Plain derivative sigma[p,q]'(u); regular at the zeros of sigma[p,q]."""
     u = complex(u)
-    d1, _, _ = theta11_constants(lat.Omega, cfg)
+    d1, _, _ = theta11_constants(lat.Omega)
     z = u / lat.omega1
-    jet, _ = _theta_jet(char, z, lat.Omega, (1,), cfg)
+    jet, _ = _theta_jet(char, z, lat.Omega, (1,))
     gauss = cmath.exp(lat.eta1 * u * u / (2 * lat.omega1))
     return gauss * (lat.omega1 / d1) * (
         (lat.eta1 * u / lat.omega1) * jet[0] + jet[1] / lat.omega1
     )
 
 
-def sigma_du(lat, u, cfg=DEFAULT_CFG):
+def sigma_du(lat, u):
     """Plain derivative sigma'(u); sigma_du(0) = 1."""
-    return sigma_char_du(lat, HALF_HALF, u, cfg)
+    return sigma_char_du(lat, HALF_HALF, u)
 
 
-def zeta(lat, u, cfg=DEFAULT_CFG):
+def zeta(lat, u):
     """Weierstrass zeta = sigma'/sigma."""
     u = complex(u)
     _check_pole(lat, u)
-    (g0,) = _theta11_logdiv(lat, u, 1, cfg)
+    (g0,) = _theta11_logdiv(lat, u, 1)
     return lat.eta1 * u / lat.omega1 + g0 / lat.omega1
 
 
-def wp(lat, u, cfg=DEFAULT_CFG):
+def wp(lat, u):
     """Weierstrass wp = -zeta'."""
     u = complex(u)
     _check_pole(lat, u)
-    g = _theta11_logdiv(lat, u, 2, cfg)
+    g = _theta11_logdiv(lat, u, 2)
     return -lat.eta1 / lat.omega1 - g[1] / lat.omega1**2
 
 
-def wp_prime(lat, u, cfg=DEFAULT_CFG):
+def wp_prime(lat, u):
     """First derivative of wp, via the analytic theta chain (no differencing)."""
     u = complex(u)
     _check_pole(lat, u)
-    g = _theta11_logdiv(lat, u, 3, cfg)
+    g = _theta11_logdiv(lat, u, 3)
     return -g[2] / lat.omega1**3
 
 
-def wp_n(lat, u, order, cfg=DEFAULT_CFG):
+def wp_n(lat, u, order):
     """Second or third derivative of wp (order in {2, 3}), analytic."""
     if order not in (2, 3):
         raise ValueError(f"order must be 2 or 3, got {order}")
     u = complex(u)
     _check_pole(lat, u)
-    g = _theta11_logdiv(lat, u, order + 2, cfg)
+    g = _theta11_logdiv(lat, u, order + 2)
     return -g[order + 1] / lat.omega1 ** (order + 2)

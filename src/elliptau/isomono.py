@@ -29,14 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import curve as _curve
-from .curve import (
-    DEFAULT_QUAD,
-    BranchConfig,
-    HalfPeriodTable,
-    WpAtA,
-)
+from .curve import BranchConfig, HalfPeriodTable, WpAtA
 from .elliptic import (
-    DEFAULT_CFG,
     Lattice,
     ThetaChar,
     sigma,
@@ -66,18 +60,16 @@ class DeformationParams:
     char: ThetaChar
     wp_a: WpAtA
     half_periods: HalfPeriodTable
-    cfg: object
-    quad: object
 
     @property
     def kappa(self):
         """wp''(alpha)/(2 wp'(alpha)) + zeta(2 alpha); the local exponent shift."""
         return (self.wp_a.wp_pp / (2.0 * self.wp_a.wp_prime)
-                + zeta(self.lat, 2.0 * self.alpha, self.cfg))
+                + zeta(self.lat, 2.0 * self.alpha))
 
 
 @lru_cache(maxsize=1024)
-def make_params(branch, a, t, p, q, cfg=DEFAULT_CFG, quad=DEFAULT_QUAD):
+def make_params(branch, a, t, p, q):
     """Validate and assemble a DeformationParams.
 
     Checks: a keeps a relative distance >= 1e-6 from every branch point,
@@ -89,19 +81,19 @@ def make_params(branch, a, t, p, q, cfg=DEFAULT_CFG, quad=DEFAULT_QUAD):
     es = branch.es
     if min(abs(a - e) for e in es) < 1e-6 * branch.scale:
         raise DegenerateParameterError("a is too close to a branch point")
-    lat = _curve.periods(branch, quad, cfg)
+    lat = _curve.periods(branch)
     char = ThetaChar(p, q)
-    th = theta(char, t / lat.omega1, lat.Omega, cfg)
+    th = theta(char, t / lat.omega1, lat.Omega)
     if abs(th) < 1e-8:
         raise DegenerateParameterError(
             f"theta[p,q](t/omega1) = {th} is too close to its zero"
         )
-    alpha, _ = _curve.abel_with_y(branch, a, quad)
-    wp_a = _curve.wp_alpha_relations(branch, a, quad)
-    hpt = _curve.half_period_table(branch, lat, cfg)
+    alpha, _ = _curve.abel_with_y(branch, a)
+    wp_a = _curve.wp_alpha_relations(branch, a)
+    hpt = _curve.half_period_table(branch, lat)
     return DeformationParams(
         branch=branch, lat=lat, a=a, alpha=alpha, t=t, char=char,
-        wp_a=wp_a, half_periods=hpt, cfg=cfg, quad=quad,
+        wp_a=wp_a, half_periods=hpt,
     )
 
 
@@ -109,10 +101,9 @@ def shifted_params(params, direction, delta):
     """The same point with t ('t') or one branch point ('e1'/'e2'/'e3') moved by delta."""
     p = params
     if direction == "t":
-        return make_params(p.branch, p.a, p.t + delta, p.char.p, p.char.q,
-                           p.cfg, p.quad)
+        return make_params(p.branch, p.a, p.t + delta, p.char.p, p.char.q)
     return make_params(p.branch.moved(int(direction[1]), delta), p.a, p.t,
-                       p.char.p, p.char.q, p.cfg, p.quad)
+                       p.char.p, p.char.q)
 
 
 class PhiMatrix:
@@ -123,42 +114,37 @@ class PhiMatrix:
 
     def Pi(self, u):
         p = self.params
-        return -(p.t / 2.0) * (zeta(p.lat, u - p.alpha, p.cfg)
-                               + zeta(p.lat, u + p.alpha, p.cfg))
+        return -(p.t / 2.0) * (zeta(p.lat, u - p.alpha) + zeta(p.lat, u + p.alpha))
 
     def Pi_prime(self, u):
         p = self.params
-        return (p.t / 2.0) * (wp(p.lat, u - p.alpha, p.cfg)
-                              + wp(p.lat, u + p.alpha, p.cfg))
+        return (p.t / 2.0) * (wp(p.lat, u - p.alpha) + wp(p.lat, u + p.alpha))
 
     def Pi_hat(self, u, x=None):
         """Regular part of Pi near x = a: Pi + wp'(alpha) t / (2 (x-a))."""
         p = self.params
         if x is None:
-            x = wp(p.lat, u, p.cfg) + p.branch.e_sum / 3.0
+            x = wp(p.lat, u) + p.branch.e_sum / 3.0
         return self.Pi(u) + p.wp_a.wp_prime * p.t / (2.0 * (x - p.a))
 
     # Each row is keyed by its frame shift s: s = alpha is phi, s = -alpha psi.
 
     def row_hat(self, u, s):
         p = self.params
-        return (sigma_char(p.lat, p.char, u + s + p.t, p.cfg)
-                * sigma(p.lat, u - s, p.cfg))
+        return sigma_char(p.lat, p.char, u + s + p.t) * sigma(p.lat, u - s)
 
     def row_hat_du(self, u, s):
         p = self.params
-        return (sigma_char_du(p.lat, p.char, u + s + p.t, p.cfg)
-                * sigma(p.lat, u - s, p.cfg)
-                + sigma_char(p.lat, p.char, u + s + p.t, p.cfg)
-                * sigma_du(p.lat, u - s, p.cfg))
+        return (sigma_char_du(p.lat, p.char, u + s + p.t) * sigma(p.lat, u - s)
+                + sigma_char(p.lat, p.char, u + s + p.t) * sigma_du(p.lat, u - s))
 
     def row(self, u, s):
         return self.row_hat(u, s) * cmath.exp(self.Pi(u))
 
     def dlog_row(self, u, s):
         p = self.params
-        return (sigma_char_dlog(p.lat, p.char, u + s + p.t, p.cfg)
-                + zeta(p.lat, u - s, p.cfg) + self.Pi_prime(u))
+        return (sigma_char_dlog(p.lat, p.char, u + s + p.t)
+                + zeta(p.lat, u - s) + self.Pi_prime(u))
 
     def matrix(self, u):
         al = self.params.alpha
@@ -271,8 +257,7 @@ class YSolution:
         # square root is fixed with it and everything downstream keeps it.
         ek = cmath.exp(p.t * p.kappa / 2.0)
         self.N = np.array([[0.0, ek], [-1.0 / ek, 0.0]], dtype=complex)
-        self.sqrt_det_a = (sigma_char(p.lat, p.char, p.t, p.cfg)
-                           * sigma(p.lat, 2.0 * p.alpha, p.cfg))
+        self.sqrt_det_a = sigma_char(p.lat, p.char, p.t) * sigma(p.lat, 2.0 * p.alpha)
         self.det_a = self.sqrt_det_a**2
 
     # -- local evaluation near x = a (single-valued, overflow-free) ---------
@@ -280,13 +265,13 @@ class YSolution:
     def u_near_a(self, x):
         """Abel coordinate near alpha by series seed plus Newton refinement."""
         p = self.params
-        c1, c2, c3 = _curve.local_inverse_coeffs(p.branch, p.lat, p.a, p.quad)
+        c1, c2, c3 = _curve.local_inverse_coeffs(p.branch, p.a)
         w = x - p.a
         u = p.alpha + c1 * w + c2 * w * w + c3 * w**3
         shift = p.branch.e_sum / 3.0
         for _ in range(8):
-            f = wp(p.lat, u, p.cfg) + shift - x
-            du = f / wp_prime(p.lat, u, p.cfg)
+            f = wp(p.lat, u) + shift - x
+            du = f / wp_prime(p.lat, u)
             u -= du
             if abs(du) <= 1e-14 * max(1.0, abs(u)):
                 break
@@ -307,12 +292,14 @@ class YSolution:
         pih = ph.Pi_hat(u, x)
         col1 = cmath.exp(pih)
         col2 = cmath.exp(-pih)
-        mat = np.array([
-            [ph.row_hat(u, al) * col1, ph.row_hat(-u, al) * col2],
-            [ph.row_hat(u, -al) * col1, ph.row_hat(-u, -al) * col2],
-        ], dtype=complex)
-        # Y = N Phi / sqrt(det Phi(u)); N carries the sqrt(det Phi(a)) factor
-        ratio = 1.0 / (self.sqrt_det_a * cmath.sqrt(ph.det(u) / self.det_a))
+        r11, r12 = ph.row_hat(u, al), ph.row_hat(-u, al)
+        r21, r22 = ph.row_hat(u, -al), ph.row_hat(-u, -al)
+        mat = np.array([[r11 * col1, r12 * col2],
+                        [r21 * col1, r22 * col2]], dtype=complex)
+        # Y = N Phi / sqrt(det Phi(u)); N carries the sqrt(det Phi(a)) factor,
+        # and det Phi(u) is PhiMatrix.det from the same four row values
+        det = r11 * r22 - r12 * r21
+        ratio = 1.0 / (self.sqrt_det_a * cmath.sqrt(det / self.det_a))
         return ratio * (self.N @ mat)
 
     def exp_T_a(self, x):
@@ -350,14 +337,14 @@ class YSolution:
         p = self.params
         wp1, wpp = p.wp_a.wp_prime, p.wp_a.wp_pp
         wpa = p.wp_a.wp
-        L = sigma_char_dlog(p.lat, p.char, p.t, p.cfg)
+        L = sigma_char_dlog(p.lat, p.char, p.t)
         d11 = (L - (p.t / 2.0) * (4.0 * wpa - 0.5 * (wpp / wp1) ** 2)) / wp1
-        st = sigma_char(p.lat, p.char, p.t, p.cfg)
-        s2a = sigma(p.lat, 2.0 * p.alpha, p.cfg)
+        st = sigma_char(p.lat, p.char, p.t)
+        s2a = sigma(p.lat, 2.0 * p.alpha)
         tk = p.t * p.kappa
-        y21 = (-sigma_char(p.lat, p.char, 2.0 * p.alpha + p.t, p.cfg)
+        y21 = (-sigma_char(p.lat, p.char, 2.0 * p.alpha + p.t)
                / (st * s2a * wp1)) * cmath.exp(-tk)
-        y12 = (-sigma_char(p.lat, p.char, -2.0 * p.alpha + p.t, p.cfg)
+        y12 = (-sigma_char(p.lat, p.char, -2.0 * p.alpha + p.t)
                / (st * s2a * wp1)) * cmath.exp(tk)
         return np.array([[d11, y12], [y21, -d11]], dtype=complex)
 
@@ -373,7 +360,7 @@ class YSolution:
         or cancel it).
         """
         p = self.params
-        u, _ = _curve.abel_with_y(p.branch, x, p.quad)
+        u, _ = _curve.abel_with_y(p.branch, x)
         w = self.sqrt_det_continued(u)
         mat = self.phi.matrix(u)
         return (self.N @ mat) / w
@@ -390,8 +377,8 @@ class YSolution:
         pieces = _curve.detoured_path(p.alpha, u, zeros,
                                       0.2 * min(abs(h) for h in
                                                 p.half_periods.omega_tilde))
-        s2a = sigma(p.lat, 2.0 * p.alpha, p.cfg)
-        r = _curve.continue_y(pieces, lambda v: sigma(p.lat, 2.0 * v, p.cfg) / s2a, 1.0)
+        s2a = sigma(p.lat, 2.0 * p.alpha)
+        r = _curve.continue_y(pieces, lambda v: sigma(p.lat, 2.0 * v) / s2a, 1.0)
         return self.sqrt_det_a * r
 
     def _det_zeros_near(self, u0, u1):
@@ -472,7 +459,7 @@ def coefficients(params, m_inf=-1j, phi=None, sol=None):
     hpt = p.half_periods
     es = p.branch.es
     A, G, D = {}, {}, {}
-    scale_hint = abs(sigma_char(p.lat, p.char, p.t, p.cfg))
+    scale_hint = abs(sigma_char(p.lat, p.char, p.t))
     al = p.alpha
     for nu in (1, 2, 3):
         k = hpt.slot_of_branch(nu)
@@ -523,7 +510,7 @@ def _commutator(X, Y):
     return X @ Y - Y @ X
 
 
-def deformation_residual(params, direction, h, m_inf=-1j):
+def deformation_residual(params, direction, h, m_inf=-1j, sol=None, coeffs=None):
     """Central-difference dA_nu against the closed deformation equation.
 
     direction is 't' or 'e1'/'e2'/'e3'.  The Fuchsian commutator sum enters
@@ -532,12 +519,14 @@ def deformation_residual(params, direction, h, m_inf=-1j):
     finite differences single out this paired reading.  Returns per-nu
     max-entry residuals ('paired'), the difference quotients ('fd') and the
     right-hand sides ('rhs') as matrices, the FD scale, and the step used.
+    sol and coeffs are the base point's, built from params unless given.
     """
     p = params
     c_plus = coefficients(shifted_params(p, direction, h), m_inf)
     c_minus = coefficients(shifted_params(p, direction, -h), m_inf)
-    base = coefficients(p, m_inf)
-    sol = normalize_Y(p)
+    if sol is None:
+        sol = normalize_Y(p)
+    base = coeffs if coeffs is not None else coefficients(p, m_inf, sol.phi, sol)
     Y1 = sol.y1_closed_form()
     wp1, t = p.wp_a.wp_prime, p.t
     es = p.branch.es

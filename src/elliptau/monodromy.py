@@ -19,6 +19,10 @@ from .curve import Arc, Line, _cycle_pieces, abel_with_y, detoured_path, path_in
 from .errors import QuadratureError
 from .isomono import coefficients, normalize_Y
 
+# DOP853 tolerances of every continuation of the system
+RTOL = 1e-10
+ATOL = 1e-12
+
 
 def base_point(branch):
     """Centroid raised by twice the branch scale."""
@@ -94,10 +98,10 @@ def calibrate_loops(params):
     p = params
     lat = p.lat
     x0 = base_point(p.branch)
-    u0, y0 = abel_with_y(p.branch, x0, p.quad)
+    u0, y0 = abel_with_y(p.branch, x0)
 
     def journey(pieces):
-        du, _ = path_integral(pieces, p.branch.y_squared, y0, p.quad)
+        du, _ = path_integral(pieces, p.branch.y_squared, y0)
         return du
 
     e1, e2, e3 = p.branch.es
@@ -147,7 +151,7 @@ def calibrate_loops(params):
     return loops, offsets
 
 
-def continue_solution(coeffs, pieces, Y0, rtol=1e-10, atol=1e-12):
+def continue_solution(coeffs, pieces, Y0):
     """Integrate the system along the pieces starting from matrix Y0."""
     y = np.asarray(Y0, dtype=complex).reshape(4)
 
@@ -158,7 +162,7 @@ def continue_solution(coeffs, pieces, Y0, rtol=1e-10, atol=1e-12):
             return (dx * (coeffs.A_of(x) @ v.reshape(2, 2))).reshape(4)
 
         sol = solve_ivp(rhs, (0.0, 1.0), y, method="DOP853",
-                        rtol=rtol, atol=atol)
+                        rtol=RTOL, atol=ATOL)
         if not sol.success:
             raise QuadratureError(f"ODE continuation failed: {sol.message}")
         y = sol.y[:, -1]
@@ -181,7 +185,7 @@ def monodromy_matrices(params, loops=(1, 2, 3, "inf"), sol=None, coeffs=None):
              for which in loops}, offsets)
 
 
-def trivial_loop_identity(params, coeffs, rtol=1e-10, atol=1e-12):
+def trivial_loop_identity(params, coeffs):
     """Continuation along a contractible loop away from all singular points."""
     sing = singularities(params)
     c = params.branch.centroid
@@ -189,7 +193,7 @@ def trivial_loop_identity(params, coeffs, rtol=1e-10, atol=1e-12):
     center = c + R
     r = 0.1 * R
     pieces = [Arc(center, r, 0.0, 2 * math.pi)]
-    W = continue_solution(coeffs, pieces, np.eye(2, dtype=complex), rtol, atol)
+    W = continue_solution(coeffs, pieces, np.eye(2, dtype=complex))
     return float(np.max(np.abs(W - np.eye(2))))
 
 
@@ -200,18 +204,17 @@ def stokes_ray_directions(params):
     return th - math.pi / 2, th + math.pi / 2
 
 
-def sector_connection_residuals(params, sol, coeffs, radius=None,
-                                rtol=1e-10, atol=1e-12):
+def sector_connection_residuals(params, sol, coeffs):
     """Continue Y across both rays bounding the growth sectors at x = a.
 
     Starting from the constructed Y at one sector center and integrating the
     half turn to the opposite center, the mismatch against the constructed Y
     there is the sectorial connection defect; trivial Stokes data means both
-    residuals vanish to integrator accuracy.
+    residuals vanish to integrator accuracy.  The half turns run at a fifth
+    of the distance from a to the nearest branch point.
     """
     p = params
-    if radius is None:
-        radius = 0.2 * min(abs(p.a - e) for e in p.branch.es)
+    radius = 0.2 * min(abs(p.a - e) for e in p.branch.es)
     th0 = cmath.phase(p.wp_a.wp_prime * p.t)
     out = []
     for j in (0, 1):
@@ -220,8 +223,7 @@ def sector_connection_residuals(params, sol, coeffs, radius=None,
         x_start = p.a + radius * cmath.exp(1j * a0)
         x_end = p.a + radius * cmath.exp(1j * a1)
         Y_start = sol.hatted(x_start) @ sol.exp_T_a(x_start)
-        W = continue_solution(coeffs, [Arc(p.a, radius, a0, a1)], Y_start,
-                              rtol, atol)
+        W = continue_solution(coeffs, [Arc(p.a, radius, a0, a1)], Y_start)
         Y_end = sol.hatted(x_end) @ sol.exp_T_a(x_end)
         S = np.linalg.inv(Y_end) @ W
         out.append(float(np.max(np.abs(S - np.eye(2)))))

@@ -80,10 +80,21 @@ class Scenario:
         return BranchConfig(*self.e)
 
 
+def _is_real(value):
+    """A finite JSON number; booleans (a subclass of int) are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _as_complex(value, key):
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) for v in value)):
-        raise ScenarioError(f"field {key!r} must be a [re, im] pair, got {value!r}")
+            or not all(_is_real(v) for v in value)):
+        raise ScenarioError(
+            f"field {key!r} must be a [re, im] pair of finite reals, got {value!r}")
     return complex(value[0], value[1])
 
 
@@ -100,18 +111,22 @@ def scenario_from_dict(data):
     if len({*es}) != 3:
         raise ScenarioError("branch points must be pairwise distinct")
     for k in ("p", "q"):
-        if not isinstance(data[k], (int, float)):
-            raise ScenarioError(f"field {k!r} must be real")
+        if not _is_real(data[k]):
+            raise ScenarioError(f"field {k!r} must be a finite real, got {data[k]!r}")
     seed = data.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ScenarioError("field 'seed' must be an integer")
-    checks = tuple(data.get("checks", ()))
-    if not all(isinstance(c, str) for c in checks):
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ScenarioError(f"field 'seed' must be an integer, got {seed!r}")
+    checks = data.get("checks", ())
+    if (not isinstance(checks, (list, tuple))
+            or not all(isinstance(c, str) for c in checks)):
         raise ScenarioError("field 'checks' must be a list of names")
-    tol = dict(data.get("tolerances", {}))
+    tol = data.get("tolerances", {})
+    if not isinstance(tol, dict):
+        raise ScenarioError("field 'tolerances' must be an object")
     for k, v in tol.items():
-        if not isinstance(k, str) or not isinstance(v, (int, float)) or v <= 0:
-            raise ScenarioError("field 'tolerances' must map names to positive reals")
+        if not isinstance(k, str) or not _is_real(v) or v <= 0:
+            raise ScenarioError(
+                "field 'tolerances' must map names to positive finite reals")
     try:
         BranchConfig(*es)
     except Exception as exc:
@@ -119,7 +134,7 @@ def scenario_from_dict(data):
     return Scenario(
         e=es, a=_as_complex(data["a"], "a"), t=_as_complex(data["t"], "t"),
         p=float(data["p"]), q=float(data["q"]), seed=seed,
-        checks=checks, tolerances=tol,
+        checks=tuple(checks), tolerances=dict(tol),
     )
 
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .curve import dOmega_de, dlog_omega1_de
 from .elliptic import (
-    DEFAULT_CFG,
     Lattice,
     sigma,
     sigma_char_dlog,
@@ -61,7 +60,7 @@ def df_de(e1, e2, e3, a, nu):
 def H_t(params):
     """dt-component of the 1-form: sigma[p,q]'(t)/sigma[p,q](t) + (t/2) f."""
     p = params
-    L = sigma_char_dlog(p.lat, p.char, p.t, p.cfg)
+    L = sigma_char_dlog(p.lat, p.char, p.t)
     es = p.branch.es
     return L + (p.t / 2.0) * f_func(*es, p.a)
 
@@ -69,7 +68,7 @@ def H_t(params):
 def omega_a_de_component(params, nu):
     """de_nu-component contributed by the expansion at the irregular point."""
     p = params
-    L = sigma_char_dlog(p.lat, p.char, p.t, p.cfg)
+    L = sigma_char_dlog(p.lat, p.char, p.t)
     d = p.a - p.branch.es[nu - 1]
     f = f_func(*p.branch.es, p.a)
     return -p.t * L / (2.0 * d) - p.t**2 * f / (4.0 * d)
@@ -79,10 +78,10 @@ def dlog_theta_de(params, nu):
     """Full branch-point derivative of log theta[p,q](t/omega1; Omega)."""
     p = params
     z = p.t / p.lat.omega1
-    th = theta(p.char, z, p.lat.Omega, p.cfg)
-    thz = theta_dz(p.char, z, p.lat.Omega, 1, p.cfg)
-    tho = theta_dOmega(p.char, z, p.lat.Omega, p.cfg)
-    dl_w1 = dlog_omega1_de(p.branch, p.lat, nu, p.cfg)
+    th = theta(p.char, z, p.lat.Omega)
+    thz = theta_dz(p.char, z, p.lat.Omega, 1)
+    tho = theta_dOmega(p.char, z, p.lat.Omega)
+    dl_w1 = dlog_omega1_de(p.branch, p.lat, nu)
     d_om = dOmega_de(p.branch, p.lat, nu)
     return -(p.t / p.lat.omega1) * dl_w1 * (thz / th) + d_om * (tho / th)
 
@@ -100,8 +99,8 @@ def residue_formula(params, nu):
     others = [x for j, x in enumerate(es, start=1) if j != nu]
     sum_inv = sum(1.0 / (e - o) for o in others)
     prod = (e - others[0]) * (e - others[1])
-    dl_w1 = dlog_omega1_de(p.branch, p.lat, nu, p.cfg)
-    L = sigma_char_dlog(p.lat, p.char, p.t, p.cfg)
+    dl_w1 = dlog_omega1_de(p.branch, p.lat, nu)
+    L = sigma_char_dlog(p.lat, p.char, p.t)
     d = p.a - e
     t = p.t
     return (-0.125 * sum_inv
@@ -121,7 +120,7 @@ def H_nu(params, nu):
     others = [x for j, x in enumerate(es, start=1) if j != nu]
     sum_inv = sum(1.0 / (e - o) for o in others)
     prod = (e - others[0]) * (e - others[1])
-    dl_w1 = dlog_omega1_de(p.branch, p.lat, nu, p.cfg)
+    dl_w1 = dlog_omega1_de(p.branch, p.lat, nu)
     t = p.t
     quasi = t * t * dl_w1**2 * prod - t * t / 12.0
     return (dlog_theta_de(params, nu)
@@ -137,7 +136,7 @@ def log_tau(params):
     p = params
     es = p.branch.es
     z = p.t / p.lat.omega1
-    th = theta(p.char, z, p.lat.Omega, p.cfg)
+    th = theta(p.char, z, p.lat.Omega)
     val = cmath.log(th)
     val -= 0.5 * cmath.log(p.lat.omega1)
     for i in range(3):
@@ -166,39 +165,36 @@ class SigmaShiftParams:
     t: complex
     alpha: complex
     lat: Lattice
-    cfg: object = DEFAULT_CFG
 
     def wp_data(self):
-        lat, al, cfg = self.lat, self.alpha, self.cfg
-        return (wp(lat, al, cfg), wp_prime(lat, al, cfg),
-                wp_n(lat, al, 2, cfg), wp_n(lat, al, 3, cfg))
+        lat, al = self.lat, self.alpha
+        return wp(lat, al), wp_prime(lat, al), wp_n(lat, al, 2), wp_n(lat, al, 3)
 
 
 def sigma_shift_row(ap, z, l=None):
     """sigma(z-a)^{l-1} sigma(z+a)^{-l} sigma(z+t+(2l-1)a) exp(-t/2 (zeta(z-a)+zeta(z+a)))."""
     l = ap.l if l is None else l
-    lat, al, t, cfg = ap.lat, ap.alpha, ap.t, ap.cfg
-    return (sigma(lat, z - al, cfg) ** (l - 1)
-            * sigma(lat, z + al, cfg) ** (-l)
-            * sigma(lat, z + t + (2 * l - 1) * al, cfg)
-            * cmath.exp(-(t / 2.0) * (zeta(lat, z - al, cfg)
-                                      + zeta(lat, z + al, cfg))))
+    lat, al, t = ap.lat, ap.alpha, ap.t
+    return (sigma(lat, z - al) ** (l - 1)
+            * sigma(lat, z + al) ** (-l)
+            * sigma(lat, z + t + (2 * l - 1) * al)
+            * cmath.exp(-(t / 2.0) * (zeta(lat, z - al) + zeta(lat, z + al))))
 
 
 def _c0(ap, t, l):
-    lat, al, cfg = ap.lat, ap.alpha, ap.cfg
+    lat, al = ap.lat, ap.alpha
     _, wp1, wpp, _ = ap.wp_data()
-    return (sigma(lat, 2 * al, cfg) ** (-l)
-            * sigma(lat, t + 2 * l * al, cfg)
-            * cmath.exp(-(t / 2.0) * zeta(lat, 2 * al, cfg)
+    return (sigma(lat, 2 * al) ** (-l)
+            * sigma(lat, t + 2 * l * al)
+            * cmath.exp(-(t / 2.0) * zeta(lat, 2 * al)
                         - (t / 4.0) * wpp / wp1))
 
 
 def _c1(ap, t, l):
-    lat, al, cfg = ap.lat, ap.alpha, ap.cfg
-    return (zeta(lat, t + 2 * l * al, cfg)
-            - l * zeta(lat, 2 * al, cfg)
-            + (t / 2.0) * wp(lat, 2 * al, cfg))
+    lat, al = ap.lat, ap.alpha
+    return (zeta(lat, t + 2 * l * al)
+            - l * zeta(lat, 2 * al)
+            + (t / 2.0) * wp(lat, 2 * al))
 
 
 def sigma_shift_c0_c1(ap):
@@ -209,32 +205,32 @@ def sigma_shift_c0_c1(ap):
 def _growth_coefficient(ap):
     """wp(2a) + wp''(a)^2/(4 wp'(a)^2) - wp'''(a)/(6 wp'(a)); equals f on a
     zero-sum configuration."""
-    lat, al, cfg = ap.lat, ap.alpha, ap.cfg
+    lat, al = ap.lat, ap.alpha
     _, wp1, wpp, wppp = ap.wp_data()
-    return wp(lat, 2 * al, cfg) + wpp**2 / (4.0 * wp1**2) - wppp / (6.0 * wp1)
+    return wp(lat, 2 * al) + wpp**2 / (4.0 * wp1**2) - wppp / (6.0 * wp1)
 
 
 def sigma_shift_h(ap):
     _, wp1, wpp, _ = ap.wp_data()
     lat, al, t, l = ap.lat, ap.alpha, ap.t, ap.l
     return ((t * t / 4.0) * _growth_coefficient(ap)
-            - t * l * (zeta(lat, 2 * al, ap.cfg) + wpp / (2.0 * wp1)))
+            - t * l * (zeta(lat, 2 * al) + wpp / (2.0 * wp1)))
 
 
 def sigma_shift_tau(ap):
     """tau_l(t) = sigma(t + 2 l alpha) exp h_l(t)."""
-    if abs(sigma(ap.lat, ap.t + 2 * ap.l * ap.alpha, ap.cfg)) == 0:
+    if abs(sigma(ap.lat, ap.t + 2 * ap.l * ap.alpha)) == 0:
         raise DegenerateParameterError("sigma(t + 2 l alpha) vanishes")
-    return sigma(ap.lat, ap.t + 2 * ap.l * ap.alpha, ap.cfg) * cmath.exp(sigma_shift_h(ap))
+    return sigma(ap.lat, ap.t + 2 * ap.l * ap.alpha) * cmath.exp(sigma_shift_h(ap))
 
 
 def sigma_shift_dlog_tau_dt(ap):
     """d/dt log tau_l in closed form."""
     lat, al, t, l = ap.lat, ap.alpha, ap.t, ap.l
     _, wp1, wpp, _ = ap.wp_data()
-    return (zeta(lat, t + 2 * l * al, ap.cfg)
+    return (zeta(lat, t + 2 * l * al)
             + (t / 2.0) * _growth_coefficient(ap)
-            - l * (zeta(lat, 2 * al, ap.cfg) + wpp / (2.0 * wp1)))
+            - l * (zeta(lat, 2 * al) + wpp / (2.0 * wp1)))
 
 
 def sigma_shift_y1(ap):

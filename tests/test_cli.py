@@ -97,7 +97,7 @@ def test_every_check_sits_in_one_suite():
 def test_inconclusive_is_a_structured_status(monkeypatch):
     # a residual that does not shrink with the step cannot be judged, even
     # though it is below the tolerance
-    def flat(params, direction, h):
+    def flat(params, direction, h, sol=None, coeffs=None):
         return {"paired": {1: 1e-7, 2: 1e-7, 3: 1e-7}}
 
     monkeypatch.setattr(elliptau.checks, "deformation_residual", flat)
@@ -167,6 +167,54 @@ def test_cli_invalid_scenario_exits_2(tmp_path):
     code = main(["verify", "--scenario", str(scenario),
                  "--out", str(tmp_path / "r.json")])
     assert code == 2
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("e", [[NAN, 0.0], [0.0, 0.0], [-1.0, 0.0]]),
+    ("e", [[1.0, 0.0], [0.0, -INF], [-1.0, 0.0]]),
+    ("a", [NAN, 0.0]),
+    ("a", [2.0, INF]),
+    ("t", [-INF, 0.0]),
+    ("t", [0.1, NAN]),
+    ("p", True),
+    ("q", False),
+    ("p", NAN),
+    ("q", INF),
+    ("seed", True),
+    ("tolerances", {"legendre": NAN}),
+    ("tolerances", {"legendre": INF}),
+    ("tolerances", [1, 2]),
+    ("checks", 5),
+    ("checks", "legendre"),
+], ids=["e-nan", "e-inf", "a-nan", "a-inf", "t-inf", "t-nan", "p-bool",
+        "q-bool", "p-nan", "q-inf", "seed-bool", "tol-nan", "tol-inf",
+        "tol-list", "checks-int", "checks-str"])
+def test_malformed_field_exits_2(tmp_path, field, value):
+    bad = golden_dict()
+    bad[field] = value
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(bad)
+    # json writes NaN and Infinity literals, which json.load reads back
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(bad))
+    code = main(["verify", "--scenario", str(scenario), "--checks", "solution",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--tol-scale", "--draw-scale"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_cli_non_positive_or_non_finite_scale_exits_2(tmp_path, flag, value):
+    scenario = tmp_path / "golden.json"
+    scenario.write_text(json.dumps(golden_dict()))
+    code = main(["verify", "--scenario", str(scenario), "--checks", "legendre",
+                 f"{flag}={value}", "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_cli_unknown_check_exits_2(tmp_path):

@@ -8,11 +8,9 @@ import mpmath
 import pytest
 
 from elliptau.curve import (
-    DEFAULT_QUAD,
     BranchConfig,
     CurvePoint,
     Line,
-    QuadratureConfig,
     _cycle_integral,
     _cycle_pieces,
     _sheet_frame,
@@ -65,11 +63,9 @@ def _quadrature_period_data(branch):
     """The cycle-quadrature route: both stadium cycles at full accuracy on
     the sheet-1 frame, then the same orientation flip as period_data."""
     e1, e2, e3 = branch.es
-    frame = _sheet_frame(branch, DEFAULT_QUAD)
-    om1 = _cycle_integral(branch, frame,
-                          _cycle_pieces(branch, (e2, e3), e1), DEFAULT_QUAD)
-    om2 = _cycle_integral(branch, frame,
-                          _cycle_pieces(branch, (e1, e2), e3), DEFAULT_QUAD)
+    frame = _sheet_frame(branch)
+    om1 = _cycle_integral(branch, frame, _cycle_pieces(branch, (e2, e3), e1))
+    om2 = _cycle_integral(branch, frame, _cycle_pieces(branch, (e1, e2), e3))
     flipped = (om2 / om1).imag <= 0
     return om1, -om2 if flipped else om2, flipped
 
@@ -104,7 +100,7 @@ def test_anchor_tail_integral_matches_mpmath(es):
     # infinity, with y = 2 x^{3/2} prod sqrt(1 - e/x) and the phase of
     # x^{3/2} taken from arg(anchor); mpmath at 30 digits
     branch = BranchConfig(*es)
-    anchor = _sheet_frame(branch, DEFAULT_QUAD).anchor
+    anchor = _sheet_frame(branch).anchor
     with mpmath.workdps(30):
         d = mpmath.mpc(anchor) / abs(anchor)
         x32_phase = mpmath.exp(1.5j * mpmath.mpf(cmath.phase(anchor)))
@@ -116,7 +112,7 @@ def test_anchor_tail_integral_matches_mpmath(es):
             return d / (2 * r**1.5 * x32_phase * g)
 
         ref = complex(-mpmath.quad(integrand, [abs(anchor), mpmath.inf]))
-    assert abs(_u_anchor(branch, DEFAULT_QUAD) - ref) <= 1e-14 * abs(ref)
+    assert abs(_u_anchor(branch) - ref) <= 1e-14 * abs(ref)
 
 
 def test_path_integral_nonconvergence_reports_last_delta(golden_branch):
@@ -125,7 +121,7 @@ def test_path_integral_nonconvergence_reports_last_delta(golden_branch):
     y0 = cmath.sqrt(golden_branch.y_squared(line.a))
     with pytest.raises(QuadratureError) as info:
         path_integral([line], golden_branch.y_squared, y0,
-                      QuadratureConfig(tol=1e-30, max_doublings=1))
+                      tol=1e-30, max_doublings=1)
     found = re.search(r"last delta (\S+) at (\d+) panels", str(info.value))
     assert float(found.group(1)) > 0.0
     assert int(found.group(2)) == 16  # min_panels 8, doubled once
@@ -170,7 +166,7 @@ def test_abel_roundtrip_random_points(golden_branch, golden_lattice):
             continue
         if golden_branch.distance_to_cuts(x) < 1e-3:
             continue
-        u = abel(golden_branch, golden_lattice, CurvePoint(x, 1))
+        u = abel(golden_branch, CurvePoint(x, 1))
         assert abs(x_from_u(golden_branch, golden_lattice, u) - x) < 1e-9
         count += 1
 
@@ -183,16 +179,16 @@ def test_involution_negates_abel(golden_branch, golden_lattice):
                 or golden_branch.distance_to_cuts(x) < 1e-2):
             continue
         pt = CurvePoint(x, 1)
-        u1 = abel(golden_branch, golden_lattice, pt)
-        u2 = abel(golden_branch, golden_lattice, pt.involution())
+        u1 = abel(golden_branch, pt)
+        u2 = abel(golden_branch, pt.involution())
         r, _, _ = golden_lattice.reduce(u1 + u2)
         assert abs(r) < 1e-9
 
 
-def test_curve_point_on_cut_is_rejected(golden_branch, golden_lattice):
+def test_curve_point_on_cut_is_rejected(golden_branch):
     # the segment cut between the second and third branch points
     with pytest.raises(ContourGeometryError):
-        abel(golden_branch, golden_lattice, CurvePoint(-0.5 + 0j, 1))
+        abel(golden_branch, CurvePoint(-0.5 + 0j, 1))
 
 
 def test_wp_alpha_relations_golden(golden_branch, golden_lattice):
@@ -202,14 +198,14 @@ def test_wp_alpha_relations_golden(golden_branch, golden_lattice):
     assert abs(rel.wp_pp - 22.0) < 1e-12
     assert abs(rel.wp_prime**2 - rel.wp_prime_sq) < 1e-12
     # transcendental cross-check through the Abel map
-    alpha = abel(golden_branch, golden_lattice, 2.0)
+    alpha = abel(golden_branch, 2.0)
     assert abs(wp(golden_lattice, alpha) - rel.wp) < 1e-9
     from elliptau.elliptic import wp_prime
     assert abs(wp_prime(golden_lattice, alpha) - rel.wp_prime) < 1e-9
 
 
-def test_local_inverse_coeffs_golden(golden_branch, golden_lattice):
-    c1, c2, c3 = local_inverse_coeffs(golden_branch, golden_lattice, 2.0)
+def test_local_inverse_coeffs_golden(golden_branch):
+    c1, c2, c3 = local_inverse_coeffs(golden_branch, 2.0)
     # exact values by series reversion of x(u) at a=2: wp'= sqrt(24),
     # wp''=22, wp'''=4 sqrt(24)
     s24 = math.sqrt(24.0)
@@ -218,7 +214,7 @@ def test_local_inverse_coeffs_golden(golden_branch, golden_lattice):
     assert abs(c3 - 146.0 / 24.0**2.5) < 1e-14
 
 
-def test_local_inverse_matches_cauchy_derivatives(golden_branch, golden_lattice):
+def test_local_inverse_matches_cauchy_derivatives(golden_branch):
     # Cauchy-integral derivatives of u(x) on a small circle around a = 2
     a = 2.0
     r, n = 0.3, 64
@@ -229,15 +225,15 @@ def test_local_inverse_matches_cauchy_derivatives(golden_branch, golden_lattice)
         for k in range(3):
             moments[k] += u * w ** (-(k + 1))
     coeffs = [m / n for m in moments]
-    c = local_inverse_coeffs(golden_branch, golden_lattice, a)
+    c = local_inverse_coeffs(golden_branch, a)
     for k in range(3):
         assert abs(coeffs[k] - c[k]) < 1e-8
 
 
-def test_series_inversion_composes_to_identity(golden_branch, golden_lattice):
+def test_series_inversion_composes_to_identity(golden_branch):
     rel = wp_alpha_relations(golden_branch, 0.7 + 1.1j)
     b1, b2, b3 = rel.wp_prime, rel.wp_pp / 2.0, rel.wp_ppp / 6.0
-    c1, c2, c3 = local_inverse_coeffs(golden_branch, golden_lattice, 0.7 + 1.1j)
+    c1, c2, c3 = local_inverse_coeffs(golden_branch, 0.7 + 1.1j)
     assert abs(b1 * c1 - 1.0) < 1e-10
     assert abs(b1 * c2 + b2 * c1**2) < 1e-10
     assert abs(b1 * c3 + 2 * b2 * c1 * c2 + b3 * c1**3) < 1e-10
@@ -275,7 +271,7 @@ def test_local_inverse_alternative_gap(golden_branch, golden_lattice):
     # there) and misses it generically
     def gap(a):
         rel = wp_alpha_relations(golden_branch, a)
-        _, c2, _ = local_inverse_coeffs(golden_branch, golden_lattice, a)
+        _, c2, _ = local_inverse_coeffs(golden_branch, a)
         return abs(c2 + rel.wp_pp / (2.0 * rel.wp_ppp))
 
     assert gap(2.0) < 1e-14

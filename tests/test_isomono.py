@@ -8,7 +8,10 @@ import pytest
 
 from elliptau.elliptic import sigma, sigma_char
 from elliptau.errors import DegenerateParameterError
+import elliptau.isomono
+from elliptau.checks import check_deformation_equation
 from elliptau.isomono import (
+    PhiMatrix,
     build_phi,
     coefficients,
     deformation_residual,
@@ -256,3 +259,60 @@ def test_deformation_residual_shrinks_quadratically(golden):
     r2 = deformation_residual(golden.params, "e1", 5e-5)
     assert max(r2["paired"].values()) < 0.5 * max(r1["paired"].values())
 
+
+
+def test_hatted_evaluates_each_row_once(golden, monkeypatch):
+    sol, ph, p = golden.sol, golden.phi, golden.params
+    al = p.alpha
+    xs = [p.a + 0.01 * cmath.exp(2j * math.pi * (k + 0.3) / 5) for k in range(5)]
+    # the formula with det Phi(u) taken from PhiMatrix.det, which evaluates
+    # the four row values a second time
+    refs = []
+    for x in xs:
+        u = sol.u_near_a(x)
+        pih = ph.Pi_hat(u, x)
+        col1, col2 = cmath.exp(pih), cmath.exp(-pih)
+        mat = np.array([
+            [ph.row_hat(u, al) * col1, ph.row_hat(-u, al) * col2],
+            [ph.row_hat(u, -al) * col1, ph.row_hat(-u, -al) * col2],
+        ], dtype=complex)
+        ratio = 1.0 / (sol.sqrt_det_a * cmath.sqrt(ph.det(u) / sol.det_a))
+        refs.append(ratio * (sol.N @ mat))
+    calls = []
+    row_hat = PhiMatrix.row_hat
+
+    def counted(self, u, s):
+        calls.append(s)
+        return row_hat(self, u, s)
+
+    monkeypatch.setattr(PhiMatrix, "row_hat", counted)
+    for x, ref in zip(xs, refs):
+        calls.clear()
+        assert np.array_equal(sol.hatted(x), ref)
+        assert len(calls) == 4
+
+
+def test_deformation_check_reuses_base_stage(golden, monkeypatch):
+    p = golden.params
+    for direction in ("t", "e1", "e3"):
+        fresh = deformation_residual(p, direction, 1e-4)
+        shared = deformation_residual(p, direction, 1e-4,
+                                      sol=golden.sol, coeffs=golden.coeffs)
+        assert fresh["paired"] == shared["paired"]
+        assert (fresh["scale"], fresh["h"]) == (shared["scale"], shared["h"])
+        for nu in (1, 2, 3):
+            assert np.array_equal(fresh["fd"][nu], shared["fd"][nu])
+            assert np.array_equal(fresh["rhs"][nu], shared["rhs"][nu])
+    golden.coeffs  # the base stages exist before counting
+    calls = []
+    real = elliptau.isomono.coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(elliptau.isomono, "coefficients", counted)
+    check_deformation_equation(golden, None, 1e-5)
+    # six residuals (three directions, two steps), each at its +-h neighbours only
+    assert len(calls) == 12
+    assert all(q is not p for q in calls)

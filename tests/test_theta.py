@@ -6,8 +6,8 @@ import math
 import pytest
 
 from elliptau.elliptic import (
-    EvalConfig,
     HALF_HALF,
+    MAX_TERMS,
     ThetaChar,
     theta,
     theta_dOmega,
@@ -91,17 +91,15 @@ def test_lower_half_plane_rejected():
 
 
 def test_term_budget_exhaustion_carries_arguments():
-    cfg = EvalConfig(series_tol=1e-16, max_terms=8)
+    # at Omega = 0.0035i the terms exp(pi i Omega n^2 + 2 pi i n z) of
+    # theta00(0.8i) peak near n = -229, beyond the fixed budget of 200 rings
     with pytest.raises(ThetaConvergenceError) as err:
-        theta(ThetaChar(0.0, 0.0), 8j, 0.05j, cfg)
-    assert err.value.z == 8j
-    assert err.value.Omega == 0.05j
+        theta(ThetaChar(0, 0), 0.8j, 0.0035j)
+    assert err.value.z == 0.8j
+    assert err.value.Omega == 0.0035j
+    assert err.value.max_terms == MAX_TERMS == 200
 
 
-def test_eval_config_validation():
-    with pytest.raises(ValueError):
-        EvalConfig(series_tol=0.0)
-    with pytest.raises(ValueError):
-        EvalConfig(max_terms=4)
+def test_derivative_order_validation():
     with pytest.raises(ValueError):
         theta_dz(HALF_HALF, 0.0, 1j, 6)
