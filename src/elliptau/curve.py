@@ -22,7 +22,9 @@ Every full-accuracy contour integral uses one setting: Gauss-Legendre panels
 of ORDER = 12 nodes, doubled from MIN_PANELS = 8 at most MAX_DOUBLINGS = 8
 times until two passes agree to TOL = 5e-13 relative, on paths detoured by
 CLEARANCE = 0.1 of the smallest branch gap.  path_integral takes the four
-quadrature settings as keywords only for period_data's coarse pass.
+quadrature settings as keywords only for period_data's coarse pass.  Paths
+are evaluated on node arrays: _continue carries y through all nodes of a
+piece at once, and path_integral and continue_y are built on it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .elliptic import (
     theta11_constants,
     wp,
 )
-from .errors import ContourGeometryError, QuadratureError
+from .errors import ContourGeometryError, DegenerateParameterError, QuadratureError
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,12 @@ class BranchConfig:
         es = list(self.es)
         es[nu - 1] += delta
         return BranchConfig(*es)
+
+    def check_regular_point(self, a):
+        """Raise unless a keeps at least 1e-6 of the spread from every e_nu."""
+        if min(abs(a - e) for e in self.es) < 1e-6 * self.scale:
+            raise DegenerateParameterError(
+                f"a = {a} is closer than 1e-6 of the branch spread to a branch point")
 
     def y_squared(self, x):
         e1, e2, e3 = self.es
@@ -169,66 +177,46 @@ class Arc:
 
     def x(self, s):
         th = self.th0 + s * (self.th1 - self.th0)
-        return self.center + self.radius * cmath.exp(1j * th)
+        return self.center + self.radius * np.exp(1j * th)
 
     def dx(self, s):
         th = self.th0 + s * (self.th1 - self.th0)
-        return 1j * (self.th1 - self.th0) * self.radius * cmath.exp(1j * th)
+        return 1j * (self.th1 - self.th0) * self.radius * np.exp(1j * th)
 
 
 @lru_cache(maxsize=32)
 def _leggauss(order):
-    xs, ws = np.polynomial.legendre.leggauss(order)
-    return tuple(xs), tuple(ws)
+    return np.polynomial.legendre.leggauss(order)
 
 
-def _continue_step(fsq, piece, s0, s1, y0, depth=0):
-    """Continue y = sqrt(fsq(x)) from piece parameter s0 to s1."""
-    x1 = piece.x(s1)
-    w = cmath.sqrt(fsq(x1))
-    pick = w if abs(w - y0) <= abs(w + y0) else -w
-    # ambiguous when the branch rotated close to a quarter turn in one step
-    if abs(pick - y0) > 0.7 * max(abs(pick), abs(y0)):
-        if depth >= 40:
+def _continue(piece, fsq, s, y_in):
+    """Continue y = sqrt(fsq(x)) from y_in at s = 0 through the increasing
+    parameters s > 0 of the piece; returns y at each s.
+
+    Each step keeps the sign of the principal root when that moves y less
+    than flipping it; a step on which y turns by close to a quarter turn
+    gets its midpoint inserted, for at most 40 rounds.
+    """
+    s = np.asarray(s, dtype=float)
+    keep = np.ones(s.size, dtype=bool)
+    w = np.sqrt(fsq(piece.x(s)))
+    for depth in range(41):
+        prev = np.concatenate(([y_in], w[:-1]))
+        same, flip = np.abs(w - prev), np.abs(w + prev)
+        bad = np.flatnonzero(np.minimum(same, flip)
+                             > 0.7 * np.maximum(np.abs(w), np.abs(prev)))
+        if bad.size == 0:
+            break
+        if depth == 40:
             raise QuadratureError(
-                f"branch continuation failed near x={x1} (branch point on path?)"
+                f"branch continuation failed near x={complex(piece.x(s[bad[0]]))} "
+                f"(branch point on path?)"
             )
-        sm = 0.5 * (s0 + s1)
-        ym = _continue_step(fsq, piece, s0, sm, y0, depth + 1)
-        return _continue_step(fsq, piece, sm, s1, ym, depth + 1)
-    return pick
-
-
-def _piece_nodes(piece, fsq, y_in, panels, order):
-    """y-values at Gauss nodes of `panels` equal panels, plus y at s=1."""
-    xs, ws = _leggauss(order)
-    svals = []
-    for k in range(panels):
-        a, b = k / panels, (k + 1) / panels
-        svals.extend(0.5 * (a + b) + 0.5 * (b - a) * t for t in xs)
-    ys = []
-    s_prev, y_prev = 0.0, y_in
-    for s in svals:
-        y_prev = _continue_step(fsq, piece, s_prev, s, y_prev)
-        ys.append(y_prev)
-        s_prev = s
-    y_out = _continue_step(fsq, piece, s_prev, 1.0, y_prev)
-    return svals, ys, y_out
-
-
-def _integrate_piece(piece, fsq, y_in, numerator, panels, order):
-    xs, ws = _leggauss(order)
-    svals, ys, y_out = _piece_nodes(piece, fsq, y_in, panels, order)
-    total = 0j
-    i = 0
-    for k in range(panels):
-        h = 0.5 / panels
-        for w in ws:
-            s = svals[i]
-            x = piece.x(s)
-            total += w * h * numerator(x) * piece.dx(s) / ys[i]
-            i += 1
-    return total, y_out
+        mid = 0.5 * (np.concatenate(([0.0], s[:-1]))[bad] + s[bad])
+        s = np.insert(s, bad, mid)
+        w = np.insert(w, bad, np.sqrt(fsq(piece.x(mid))))
+        keep = np.insert(keep, bad, False)
+    return (np.cumprod(np.where(same <= flip, 1.0, -1.0)) * w)[keep]
 
 
 def path_integral(pieces, fsq, y_start, numerator=None, *, order=ORDER,
@@ -238,16 +226,23 @@ def path_integral(pieces, fsq, y_start, numerator=None, *, order=ORDER,
     Returns (value, y_end).  Panel counts double from min_panels until two
     successive refinements agree to tol relative.  The keyword settings
     default to the full-accuracy pass; period_data's coarse pass sets them.
+    fsq and numerator take arrays of x.
     """
-    num = numerator if numerator is not None else (lambda x: 1.0)
+    xi, wts = _leggauss(order)
     prev, delta = None, math.nan
     for k in range(max_doublings + 1):
         panels = min_panels * 2**k
+        a = np.arange(panels)[:, None] / panels
+        b = np.arange(1, panels + 1)[:, None] / panels
+        s = (0.5 * (a + b) + 0.5 * (b - a) * xi).ravel()
+        weights = np.tile(wts * (0.5 / panels), panels)
         total = 0j
         y = y_start
         for piece in pieces:
-            val, y = _integrate_piece(piece, fsq, y, num, panels, order)
-            total += val
+            ys = _continue(piece, fsq, np.append(s, 1.0), y)
+            f = weights if numerator is None else weights * numerator(piece.x(s))
+            total += complex(np.sum(f * piece.dx(s) / ys[:-1]))
+            y = complex(ys[-1])
         if prev is not None:
             delta = abs(total - prev)
             if delta <= tol * max(1.0, abs(total)):
@@ -261,13 +256,10 @@ def path_integral(pieces, fsq, y_start, numerator=None, *, order=ORDER,
 
 def continue_y(pieces, fsq, y_start):
     """Continue y along the pieces without integrating; returns y at the end."""
+    s = np.arange(1, CONTINUE_SAMPLES + 1) / CONTINUE_SAMPLES
     y = y_start
     for piece in pieces:
-        s_prev = 0.0
-        for k in range(1, CONTINUE_SAMPLES + 1):
-            s = k / CONTINUE_SAMPLES
-            y = _continue_step(fsq, piece, s_prev, s, y)
-            s_prev = s
+        y = complex(_continue(piece, fsq, s, y)[-1])
     return y
 
 
@@ -338,7 +330,7 @@ def stadium(p, q, margin):
 def _tail_g(branch, x):
     out = 1.0 + 0j
     for e in branch.es:
-        out *= cmath.sqrt(1.0 - e / x)
+        out = out * np.sqrt(1.0 - e / x)
     return out
 
 
@@ -366,7 +358,8 @@ def _sheet_frame(branch):
             best = (clear, a)
     anchor = best[1]
     phase = cmath.phase(anchor)
-    y_anchor = 2.0 * abs(anchor) ** 1.5 * cmath.exp(1.5j * phase) * _tail_g(branch, anchor)
+    y_anchor = complex(2.0 * abs(anchor) ** 1.5 * cmath.exp(1.5j * phase)
+                       * _tail_g(branch, anchor))
     return SheetFrame(anchor, y_anchor, CLEARANCE * branch.min_gap)
 
 

@@ -15,8 +15,8 @@ diag(-1/4, 1/4) at the four branch points.
 Everything here evaluates on one coherent branch: alpha and the sign of
 wp'(alpha) come from the curve module's sheet-1 frame.  With the rows at
 u = +-alpha, det Phi(u) = sigma[p,q](t)^2 sigma(2 alpha) sigma(2u), so the
-square root of det Phi is sigma[p,q](t) sigma(2 alpha) times the root of
-sigma(2u)/sigma(2 alpha), continued from 1 at u = alpha.
+square root of det Phi is sigma[p,q](t) sigma(2 alpha) times the principal
+root of sigma(2u)/sigma(2 alpha); y_at and hatted both take that root.
 """
 
 from __future__ import annotations
@@ -72,15 +72,13 @@ class DeformationParams:
 def make_params(branch, a, t, p, q):
     """Validate and assemble a DeformationParams.
 
-    Checks: a keeps a relative distance >= 1e-6 from every branch point,
+    Checks: a is a regular point (BranchConfig.check_regular_point),
     theta[p,q](t/omega1) is not at a zero (the normalization divides by it),
     and alpha is not a half period (wp'(alpha) != 0 follows from the first
     check).
     """
     a, t = complex(a), complex(t)
-    es = branch.es
-    if min(abs(a - e) for e in es) < 1e-6 * branch.scale:
-        raise DegenerateParameterError("a is too close to a branch point")
+    branch.check_regular_point(a)
     lat = _curve.periods(branch)
     char = ThetaChar(p, q)
     th = theta(char, t / lat.omega1, lat.Omega)
@@ -354,46 +352,13 @@ class YSolution:
         """Y at an arbitrary regular point.
 
         u(x) follows the curve module's canonical sheet-1 path, and
-        sqrt(det Phi(u)) comes from the closed form of sqrt_det_continued.
-        A path-dependent overall sign is possible, which every consumer here
-        is invariant under (monodromy and logarithmic derivatives conjugate
-        or cancel it).
+        sqrt(det Phi(u)) is sqrt_det_a times the principal root of
+        sigma(2u)/sigma(2 alpha), the same root hatted takes.
         """
         p = self.params
         u, _ = _curve.abel_with_y(p.branch, x)
-        w = self.sqrt_det_continued(u)
-        mat = self.phi.matrix(u)
-        return (self.N @ mat) / w
-
-    def sqrt_det_continued(self, u):
-        """sqrt(det Phi(u)) from det Phi(u) = sigma[p,q](t)^2 sigma(2 alpha) sigma(2u).
-
-        This is sqrt_det_a times r(u), where r = sqrt(sigma(2v)/sigma(2 alpha))
-        is continued from r = 1 at v = alpha along a straight v-segment
-        detoured around the zeros of sigma(2v).
-        """
-        p = self.params
-        zeros = self._det_zeros_near(p.alpha, u)
-        pieces = _curve.detoured_path(p.alpha, u, zeros,
-                                      0.2 * min(abs(h) for h in
-                                                p.half_periods.omega_tilde))
-        s2a = sigma(p.lat, 2.0 * p.alpha)
-        r = _curve.continue_y(pieces, lambda v: sigma(p.lat, 2.0 * v) / s2a, 1.0)
-        return self.sqrt_det_a * r
-
-    def _det_zeros_near(self, u0, u1):
-        """Lattice translates of 0 and the half periods near the segment."""
-        p = self.params
-        lat = p.lat
-        pts = []
-        base = [0j] + list(p.half_periods.omega_tilde)
-        for end in (u0, u1):
-            _, m, n = lat.reduce(end)
-            for dm in range(-2, 3):
-                for dn in range(-2, 3):
-                    for b in base:
-                        pts.append(b + (m + dm) * lat.omega1 + (n + dn) * lat.omega2)
-        return list(set(pts))
+        ratio = sigma(p.lat, 2.0 * u) / sigma(p.lat, 2.0 * p.alpha)
+        return (self.N @ self.phi.matrix(u)) / (self.sqrt_det_a * cmath.sqrt(ratio))
 
 
 def normalize_Y(params, phi=None):

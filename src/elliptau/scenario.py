@@ -127,12 +127,13 @@ def scenario_from_dict(data):
         if not isinstance(k, str) or not _is_real(v) or v <= 0:
             raise ScenarioError(
                 "field 'tolerances' must map names to positive finite reals")
+    a = _as_complex(data["a"], "a")
     try:
-        BranchConfig(*es)
+        BranchConfig(*es).check_regular_point(a)
     except Exception as exc:
-        raise ScenarioError(f"invalid branch points: {exc}") from exc
+        raise ScenarioError(f"invalid branch points or a: {exc}") from exc
     return Scenario(
-        e=es, a=_as_complex(data["a"], "a"), t=_as_complex(data["t"], "t"),
+        e=es, a=a, t=_as_complex(data["t"], "t"),
         p=float(data["p"]), q=float(data["q"]), seed=seed,
         checks=tuple(checks), tolerances=dict(tol),
     )

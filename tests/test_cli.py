@@ -217,6 +217,30 @@ def test_cli_non_positive_or_non_finite_scale_exits_2(tmp_path, flag, value):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "tau", "monodromy"])
+def test_a_next_to_a_branch_point_exits_2(tmp_path, command):
+    # golden spread is 2, so a must keep 2e-6 from e1 = 1
+    bad = golden_dict()
+    bad["a"] = [1.0, 1e-9]
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(bad))
+    report = tmp_path / "r.json"
+    extra = {"verify": ["--checks", "solution", "--out", str(report)],
+             "tau": ["--grid", "t=0:0.2:0.1"],
+             "monodromy": ["--loop", "1"]}[command]
+    assert main([command, "--scenario", str(scenario), *extra]) == 2
+    assert not report.exists()
+
+
+def test_a_just_inside_the_bound_loads():
+    ok = golden_dict()
+    ok["a"] = [1.0, 2.001e-6]
+    assert scenario_from_dict(ok).a == complex(1.0, 2.001e-6)
+    ok["a"] = [1.0, 1.999e-6]
+    with pytest.raises(ScenarioError, match="1e-6 of the branch spread"):
+        scenario_from_dict(ok)
+
+
 def test_cli_unknown_check_exits_2(tmp_path):
     scenario = tmp_path / "golden.json"
     scenario.write_text(json.dumps(golden_dict()))

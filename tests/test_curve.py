@@ -5,18 +5,23 @@ import math
 import re
 
 import mpmath
+import numpy as np
 import pytest
 
 from elliptau.curve import (
+    CONTINUE_SAMPLES,
+    Arc,
     BranchConfig,
     CurvePoint,
     Line,
+    _continue,
     _cycle_integral,
     _cycle_pieces,
     _sheet_frame,
     _u_anchor,
     abel,
     abel_with_y,
+    continue_y,
     dOmega_de,
     dlog_omega1_de,
     half_period_table,
@@ -125,6 +130,57 @@ def test_path_integral_nonconvergence_reports_last_delta(golden_branch):
     found = re.search(r"last delta (\S+) at (\d+) panels", str(info.value))
     assert float(found.group(1)) > 0.0
     assert int(found.group(2)) == 16  # min_panels 8, doubled once
+
+
+def _scalar_continue(fsq, piece, s0, s1, y0, halvings, depth=0):
+    """Reference: the scalar stepper, one recursive step from s0 to s1."""
+    x1 = piece.x(s1)
+    w = cmath.sqrt(fsq(x1))
+    pick = w if abs(w - y0) <= abs(w + y0) else -w
+    if abs(pick - y0) > 0.7 * max(abs(pick), abs(y0)):
+        if depth >= 40:
+            raise QuadratureError(f"branch continuation failed near x={x1}")
+        halvings.append(s1)
+        sm = 0.5 * (s0 + s1)
+        ym = _scalar_continue(fsq, piece, s0, sm, y0, halvings, depth + 1)
+        return _scalar_continue(fsq, piece, sm, s1, ym, halvings, depth + 1)
+    return pick
+
+
+@pytest.mark.parametrize("piece, samples", [
+    (Line(0.5 - 1e-3j, 1.5 - 1e-3j), CONTINUE_SAMPLES),  # 1e-3 below e1 = 1
+    (Arc(1.0, 0.3, 0.2, 0.2 + 2 * math.pi), 4),  # once around e1
+    (Arc(1.0, 0.3, 0.2, 0.2 + 1.5 * math.pi), 1),  # y turns 135 degrees
+], ids=["line-near-e1", "arc-around-e1", "arc-one-step"])
+def test_continue_matches_scalar_stepping(golden_branch, piece, samples):
+    fsq = golden_branch.y_squared
+    s = np.arange(1, samples + 1) / samples
+    y_in = -cmath.sqrt(fsq(piece.x(0.0)))
+    got = _continue(piece, fsq, s, y_in)
+    ref, halvings, y = [], [], y_in
+    for s0, s1 in zip([0.0, *s[:-1]], s):
+        y = _scalar_continue(fsq, piece, s0, s1, y, halvings)
+        ref.append(y)
+    assert halvings  # some steps were ambiguous and got halved
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert abs(a - b) <= 1e-14 * abs(b)
+
+
+def test_continue_once_around_a_branch_point_flips_y(golden_branch):
+    arc = Arc(1.0, 0.3, 0.2, 0.2 + 2 * math.pi)
+    y_in = cmath.sqrt(golden_branch.y_squared(arc.x(0.0)))
+    y_out = continue_y([arc], golden_branch.y_squared, y_in)
+    assert abs(y_out + y_in) <= 1e-14 * abs(y_in)
+
+
+def test_continue_through_branch_point_names_x(golden_branch):
+    line = Line(0.5 + 0j, 1.5 + 0j)  # s = 0.5 lands on e1 = 1
+    with pytest.raises(QuadratureError) as info:
+        _continue(line, golden_branch.y_squared, np.linspace(0.1, 1.0, 10),
+                  cmath.sqrt(golden_branch.y_squared(0.5)))
+    found = re.search(r"branch continuation failed near x=(\S+)", str(info.value))
+    assert abs(complex(found.group(1)) - 1.0) < 1e-3
 
 
 def test_periods_scaling_and_translation():

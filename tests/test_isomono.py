@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from elliptau.curve import abel_with_y
 from elliptau.elliptic import sigma, sigma_char
 from elliptau.errors import DegenerateParameterError
 import elliptau.isomono
@@ -16,6 +17,7 @@ from elliptau.isomono import (
     coefficients,
     deformation_residual,
     make_params,
+    normalize_Y,
     theoretical_monodromy,
 )
 from elliptau.scenario import GOLDEN, SplitMix64, random_admissible_scenario
@@ -71,6 +73,27 @@ def test_det_phi_closed_form(seed):
              + rng.uniform(-0.5, 0.5) * p.lat.omega2)
         closed = c * sigma(p.lat, 2.0 * u)
         assert abs(phi.det(u) - closed) <= 1e-12 * abs(closed)
+
+
+@pytest.mark.parametrize("seed", [None, 3, 4])
+def test_y_at_and_hatted_share_sqrt_det_phi(seed):
+    # one root of det Phi: y_at and hatted exp(T^(a)) agree, sign included,
+    # wherever the Abel path and the local inverse give the same u (the Abel
+    # cut can cross the ring, e.g. for seed 5)
+    s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
+    p = make_params(s.branch, s.a, s.t, s.p, s.q)
+    sol = normalize_Y(p)
+    radius = 0.05 * min(abs(p.a - e) for e in p.branch.es)
+    compared = 0
+    for k in range(8):
+        x = p.a + radius * cmath.exp(2j * math.pi * k / 8)
+        u = sol.u_near_a(x)
+        if abs(abel_with_y(p.branch, x)[0] - u) > 1e-9 * max(1.0, abs(u)):
+            continue
+        ref = sol.hatted(x, u) @ sol.exp_T_a(x)
+        assert np.max(np.abs(sol.y_at(x) - ref)) <= 1e-11 * np.max(np.abs(ref))
+        compared += 1
+    assert compared >= 4
 
 
 def test_det_phi_du_matches_difference_quotient(golden):
