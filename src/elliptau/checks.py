@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import platform
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .curve import (
@@ -82,12 +84,21 @@ class CheckResult:
     runtime_ms: float
     notes: str = ""
 
+    @property
+    def headroom(self):
+        """log10(tolerance/residual); negative when the check fails."""
+        r = self.residual
+        if r == 0 or math.isinf(r):
+            return math.inf if r == 0 else -math.inf
+        return math.log10(self.tolerance / r)
+
 
 @dataclass
 class Report:
     overall: str
     environment: dict
     results: list
+    stage_s: dict = field(default_factory=dict)  # self seconds per shared stage
 
     def to_json_dict(self):
         def num(x):
@@ -102,11 +113,13 @@ class Report:
                     "status": r.status,
                     "residual": num(r.residual),
                     "tolerance": num(r.tolerance),
+                    "headroom": num(r.headroom),
                     "runtime_ms": num(r.runtime_ms),
                     "notes": r.notes,
                 }
                 for r in self.results
             ],
+            "stage_s": {k: num(v) for k, v in self.stage_s.items()},
         }
 
 
@@ -118,6 +131,8 @@ class CheckContext:
         self.draw_scale = draw_scale
         self._cache = {}
         self._failed = {}
+        self.stage_s = {}  # build seconds of each stage, its sub-stages excluded
+        self._sub_s = 0.0
 
     def draws(self, base, minimum=2):
         return max(minimum, int(round(base * self.draw_scale)))
@@ -128,11 +143,17 @@ class CheckContext:
         if key in self._failed:
             raise self._failed[key]
         if key not in self._cache:
+            outer, self._sub_s = self._sub_s, 0.0
+            start = time.perf_counter()
             try:
                 self._cache[key] = builder()
             except Exception as exc:
                 self._failed[key] = exc
                 raise
+            finally:
+                spent = time.perf_counter() - start
+                self.stage_s[key] = spent - self._sub_s
+                self._sub_s = outer + spent
         return self._cache[key]
 
     def failed_stage(self, exc):
@@ -289,14 +310,11 @@ def check_quasi_periodicity(ctx, rng, tol):
         ch = _random_char(rng)
         u = _random_u(rng, lat)
         s0 = sigma_char(lat, ch, u)
-        lhs = sigma_char(lat, ch, u + lat.omega1)
-        rhs = (cmath.exp(2j * math.pi * ch.p)
-               * cmath.exp(lat.eta1 * (u + lat.omega1 / 2.0)) * s0)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-        lhs = sigma_char(lat, ch, u + lat.omega2)
-        rhs = (cmath.exp(-2j * math.pi * ch.q)
-               * cmath.exp(lat.eta2 * (u + lat.omega2 / 2.0)) * s0)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
+        for w, eta, phase in ((lat.omega1, lat.eta1, 2j * math.pi * ch.p),
+                              (lat.omega2, lat.eta2, -2j * math.pi * ch.q)):
+            lhs = sigma_char(lat, ch, u + w)
+            rhs = cmath.exp(phase) * cmath.exp(eta * (u + w / 2.0)) * s0
+            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     return worst, "both period shifts of sigma[p,q]"
 
 
@@ -334,45 +352,35 @@ def check_theta_constants(ctx, rng, tol):
     return worst, "odd theta-constant identities vs geometric quasi-period"
 
 
-def check_domega_de(ctx, rng, tol):
+def _branch_derivative_residual(ctx, rng, value, closed, degree=None):
+    """Worst miss of closed(b, lat, nu) = d value(lattice)/de_nu against a
+    central difference over sampled branches, of the translation sum (which
+    vanishes) and, given the homogeneity degree, of the Euler sum."""
     worst = 0.0
     for b in _branch_samples(ctx, rng, 9):
         lat = periods(b)
         h = 1e-5 * b.scale
-        total = 0j
-        biggest = 0.0
-        for nu in (1, 2, 3):
-            fd = (periods(b.moved(nu, h)).Omega
-                  - periods(b.moved(nu, -h)).Omega) / (2 * h)
-            cl = dOmega_de(b, lat, nu)
-            total += cl
-            biggest = max(biggest, abs(cl))
+        cls = [closed(b, lat, nu) for nu in (1, 2, 3)]
+        for nu, cl in zip((1, 2, 3), cls):
+            fd = (value(periods(b.moved(nu, h))) - value(periods(b.moved(nu, -h)))) / (2 * h)
             worst = max(worst, abs(fd - cl) / max(abs(cl), 1e-30))
-        # translation direction annihilates the period ratio
-        worst = max(worst, abs(total) / biggest)
-    return worst, "closed form vs central difference; translation sum"
+        worst = max(worst, abs(sum(cls)) / max(abs(cl) for cl in cls))
+        if degree is not None:
+            euler = sum(e * cl for e, cl in zip(b.es, cls))
+            worst = max(worst, abs(euler - degree) / abs(degree))
+    return worst
+
+
+def check_domega_de(ctx, rng, tol):
+    return (_branch_derivative_residual(ctx, rng, lambda lat: lat.Omega, dOmega_de),
+            "closed form vs central difference; translation sum")
 
 
 def check_dlog_omega1_de(ctx, rng, tol):
-    worst = 0.0
-    for b in _branch_samples(ctx, rng, 9):
-        lat = periods(b)
-        h = 1e-5 * b.scale
-        total = 0j
-        euler = 0j
-        biggest = 0.0
-        for nu in (1, 2, 3):
-            fd = (cmath.log(periods(b.moved(nu, h)).omega1)
-                  - cmath.log(periods(b.moved(nu, -h)).omega1)) / (2 * h)
-            cl = dlog_omega1_de(b, lat, nu)
-            total += cl
-            euler += b.es[nu - 1] * cl
-            biggest = max(biggest, abs(cl))
-            worst = max(worst, abs(fd - cl) / max(abs(cl), 1e-30))
-        worst = max(worst, abs(total) / biggest)
-        # degree -1/2 homogeneity of omega1 in the branch points
-        worst = max(worst, abs(euler + 0.5) / 0.5)
-    return worst, "closed form vs FD; translation and Euler scaling sums"
+    # omega1 is homogeneous of degree -1/2 in the branch points
+    return (_branch_derivative_residual(ctx, rng, lambda lat: cmath.log(lat.omega1),
+                                        dlog_omega1_de, degree=-0.5),
+            "closed form vs FD; translation and Euler scaling sums")
 
 
 def check_quasiperiod_ratio_derivative(ctx, rng, tol):
@@ -478,13 +486,9 @@ def check_y1_closed_form(ctx, rng, tol):
 def _generic_circle_center(ctx):
     b = ctx.branch
     sing = list(b.es) + [ctx.params.a]
-    best = None
-    for k in range(8):
-        cand = b.centroid + 1.3 * b.scale * cmath.exp(2j * math.pi * (k + 0.5) / 8)
-        d = min(abs(cand - s) for s in sing)
-        if best is None or d > best[0]:
-            best = (d, cand)
-    return best[1]
+    candidates = [b.centroid + 1.3 * b.scale * cmath.exp(2j * math.pi * (k + 0.5) / 8)
+                  for k in range(8)]
+    return max(candidates, key=lambda c: min(abs(c - s) for s in sing))
 
 
 def check_ode_residual(ctx, rng, tol):
@@ -592,29 +596,25 @@ def _fd(params, f, direction, h):
 
 
 def _admissible_neighbors(ctx, rng, count):
-    """The scenario point plus mild admissible moves of (t, e)."""
+    """Params of the scenario point plus mild admissible moves of (t, e)."""
     s = ctx.scenario
-    out = [(ctx.branch, s.t)]
+    out = [ctx.params]
     for _ in range(count):
         es = tuple(e + 0.08 * ctx.branch.scale * rng.complex_box()
                    for e in ctx.branch.es)
         t = s.t + 0.05 * rng.complex_box()
         try:
-            b = BranchConfig(*es)
-            make_params(b, s.a, t, s.p, s.q)
+            out.append(make_params(BranchConfig(*es), s.a, t, s.p, s.q))
         except EllipTauError:
             continue
-        out.append((b, t))
     return out
 
 
 def check_dlogtau_dt(ctx, rng, tol):
     worst = 0.0
     gap = 0.0
-    s = ctx.scenario
-    for b, t in _admissible_neighbors(ctx, rng, ctx.draws(4, minimum=1)):
-        h = 1e-6 * (1.0 + abs(t))
-        p = make_params(b, s.a, t, s.p, s.q)
+    for p in _admissible_neighbors(ctx, rng, ctx.draws(4, minimum=1)):
+        h = 1e-6 * (1.0 + abs(p.t))
         v = H_t(p)
         fd1 = _fd(p, log_tau, "t", h)
         fd2 = _fd(p, log_tau, "t", h / 2)
@@ -625,10 +625,8 @@ def check_dlogtau_dt(ctx, rng, tol):
 
 def check_dlogtau_de(ctx, rng, tol):
     worst = 0.0
-    s = ctx.scenario
-    for b, t in _admissible_neighbors(ctx, rng, ctx.draws(4, minimum=1)):
-        h = 5e-7 * (1.0 + b.scale)
-        p = make_params(b, s.a, t, s.p, s.q)
+    for p in _admissible_neighbors(ctx, rng, ctx.draws(4, minimum=1)):
+        h = 5e-7 * (1.0 + p.branch.scale)
         for nu in (1, 2, 3):
             v = H_nu(p, nu)
             fd = _fd(p, log_tau, f"e{nu}", h)
@@ -686,8 +684,7 @@ def check_shifted_tau_at_zero(ctx, rng, tol):
     worst = 0.0
     for l in (-1, 1, 2):
         ap = _shift_params(ctx, l)
-        ap0 = SigmaShiftParams(l, 0.0, ap.alpha, ap.lat)
-        lhs = sigma_shift_tau(ap0)
+        lhs = sigma_shift_tau(replace(ap, t=0.0))
         rhs = sigma(ap.lat, 2 * l * ap.alpha)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return worst, "tau_l(0) = sigma(2 l alpha)"
@@ -698,10 +695,8 @@ def check_shifted_tau_dlog(ctx, rng, tol):
     for l in (-1, 0, 1, 2):
         ap = _shift_params(ctx, l)
         h = 1e-6 * (1.0 + abs(ap.t))
-        fd = (cmath.log(sigma_shift_tau(
-                  SigmaShiftParams(l, ap.t + h / 2, ap.alpha, ap.lat)))
-              - cmath.log(sigma_shift_tau(
-                  SigmaShiftParams(l, ap.t - h / 2, ap.alpha, ap.lat)))) / h
+        fd = (cmath.log(sigma_shift_tau(replace(ap, t=ap.t + h / 2)))
+              - cmath.log(sigma_shift_tau(replace(ap, t=ap.t - h / 2)))) / h
         cl = sigma_shift_dlog_tau_dt(ap)
         worst = max(worst, abs(cl - fd) / max(1.0, abs(cl)))
     return worst, "closed d/dt log tau_l vs finite difference, l in {-1,0,1,2}"
@@ -799,13 +794,7 @@ def resolve_check_names(names):
             out.append(n)
         else:
             raise ScenarioError(f"unknown check identifier: {n!r}")
-    seen = set()
-    uniq = []
-    for n in out:
-        if n not in seen:
-            seen.add(n)
-            uniq.append(n)
-    return uniq
+    return list(dict.fromkeys(out))
 
 
 def run_checks(scenario, checks=None, tol_scale=1.0, draw_scale=1.0):
@@ -835,5 +824,9 @@ def run_checks(scenario, checks=None, tol_scale=1.0, draw_scale=1.0):
         ms = 1000.0 * (time.perf_counter() - start)
         results.append(CheckResult(name, status, residual, tol, ms, notes))
     overall = "pass" if all(r.status == "pass" for r in results) else "fail"
-    env = {"precision": "float64/complex128", "version": __version__}
-    return Report(overall=overall, environment=env, results=results)
+    env = {"precision": "float64/complex128", "version": __version__,
+           "python": platform.python_version(), "numpy": np.__version__,
+           "scipy": scipy.__version__, "platform": platform.platform(),
+           "seed": scenario.seed}
+    return Report(overall=overall, environment=env, results=results,
+                  stage_s=ctx.stage_s)

@@ -3,8 +3,9 @@
 verify runs the selected oracle checks against a scenario and writes one
 JSON report (numbers serialized as 17-significant-digit decimal strings).
 tau sweeps the deformation time over a grid and emits CSV with the
-branch-continuous log tau and the Hamiltonian.  monodromy prints one
-numerically continued 2x2 monodromy matrix.
+branch-continuous log tau and the Hamiltonian, evaluated on arrays of
+TAU_CHUNK grid points.  monodromy prints one numerically continued 2x2
+monodromy matrix.
 
 Exit codes: 0 all selected checks pass (tau: every row finite), 1 at least
 one failed (tau: a nan row, summarized on stderr), 2 configuration or
@@ -15,17 +16,22 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import hashlib
 import json
 import math
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .checks import run_checks
 from .errors import EllipTauError, ScenarioError
-from .isomono import make_params
+from .isomono import fixed_params, make_params, theta_zero_errors
 from .monodromy import base_point, monodromy_matrices
 from .scenario import load_scenario
 from .tau import H_t, log_tau
+
+TAU_CHUNK = 1024  # grid points per array evaluation: memory is O(TAU_CHUNK)
 
 
 def _parse_grid(spec):
@@ -54,6 +60,9 @@ def _cmd_verify(args):
     checks = args.checks.split(",") if args.checks else None
     report = run_checks(scenario, checks=checks, tol_scale=args.tol_scale,
                         draw_scale=args.draw_scale)
+    with open(args.scenario, "rb") as fh:
+        report.environment["scenario_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    report.environment["argv"] = args.argv
     payload = report.to_json_dict()
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -73,31 +82,46 @@ def _unwrap(value, previous):
     return value + 2j * math.pi * k
 
 
+def _tau_rows(fixed, ts):
+    """Per time of ts: (log tau, H_t) from one array evaluation, or the row's
+    error (theta[p,q](t/omega1) at a zero, or a value that is not finite)."""
+    ts = np.asarray(ts, dtype=complex)
+    rows = theta_zero_errors(replace(fixed, t=ts))
+    good = [k for k, error in enumerate(rows) if error is None]
+    if good:
+        params = replace(fixed, t=ts[good])
+        for k, lt, ht in zip(good, log_tau(params).tolist(), H_t(params).tolist()):
+            rows[k] = ((lt, ht) if cmath.isfinite(lt) and cmath.isfinite(ht)
+                       else EllipTauError("log tau or H_t is not finite"))
+    return rows
+
+
 def _cmd_tau(args):
-    scenario = load_scenario(args.scenario)
+    s = load_scenario(args.scenario)
     grid = _parse_grid(args.grid)
+    try:  # the t-independent stage is built once; if it fails, every row does
+        fixed, stage_error = fixed_params(s.branch, s.a, s.p, s.q), None
+    except EllipTauError as exc:
+        fixed, stage_error = None, exc
     out = open(args.out, "w") if args.out else sys.stdout
     failed, first = 0, None
     try:
         out.write("t,re_log_tau,im_log_tau,re_H_t,im_H_t\n")
         prev = None
-        for t in grid:
-            try:
-                params = make_params(scenario.branch, scenario.a, complex(t),
-                                     scenario.p, scenario.q)
-                lt, ht = log_tau(params), H_t(params)
-                if not (cmath.isfinite(lt) and cmath.isfinite(ht)):
-                    raise EllipTauError("log tau or H_t is not finite")
-                lt = _unwrap(lt, prev)
-                prev = lt
+        for start in range(0, len(grid), TAU_CHUNK):
+            ts = grid[start:start + TAU_CHUNK]
+            rows = [stage_error] * len(ts) if fixed is None else _tau_rows(fixed, ts)
+            for t, row in zip(ts, rows):
+                if isinstance(row, EllipTauError):
+                    out.write(f"{t:.12g},nan,nan,nan,nan\n")
+                    prev = None
+                    failed += 1
+                    first = first or (t, row)
+                    continue
+                lt, ht = row
+                prev = lt = _unwrap(lt, prev)
                 out.write(f"{t:.12g},{lt.real:.17g},{lt.imag:.17g},"
                           f"{ht.real:.17g},{ht.imag:.17g}\n")
-            except EllipTauError as exc:
-                out.write(f"{t:.12g},nan,nan,nan,nan\n")
-                prev = None
-                failed += 1
-                if first is None:
-                    first = (t, exc)
     finally:
         if args.out:
             out.close()
@@ -152,6 +176,7 @@ def main(argv=None):
     pm.set_defaults(fn=_cmd_monodromy)
 
     args = parser.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.fn(args)
     except ScenarioError as exc:

@@ -560,7 +560,11 @@ class HalfPeriodTable:
         return self.perm.index(nu)
 
 
-def half_period_table(branch, lat):
+@lru_cache(maxsize=64)
+def half_period_table(branch):
+    """The half periods of the branch's lattice matched to its branch
+    points; it depends on the branch alone, so it is built once per branch."""
+    lat = periods(branch)
     tildes = (lat.omega1 / 2.0, (lat.omega1 + lat.omega2) / 2.0, lat.omega2 / 2.0)
     etas = (lat.eta1, lat.eta1 + lat.eta2, lat.eta2)
     te = branch.tilde_es
@@ -623,16 +627,16 @@ def local_inverse_coeffs(branch, a):
     return (c1, c2, c3)
 
 
+def _gap_product(branch, nu):
+    """prod_{mu != nu} (e_nu - e_mu)."""
+    e = branch.es[nu - 1]
+    return math.prod(e - other for m, other in enumerate(branch.es, 1) if m != nu)
+
+
 def dOmega_de(branch, lat, nu):
     """Closed-form derivative of the period ratio in a branch point,
     dOmega/de_nu = pi i / (omega1^2 prod_{mu != nu} (e_nu - e_mu))."""
-    es = branch.es
-    e = es[nu - 1]
-    prod = 1.0 + 0j
-    for m, other in enumerate(es, start=1):
-        if m != nu:
-            prod *= e - other
-    return 1j * math.pi / (lat.omega1**2 * prod)
+    return 1j * math.pi / (lat.omega1**2 * _gap_product(branch, nu))
 
 
 def dlog_omega1_de(branch, lat, nu):
@@ -679,12 +683,7 @@ def quasiperiod_ratio_derivative_residual(branch, nu, t):
     lp = periods(branch.moved(nu, h))
     lm = periods(branch.moved(nu, -h))
     fd = t * t * ((lp.eta1 / (2 * lp.omega1)) - (lm.eta1 / (2 * lm.omega1))) / (2 * h)
-    es = branch.es
-    e = es[nu - 1]
-    prod = 1.0 + 0j
-    for m, other in enumerate(es, start=1):
-        if m != nu:
-            prod *= e - other
-    closed = t * t * dlog_omega1_de(branch, lat, nu) ** 2 * prod - t * t / 12.0
+    closed = (t * t * dlog_omega1_de(branch, lat, nu) ** 2 * _gap_product(branch, nu)
+              - t * t / 12.0)
     scale = max(abs(fd), abs(closed), abs(t * t) / 12.0)
     return abs(fd - closed) / scale

@@ -13,10 +13,12 @@ Conventions, fixed once for the whole package:
 * zeta = sigma'/sigma, wp = -zeta'; derivatives of wp are taken analytically
   through the theta representation, never by finite differences.
 
-Every theta value is summed to one fixed precision: the series stops when
-its edge terms fall below SERIES_TOL = 1e-16 of the running scale and
-raises ThetaConvergenceError after MAX_TERMS = 200 rings.  No caller sets
-these; they are module constants, not options.
+Every theta value comes from one kernel that sums a block of rings
+|n| <= K for a whole array of z at once (theta, theta_dz, theta_dOmega and
+sigma_char_dlog accept arrays; a single z is the cached size-1 call).  K
+grows 8, 16, 32, ... up to MAX_TERMS = 200 until the edge terms fall below
+SERIES_TOL = 1e-16 of the running scale at every z, else it raises
+ThetaConvergenceError.  These are module constants, not options.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import LatticeOrientationError, LatticePoleError, ThetaConvergenceError
 
@@ -43,100 +47,108 @@ HALF_HALF = ThetaChar(0.5, 0.5)
 
 SERIES_TOL = 1e-16
 MAX_TERMS = 200
+# Largest exponent of a series term: with it every row of 200 rings, up to
+# the fifth z-derivative and the Omega-derivative, stays finite.
+_EXP_MAX = 650.0
 
 
-@lru_cache(maxsize=16384)
-def _theta_jet(char, z, Omega, dz_orders, with_dOmega=False):
-    """Evaluate theta[p,q] and z-derivatives (termwise) in a single pass.
+@lru_cache(maxsize=256)
+def _rings(p, done, K, kmax, with_dOmega):
+    """The rings done < |n| <= K (-K first, K last) as columns of m = n + p:
+    m^2, 2 pi i m, and the row weights (2 pi i m)^k for k = 0..kmax, then
+    i pi m^2 with with_dOmega."""
+    n = np.arange(-K, K + 1)
+    m = (n[np.abs(n) > done] + p)[:, None]
+    weights = [np.ones_like(m)]
+    for _ in range(kmax):
+        weights.append(weights[-1] * (TWO_PI_I * m))
+    if with_dOmega:
+        weights.append((1j * math.pi) * m * m)
+    return m * m, TWO_PI_I * m, np.stack(weights)
 
-    Returns (jet, dOmega) where jet[k] = d^k/dz^k theta for k in
-    0..max(dz_orders), and dOmega = d/dOmega theta (or None).  The sum runs
-    over symmetric index rings n = 0, +-1, +-2, ... and stops once the edge
-    terms of every requested order drop below SERIES_TOL relative to that
-    order's scale.  The scale is max(|partial sum|, largest |term| seen):
-    the bare partial sum would deadlock at symmetric zeros such as
-    theta11(0).  Results are cached; evaluation is pure.
+
+def _theta_block(char, z, Omega, kmax, with_dOmega):
+    """Rows d^k/dz^k theta[p,q], k = 0..kmax, then d/dOmega theta with
+    with_dOmega, at every point of the 1-D array z: shape (rows, len(z)).
+
+    K doubles from 8 (capped at MAX_TERMS) until at every point the edge
+    terms (rings +-K) of every row are at most SERIES_TOL of that row's
+    scale max(|partial sum|, largest |term|); the bare partial sum would
+    deadlock at symmetric zeros such as theta11(0).  A term beyond
+    exp(_EXP_MAX) raises ThetaConvergenceError before it overflows.
     """
     if Omega.imag <= 0:
         raise LatticeOrientationError(f"Im(Omega) must be positive, got {Omega}")
-    p, q = complex(char.p), complex(char.q)
-    kmax = max(dz_orders) if dz_orders else 0
-    norders = kmax + 1
-    sums = [0j] * norders
-    peaks = [0.0] * norders
-    s_om = 0j
-    peak_om = 0.0
-
-    def add(n):
-        """Accumulate ring member n; returns this term's magnitudes per quantity."""
-        nonlocal s_om, peak_om
-        m = n + p
-        term0 = cmath.exp(1j * math.pi * Omega * m * m + TWO_PI_I * m * (z + q))
-        mags = []
-        fac = 1.0 + 0j
-        for k in range(norders):
-            t = fac * term0
-            sums[k] += t
-            a = abs(t)
-            mags.append(a)
-            if a > peaks[k]:
-                peaks[k] = a
-            fac *= TWO_PI_I * m
-        if with_dOmega:
-            t = 1j * math.pi * m * m * term0
-            s_om += t
-            a = abs(t)
-            mags.append(a)
-            if a > peak_om:
-                peak_om = a
-        return mags
-
-    add(0)
-    n = 0
+    if not z.size:
+        return np.zeros((kmax + 1 + with_dOmega, 0), dtype=complex)
+    p, zq = complex(char.p), z + complex(char.q)
+    sums = peaks = 0.0
+    done, K = -1, 8
     while True:
-        n += 1
-        if n > MAX_TERMS:
-            raise ThetaConvergenceError(z, Omega, MAX_TERMS)
-        mpos, mneg = add(n), add(-n)
-        if n < 8:
-            continue
-        edges = [max(a, b) for a, b in zip(mpos, mneg)]
-        done = all(
-            edges[k] <= SERIES_TOL * max(abs(sums[k]), peaks[k])
-            for k in range(norders)
-        )
-        if with_dOmega:
-            done = done and edges[-1] <= SERIES_TOL * max(abs(s_om), peak_om)
-        if done:
-            break
-    return tuple(sums), (s_om if with_dOmega else None)
+        msq, lin, weights = _rings(p, done, K, kmax, with_dOmega)
+        expo = (1j * math.pi * Omega) * msq + lin * zq
+        if expo.real.max() > _EXP_MAX:
+            bad = np.unravel_index(np.argmax(expo.real), expo.shape)[1]
+            raise ThetaConvergenceError(complex(z[bad]), Omega, MAX_TERMS)
+        terms = weights * np.exp(expo)
+        mags = np.abs(terms)
+        sums = sums + terms.sum(axis=1)
+        peaks = np.maximum(peaks, mags.max(axis=1))
+        edge = np.maximum(mags[:, 0], mags[:, -1])
+        ok = edge <= SERIES_TOL * np.maximum(np.abs(sums), peaks)
+        if ok.all():
+            return sums
+        if K == MAX_TERMS:
+            bad = np.flatnonzero(~ok.all(axis=0))[0]
+            raise ThetaConvergenceError(complex(z[bad]), Omega, MAX_TERMS)
+        done, K = K, min(2 * K, MAX_TERMS)
+
+
+@lru_cache(maxsize=16384)
+def _theta_jet(char, z, Omega, kmax, with_dOmega=False):
+    """The size-1 call of _theta_block, cached: (jet, dOmega) with
+    jet[k] = d^k/dz^k theta for k = 0..kmax and dOmega = d/dOmega theta
+    (or None).  Evaluation is pure."""
+    rows = _theta_block(char, np.array([z]), Omega, kmax, with_dOmega)[:, 0].tolist()
+    return tuple(rows[:kmax + 1]), (rows[-1] if with_dOmega else None)
+
+
+def _theta_rows(char, z, Omega, kmax, with_dOmega=False):
+    """(jet, dOmega) as _theta_jet returns them; an array of z goes to one
+    uncached _theta_block call and gives rows of z's shape."""
+    if np.ndim(z) == 0:
+        return _theta_jet(char, complex(z), complex(Omega), kmax, with_dOmega)
+    z = np.asarray(z, dtype=complex)
+    rows = _theta_block(char, z.ravel(), complex(Omega), kmax, with_dOmega)
+    rows = rows.reshape((len(rows),) + z.shape)
+    return rows[:kmax + 1], (rows[-1] if with_dOmega else None)
 
 
 def theta(char, z, Omega):
-    """theta[p,q](z; Omega) by direct summation."""
-    jet, _ = _theta_jet(char, complex(z), complex(Omega), (0,))
+    """theta[p,q](z; Omega) by direct summation; z a number or an array."""
+    jet, _ = _theta_rows(char, z, Omega, 0)
     return jet[0]
 
 
 def theta_dz(char, z, Omega, order=1):
-    """Termwise z-derivative of theta[p,q], order in 1..5."""
+    """Termwise z-derivative of theta[p,q], order in 1..5; z a number or an array."""
     if order not in (1, 2, 3, 4, 5):
         raise ValueError(f"derivative order must be in 1..5, got {order}")
-    jet, _ = _theta_jet(char, complex(z), complex(Omega), (order,))
+    jet, _ = _theta_rows(char, z, Omega, order)
     return jet[order]
 
 
 def theta_dOmega(char, z, Omega):
     """Termwise Omega-derivative of theta[p,q]; satisfies the heat equation
-    theta_zz = 4*pi*i * theta_dOmega."""
-    _, dom = _theta_jet(char, complex(z), complex(Omega), (0,), with_dOmega=True)
+    theta_zz = 4*pi*i * theta_dOmega.  z a number or an array."""
+    _, dom = _theta_rows(char, z, Omega, 0, with_dOmega=True)
     return dom
 
 
 @lru_cache(maxsize=256)
 def theta11_constants(Omega):
     """Odd theta-constant derivatives (theta11', theta11''', theta11^(5)) at 0."""
-    jet, _ = _theta_jet(HALF_HALF, 0j, complex(Omega), (5,))
+    jet, _ = _theta_jet(HALF_HALF, 0j, complex(Omega), 5)
     return jet[1], jet[3], jet[5]
 
 
@@ -208,17 +220,14 @@ def _logdiv_coeffs(cs):
 _FACT = [1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0]
 
 
-def _check_pole(lat, u):
-    r, _, _ = lat.reduce(u)
-    if abs(r) <= 1e-12 * lat.unit():
-        raise LatticePoleError(f"u={u} is within 1e-12 of a lattice point")
-
-
 def _theta11_logdiv(lat, u, depth):
-    """Derivatives d^m/dz^m [theta11'/theta11](u/omega1) for m = 0..depth-1."""
-    jet, _ = _theta_jet(HALF_HALF, u / lat.omega1, lat.Omega, (depth,))
-    cs = [jet[k] / _FACT[k] for k in range(depth + 1)]
-    g = _logdiv_coeffs(cs)
+    """Derivatives d^m/dz^m [theta11'/theta11](u/omega1) for m = 0..depth-1;
+    raises LatticePoleError within 1e-12 of a lattice point."""
+    u = complex(u)
+    if abs(lat.reduce(u)[0]) <= 1e-12 * lat.unit():
+        raise LatticePoleError(f"u={u} is within 1e-12 of a lattice point")
+    jet, _ = _theta_jet(HALF_HALF, u / lat.omega1, lat.Omega, depth)
+    g = _logdiv_coeffs([jet[k] / _FACT[k] for k in range(depth + 1)])
     return [g[m] * _FACT[m] for m in range(depth)]
 
 
@@ -236,10 +245,8 @@ def sigma(lat, u):
 
 
 def sigma_char_dlog(lat, char, u):
-    """Logarithmic derivative sigma[p,q]'(u)/sigma[p,q](u)."""
-    u = complex(u)
-    z = u / lat.omega1
-    jet, _ = _theta_jet(char, z, lat.Omega, (1,))
+    """Logarithmic derivative sigma[p,q]'(u)/sigma[p,q](u); u a number or an array."""
+    jet, _ = _theta_rows(char, u / lat.omega1, lat.Omega, 1)
     return lat.eta1 * u / lat.omega1 + jet[1] / (jet[0] * lat.omega1)
 
 
@@ -247,8 +254,7 @@ def sigma_char_du(lat, char, u):
     """Plain derivative sigma[p,q]'(u); regular at the zeros of sigma[p,q]."""
     u = complex(u)
     d1, _, _ = theta11_constants(lat.Omega)
-    z = u / lat.omega1
-    jet, _ = _theta_jet(char, z, lat.Omega, (1,))
+    jet, _ = _theta_jet(char, u / lat.omega1, lat.Omega, 1)
     gauss = cmath.exp(lat.eta1 * u * u / (2 * lat.omega1))
     return gauss * (lat.omega1 / d1) * (
         (lat.eta1 * u / lat.omega1) * jet[0] + jet[1] / lat.omega1
@@ -262,24 +268,18 @@ def sigma_du(lat, u):
 
 def zeta(lat, u):
     """Weierstrass zeta = sigma'/sigma."""
-    u = complex(u)
-    _check_pole(lat, u)
     (g0,) = _theta11_logdiv(lat, u, 1)
     return lat.eta1 * u / lat.omega1 + g0 / lat.omega1
 
 
 def wp(lat, u):
     """Weierstrass wp = -zeta'."""
-    u = complex(u)
-    _check_pole(lat, u)
     g = _theta11_logdiv(lat, u, 2)
     return -lat.eta1 / lat.omega1 - g[1] / lat.omega1**2
 
 
 def wp_prime(lat, u):
     """First derivative of wp, via the analytic theta chain (no differencing)."""
-    u = complex(u)
-    _check_pole(lat, u)
     g = _theta11_logdiv(lat, u, 3)
     return -g[2] / lat.omega1**3
 
@@ -288,7 +288,5 @@ def wp_n(lat, u, order):
     """Second or third derivative of wp (order in {2, 3}), analytic."""
     if order not in (2, 3):
         raise ValueError(f"order must be 2 or 3, got {order}")
-    u = complex(u)
-    _check_pole(lat, u)
     g = _theta11_logdiv(lat, u, order + 2)
     return -g[order + 1] / lat.omega1 ** (order + 2)

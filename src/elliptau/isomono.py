@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -68,31 +68,40 @@ class DeformationParams:
                 + zeta(self.lat, 2.0 * self.alpha))
 
 
-@lru_cache(maxsize=1024)
-def make_params(branch, a, t, p, q):
-    """Validate and assemble a DeformationParams.
-
-    Checks: a is a regular point (BranchConfig.check_regular_point),
-    theta[p,q](t/omega1) is not at a zero (the normalization divides by it),
-    and alpha is not a half period (wp'(alpha) != 0 follows from the first
-    check).
-    """
-    a, t = complex(a), complex(t)
+def fixed_params(branch, a, p, q):
+    """The t-independent stage of make_params, validated, at t = 0.  a must be
+    a regular point (so alpha is no half period and wp'(alpha) != 0).  With t
+    replaced by an array of times, log_tau and H_t evaluate elementwise."""
+    a = complex(a)
     branch.check_regular_point(a)
     lat = _curve.periods(branch)
-    char = ThetaChar(p, q)
-    th = theta(char, t / lat.omega1, lat.Omega)
-    if abs(th) < 1e-8:
-        raise DegenerateParameterError(
-            f"theta[p,q](t/omega1) = {th} is too close to its zero"
-        )
     alpha, _ = _curve.abel_with_y(branch, a)
-    wp_a = _curve.wp_alpha_relations(branch, a)
-    hpt = _curve.half_period_table(branch, lat)
     return DeformationParams(
-        branch=branch, lat=lat, a=a, alpha=alpha, t=t, char=char,
-        wp_a=wp_a, half_periods=hpt,
+        branch=branch, lat=lat, a=a, alpha=alpha, t=0j, char=ThetaChar(p, q),
+        wp_a=_curve.wp_alpha_relations(branch, a),
+        half_periods=_curve.half_period_table(branch),
     )
+
+
+def theta_zero_errors(params):
+    """Per time of params.t (a number or an array): the DegenerateParameterError
+    where theta[p,q](t/omega1), which the normalization divides by, is too
+    close to its zero, else None."""
+    th = theta(params.char, params.t / params.lat.omega1, params.lat.Omega)
+    message = "theta[p,q](t/omega1) = {} is too close to its zero"
+    return [DegenerateParameterError(message.format(complex(v))) if abs(v) < 1e-8 else None
+            for v in np.atleast_1d(th)]
+
+
+@lru_cache(maxsize=1024)
+def make_params(branch, a, t, p, q):
+    """Validate and assemble a DeformationParams: fixed_params at time t,
+    which must not put theta[p,q](t/omega1) at a zero."""
+    params = replace(fixed_params(branch, a, p, q), t=complex(t))
+    error, = theta_zero_errors(params)
+    if error is not None:
+        raise error
+    return params
 
 
 def shifted_params(params, direction, delta):

@@ -43,10 +43,8 @@ def loop_pieces(params, which):
         R = max(R, 1.25 * abs(x0 - c))
         ent = c + R * (x0 - c) / abs(x0 - c)
         th = cmath.phase(ent - c)
-        out = [*detoured_path(x0, ent, sing, _clearance(params)),
-               Arc(c, R, th, th - 2 * math.pi)]
-        out += _reverse(detoured_path(x0, ent, sing, _clearance(params)))
-        return out
+        descent = detoured_path(x0, ent, sing, _clearance(params))
+        return [*descent, Arc(c, R, th, th - 2 * math.pi), *_reverse(descent)]
     e = params.branch.es[which - 1]
     others = [s for s in sing if s != e]
     r = 0.2 * min(abs(e - s) for s in others)

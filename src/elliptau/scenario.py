@@ -155,16 +155,11 @@ GOLDEN = Scenario(e=(1.0 + 0j, 0j, -1.0 + 0j), a=2.0 + 0j, t=0.1 + 0j,
 
 
 def golden_dict():
-    return {
-        "e": [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]],
-        "a": [2.0, 0.0],
-        "t": [0.1, 0.0],
-        "p": 0.3,
-        "q": 0.2,
-        "seed": 20260809,
-        "checks": [],
-        "tolerances": {},
-    }
+    """GOLDEN as the JSON object of a scenario file."""
+    g = GOLDEN
+    return {"e": [[e.real, e.imag] for e in g.e], "a": [g.a.real, g.a.imag],
+            "t": [g.t.real, g.t.imag], "p": g.p, "q": g.q, "seed": g.seed,
+            "checks": [], "tolerances": {}}
 
 
 def random_admissible_scenario(rng, seed=0):

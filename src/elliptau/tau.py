@@ -58,7 +58,8 @@ def df_de(e1, e2, e3, a, nu):
 
 
 def H_t(params):
-    """dt-component of the 1-form: sigma[p,q]'(t)/sigma[p,q](t) + (t/2) f."""
+    """dt-component of the 1-form: sigma[p,q]'(t)/sigma[p,q](t) + (t/2) f.
+    Elementwise when params.t is an array."""
     p = params
     L = sigma_char_dlog(p.lat, p.char, p.t)
     es = p.branch.es
@@ -132,12 +133,12 @@ def H_nu(params, nu):
 
 def log_tau(params):
     """log tau with principal-branch constants; only its derivatives are
-    comparison-grade (tau itself is defined up to a constant factor)."""
+    comparison-grade (tau itself is defined up to a constant factor).
+    Elementwise when params.t is an array."""
     p = params
     es = p.branch.es
     z = p.t / p.lat.omega1
-    th = theta(p.char, z, p.lat.Omega)
-    val = cmath.log(th)
+    val = np.log(theta(p.char, z, p.lat.Omega))
     val -= 0.5 * cmath.log(p.lat.omega1)
     for i in range(3):
         for j in range(i + 1, 3):

@@ -1,14 +1,19 @@
 """Scenario handling, the deterministic RNG contract, and the CLI surface."""
 
+import hashlib
 import json
+import math
+import platform
 
+import numpy as np
 import pytest
 
 import elliptau.checks
 import elliptau.cli
-from elliptau.checks import CHECKS, SUITES, resolve_check_names, run_checks
+import elliptau.curve
+from elliptau.checks import CHECKS, SUITES, CheckResult, resolve_check_names, run_checks
 from elliptau.cli import main
-from elliptau.errors import DegenerateParameterError, ScenarioError
+from elliptau.errors import DegenerateParameterError, QuadratureError, ScenarioError
 from elliptau.isomono import make_params
 from elliptau.monodromy import monodromy_matrices
 from elliptau.scenario import (
@@ -18,8 +23,10 @@ from elliptau.scenario import (
     fnv1a64,
     golden_dict,
     load_scenario,
+    random_admissible_scenario,
     scenario_from_dict,
 )
+from elliptau.tau import H_t, log_tau
 
 
 def test_splitmix_reference_sequence():
@@ -134,6 +141,39 @@ def test_report_serialization_digits():
     assert isinstance(rec["residual"], str)
     float(rec["residual"])  # parses back
     assert rec["status"] == "pass"
+
+
+def test_report_explains_itself(tmp_path):
+    scenario = tmp_path / "golden.json"
+    scenario.write_text(json.dumps(golden_dict()))
+    out = tmp_path / "r.json"
+    argv = ["verify", "--scenario", str(scenario), "--checks",
+            "legendre,y_normalization", "--out", str(out)]
+    assert main(argv) == 0
+    d = json.loads(out.read_text())
+    env = d["environment"]
+    assert env["scenario_sha256"] == hashlib.sha256(scenario.read_bytes()).hexdigest()
+    assert env["argv"] == argv
+    assert env["seed"] == GOLDEN.seed
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__ and env["scipy"]
+    assert env["platform"]
+    for c in d["checks"]:
+        expected = math.log10(float(c["tolerance"]) / float(c["residual"]))
+        assert float(c["headroom"]) == pytest.approx(expected, rel=1e-15)
+        assert float(c["runtime_ms"]) >= 0
+    # y_normalization builds params, phi and sol; each stage is timed once
+    assert {"branch", "params", "phi", "sol"} <= set(d["stage_s"])
+    assert all(float(v) >= 0 for v in d["stage_s"].values())
+
+
+def test_headroom_at_the_extremes():
+    r = CheckResult("x", "pass", 0.0, 1e-6, 1.0)
+    assert r.headroom == math.inf
+    r.residual = math.inf
+    assert r.headroom == -math.inf
+    r.residual = 1e-9
+    assert r.headroom == pytest.approx(3.0)
 
 
 def test_cli_verify_subset(tmp_path):
@@ -266,14 +306,14 @@ def test_cli_tau_grid(tmp_path, capsys):
 def test_cli_tau_failed_row_exits_1(tmp_path, monkeypatch, capsys):
     scenario = tmp_path / "golden.json"
     scenario.write_text(json.dumps(golden_dict()))
-    real = elliptau.cli.make_params
+    real = elliptau.cli.theta_zero_errors
 
-    def flaky(branch, a, t, *args, **kwargs):
-        if abs(t - 0.1) < 1e-12:
-            raise DegenerateParameterError("forced failure")
-        return real(branch, a, t, *args, **kwargs)
+    def flaky(params):
+        return [DegenerateParameterError("forced failure")
+                if abs(t - 0.1) < 1e-12 else error
+                for t, error in zip(params.t, real(params))]
 
-    monkeypatch.setattr(elliptau.cli, "make_params", flaky)
+    monkeypatch.setattr(elliptau.cli, "theta_zero_errors", flaky)
     code = main(["tau", "--scenario", str(scenario), "--grid", "t=0:0.2:0.1"])
     assert code == 1
     out, err = capsys.readouterr()
@@ -291,7 +331,7 @@ def test_cli_tau_nonfinite_row_exits_1(tmp_path, monkeypatch, capsys):
     real = elliptau.cli.log_tau
 
     def overflowing(params):
-        return complex("nan") if abs(params.t - 0.2) < 1e-12 else real(params)
+        return np.where(np.abs(params.t - 0.2) < 1e-12, complex("nan"), real(params))
 
     monkeypatch.setattr(elliptau.cli, "log_tau", overflowing)
     code = main(["tau", "--scenario", str(scenario), "--grid", "t=0:0.2:0.1"])
@@ -300,6 +340,78 @@ def test_cli_tau_nonfinite_row_exits_1(tmp_path, monkeypatch, capsys):
     assert out.strip().splitlines()[3] == "0.2,nan,nan,nan,nan"
     assert err.strip() == ("tau: 1/3 rows failed; first at t=0.2: "
                            "EllipTauError: log tau or H_t is not finite")
+
+
+def test_cli_tau_fixed_stage_failure_fails_every_row(tmp_path, monkeypatch, capsys):
+    scenario = tmp_path / "golden.json"
+    scenario.write_text(json.dumps(golden_dict()))
+
+    def failing(branch):
+        raise QuadratureError("forced stage failure")
+
+    monkeypatch.setattr(elliptau.curve, "half_period_table", failing)
+    code = main(["tau", "--scenario", str(scenario), "--grid", "t=0.05:0.25:0.1"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    lines = out.strip().splitlines()
+    assert lines[1:] == ["0.05,nan,nan,nan,nan", "0.15,nan,nan,nan,nan",
+                         "0.25,nan,nan,nan,nan"]
+    assert err.strip() == ("tau: 3/3 rows failed; first at t=0.05: "
+                           "QuadratureError: forced stage failure")
+
+
+def test_cli_tau_row_on_a_theta_zero(tmp_path, capsys):
+    # theta[1/2,q](z) vanishes at the real z = 1/2 - q, i.e. at t = (1/2 - q) omega1
+    data = dict(golden_dict(), p=0.5)
+    scenario = tmp_path / "zero.json"
+    scenario.write_text(json.dumps(data))
+    g = GOLDEN
+    t0 = (0.5 - g.q) * make_params(g.branch, g.a, g.t, 0.5, g.q).lat.omega1.real
+    with pytest.raises(DegenerateParameterError):
+        make_params(g.branch, g.a, t0, 0.5, g.q)
+    code = main(["tau", "--scenario", str(scenario),
+                 "--grid", f"t={t0 - 0.1!r}:{t0 + 0.1!r}:0.1"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    lines = out.strip().splitlines()
+    assert len(lines) == 4
+    assert lines[2].endswith(",nan,nan,nan,nan")
+    assert all("nan" not in line for line in (lines[1], lines[3]))
+    head = (f"tau: 1/3 rows failed; first at t={t0:.12g}: "
+            "DegenerateParameterError: theta[p,q](t/omega1) = ")
+    tail = " is too close to its zero"
+    err = err.strip()
+    assert err.startswith(head) and err.endswith(tail)
+    assert abs(complex(err[len(head):-len(tail)])) < 1e-8
+
+
+@pytest.mark.parametrize("draw", [None, 1, 2])
+def test_cli_tau_batch_matches_rows(tmp_path, draw):
+    # a grid one point longer than a chunk, against the per-row closed forms
+    if draw is None:
+        s = GOLDEN
+    else:
+        rng = SplitMix64(61)
+        for _ in range(draw):
+            s = random_admissible_scenario(rng)
+    data = dict(golden_dict(), e=[[e.real, e.imag] for e in s.e],
+                a=[s.a.real, s.a.imag], p=s.p, q=s.q)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data))
+    out = tmp_path / "tau.csv"
+    spec = f"t=0:0.3:{0.3 / elliptau.cli.TAU_CHUNK!r}"
+    grid = elliptau.cli._parse_grid(spec)
+    assert len(grid) == elliptau.cli.TAU_CHUNK + 1
+    assert main(["tau", "--scenario", str(scenario), "--grid", spec,
+                 "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert len(rows) == len(grid)
+    for t, (_, lt_re, lt_im, ht_re, ht_im) in zip(grid, rows.tolist()):
+        params = make_params(s.branch, s.a, t, s.p, s.q)
+        lt, ht = log_tau(params), H_t(params)
+        lt += 2j * np.pi * round((lt_im - lt.imag) / (2 * np.pi))  # the CSV unwraps
+        assert abs(complex(lt_re, lt_im) - lt) <= 1e-14 * abs(lt)
+        assert abs(complex(ht_re, ht_im) - ht) <= 1e-14 * abs(ht)
 
 
 def test_failed_stage_is_built_once(monkeypatch):

@@ -197,7 +197,7 @@ def test_periods_scaling_and_translation():
 
 
 def test_half_periods_hit_branch_values(golden_branch, golden_lattice):
-    ht = half_period_table(golden_branch, golden_lattice)
+    ht = half_period_table(golden_branch)
     assert sorted(ht.perm) == [1, 2, 3]
     te = golden_branch.tilde_es
     for k in range(3):

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from elliptau.curve import abel_with_y
+import elliptau.curve
+from elliptau.curve import BranchConfig, abel_with_y
 from elliptau.elliptic import sigma, sigma_char
 from elliptau.errors import DegenerateParameterError
 import elliptau.isomono
@@ -34,6 +35,24 @@ def test_params_validation(golden_branch):
     # theta[1/2,1/2](t/omega1) vanishes at t ~ 0, so p=q=1/2 with t=0 is out
     with pytest.raises(DegenerateParameterError):
         make_params(golden_branch, 2.0, 0.0, 0.5, 0.5)
+
+
+def test_half_period_table_is_built_once_per_branch(monkeypatch):
+    branch = BranchConfig(1.0, 0.05j, -1.0)  # a branch no other test builds
+    first = make_params(branch, 2.0, 0.1, 0.3, 0.2)
+    halves = first.half_periods.omega_tilde
+    at_half_periods = []
+    real = elliptau.curve.wp
+
+    def spy(lat, u):
+        if any(abs(u - h) < 1e-12 for h in halves):
+            at_half_periods.append(u)
+        return real(lat, u)
+
+    monkeypatch.setattr(elliptau.curve, "wp", spy)
+    second = make_params(branch, 2.0, 0.2, 0.3, 0.2)
+    assert at_half_periods == []
+    assert second.half_periods is first.half_periods
 
 
 def test_phi_cycle_transformations(golden):

@@ -3,8 +3,11 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
+import elliptau.elliptic
+from elliptau.curve import BranchConfig, periods
 from elliptau.elliptic import (
     HALF_HALF,
     MAX_TERMS,
@@ -103,3 +106,59 @@ def test_term_budget_exhaustion_carries_arguments():
 def test_derivative_order_validation():
     with pytest.raises(ValueError):
         theta_dz(HALF_HALF, 0.0, 1j, 6)
+
+
+def _direct_sum(char, z, Omega, order, rings=80):
+    """Reference: the series term by term over |n| <= rings, order-th z-derivative."""
+    terms = []
+    for n in range(-rings, rings + 1):
+        m = n + char.p
+        terms.append((2j * math.pi * m) ** order * cmath.exp(
+            1j * math.pi * Omega * m * m + 2j * math.pi * m * (z + char.q)))
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+@pytest.mark.parametrize("Omega, zs", [
+    # |Im z| up to 7 at Omega = i: the terms peak near ring 7
+    (1j, np.linspace(-0.5, 0.5, 9) + 1j * np.linspace(-7.0, 7.0, 9)),
+    # Im Omega at the admissible floor 0.05: slow Gaussian decay
+    (0.3 + 0.05j, np.linspace(-0.5, 0.5, 7) + 0.3j * np.linspace(-1.0, 1.0, 7)),
+    # the lattice of the nearly degenerate branch (1.01, 1, -1)
+    (None, np.linspace(-0.5, 0.5, 7) + 1j * np.linspace(-1.5, 1.5, 7)),
+])
+def test_array_kernel_matches_size_one(monkeypatch, Omega, zs):
+    if Omega is None:
+        Omega = periods(BranchConfig(1.01, 1.0, -1.0)).Omega
+    ring_bounds = []
+    real = elliptau.elliptic._rings
+
+    def spy(p, done, K, *rest):
+        ring_bounds.append(K)
+        return real(p, done, K, *rest)
+
+    ch = ThetaChar(0.3, 0.2)
+    monkeypatch.setattr(elliptau.elliptic, "_rings", spy)
+    arrays = [theta(ch, zs, Omega), theta_dz(ch, zs, Omega, 1),
+              theta_dz(ch, zs, Omega, 5), theta_dOmega(ch, zs, Omega)]
+    monkeypatch.undo()
+    assert max(ring_bounds) > 8
+    singles = [[theta(ch, z, Omega) for z in zs.tolist()],
+               [theta_dz(ch, z, Omega, 1) for z in zs.tolist()],
+               [theta_dz(ch, z, Omega, 5) for z in zs.tolist()],
+               [theta_dOmega(ch, z, Omega) for z in zs.tolist()]]
+    for arr, one in zip(arrays, singles):
+        assert arr.shape == zs.shape
+        one = np.array(one)
+        assert np.all(np.abs(arr - one) <= 1e-14 * np.abs(one))
+    # exponents reach ~150 at |Im z| = 7, and exp turns their rounding into
+    # ~150 ulp of relative error in either summation
+    for arr, order in zip(arrays[:3], (0, 1, 5)):
+        ref = np.array([_direct_sum(ch, z, Omega, order) for z in zs.tolist()])
+        assert np.all(np.abs(arr - ref) <= 2e-13 * np.abs(ref))
+
+
+def test_array_kernel_keeps_the_shape_of_z():
+    zs = np.array([[0.1, 0.2 + 0.1j], [-0.3j, 0.4]])
+    assert theta(HALF_HALF, zs, 1j).shape == (2, 2)
+    assert theta(HALF_HALF, np.zeros(0), 1j).shape == (0,)
+    assert isinstance(theta(HALF_HALF, 0.1, 1j), complex)
