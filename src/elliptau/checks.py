@@ -59,7 +59,7 @@ from .monodromy import (
     sector_connection_residuals,
     trivial_loop_identity,
 )
-from .scenario import check_stream
+from .scenario import admissible_branch, check_stream
 from .tau import (
     SigmaShiftParams,
     H_nu,
@@ -192,6 +192,25 @@ class CheckContext:
         return self._get("numM", lambda: monodromy_matrices(
             self.params, sol=self.sol, coeffs=self.coeffs))
 
+    def _ring_radius(self, center):
+        """0.05 of the distance from center to the nearest other singular point."""
+        sing = list(self.branch.es) + [self.params.a]
+        return 0.05 * min(abs(center - s) for s in sing if s != center)
+
+    @property
+    def y1_moment(self):
+        """The order-1 Cauchy moment of the hatted solution on 48 points at a."""
+        a = self.params.a
+        return self._get("y1_moment", lambda: ring_moments(
+            self.sol.hatted, a, self._ring_radius(a), 48, (1,))[1])
+
+    @property
+    def residues(self):
+        """Contour residues of tr A^2/2 at e1, e2, e3 and a, 64 points each."""
+        return self._get("residues", lambda: [
+            ring_moments(self.coeffs.trace_A2_half, s, self._ring_radius(s), 64, (-1,))[-1]
+            for s in list(self.branch.es) + [self.params.a]])
+
 
 def _random_lattice(rng):
     w1 = (0.6 + rng.uniform(0.0, 1.2)) * rng.unit_phase()
@@ -213,27 +232,15 @@ def _random_u(rng, lat):
             + rng.uniform(0.08, 0.42) * lat.omega2)
 
 
-def _random_branch(rng):
-    while True:
-        es = tuple(rng.complex_box(-1.2, 1.2) for _ in range(3))
-        gaps = [abs(es[i] - es[j]) for i in range(3) for j in range(i + 1, 3)]
-        if min(gaps) >= 0.3 * max(gaps) and max(gaps) >= 0.5:
-            try:
-                b = BranchConfig(*es)
-                if periods(b).Omega.imag >= 0.05:
-                    return b
-            except EllipTauError:
-                continue
-
-
-def circle_mean(f, center, radius, n=64):
-    """Trapezoidal (1/n) sum of f(x) (x-center) over |x-center|=radius: the
-    Cauchy residue of f at the center."""
-    acc = 0j
-    for j in range(n):
-        w = radius * cmath.exp(2j * math.pi * j / n)
-        acc += f(center + w) * w
-    return acc / n
+def ring_moments(f, center, radius, n, orders):
+    """Trapezoidal Cauchy moments (1/n) sum_j f(x_j) (x_j - center)^(-k), k in
+    orders, over n equispaced x_j on |x - center| = radius; f is called once
+    on all x_j.  Moment k estimates the Taylor coefficient of (x - center)^k
+    (k = -1: the residue), spectrally for a ring well inside the nearest
+    other singularity."""
+    w = radius * np.exp(2j * math.pi * np.arange(n) / n)
+    values = f(center + w)
+    return {k: np.tensordot(w ** -k, values, axes=(0, 0)) / n for k in orders}
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +265,7 @@ def check_legendre(ctx, rng, tol):
 def check_heat_equation(ctx, rng, tol):
     worst = 0.0
     for i in range(10):
-        for j in range(int(max(2, 10 * ctx.draw_scale))):
+        for j in range(ctx.draws(10)):
             Om = complex(-0.4 + 0.08 * i, 0.3 + 0.15 * j)
             z = complex(-0.5 + 0.1 * i, -0.3 + 0.07 * j)
             ch = _random_char(rng)
@@ -339,7 +346,7 @@ def check_sigma_homogeneity(ctx, rng, tol):
 def _branch_samples(ctx, rng, base_count):
     out = [ctx.branch]
     for _ in range(ctx.draws(base_count, minimum=1)):
-        out.append(_random_branch(rng))
+        out.append(admissible_branch(rng))
     return out
 
 
@@ -463,18 +470,16 @@ def check_det_phi_zeros(ctx, rng, tol):
 
 
 def check_y_normalization(ctx, rng, tol):
-    mom = ctx.sol.y_ring_moments(0.02 * min(abs(ctx.params.a - e)
-                                            for e in ctx.branch.es),
-                                 npoints=32, orders=(0,))
+    a = ctx.params.a
+    mom = ring_moments(ctx.sol.hatted, a, 0.02 * min(abs(a - e) for e in ctx.branch.es),
+                       32, (0,))
     res = float(np.max(np.abs(mom[0] - np.eye(2))))
     return res, "ring average of Y exp(-T) minus identity"
 
 
 def check_y1_closed_form(ctx, rng, tol):
-    r = 0.05 * min(abs(ctx.params.a - e) for e in ctx.branch.es)
-    mom = ctx.sol.y_ring_moments(r, npoints=48, orders=(1,))
     Y1 = ctx.sol.y1_closed_form()
-    res = float(np.max(np.abs(mom[1] - Y1)) / max(1.0, float(np.max(np.abs(Y1)))))
+    res = float(np.max(np.abs(ctx.y1_moment - Y1)) / max(1.0, float(np.max(np.abs(Y1)))))
     return res, "Cauchy-moment extraction vs closed form"
 
 
@@ -563,30 +568,19 @@ def check_deformation_equation(ctx, rng, tol):
 
 
 def check_residue_identity(ctx, rng, tol):
-    p = ctx.params
     worst = 0.0
-    for nu in (1, 2, 3):
-        e = ctx.branch.es[nu - 1]
-        r = 0.05 * min(abs(e - s) for s in
-                       [x for x in ctx.branch.es if x != e] + [p.a])
-        num = circle_mean(ctx.coeffs.trace_A2_half, e, r, n=64)
-        worst = max(worst, abs(num - residue_formula(p, nu))
+    for nu, num in zip((1, 2, 3), ctx.residues):
+        worst = max(worst, abs(num - residue_formula(ctx.params, nu))
                     / max(1.0, abs(num)))
     return worst, "analytic seven-term value vs contour residue of tr A^2/2"
 
 
 def check_residue_sum_rule(ctx, rng, tol):
-    p = ctx.params
-    total = 0j
-    for e in list(ctx.branch.es) + [p.a]:
-        r = 0.05 * min(abs(e - s) for s in
-                       [x for x in list(ctx.branch.es) + [p.a] if x != e])
-        total += circle_mean(ctx.coeffs.trace_A2_half, e, r, n=64)
     c = ctx.branch.centroid
-    R = 6.0 * max(max(abs(s - c) for s in list(ctx.branch.es) + [p.a]),
+    R = 6.0 * max(max(abs(s - c) for s in list(ctx.branch.es) + [ctx.params.a]),
                   ctx.branch.scale)
-    big = circle_mean(ctx.coeffs.trace_A2_half, c, R, n=256)
-    return abs(total - big), "finite residues vs the enclosing contour"
+    big = ring_moments(ctx.coeffs.trace_A2_half, c, R, 256, (-1,))[-1]
+    return abs(sum(ctx.residues) - big), "finite residues vs the enclosing contour"
 
 
 def _fd(params, f, direction, h):
@@ -661,10 +655,9 @@ def check_hamiltonian_cross(ctx, rng, tol):
 
 def check_h_t_residue_oracle(ctx, rng, tol):
     p = ctx.params
-    r = 0.05 * min(abs(p.a - e) for e in ctx.branch.es)
-    mom = ctx.sol.y_ring_moments(r, npoints=48, orders=(1,))
+    mom = ctx.y1_moment
     wp1 = p.wp_a.wp_prime
-    lhs = wp1 * 0.5 * (mom[1][0, 0] - mom[1][1, 1])
+    lhs = wp1 * 0.5 * (mom[0, 0] - mom[1, 1])
     rhs = H_t(p)
     return abs(lhs - rhs) / max(1.0, abs(rhs)), \
         "residue definition via Cauchy moments vs closed form"

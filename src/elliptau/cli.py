@@ -43,6 +43,8 @@ def _parse_grid(spec):
             f"grid must look like t=start:stop:step, got {spec!r}") from exc
     if var.strip() != "t":
         raise ScenarioError(f"only a t-grid is supported, got {var!r}")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ScenarioError(f"grid start, stop and step must be finite, got {spec!r}")
     if step <= 0 or stop < start:
         raise ScenarioError("grid step must be positive and stop >= start")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1

@@ -13,12 +13,12 @@ Conventions, fixed once for the whole package:
 * zeta = sigma'/sigma, wp = -zeta'; derivatives of wp are taken analytically
   through the theta representation, never by finite differences.
 
-Every theta value comes from one kernel that sums a block of rings
-|n| <= K for a whole array of z at once (theta, theta_dz, theta_dOmega and
-sigma_char_dlog accept arrays; a single z is the cached size-1 call).  K
-grows 8, 16, 32, ... up to MAX_TERMS = 200 until the edge terms fall below
-SERIES_TOL = 1e-16 of the running scale at every z, else it raises
-ThetaConvergenceError.  These are module constants, not options.
+Every public function of z or u takes a number (the cached size-1 call of
+one kernel) or an array (one call of it, result in the array's shape).  The
+kernel sums a block of rings |n| <= K at every point; K grows 8, 16, 32, ...
+up to MAX_TERMS = 200 until the edge terms fall below SERIES_TOL = 1e-16 of
+the running scale at every z, else it raises ThetaConvergenceError.  These
+are module constants, not options.
 """
 
 from __future__ import annotations
@@ -113,25 +113,37 @@ def _theta_jet(char, z, Omega, kmax, with_dOmega=False):
     return tuple(rows[:kmax + 1]), (rows[-1] if with_dOmega else None)
 
 
+def _arg(z):
+    """A number as a Python complex (the cached path), an array as a complex array."""
+    if isinstance(z, np.ndarray) and z.ndim:
+        return z.astype(complex, copy=False)
+    return complex(z)
+
+
+def _math(w):
+    """cmath for a number, numpy for an array: exp and sqrt of either."""
+    return np if isinstance(w, np.ndarray) else cmath
+
+
 def _theta_rows(char, z, Omega, kmax, with_dOmega=False):
     """(jet, dOmega) as _theta_jet returns them; an array of z goes to one
     uncached _theta_block call and gives rows of z's shape."""
-    if np.ndim(z) == 0:
-        return _theta_jet(char, complex(z), complex(Omega), kmax, with_dOmega)
-    z = np.asarray(z, dtype=complex)
+    z = _arg(z)
+    if not isinstance(z, np.ndarray):
+        return _theta_jet(char, z, complex(Omega), kmax, with_dOmega)
     rows = _theta_block(char, z.ravel(), complex(Omega), kmax, with_dOmega)
     rows = rows.reshape((len(rows),) + z.shape)
     return rows[:kmax + 1], (rows[-1] if with_dOmega else None)
 
 
 def theta(char, z, Omega):
-    """theta[p,q](z; Omega) by direct summation; z a number or an array."""
+    """theta[p,q](z; Omega) by direct summation."""
     jet, _ = _theta_rows(char, z, Omega, 0)
     return jet[0]
 
 
 def theta_dz(char, z, Omega, order=1):
-    """Termwise z-derivative of theta[p,q], order in 1..5; z a number or an array."""
+    """Termwise z-derivative of theta[p,q], order in 1..5."""
     if order not in (1, 2, 3, 4, 5):
         raise ValueError(f"derivative order must be in 1..5, got {order}")
     jet, _ = _theta_rows(char, z, Omega, order)
@@ -140,7 +152,7 @@ def theta_dz(char, z, Omega, order=1):
 
 def theta_dOmega(char, z, Omega):
     """Termwise Omega-derivative of theta[p,q]; satisfies the heat equation
-    theta_zz = 4*pi*i * theta_dOmega.  z a number or an array."""
+    theta_zz = 4*pi*i * theta_dOmega."""
     _, dom = _theta_rows(char, z, Omega, 0, with_dOmega=True)
     return dom
 
@@ -222,21 +234,26 @@ _FACT = [1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0]
 
 def _theta11_logdiv(lat, u, depth):
     """Derivatives d^m/dz^m [theta11'/theta11](u/omega1) for m = 0..depth-1;
-    raises LatticePoleError within 1e-12 of a lattice point."""
-    u = complex(u)
-    if abs(lat.reduce(u)[0]) <= 1e-12 * lat.unit():
-        raise LatticePoleError(f"u={u} is within 1e-12 of a lattice point")
-    jet, _ = _theta_jet(HALF_HALF, u / lat.omega1, lat.Omega, depth)
+    raises LatticePoleError naming the first u within 1e-12 of the lattice."""
+    u = _arg(u)
+    for v in (u.ravel() if isinstance(u, np.ndarray) else (u,)):
+        if abs(lat.reduce(v)[0]) <= 1e-12 * lat.unit():
+            raise LatticePoleError(f"u={complex(v)} is within 1e-12 of a lattice point")
+    jet, _ = _theta_rows(HALF_HALF, u / lat.omega1, lat.Omega, depth)
     g = _logdiv_coeffs([jet[k] / _FACT[k] for k in range(depth + 1)])
     return [g[m] * _FACT[m] for m in range(depth)]
 
 
+def _gauss(lat, u):
+    """exp(eta1 u^2/(2 omega1)) omega1/theta11', the prefactor of every sigma."""
+    d1, _, _ = theta11_constants(lat.Omega)
+    return _math(u).exp(lat.eta1 * u * u / (2 * lat.omega1)) * (lat.omega1 / d1)
+
+
 def sigma_char(lat, char, u):
     """sigma[p,q](u) = exp(eta1 u^2/(2 omega1)) (omega1/theta11') theta[p,q](u/omega1)."""
-    u = complex(u)
-    d1, _, _ = theta11_constants(lat.Omega)
-    gauss = cmath.exp(lat.eta1 * u * u / (2 * lat.omega1))
-    return gauss * (lat.omega1 / d1) * theta(char, u / lat.omega1, lat.Omega)
+    u = _arg(u)
+    return _gauss(lat, u) * theta(char, u / lat.omega1, lat.Omega)
 
 
 def sigma(lat, u):
@@ -245,20 +262,17 @@ def sigma(lat, u):
 
 
 def sigma_char_dlog(lat, char, u):
-    """Logarithmic derivative sigma[p,q]'(u)/sigma[p,q](u); u a number or an array."""
+    """Logarithmic derivative sigma[p,q]'(u)/sigma[p,q](u)."""
+    u = _arg(u)
     jet, _ = _theta_rows(char, u / lat.omega1, lat.Omega, 1)
     return lat.eta1 * u / lat.omega1 + jet[1] / (jet[0] * lat.omega1)
 
 
 def sigma_char_du(lat, char, u):
     """Plain derivative sigma[p,q]'(u); regular at the zeros of sigma[p,q]."""
-    u = complex(u)
-    d1, _, _ = theta11_constants(lat.Omega)
-    jet, _ = _theta_jet(char, u / lat.omega1, lat.Omega, 1)
-    gauss = cmath.exp(lat.eta1 * u * u / (2 * lat.omega1))
-    return gauss * (lat.omega1 / d1) * (
-        (lat.eta1 * u / lat.omega1) * jet[0] + jet[1] / lat.omega1
-    )
+    u = _arg(u)
+    jet, _ = _theta_rows(char, u / lat.omega1, lat.Omega, 1)
+    return _gauss(lat, u) * ((lat.eta1 * u / lat.omega1) * jet[0] + jet[1] / lat.omega1)
 
 
 def sigma_du(lat, u):
@@ -268,6 +282,7 @@ def sigma_du(lat, u):
 
 def zeta(lat, u):
     """Weierstrass zeta = sigma'/sigma."""
+    u = _arg(u)
     (g0,) = _theta11_logdiv(lat, u, 1)
     return lat.eta1 * u / lat.omega1 + g0 / lat.omega1
 

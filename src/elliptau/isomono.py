@@ -16,7 +16,9 @@ Everything here evaluates on one coherent branch: alpha and the sign of
 wp'(alpha) come from the curve module's sheet-1 frame.  With the rows at
 u = +-alpha, det Phi(u) = sigma[p,q](t)^2 sigma(2 alpha) sigma(2u), so the
 square root of det Phi is sigma[p,q](t) sigma(2 alpha) times the principal
-root of sigma(2u)/sigma(2 alpha); y_at and hatted both take that root.
+root of sigma(2u)/sigma(2 alpha); y_at and hatted both take that root.  Its
+slope at the half period over e_nu is D^(nu) of the frame there.  Pi,
+Pi_hat, row_hat, u_near_a and hatted take a number or an array of points.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .curve import BranchConfig, HalfPeriodTable, WpAtA
 from .elliptic import (
     Lattice,
     ThetaChar,
+    _math,
     sigma,
     sigma_char,
     sigma_char_dlog,
@@ -270,7 +273,8 @@ class YSolution:
     # -- local evaluation near x = a (single-valued, overflow-free) ---------
 
     def u_near_a(self, x):
-        """Abel coordinate near alpha by series seed plus Newton refinement."""
+        """Abel coordinate near alpha by series seed plus Newton refinement;
+        x a number or an array (Newton runs until every point converged)."""
         p = self.params
         c1, c2, c3 = _curve.local_inverse_coeffs(p.branch, p.a)
         w = x - p.a
@@ -279,8 +283,8 @@ class YSolution:
         for _ in range(8):
             f = wp(p.lat, u) + shift - x
             du = f / wp_prime(p.lat, u)
-            u -= du
-            if abs(du) <= 1e-14 * max(1.0, abs(u)):
+            u = u - du
+            if np.all(np.abs(du) <= 1e-14 * np.maximum(1.0, np.abs(u))):
                 break
         return u
 
@@ -289,7 +293,7 @@ class YSolution:
 
         Evaluated through the hatted entries and the regular part of Pi, so
         the irregular exponentials never appear; usable arbitrarily close to
-        x = a.
+        x = a.  x a number (a 2x2 result) or an array (x.shape + (2, 2)).
         """
         p = self.params
         if u is None:
@@ -297,8 +301,7 @@ class YSolution:
         ph = self.phi
         al = p.alpha
         pih = ph.Pi_hat(u, x)
-        col1 = cmath.exp(pih)
-        col2 = cmath.exp(-pih)
+        col1, col2 = _math(pih).exp(pih), _math(pih).exp(-pih)
         r11, r12 = ph.row_hat(u, al), ph.row_hat(-u, al)
         r21, r22 = ph.row_hat(u, -al), ph.row_hat(-u, -al)
         mat = np.array([[r11 * col1, r12 * col2],
@@ -306,32 +309,15 @@ class YSolution:
         # Y = N Phi / sqrt(det Phi(u)); N carries the sqrt(det Phi(a)) factor,
         # and det Phi(u) is PhiMatrix.det from the same four row values
         det = r11 * r22 - r12 * r21
-        ratio = 1.0 / (self.sqrt_det_a * cmath.sqrt(det / self.det_a))
-        return ratio * (self.N @ mat)
+        ratio = 1.0 / (self.sqrt_det_a * _math(det).sqrt(det / self.det_a))
+        mat = np.moveaxis(mat, (0, 1), (-2, -1))  # entry axes last, per point
+        return np.asarray(ratio)[..., None, None] * (self.N @ mat)
 
     def exp_T_a(self, x):
         """exp T^(a)(x) = diag(exp(-c/(x-a)), exp(c/(x-a))), c = wp'(alpha) t/2."""
         p = self.params
         c = p.wp_a.wp_prime * p.t / 2.0
         return np.diag([cmath.exp(-c / (x - p.a)), cmath.exp(c / (x - p.a))])
-
-    def y_ring_moments(self, radius, npoints=32, orders=(0, 1)):
-        """Trapezoidal Cauchy moments of the hatted solution on |x-a| = radius.
-
-        moment k estimates the coefficient of (x-a)^k; spectrally accurate
-        for radius well inside the nearest singularity.
-        """
-        p = self.params
-        out = {k: np.zeros((2, 2), dtype=complex) for k in orders}
-        for j in range(npoints):
-            th = 2.0 * math.pi * j / npoints
-            x = p.a + radius * cmath.exp(1j * th)
-            R = self.hatted(x)
-            for k in orders:
-                out[k] += R * cmath.exp(-1j * k * th)
-        for k in orders:
-            out[k] /= npoints * radius**k
-        return out
 
     def y1_closed_form(self):
         """The (x-a)-linear coefficient of the hatted solution, in closed form.
@@ -404,18 +390,18 @@ class SystemCoefficients:
         return out
 
     def trace_A2_half(self, x):
-        A = self.A_of(x)
-        return 0.5 * np.trace(A @ A)
+        """(1/2) tr A(x)^2; x a number or an array, in one A_of call."""
+        A = self.A_of(np.asarray(x)[..., None, None])
+        return 0.5 * np.trace(A @ A, axis1=-2, axis2=-1)
 
 
 def coefficients(params, m_inf=-1j, phi=None, sol=None):
     """Assemble B_{-1}, B_0, A_nu, the frames G^(nu), G^(inf), and D^(nu).
 
     Each finite branch point uses the half period lying over it.  D^(nu) is
-    the product formula by default, replaced by the slope of det Phi at the
-    half period when phi or psi nearly vanishes there (removes a 0*inf
-    cancellation).  The quarter powers use principal branches; conjugation
-    cancels any global quarter-power ambiguity in A_nu.
+    the slope of det Phi at that half period, which stays exact where phi or
+    psi vanishes there.  The quarter powers use principal branches;
+    conjugation cancels any global quarter-power ambiguity in A_nu.
     """
     p = params
     if phi is None:
@@ -433,7 +419,6 @@ def coefficients(params, m_inf=-1j, phi=None, sol=None):
     hpt = p.half_periods
     es = p.branch.es
     A, G, D = {}, {}, {}
-    scale_hint = abs(sigma_char(p.lat, p.char, p.t))
     al = p.alpha
     for nu in (1, 2, 3):
         k = hpt.slot_of_branch(nu)
@@ -442,11 +427,7 @@ def coefficients(params, m_inf=-1j, phi=None, sol=None):
         m = slots[k]
         ph_h, ps_h = phi.row(h, al), phi.row(h, -al)
         dl_ph, dl_ps = phi.dlog_row(h, al), phi.dlog_row(h, -al)
-        dekont = phi.det_du(h)
-        if min(abs(ph_h), abs(ps_h)) < 1e-10 * max(1.0, scale_hint):
-            Dv = dekont
-        else:
-            Dv = (2.0 * m / m_inf) * ph_h * ps_h * (dl_ph - dl_ps)
+        Dv = phi.det_du(h)
         if abs(Dv) == 0:
             raise DegenerateParameterError(f"D at half period over e_{nu} vanished")
         e_t = [x for j, x in enumerate(es, start=1) if j != nu]

@@ -162,24 +162,36 @@ def golden_dict():
             "checks": [], "tolerances": {}}
 
 
-def random_admissible_scenario(rng, seed=0):
-    """Draw branch points, a, t, p, q satisfying the admissibility bounds.
-
-    Branch points keep a minimum pairwise separation of 0.3 of their spread,
-    a stays at least 0.4 of the spread away from every branch point, |t| is
-    at most 0.3, p and q are real in (0.05, 0.95) away from 0.5 by at least
-    0.05, and the period ratio satisfies Im >= 0.05 (checked by the caller
-    when the lattice is built).
-    """
+def admissible_branch(rng):
+    """Draw three branch points from complex_box(-1.2, 1.2) until their
+    minimum pairwise gap is at least 0.3 of their spread, the spread is at
+    least 0.5 and the period ratio has Im >= 0.05; at most 500 attempts."""
     for _ in range(500):
         es = tuple(rng.complex_box(-1.2, 1.2) for _ in range(3))
-        scale = max(abs(es[i] - es[j]) for i in range(3) for j in range(i + 1, 3))
-        gap = min(abs(es[i] - es[j]) for i in range(3) for j in range(i + 1, 3))
-        if gap < 0.3 * scale or scale < 0.5:
+        gaps = [abs(es[i] - es[j]) for i in range(3) for j in range(i + 1, 3)]
+        if min(gaps) < 0.3 * max(gaps) or max(gaps) < 0.5:
             continue
-        centroid = sum(es) / 3.0
-        a = centroid + (0.8 + rng.uniform(0.0, 1.2) * scale) * rng.unit_phase()
-        if min(abs(a - e) for e in es) < 0.4 * scale:
+        try:
+            branch = BranchConfig(*es)
+            if periods(branch).Omega.imag >= 0.05:
+                return branch
+        except EllipTauError:
+            continue
+    raise ScenarioError("could not draw an admissible branch")
+
+
+def random_admissible_scenario(rng, seed=0):
+    """Draw an admissible branch, then a, t, p, q within the bounds.
+
+    a stays at least 0.4 of the branch spread away from every branch point,
+    |t| is at most 0.3, and p and q are real in (0.05, 0.95) away from 0.5 by
+    at least 0.05; a rejected draw starts over with a new branch, for at
+    most 500 attempts.
+    """
+    for _ in range(500):
+        branch = admissible_branch(rng)
+        a = branch.centroid + (0.8 + rng.uniform(0.0, 1.2) * branch.scale) * rng.unit_phase()
+        if min(abs(a - e) for e in branch.es) < 0.4 * branch.scale:
             continue
         t = rng.uniform(0.05, 0.3) * rng.unit_phase()
         p = rng.uniform(0.05, 0.95)
@@ -188,12 +200,5 @@ def random_admissible_scenario(rng, seed=0):
         q = rng.uniform(0.05, 0.95)
         if abs(q - 0.5) < 0.05:
             continue
-        try:
-            branch = BranchConfig(*es)
-            lat = periods(branch)
-        except EllipTauError:
-            continue
-        if lat.Omega.imag < 0.05:
-            continue
-        return Scenario(e=es, a=a, t=t, p=p, q=q, seed=seed)
+        return Scenario(e=branch.es, a=a, t=t, p=p, q=q, seed=seed)
     raise ScenarioError("could not draw an admissible scenario")

@@ -440,6 +440,15 @@ def test_cli_tau_bad_grid_exits_2(tmp_path):
     assert main(["tau", "--scenario", str(scenario), "--grid", "t=0:1:-0.1"]) == 2
 
 
+@pytest.mark.parametrize("grid", ["t=0:1:nan", "t=nan:1:0.1", "t=0:inf:0.1"])
+def test_cli_tau_non_finite_grid_exits_2(tmp_path, capsys, grid):
+    scenario = tmp_path / "golden.json"
+    scenario.write_text(json.dumps(golden_dict()))
+    assert main(["tau", "--scenario", str(scenario), "--grid", grid]) == 2
+    assert "configuration error: grid start, stop and step must be finite" in \
+        capsys.readouterr().err
+
+
 def test_cli_monodromy_prints_matrix(tmp_path, capsys):
     scenario = tmp_path / "golden.json"
     scenario.write_text(json.dumps(golden_dict()))

@@ -49,3 +49,15 @@ def test_concurrent_evaluation_is_consistent():
     assert np.allclose(serial, parallel, rtol=0, atol=0)
     vals = [theta(HALF_HALF, 0.2 + 0.1j, 1j) for _ in range(4)]
     assert len(set(vals)) == 1
+
+
+def test_heat_equation_rounds_its_draw_count_like_every_check(monkeypatch):
+    # 10 * 0.35 rounds to 4 draws per row of the grid, as ctx.draws does
+    import elliptau.checks as checks
+
+    chars = []
+    real = checks._random_char
+    monkeypatch.setattr(checks, "_random_char", lambda rng: chars.append(1) or real(rng))
+    ctx = checks.CheckContext(GOLDEN, draw_scale=0.35)
+    checks.check_heat_equation(ctx, checks.check_stream(GOLDEN.seed, "heat_equation"), 1e-9)
+    assert len(chars) == 10 * ctx.draws(10) == 40

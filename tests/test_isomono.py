@@ -11,7 +11,7 @@ from elliptau.curve import BranchConfig, abel_with_y
 from elliptau.elliptic import sigma, sigma_char
 from elliptau.errors import DegenerateParameterError
 import elliptau.isomono
-from elliptau.checks import check_deformation_equation
+from elliptau.checks import check_deformation_equation, ring_moments, run_checks
 from elliptau.isomono import (
     PhiMatrix,
     build_phi,
@@ -148,7 +148,7 @@ def test_normalization_limit(golden):
     assert res[0] < 5e-3
     # first-order vanishing: shrinks linearly with the radius
     assert res[1] < 0.2 * res[0]
-    mom = sol.y_ring_moments(0.02, npoints=32, orders=(0,))
+    mom = ring_moments(sol.hatted, a, 0.02, 32, (0,))
     assert np.max(np.abs(mom[0] - np.eye(2))) < 1e-8
 
 
@@ -162,7 +162,7 @@ def test_det_Y_is_unimodular(golden):
 
 def test_y1_cauchy_vs_closed_form(golden):
     sol = golden.sol
-    mom = sol.y_ring_moments(0.05, npoints=48, orders=(1,))
+    mom = ring_moments(sol.hatted, golden.params.a, 0.05, 48, (1,))
     Y1 = sol.y1_closed_form()
     assert np.max(np.abs(mom[1] - Y1)) < 1e-7
     # trace structure: diagonal entries are opposite
@@ -358,3 +358,104 @@ def test_deformation_check_reuses_base_stage(golden, monkeypatch):
     # six residuals (three directions, two steps), each at its +-h neighbours only
     assert len(calls) == 12
     assert all(q is not p for q in calls)
+
+
+def _scalar_y_ring_moments(sol, radius, npoints, orders):
+    """Reference: the per-point trapezoidal loop that ring_moments replaced."""
+    a = sol.params.a
+    out = {k: np.zeros((2, 2), dtype=complex) for k in orders}
+    for j in range(npoints):
+        th = 2.0 * math.pi * j / npoints
+        R = sol.hatted(a + radius * cmath.exp(1j * th))
+        for k in orders:
+            out[k] += R * cmath.exp(-1j * k * th)
+    return {k: out[k] / (npoints * radius**k) for k in orders}
+
+
+def _scalar_residue(coeffs, center, radius, n):
+    """Reference: the per-point circle mean that ring_moments replaced."""
+    acc = 0j
+    for j in range(n):
+        w = radius * cmath.exp(2j * math.pi * j / n)
+        A = coeffs.A_of(center + w)
+        acc += 0.5 * np.trace(A @ A) * w
+    return acc / n
+
+
+@pytest.mark.parametrize("seed", [None, 3, 4])
+def test_ring_moments_match_the_scalar_loops(seed):
+    s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
+    p = make_params(s.branch, s.a, s.t, s.p, s.q)
+    sol = normalize_Y(p)
+    co = coefficients(p, sol=sol, phi=sol.phi)
+    r = 0.05 * min(abs(p.a - e) for e in p.branch.es)
+    got = ring_moments(sol.hatted, p.a, r, 32, (0, 1))
+    ref = _scalar_y_ring_moments(sol, r, 32, (0, 1))
+    # the order-1 moment is the ring values' sum over r: both loops compare on
+    # the scale of those values, which each carry ~1e-13 of rounding near a
+    # (see test_hatted_on_an_array_equals_pointwise)
+    for k in (0, 1):
+        assert (np.max(np.abs(got[k] - ref[k])) * r**k
+                <= 1e-13 * np.max(np.abs(ref[0])))
+    for e in p.branch.es:
+        r = 0.05 * min(abs(e - x) for x in list(p.branch.es) + [p.a] if x != e)
+        got = ring_moments(co.trace_A2_half, e, r, 64, (-1,))[-1]
+        ref = _scalar_residue(co, e, r, 64)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("seed", [None, 3, 4])
+def test_hatted_on_an_array_equals_pointwise(seed):
+    # Pi_hat cancels the pole c/(x-a) of Pi, so a rounding of u costs
+    # ~1e-16 (dist/r)^2 relative at radius r from a in either path: 2e-13 at
+    # the 48-point ring of the checks (r = 0.05 dist), 1e-14 at r = 0.2 dist
+    s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
+    p = make_params(s.branch, s.a, s.t, s.p, s.q)
+    sol = normalize_Y(p)
+    dist = min(abs(p.a - e) for e in p.branch.es)
+    ring = np.exp(2j * math.pi * (np.arange(8) + 0.3) / 8)
+    xs = p.a + dist * np.array([0.05 * ring, 0.2 * ring])
+    arr = sol.hatted(xs)
+    assert arr.shape == (2, 8, 2, 2)
+    for idx in np.ndindex(xs.shape):
+        one = sol.hatted(complex(xs[idx]))
+        assert np.max(np.abs(arr[idx] - one)) <= 1e-12 * np.max(np.abs(one))
+
+
+def test_verify_evaluates_each_shared_ring_once(monkeypatch):
+    hatted = elliptau.isomono.YSolution.hatted
+    trace = elliptau.isomono.SystemCoefficients.trace_A2_half
+    array_x, rings = [], []
+
+    def count_hatted(self, x, u=None):
+        if np.ndim(x):
+            array_x.append(len(x))
+        return hatted(self, x, u)
+
+    def count_trace(self, x):
+        rings.append((np.round(np.mean(x), 12), np.round(abs(x[0] - np.mean(x)), 12)))
+        return trace(self, x)
+
+    monkeypatch.setattr(elliptau.isomono.YSolution, "hatted", count_hatted)
+    monkeypatch.setattr(elliptau.isomono.SystemCoefficients, "trace_A2_half", count_trace)
+    report = run_checks(GOLDEN)
+    assert report.overall == "pass"
+    assert array_x == [32, 48]
+    assert len(rings) == len(set(rings)) <= 5
+
+
+@pytest.mark.parametrize("seed", [None, 3, 4, 5])
+def test_d_is_the_product_formula(seed):
+    # D^(nu) = det Phi'(h) equals (2m/m_inf) phi psi (dlog phi - dlog psi) at
+    # the half period h over e_nu wherever phi and psi do not vanish there
+    s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
+    p = make_params(s.branch, s.a, s.t, s.p, s.q)
+    phi = build_phi(p)
+    co = coefficients(p, phi=phi)
+    slots = theoretical_monodromy(p).m
+    for nu in (1, 2, 3):
+        h = p.half_periods.omega_tilde[p.half_periods.slot_of_branch(nu)]
+        ph, ps = phi.row(h, p.alpha), phi.row(h, -p.alpha)
+        product = ((2.0 * slots[nu] / -1j) * ph * ps
+                   * (phi.dlog_row(h, p.alpha) - phi.dlog_row(h, -p.alpha)))
+        assert abs(co.D[nu] - product) <= 1e-13 * abs(product)

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from elliptau.elliptic import (
@@ -171,3 +172,42 @@ def test_pole_guard():
             wp(lat, bad)
     with pytest.raises(ValueError):
         wp_n(lat, 0.3, 4)
+
+
+# every Weierstrass-layer function of u, as a function of (lattice, u)
+CH = ThetaChar(0.3, 0.2)
+ARRAY_FUNCTIONS = {
+    "sigma_char": lambda lat, u: sigma_char(lat, CH, u),
+    "sigma": sigma,
+    "sigma_char_dlog": lambda lat, u: sigma_char_dlog(lat, CH, u),
+    "sigma_char_du": lambda lat, u: sigma_char_du(lat, CH, u),
+    "sigma_du": sigma_du,
+    "zeta": zeta,
+    "wp": wp,
+    "wp_prime": wp_prime,
+    "wp_n2": lambda lat, u: wp_n(lat, u, 2),
+    "wp_n3": lambda lat, u: wp_n(lat, u, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_FUNCTIONS))
+def test_array_call_equals_scalar_calls(name):
+    f = ARRAY_FUNCTIONS[name]
+    rng = SplitMix64(24)
+    for _ in range(4):
+        lat = random_lattice(rng)
+        us = np.array([[rng.uniform(-0.45, 0.45) * lat.omega1
+                        + rng.uniform(-0.45, 0.45) * lat.omega2
+                        for _ in range(4)] for _ in range(2)])
+        arr = f(lat, us)
+        assert arr.shape == us.shape
+        one = np.array([[f(lat, u) for u in row] for row in us.tolist()])
+        assert np.all(np.abs(arr - one) <= 1e-14 * np.abs(one))
+
+
+def test_array_with_a_lattice_point_names_it():
+    lat = lattice_from_periods(1.0, 0.3 + 1j)
+    us = np.array([0.2 + 0.1j, lat.omega1 + lat.omega2, 0.3j, -lat.omega2])
+    for name in ("zeta", "wp", "wp_prime", "wp_n2", "wp_n3"):
+        with pytest.raises(LatticePoleError, match=r"u=\(1\.3\+1j\)"):
+            ARRAY_FUNCTIONS[name](lat, us)
