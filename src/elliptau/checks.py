@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .curve import (
@@ -790,6 +789,18 @@ def resolve_check_names(names):
     return list(dict.fromkeys(out))
 
 
+def _installed_version(dist):
+    """Version of an installed distribution, or None, read from its metadata
+    without importing it.  importlib.metadata is imported here, after the
+    checks, because its import costs about 20 ms."""
+    import importlib.metadata
+
+    try:
+        return importlib.metadata.version(dist)
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
 def run_checks(scenario, checks=None, tol_scale=1.0, draw_scale=1.0):
     """Run the selected checks and assemble the report.
 
@@ -819,7 +830,7 @@ def run_checks(scenario, checks=None, tol_scale=1.0, draw_scale=1.0):
     overall = "pass" if all(r.status == "pass" for r in results) else "fail"
     env = {"precision": "float64/complex128", "version": __version__,
            "python": platform.python_version(), "numpy": np.__version__,
-           "scipy": scipy.__version__, "platform": platform.platform(),
+           "scipy": _installed_version("scipy"), "platform": platform.platform(),
            "seed": scenario.seed}
     return Report(overall=overall, environment=env, results=results,
                   stage_s=ctx.stage_s)

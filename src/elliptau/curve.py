@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .elliptic import (
     Lattice,
@@ -186,7 +187,7 @@ class Arc:
 
 @lru_cache(maxsize=32)
 def _leggauss(order):
-    return np.polynomial.legendre.leggauss(order)
+    return leggauss(order)
 
 
 def _continue(piece, fsq, s, y_in):

@@ -1,4 +1,12 @@
-"""Monodromy of dY/dx = A(x) Y by adaptive continuation along loops.
+"""Monodromy of dY/dx = A(x) Y by Taylor-series continuation along loops.
+
+A(x) is rational with poles at a and the e_nu only, so Y has a convergent
+Taylor series in every disc that avoids them.  continue_solution cuts a path
+into chords by the step rule |h| <= RHO * dist(x, {a, e_nu}) and
+|h| <= KAPPA * |x - a|^2 / max|B_{-1}| (the second keeps the growth of one
+step near the irregular point bounded), sums each chord's series from a
+recurrence over the pole terms, and halves a chord whose series has not
+settled within a term cap.
 
 Loops are keyholes from a base point above the singular points: a detoured
 descent to a circle of safe clearance, one full counterclockwise turn, and
@@ -13,15 +21,15 @@ import cmath
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .curve import Arc, Line, _cycle_pieces, abel_with_y, detoured_path, path_integral
 from .errors import QuadratureError
 from .isomono import coefficients, normalize_Y
 
-# DOP853 tolerances of every continuation of the system
-RTOL = 1e-10
-ATOL = 1e-12
+# Taylor step rule: |h| <= RHO * dist(x, {a, e_nu}) and
+# |h| <= KAPPA * |x - a|^2 / max|B_{-1}|
+RHO = 0.4
+KAPPA = 1.0
 
 
 def base_point(branch):
@@ -150,21 +158,108 @@ def calibrate_loops(params):
 
 
 def continue_solution(coeffs, pieces, Y0):
-    """Integrate the system along the pieces starting from matrix Y0."""
-    y = np.asarray(Y0, dtype=complex).reshape(4)
+    """Continue the matrix solution Y0 along the pieces by Taylor steps.
 
-    for piece in pieces:
-        def rhs(s, v):
-            x = piece.x(s)
-            dx = piece.dx(s)
-            return (dx * (coeffs.A_of(x) @ v.reshape(2, 2))).reshape(4)
+    Y0 is carried through the product of the chords' transfer matrices,
+    which _transfers sums for all chords of the path in one array pass.
+    """
+    x0, x1 = _chords(coeffs, pieces)
+    Y = np.array(Y0, dtype=complex)
+    for T in _transfers(coeffs, x0, x1):
+        Y = T @ Y
+    return Y
 
-        sol = solve_ivp(rhs, (0.0, 1.0), y, method="DOP853",
-                        rtol=RTOL, atol=ATOL)
-        if not sol.success:
-            raise QuadratureError(f"ODE continuation failed: {sol.message}")
-        y = sol.y[:, -1]
-    return y.reshape(2, 2)
+
+def _chords(coeffs, pieces):
+    """Cut the pieces into chords x0 -> x1 that obey the step rule.
+
+    A chord of length h and the stretch of piece it spans both lie in the
+    disc of radius h about its start, which holds no pole, so continuing
+    along the chord is continuing along the piece.  A step below 1e-12 of
+    the path length means the path runs into a pole, and raises.
+    """
+    poles = (coeffs.a, *coeffs.es)
+    b = float(np.max(np.abs(coeffs.B_minus1)))
+    speeds = [abs(piece.dx(0.0)) for piece in pieces]  # constant on a Line or an Arc
+    floor = 1e-12 * sum(speeds)
+    x0, x1 = [], []
+    for piece, speed in zip(pieces, speeds):
+        s, x = 0.0, complex(piece.x(0.0))
+        while s < 1.0 and speed > 0:
+            h = RHO * min(abs(x - p) for p in poles)
+            if b > 0:
+                h = min(h, KAPPA * abs(x - coeffs.a) ** 2 / b)
+            if h < floor:
+                raise QuadratureError(
+                    f"Taylor continuation reached a pole: step {h:.3g} at x={x}")
+            s = min(1.0, s + h / speed)
+            x0.append(x)
+            x = complex(piece.x(s))
+            x1.append(x)
+    return np.array(x0, dtype=complex), np.array(x1, dtype=complex)
+
+
+def _transfers(coeffs, x0, x1, halvings=0):
+    """Transfer matrices of the chords x0 -> x1, shape (n, 2, 2).
+
+    A chord whose series has not settled is replaced by its two halves,
+    which are retried; a chord still unsettled after 8 halvings, or with a
+    sum that is not finite, raises.
+    """
+    T, ok = _taylor_sums(coeffs, x0, x1)
+    if ok.all():
+        return T
+    bad = np.flatnonzero(~ok)
+    if halvings == 8 or not np.isfinite(T[bad]).all():
+        k = bad[0]
+        raise QuadratureError(
+            f"Taylor series did not converge at x={x0[k]} with step h={x1[k] - x0[k]}")
+    mid = 0.5 * (x0[bad] + x1[bad])
+    halves = _transfers(coeffs, np.concatenate([x0[bad], mid]),
+                        np.concatenate([mid, x1[bad]]), halvings + 1)
+    T[bad] = halves[len(bad):] @ halves[:len(bad)]
+    return T
+
+
+def _taylor_sums(coeffs, x0, x1):
+    """Sum the Taylor series of the identity continued along each chord.
+
+    With x = x0 + h s, d_j = x0 - s_j and q_j = h / d_j for the simple poles
+    C_j / (x - s_j) (B_0 at a, A_nu at e_nu), the coefficients y_n of Y(s)
+    obey (n+1) y_{n+1} = sum_j q_j C_j W_{j,n} + (h / d_a^2) B_{-1} V_n,
+    where W_j = Y / (1 + q_j s) and V = W_a / (1 + q_a s), so that
+    W_{j,n} = y_n - q_j W_{j,n-1} and V_n = W_{a,n} - q_a V_{n-1}.  A chord
+    has settled once two consecutive terms are below machine epsilon times
+    the partial sum; the term cap is twice the count at which RHO^n reaches
+    epsilon.  Returns the sums at s = 1 and the settled mask.
+    """
+    n = len(x0)
+    eps = np.finfo(float).eps
+    h = x1 - x0
+    d = x0[:, None] - np.array([coeffs.a, *coeffs.es])
+    q = h[:, None] / d
+    # the five pole terms as one (2, 10) block row per chord, the double pole last
+    C = np.stack([coeffs.B0, coeffs.A[1], coeffs.A[2], coeffs.A[3], coeffs.B_minus1])
+    f = np.concatenate([q, (h / d[:, 0] ** 2)[:, None]], axis=1)
+    M = (f[:, :, None, None] * C).transpose(0, 2, 1, 3).reshape(n, 2, 10)
+    W = np.zeros((n, 5, 2, 2), dtype=complex)  # W_a, W_1, W_2, W_3, V
+    Wcol = W.reshape(n, 10, 2)
+    qW, qa = q[:, :, None, None], q[:, 0, None, None]
+    y = np.zeros((n, 2, 2), dtype=complex)
+    y[:, 0, 0] = y[:, 1, 1] = 1.0
+    S = y.copy()
+    small = ok = np.zeros(n, dtype=bool)
+    for order in range(1, int(2 * math.log(eps) / math.log(RHO)) + 1):
+        W[:, :4] = y[:, None] - qW * W[:, :4]
+        W[:, 4] = W[:, 0] - qa * W[:, 4]
+        y = (M @ Wcol) / order
+        S += y
+        tiny = np.abs(y).max(axis=(1, 2)) <= eps * np.abs(S).max(axis=(1, 2))
+        ok = ok | (small & tiny)
+        small = tiny
+        if ok.all():
+            break
+    return S, ok
 
 
 def monodromy_matrices(params, loops=(1, 2, 3, "inf"), sol=None, coeffs=None):

@@ -3,7 +3,12 @@
 import hashlib
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +170,35 @@ def test_report_explains_itself(tmp_path):
     # y_normalization builds params, phi and sol; each stage is timed once
     assert {"branch", "params", "phi", "sol"} <= set(d["stage_s"])
     assert all(float(v) >= 0 for v in d["stage_s"].values())
+
+
+def test_cli_imports_no_scipy_and_tau_imports_nothing_late(tmp_path):
+    # In a fresh interpreter: the runtime needs numpy only, and a tau sweep
+    # imports no numpy or package module lazily, inside the timed region.
+    scenario = tmp_path / "golden.json"
+    scenario.write_text(json.dumps(golden_dict()))
+    script = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        import elliptau.cli
+        scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        before = set(sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = elliptau.cli.main(["tau", "--scenario", {str(scenario)!r},
+                                      "--grid", "t=0:0.01:0.001"])
+        late = sorted(m for m in set(sys.modules) - before
+                      if m.split(".")[0] in ("numpy", "elliptau"))
+        print(json.dumps([code, scipy, late]))
+    """)
+    src = str(Path(elliptau.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, scipy, late = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert scipy == []
+    assert late == []
 
 
 def test_headroom_at_the_extremes():
