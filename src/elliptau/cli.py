@@ -35,6 +35,8 @@ TAU_CHUNK = 1024  # grid points per array evaluation: memory is O(TAU_CHUNK)
 
 
 def _parse_grid(spec):
+    """(start, step, n) of a t=start:stop:step grid; its k-th point is
+    start + k * step, formed only when its chunk is evaluated."""
     try:
         var, rng = spec.split("=", 1)
         start, stop, step = (float(v) for v in rng.split(":"))
@@ -48,7 +50,7 @@ def _parse_grid(spec):
     if step <= 0 or stop < start:
         raise ScenarioError("grid step must be positive and stop >= start")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(n)]
+    return start, step, n
 
 
 def _cmd_verify(args):
@@ -100,7 +102,7 @@ def _tau_rows(fixed, ts):
 
 def _cmd_tau(args):
     s = load_scenario(args.scenario)
-    grid = _parse_grid(args.grid)
+    t0, step, n = _parse_grid(args.grid)
     try:  # the t-independent stage is built once; if it fails, every row does
         fixed, stage_error = fixed_params(s.branch, s.a, s.p, s.q), None
     except EllipTauError as exc:
@@ -110,8 +112,8 @@ def _cmd_tau(args):
     try:
         out.write("t,re_log_tau,im_log_tau,re_H_t,im_H_t\n")
         prev = None
-        for start in range(0, len(grid), TAU_CHUNK):
-            ts = grid[start:start + TAU_CHUNK]
+        for lo in range(0, n, TAU_CHUNK):
+            ts = [t0 + k * step for k in range(lo, min(n, lo + TAU_CHUNK))]
             rows = [stage_error] * len(ts) if fixed is None else _tau_rows(fixed, ts)
             for t, row in zip(ts, rows):
                 if isinstance(row, EllipTauError):
@@ -129,7 +131,7 @@ def _cmd_tau(args):
             out.close()
     if failed:
         t, exc = first
-        print(f"tau: {failed}/{len(grid)} rows failed; first at t={t:.12g}: "
+        print(f"tau: {failed}/{n} rows failed; first at t={t:.12g}: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -14,17 +14,19 @@ Geometry conventions (the "sheet-1" frame everything downstream relies on):
   a stadium around {e1, e2} (it crosses both cuts); the second period's sign
   is flipped if needed so that Im(omega2/omega1) > 0, and the flip is
   recorded.
-* Period values come from the complex AGM; a coarse pass over the two
-  cycles only picks which lattice vectors they are.  Full-accuracy cycle
-  quadrature remains as the independent oracle (second_kind_period).
+* Period values come from the complex AGM; the two cycles, integrated at
+  full accuracy, only pick which lattice vectors they are.  The cycle
+  integral also serves as the independent oracle (second_kind_period).
 
-Every full-accuracy contour integral uses one setting: Gauss-Legendre panels
-of ORDER = 12 nodes, doubled from MIN_PANELS = 8 at most MAX_DOUBLINGS = 8
-times until two passes agree to TOL = 5e-13 relative, on paths detoured by
-CLEARANCE = 0.1 of the smallest branch gap.  path_integral takes the four
-quadrature settings as keywords only for period_data's coarse pass.  Paths
-are evaluated on node arrays: _continue carries y through all nodes of a
-piece at once, and path_integral and continue_y are built on it.
+One step rule cuts every path, here and in monodromy: chords() splits the
+pieces into straight chords no longer than RHO = 0.4 of the distance from
+the chord's start to the nearest singular point, so the steps grade
+geometrically toward a nearby branch point.  path_integral applies one
+ORDER = 12-node Gauss-Legendre rule to each chord (the integrand is
+analytic within 2.5 chord lengths of the chord's start, so the rule is
+exact to rounding) and continues y through all nodes of a path at once,
+keeping at each node the sign of the principal root that moves y least.
+Paths are detoured by CLEARANCE = 0.1 of the smallest branch gap.
 """
 
 from __future__ import annotations
@@ -131,12 +133,9 @@ class CurvePoint:
         return CurvePoint(self.x, 3 - self.sheet)
 
 
-ORDER = 12
-TOL = 5e-13
-MIN_PANELS = 8
-MAX_DOUBLINGS = 8
+ORDER = 12  # Gauss-Legendre nodes per chord
+RHO = 0.4  # step rule: chord length <= RHO * distance to the nearest singular point
 CLEARANCE = 0.1  # detour radius around branch points, in min branch gaps
-CONTINUE_SAMPLES = 64  # branch-continuation steps per piece in continue_y
 
 
 def _dist_to_segment(x, a, b):
@@ -163,7 +162,8 @@ class Line:
     b: complex
 
     def x(self, s):
-        return self.a + s * (self.b - self.a)
+        # exact at both ends, so a path ends exactly on its target
+        return (1.0 - s) * self.a + s * self.b
 
     def dx(self, s):
         return self.b - self.a
@@ -185,83 +185,64 @@ class Arc:
         return 1j * (self.th1 - self.th0) * self.radius * np.exp(1j * th)
 
 
-@lru_cache(maxsize=32)
-def _leggauss(order):
-    return leggauss(order)
+@lru_cache(maxsize=1)
+def _gauss():
+    """The ORDER-node Gauss-Legendre rule on [-1, 1], built at first use:
+    built at import, it loads LAPACK there and costs 1 MB of peak RSS."""
+    return leggauss(ORDER)
 
 
-def _continue(piece, fsq, s, y_in):
-    """Continue y = sqrt(fsq(x)) from y_in at s = 0 through the increasing
-    parameters s > 0 of the piece; returns y at each s.
+def chords(pieces, poles, bound=None):
+    """Cut the pieces into straight chords x0 -> x1 by the step rule
+    |h| <= RHO * dist(x0, poles), and |h| <= bound(x0) when bound is given.
 
-    Each step keeps the sign of the principal root when that moves y less
-    than flipping it; a step on which y turns by close to a quarter turn
-    gets its midpoint inserted, for at most 40 rounds.
+    A chord of length h and the stretch of piece it spans both lie in the
+    disc of radius h about its start, which holds no pole, so a function
+    analytic off the poles has the same integral and continuation along
+    either.  A step below 1e-12 of the path length means the path runs into
+    a pole, and raises.  Returns the arrays x0 and x1.
     """
-    s = np.asarray(s, dtype=float)
-    keep = np.ones(s.size, dtype=bool)
-    w = np.sqrt(fsq(piece.x(s)))
-    for depth in range(41):
-        prev = np.concatenate(([y_in], w[:-1]))
-        same, flip = np.abs(w - prev), np.abs(w + prev)
-        bad = np.flatnonzero(np.minimum(same, flip)
-                             > 0.7 * np.maximum(np.abs(w), np.abs(prev)))
-        if bad.size == 0:
-            break
-        if depth == 40:
-            raise QuadratureError(
-                f"branch continuation failed near x={complex(piece.x(s[bad[0]]))} "
-                f"(branch point on path?)"
-            )
-        mid = 0.5 * (np.concatenate(([0.0], s[:-1]))[bad] + s[bad])
-        s = np.insert(s, bad, mid)
-        w = np.insert(w, bad, np.sqrt(fsq(piece.x(mid))))
-        keep = np.insert(keep, bad, False)
-    return (np.cumprod(np.where(same <= flip, 1.0, -1.0)) * w)[keep]
+    speeds = [abs(piece.dx(0.0)) for piece in pieces]  # constant on a Line or an Arc
+    floor = 1e-12 * sum(speeds)
+    x0, x1 = [], []
+    for piece, speed in zip(pieces, speeds):
+        s, x = 0.0, complex(piece.x(0.0))
+        while s < 1.0 and speed > 0:
+            h = RHO * min(abs(x - p) for p in poles)
+            if bound is not None:
+                h = min(h, bound(x))
+            if h < floor:
+                raise QuadratureError(f"path reached a pole: step {h:.3g} at x={x}")
+            s = min(1.0, s + h / speed)
+            x0.append(x)
+            x = complex(piece.x(s))
+            x1.append(x)
+    return np.array(x0, dtype=complex), np.array(x1, dtype=complex)
 
 
-def path_integral(pieces, fsq, y_start, numerator=None, *, order=ORDER,
-                  tol=TOL, min_panels=MIN_PANELS, max_doublings=MAX_DOUBLINGS):
+def path_integral(pieces, branch, y_start, numerator=None):
     """Integrate numerator(x)/y dx along the pieces, tracking the y-branch.
 
-    Returns (value, y_end).  Panel counts double from min_panels until two
-    successive refinements agree to tol relative.  The keyword settings
-    default to the full-accuracy pass; period_data's coarse pass sets them.
-    fsq and numerator take arrays of x.
+    y starts at y_start at the start of the first piece.  The pieces are
+    cut by chords() around the branch points, each chord gets one
+    ORDER-node Gauss-Legendre rule, and y is continued through all nodes in
+    order, each node taking the sign of the principal root that moves y
+    least from the node before; the step rule keeps every move far from
+    ambiguous.  numerator takes arrays of x.  Returns (value, y_end).
     """
-    xi, wts = _leggauss(order)
-    prev, delta = None, math.nan
-    for k in range(max_doublings + 1):
-        panels = min_panels * 2**k
-        a = np.arange(panels)[:, None] / panels
-        b = np.arange(1, panels + 1)[:, None] / panels
-        s = (0.5 * (a + b) + 0.5 * (b - a) * xi).ravel()
-        weights = np.tile(wts * (0.5 / panels), panels)
-        total = 0j
-        y = y_start
-        for piece in pieces:
-            ys = _continue(piece, fsq, np.append(s, 1.0), y)
-            f = weights if numerator is None else weights * numerator(piece.x(s))
-            total += complex(np.sum(f * piece.dx(s) / ys[:-1]))
-            y = complex(ys[-1])
-        if prev is not None:
-            delta = abs(total - prev)
-            if delta <= tol * max(1.0, abs(total)):
-                return total, y
-        prev = total
-    raise QuadratureError(
-        f"contour integral did not converge (last delta "
-        f"{delta:.3e} at {panels} panels)"
-    )
-
-
-def continue_y(pieces, fsq, y_start):
-    """Continue y along the pieces without integrating; returns y at the end."""
-    s = np.arange(1, CONTINUE_SAMPLES + 1) / CONTINUE_SAMPLES
-    y = y_start
-    for piece in pieces:
-        y = complex(_continue(piece, fsq, s, y)[-1])
-    return y
+    x0, x1 = chords(pieces, branch.es)
+    if x0.size == 0:
+        return 0j, complex(y_start)
+    nodes, weights = _gauss()
+    half = 0.5 * (x1 - x0)[:, None]
+    x = x0[:, None] + half * (1.0 + nodes)
+    w = np.sqrt(branch.y_squared(np.append(x, x1[-1])))
+    prev = np.concatenate(([y_start], w[:-1]))
+    y = np.cumprod(np.where(np.abs(w - prev) <= np.abs(w + prev), 1.0, -1.0)) * w
+    f = half * weights / y[:-1].reshape(x.shape)
+    if numerator is not None:
+        f = f * numerator(x)
+    return complex(np.sum(f)), complex(y[-1])
 
 
 def detoured_path(start, target, obstacles, clearance):
@@ -370,14 +351,16 @@ def _u_anchor(branch):
 
     x = anchor/s^2 maps s in (0, 1] onto the ray from infinity to the anchor,
     where dx/y = -anchor^{-1/2} ds / g(x) with g = prod sqrt(1 - e_nu/x) -> 1
-    at s = 0; the Gauss nodes never touch s = 0.
+    at s = 0.  The anchor lies at least 8 times as far out as every e_nu, so
+    g keeps its principal roots and is analytic for |s| < sqrt(8): one
+    ORDER-node Gauss-Legendre rule on (0, 1] is exact to rounding.
     """
     anchor = _sheet_frame(branch).anchor
     inv_sqrt_a = abs(anchor) ** -0.5 * cmath.exp(-0.5j * cmath.phase(anchor))
-    total, _ = path_integral([Line(0j, 1.0 + 0j)],
-                             lambda s: _tail_g(branch, anchor / (s * s)) ** 2,
-                             1.0 + 0j)
-    return -inv_sqrt_a * total
+    nodes, weights = _gauss()
+    s = 0.5 * (1.0 + nodes)
+    total = np.sum(0.5 * weights / _tail_g(branch, anchor / (s * s)))
+    return complex(-inv_sqrt_a * total)
 
 
 @dataclass(frozen=True)
@@ -396,19 +379,18 @@ def _cycle_pieces(branch, pair, excluded):
     return stadium(p, q, margin)
 
 
-def _cycle_integral(branch, frame, pieces, numerator=None, **settings):
-    """Integral of numerator(x)/y dx around a cycle; settings go to path_integral."""
+def _cycle_integral(branch, frame, pieces, numerator=None):
+    """Integral of numerator(x)/y dx around a cycle on the sheet-1 frame."""
     start = pieces[0].x(0.0)
     approach = detoured_path(frame.anchor, start, branch.es, frame.clearance)
-    y0 = continue_y(approach, branch.y_squared, frame.y_anchor)
-    val, y_end = path_integral(pieces, branch.y_squared, y0, numerator, **settings)
+    y0 = path_integral(approach, branch, frame.y_anchor)[1]
+    val, y_end = path_integral(pieces, branch, y0, numerator)
     if abs(y_end - y0) > 1e-8 * abs(y0):
         raise QuadratureError("y-branch did not close along the cycle")
     return val
 
 
-# The coarse cycle pass only has to fix integer lattice coordinates.
-_COARSE_TOL = 1e-3
+# Slack of the lattice coordinates of a cycle integral around the integers.
 _COORD_SLACK = 0.05
 
 
@@ -453,20 +435,16 @@ def period_data(branch):
     """Both periods from the complex AGM, oriented so Im(omega2/omega1) > 0.
 
     The AGM basis is carried onto the cycle convention (omega1 around
-    {e2, e3}, omega2 around {e1, e2}, both on the sheet-1 frame) by a coarse
-    pass over the two cycles, which fixes the integer lattice coordinates.
+    {e2, e3}, omega2 around {e1, e2}, both on the sheet-1 frame) by the two
+    cycle integrals, whose lattice coordinates in that basis are rounded to
+    integers.
     """
     e1, e2, e3 = branch.es
     b1, b2 = _agm_basis(branch)
     frame = _sheet_frame(branch)
-    # from one 8-node panel up to the finest panel count of the full pass
-    coarse = dict(order=8, min_panels=1,
-                  max_doublings=MAX_DOUBLINGS + MIN_PANELS.bit_length() - 1,
-                  tol=_COARSE_TOL * min(1.0, abs(b1), abs(b2)))
 
     def coords(pair, excluded):
-        w = _cycle_integral(branch, frame, _cycle_pieces(branch, pair, excluded),
-                            **coarse)
+        w = _cycle_integral(branch, frame, _cycle_pieces(branch, pair, excluded))
         return _lattice_coords(w, b1, b2)
 
     m1, n1 = coords((e2, e3), e1)
@@ -512,7 +490,7 @@ def abel_with_y(branch, x):
     x = complex(x)
     frame = _sheet_frame(branch)
     pieces = detoured_path(frame.anchor, x, branch.es, frame.clearance)
-    val, y_end = path_integral(pieces, branch.y_squared, frame.y_anchor)
+    val, y_end = path_integral(pieces, branch, frame.y_anchor)
     return _u_anchor(branch) + val, y_end
 
 

@@ -292,8 +292,15 @@ class YSolution:
         """Y(x) exp(-T^(a)(x)): analytic at a, equal to 1 + Y1 (x-a) + ...
 
         Evaluated through the hatted entries and the regular part of Pi, so
-        the irregular exponentials never appear; usable arbitrarily close to
-        x = a.  x a number (a 2x2 result) or an array (x.shape + (2, 2)).
+        the irregular exponentials never appear.  Pi_hat still cancels the
+        pole c/(x-a) against the one Pi carries through zeta(u - alpha), so
+        at distance r from a the relative accuracy is about
+        1e-16 (d/r)^2, d the distance from a to the nearest branch point:
+        on golden 1.2e-12 at r = 0.02 d and 4.7e-6 at r = 1e-5 d.  The
+        checks evaluate it on rings of r = 0.05 d (the Y_1 moment) and
+        0.02 d (the normalization), and on half turns at r = 0.2 d (the
+        Stokes check).  x a number (a 2x2 result) or an array
+        (x.shape + (2, 2)).
         """
         p = self.params
         if u is None:

@@ -2,9 +2,9 @@
 
 A(x) is rational with poles at a and the e_nu only, so Y has a convergent
 Taylor series in every disc that avoids them.  continue_solution cuts a path
-into chords by the step rule |h| <= RHO * dist(x, {a, e_nu}) and
-|h| <= KAPPA * |x - a|^2 / max|B_{-1}| (the second keeps the growth of one
-step near the irregular point bounded), sums each chord's series from a
+into chords by curve's step rule |h| <= RHO * dist(x, {a, e_nu}), bounded
+also by |h| <= KAPPA * |x - a|^2 / max|B_{-1}| (which keeps the growth of
+one step near the irregular point bounded), sums each chord's series from a
 recurrence over the pole terms, and halves a chord whose series has not
 settled within a term cap.
 
@@ -22,14 +22,20 @@ import math
 
 import numpy as np
 
-from .curve import Arc, Line, _cycle_pieces, abel_with_y, detoured_path, path_integral
+from .curve import (
+    RHO,
+    Arc,
+    Line,
+    _cycle_pieces,
+    abel_with_y,
+    chords,
+    detoured_path,
+    path_integral,
+)
 from .errors import QuadratureError
 from .isomono import coefficients, normalize_Y
 
-# Taylor step rule: |h| <= RHO * dist(x, {a, e_nu}) and
-# |h| <= KAPPA * |x - a|^2 / max|B_{-1}|
-RHO = 0.4
-KAPPA = 1.0
+KAPPA = 1.0  # step bound near the irregular point: |h| <= KAPPA |x - a|^2 / max|B_{-1}|
 
 
 def base_point(branch):
@@ -107,7 +113,7 @@ def calibrate_loops(params):
     u0, y0 = abel_with_y(p.branch, x0)
 
     def journey(pieces):
-        du, _ = path_integral(pieces, p.branch.y_squared, y0)
+        du, _ = path_integral(pieces, p.branch, y0)
         return du
 
     e1, e2, e3 = p.branch.es
@@ -160,43 +166,17 @@ def calibrate_loops(params):
 def continue_solution(coeffs, pieces, Y0):
     """Continue the matrix solution Y0 along the pieces by Taylor steps.
 
+    curve.chords cuts the pieces around {a, e_nu} under the KAPPA bound, and
     Y0 is carried through the product of the chords' transfer matrices,
     which _transfers sums for all chords of the path in one array pass.
     """
-    x0, x1 = _chords(coeffs, pieces)
+    b = float(np.max(np.abs(coeffs.B_minus1)))
+    bound = (lambda x: KAPPA * abs(x - coeffs.a) ** 2 / b) if b > 0 else None
+    x0, x1 = chords(pieces, (coeffs.a, *coeffs.es), bound)
     Y = np.array(Y0, dtype=complex)
     for T in _transfers(coeffs, x0, x1):
         Y = T @ Y
     return Y
-
-
-def _chords(coeffs, pieces):
-    """Cut the pieces into chords x0 -> x1 that obey the step rule.
-
-    A chord of length h and the stretch of piece it spans both lie in the
-    disc of radius h about its start, which holds no pole, so continuing
-    along the chord is continuing along the piece.  A step below 1e-12 of
-    the path length means the path runs into a pole, and raises.
-    """
-    poles = (coeffs.a, *coeffs.es)
-    b = float(np.max(np.abs(coeffs.B_minus1)))
-    speeds = [abs(piece.dx(0.0)) for piece in pieces]  # constant on a Line or an Arc
-    floor = 1e-12 * sum(speeds)
-    x0, x1 = [], []
-    for piece, speed in zip(pieces, speeds):
-        s, x = 0.0, complex(piece.x(0.0))
-        while s < 1.0 and speed > 0:
-            h = RHO * min(abs(x - p) for p in poles)
-            if b > 0:
-                h = min(h, KAPPA * abs(x - coeffs.a) ** 2 / b)
-            if h < floor:
-                raise QuadratureError(
-                    f"Taylor continuation reached a pole: step {h:.3g} at x={x}")
-            s = min(1.0, s + h / speed)
-            x0.append(x)
-            x = complex(piece.x(s))
-            x1.append(x)
-    return np.array(x0, dtype=complex), np.array(x1, dtype=complex)
 
 
 def _transfers(coeffs, x0, x1, halvings=0):

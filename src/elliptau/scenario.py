@@ -130,7 +130,7 @@ def scenario_from_dict(data):
     a = _as_complex(data["a"], "a")
     try:
         BranchConfig(*es).check_regular_point(a)
-    except Exception as exc:
+    except EllipTauError as exc:
         raise ScenarioError(f"invalid branch points or a: {exc}") from exc
     return Scenario(
         e=es, a=a, t=_as_complex(data["t"], "t"),

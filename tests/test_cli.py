@@ -8,6 +8,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,27 @@ def test_a_just_inside_the_bound_loads():
         scenario_from_dict(ok)
 
 
+def test_programming_error_in_the_load_check_propagates(monkeypatch):
+    # only the package's own errors become a configuration error (exit 2)
+    def broken(self, a):
+        raise TypeError("not a configuration error")
+
+    monkeypatch.setattr(elliptau.curve.BranchConfig, "check_regular_point", broken)
+    with pytest.raises(TypeError, match="not a configuration error"):
+        scenario_from_dict(golden_dict())
+
+
+def test_tau_grid_is_parsed_without_forming_its_points():
+    tracemalloc.start()
+    try:
+        start, step, n = elliptau.cli._parse_grid("t=0:1:1e-12")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (start, step, n) == (0.0, 1e-12, 10**12 + 1)
+    assert peak < 100_000
+
+
 def test_cli_unknown_check_exits_2(tmp_path):
     scenario = tmp_path / "golden.json"
     scenario.write_text(json.dumps(golden_dict()))
@@ -434,8 +456,9 @@ def test_cli_tau_batch_matches_rows(tmp_path, draw):
     scenario.write_text(json.dumps(data))
     out = tmp_path / "tau.csv"
     spec = f"t=0:0.3:{0.3 / elliptau.cli.TAU_CHUNK!r}"
-    grid = elliptau.cli._parse_grid(spec)
-    assert len(grid) == elliptau.cli.TAU_CHUNK + 1
+    start, step, n = elliptau.cli._parse_grid(spec)
+    assert n == elliptau.cli.TAU_CHUNK + 1
+    grid = [start + k * step for k in range(n)]
     assert main(["tau", "--scenario", str(scenario), "--grid", spec,
                  "--out", str(out)]) == 0
     rows = np.loadtxt(out, delimiter=",", skiprows=1)

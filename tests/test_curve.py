@@ -9,20 +9,19 @@ import numpy as np
 import pytest
 
 from elliptau.curve import (
-    CONTINUE_SAMPLES,
     Arc,
     BranchConfig,
     CurvePoint,
     Line,
-    _continue,
     _cycle_integral,
     _cycle_pieces,
     _sheet_frame,
     _u_anchor,
     abel,
     abel_with_y,
-    continue_y,
+    chords,
     dOmega_de,
+    detoured_path,
     dlog_omega1_de,
     half_period_table,
     local_inverse_coeffs,
@@ -42,6 +41,9 @@ from elliptau.scenario import SplitMix64
 # sqrt(2) * K(m = 1/2); mpmath, 40 digits.  The self-dual modulus makes the
 # period ratio exactly i.
 OMEGA1_GOLDEN = 2.62205755429211981046484
+
+# e1 lies 8.3e-4 of the spread from the segment [e2, e3]
+NEAR_COLLINEAR = (-0.444 - 0.178j, -0.522 + 0.710j, -0.355 - 1.170j)
 
 
 def random_branch(rng):
@@ -97,7 +99,7 @@ def test_agm_periods_match_cycle_quadrature(es):
     (1.0, 0.9, -1.0 + 0.01j),
     (0.3 + 0.7j, -0.9 + 0.1j, 0.5 - 0.8j),
     (1.01, 1.0, -1.0),
-    (-0.444 - 0.178j, -0.522 + 0.710j, -0.355 - 1.170j),
+    NEAR_COLLINEAR,
 ], ids=["golden", "skewed-near-real", "generic-complex", "small-im-omega",
         "near-collinear"])
 def test_anchor_tail_integral_matches_mpmath(es):
@@ -120,18 +122,6 @@ def test_anchor_tail_integral_matches_mpmath(es):
     assert abs(_u_anchor(branch) - ref) <= 1e-14 * abs(ref)
 
 
-def test_path_integral_nonconvergence_reports_last_delta(golden_branch):
-    # passes 0.02 above e1 = 1, where 1/y is nearly singular
-    line = Line(0.5 + 0.02j, 1.5 + 0.02j)
-    y0 = cmath.sqrt(golden_branch.y_squared(line.a))
-    with pytest.raises(QuadratureError) as info:
-        path_integral([line], golden_branch.y_squared, y0,
-                      tol=1e-30, max_doublings=1)
-    found = re.search(r"last delta (\S+) at (\d+) panels", str(info.value))
-    assert float(found.group(1)) > 0.0
-    assert int(found.group(2)) == 16  # min_panels 8, doubled once
-
-
 def _scalar_continue(fsq, piece, s0, s1, y0, halvings, depth=0):
     """Reference: the scalar stepper, one recursive step from s0 to s1."""
     x1 = piece.x(s1)
@@ -148,39 +138,76 @@ def _scalar_continue(fsq, piece, s0, s1, y0, halvings, depth=0):
 
 
 @pytest.mark.parametrize("piece, samples", [
-    (Line(0.5 - 1e-3j, 1.5 - 1e-3j), CONTINUE_SAMPLES),  # 1e-3 below e1 = 1
+    (Line(0.5 - 1e-3j, 1.5 - 1e-3j), 64),  # 1e-3 below e1 = 1
     (Arc(1.0, 0.3, 0.2, 0.2 + 2 * math.pi), 4),  # once around e1
     (Arc(1.0, 0.3, 0.2, 0.2 + 1.5 * math.pi), 1),  # y turns 135 degrees
 ], ids=["line-near-e1", "arc-around-e1", "arc-one-step"])
 def test_continue_matches_scalar_stepping(golden_branch, piece, samples):
+    # the reference takes `samples` even steps and halves the ambiguous ones
     fsq = golden_branch.y_squared
     s = np.arange(1, samples + 1) / samples
     y_in = -cmath.sqrt(fsq(piece.x(0.0)))
-    got = _continue(piece, fsq, s, y_in)
-    ref, halvings, y = [], [], y_in
+    _, got = path_integral([piece], golden_branch, y_in)
+    halvings, ref = [], y_in
     for s0, s1 in zip([0.0, *s[:-1]], s):
-        y = _scalar_continue(fsq, piece, s0, s1, y, halvings)
-        ref.append(y)
+        ref = _scalar_continue(fsq, piece, s0, s1, ref, halvings)
     assert halvings  # some steps were ambiguous and got halved
-    assert len(got) == len(ref)
-    for a, b in zip(got, ref):
-        assert abs(a - b) <= 1e-14 * abs(b)
+    assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
 def test_continue_once_around_a_branch_point_flips_y(golden_branch):
     arc = Arc(1.0, 0.3, 0.2, 0.2 + 2 * math.pi)
     y_in = cmath.sqrt(golden_branch.y_squared(arc.x(0.0)))
-    y_out = continue_y([arc], golden_branch.y_squared, y_in)
+    _, y_out = path_integral([arc], golden_branch, y_in)
     assert abs(y_out + y_in) <= 1e-14 * abs(y_in)
 
 
 def test_continue_through_branch_point_names_x(golden_branch):
     line = Line(0.5 + 0j, 1.5 + 0j)  # s = 0.5 lands on e1 = 1
     with pytest.raises(QuadratureError) as info:
-        _continue(line, golden_branch.y_squared, np.linspace(0.1, 1.0, 10),
-                  cmath.sqrt(golden_branch.y_squared(0.5)))
-    found = re.search(r"branch continuation failed near x=(\S+)", str(info.value))
+        path_integral([line], golden_branch, cmath.sqrt(golden_branch.y_squared(0.5)))
+    found = re.search(r"reached a pole: step \S+ at x=(\S+)", str(info.value))
     assert abs(complex(found.group(1)) - 1.0) < 1e-3
+
+
+def _edge_points(branch, rel):
+    """Points at rel * spread from each branch point, from four directions."""
+    return [e + rel * branch.scale * cmath.exp(1j * (0.3 + 0.5 * math.pi * k))
+            for e in branch.es for k in range(4)]
+
+
+@pytest.mark.parametrize("es", [(1.0, 0.0, -1.0), NEAR_COLLINEAR],
+                         ids=["golden", "near-collinear"])
+def test_abel_map_at_the_domain_edge(es):
+    branch = BranchConfig(*es)
+    lat = periods(branch)
+    for rel in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        for x in _edge_points(branch, rel):
+            u, y = abel_with_y(branch, x)
+            back = x_from_u(branch, lat, u)
+            assert abs(back - x) <= 1e-12 * max(abs(x), branch.scale)
+            assert abs(y * y - branch.y_squared(x)) <= 1e-12 * abs(branch.y_squared(x))
+
+
+def test_chord_count_grows_like_log_of_the_distance(golden_branch):
+    # a path that ends d from a branch point takes a bounded number of
+    # chords per decade of d: the step rule grades geometrically
+    frame = _sheet_frame(golden_branch)
+
+    def most_chords(rel):
+        return max(len(chords(detoured_path(frame.anchor, x, golden_branch.es,
+                                            frame.clearance), golden_branch.es)[0])
+                   for x in _edge_points(golden_branch, rel))
+
+    counts = [most_chords(10.0 ** -k) for k in range(2, 7)]
+    assert counts[-1] <= 60
+    assert all(0 <= b - a <= 6 for a, b in zip(counts, counts[1:]))
+
+
+def test_second_kind_period_near_collinear():
+    branch = BranchConfig(*NEAR_COLLINEAR)
+    eta1 = periods(branch).eta1
+    assert abs(second_kind_period(branch) - eta1) <= 1e-12 * max(1.0, abs(eta1))
 
 
 def test_periods_scaling_and_translation():
@@ -211,6 +238,10 @@ def test_abel_base_point_is_infinity(golden_branch, golden_lattice):
     assert abs(u_far) < 0.15
     u_farther, _ = abel_with_y(golden_branch, 800.0 + 1200.0j)
     assert abs(u_farther) < abs(u_far) / 2
+    # at the anchor the path is empty
+    frame = _sheet_frame(golden_branch)
+    assert abel_with_y(golden_branch, frame.anchor) == (_u_anchor(golden_branch),
+                                                       frame.y_anchor)
 
 
 def test_abel_roundtrip_random_points(golden_branch, golden_lattice):
