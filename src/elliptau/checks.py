@@ -530,8 +530,9 @@ def check_cyclic_relation(ctx, rng, tol):
 
 
 def check_stokes_triviality(ctx, rng, tol):
-    res = sector_connection_residuals(ctx.params, ctx.sol, ctx.coeffs)
-    return max(res), "sectorial connection matrices vs identity"
+    res = max(sector_connection_residuals(ctx.params, ctx.sol, ctx.coeffs))
+    notes = "sectorial connection matrices vs identity"
+    return res, notes + ("; the half turn overflowed" if math.isinf(res) else "")
 
 
 def check_monodromy_invariance(ctx, rng, tol):

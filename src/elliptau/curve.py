@@ -17,6 +17,12 @@ Geometry conventions (the "sheet-1" frame everything downstream relies on):
 * Period values come from the complex AGM; the two cycles, integrated at
   full accuracy, only pick which lattice vectors they are.  The cycle
   integral also serves as the independent oracle (second_kind_period).
+* Fresh configurations choose all this themselves.  A configuration made by
+  BranchConfig.moved continues its root's chart instead: the root's anchor,
+  and its periods, rounded in the moved configuration's AGM basis (the
+  cycles are integrated on the inherited frame only when rounding fails).
+  So the periods, and with them the half-period slots wp matches, move
+  continuously with the e_nu, even where two anchor rays tie, as at golden.
 
 One step rule cuts every path, here and in monodromy: chords() splits the
 pieces into straight chords no longer than RHO = 0.4 of the distance from
@@ -33,8 +39,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -49,12 +55,29 @@ from .errors import ContourGeometryError, DegenerateParameterError, QuadratureEr
 
 
 @dataclass(frozen=True)
+class Chart:
+    """The period convention a moved configuration continues from its root:
+    the root's sheet anchor and its cycle periods before orientation.  Plain
+    values, so the root's cache entries may go."""
+
+    anchor: complex
+    omega1: complex
+    omega2: complex
+
+
+@dataclass(frozen=True)
 class BranchConfig:
-    """Branch points of the curve; the geometric ground truth."""
+    """Branch points of the curve; the geometric ground truth.
+
+    chart is None on a fresh configuration, which chooses its own period
+    convention; moved() copies carry their root's chart.  The chart is part
+    of equality and hash, so cached data never crosses between charts.
+    """
 
     e1: complex
     e2: complex
     e3: complex
+    chart: Chart | None = field(default=None, repr=False)
 
     def __post_init__(self):
         es = self.es
@@ -91,11 +114,23 @@ class BranchConfig:
         return min(abs(self.es[i] - self.es[j])
                    for i in range(3) for j in range(i + 1, 3))
 
+    @cached_property
+    def root_chart(self):
+        """The chart that moved copies carry: this configuration's chart, or
+        on a fresh one its own anchor and cycle periods, built once per
+        object, so moves never need the fresh one's cache entries again."""
+        if self.chart is not None:
+            return self.chart
+        pd = period_data(self)
+        return Chart(_sheet_frame(self).anchor, pd.omega1,
+                     -pd.omega2 if pd.delta_flipped else pd.omega2)
+
     def moved(self, nu, delta):
-        """The configuration with e_nu moved by delta."""
+        """The configuration with e_nu moved by delta, on the chart of this
+        configuration's root (this one when it is fresh)."""
         es = list(self.es)
         es[nu - 1] += delta
-        return BranchConfig(*es)
+        return BranchConfig(*es, chart=self.root_chart)
 
     def check_regular_point(self, a):
         """Raise unless a keeps at least 1e-6 of the spread from every e_nu."""
@@ -325,8 +360,9 @@ class SheetFrame:
     clearance: float
 
 
-@lru_cache(maxsize=64)
-def _sheet_frame(branch):
+def _fresh_anchor(branch):
+    """The anchor of a fresh configuration: of 16 rays at 8 times the
+    spread, the one whose outward ray keeps clearest of the branch points."""
     c = branch.centroid
     spread = max(abs(e - c) for e in branch.es)
     R = 8.0 * (1.0 + spread + abs(c))
@@ -338,7 +374,17 @@ def _sheet_frame(branch):
         clear = min(clear, min(abs(a - e) for e in branch.es))
         if best is None or clear > best[0] + 1e-12 * R:
             best = (clear, a)
-    anchor = best[1]
+    return best[1]
+
+
+@lru_cache(maxsize=64)
+def _sheet_frame(branch):
+    """The frame at the chart's anchor, or at the anchor ray of a fresh
+    configuration.  Either lies 8 (1 + spread + |centroid|) from its root's
+    centroid, far outside every e_nu of a move, so the tail g keeps its
+    principal roots there."""
+    chart = branch.chart
+    anchor = chart.anchor if chart is not None else _fresh_anchor(branch)
     phase = cmath.phase(anchor)
     y_anchor = complex(2.0 * abs(anchor) ** 1.5 * cmath.exp(1.5j * phase)
                        * _tail_g(branch, anchor))
@@ -435,20 +481,28 @@ def period_data(branch):
     """Both periods from the complex AGM, oriented so Im(omega2/omega1) > 0.
 
     The AGM basis is carried onto the cycle convention (omega1 around
-    {e2, e3}, omega2 around {e1, e2}, both on the sheet-1 frame) by the two
-    cycle integrals, whose lattice coordinates in that basis are rounded to
-    integers.
+    {e2, e3}, omega2 around {e1, e2}, both on the sheet-1 frame) by rounding
+    lattice coordinates in that basis to integers: of the chart's periods on
+    a moved configuration, else (and when those are off by more than the
+    slack) of the two cycle integrals.
     """
     e1, e2, e3 = branch.es
     b1, b2 = _agm_basis(branch)
-    frame = _sheet_frame(branch)
+    chart = branch.chart
+    inherited = (None, None) if chart is None else (chart.omega1, chart.omega2)
 
-    def coords(pair, excluded):
-        w = _cycle_integral(branch, frame, _cycle_pieces(branch, pair, excluded))
+    def coords(pair, excluded, w):
+        if w is not None:
+            try:
+                return _lattice_coords(w, b1, b2)
+            except QuadratureError:
+                pass  # moved beyond the slack: integrate on the inherited frame
+        w = _cycle_integral(branch, _sheet_frame(branch),
+                            _cycle_pieces(branch, pair, excluded))
         return _lattice_coords(w, b1, b2)
 
-    m1, n1 = coords((e2, e3), e1)
-    m2, n2 = coords((e1, e2), e3)
+    m1, n1 = coords((e2, e3), e1, inherited[0])
+    m2, n2 = coords((e1, e2), e3, inherited[1])
     if abs(m1 * n2 - m2 * n1) != 1:
         raise QuadratureError(
             f"cycles do not span the period lattice: {(m1, n1)}, {(m2, n2)}")

@@ -284,7 +284,8 @@ def sector_connection_residuals(params, sol, coeffs):
     half turn to the opposite center, the mismatch against the constructed Y
     there is the sectorial connection defect; trivial Stokes data means both
     residuals vanish to integrator accuracy.  The half turns run at a fifth
-    of the distance from a to the nearest branch point.
+    of the distance from a to the nearest branch point.  A half turn whose
+    mismatch overflows float64 gives the residual inf.
     """
     p = params
     radius = 0.2 * min(abs(p.a - e) for e in p.branch.es)
@@ -298,6 +299,7 @@ def sector_connection_residuals(params, sol, coeffs):
         Y_start = sol.hatted(x_start) @ sol.exp_T_a(x_start)
         W = continue_solution(coeffs, [Arc(p.a, radius, a0, a1)], Y_start)
         Y_end = sol.hatted(x_end) @ sol.exp_T_a(x_end)
-        S = np.linalg.inv(Y_end) @ W
-        out.append(float(np.max(np.abs(S - np.eye(2)))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = float(np.max(np.abs(np.linalg.inv(Y_end) @ W - np.eye(2))))
+        out.append(r if math.isfinite(r) else math.inf)
     return out

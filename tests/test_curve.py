@@ -13,8 +13,10 @@ from elliptau.curve import (
     BranchConfig,
     CurvePoint,
     Line,
+    _agm_basis,
     _cycle_integral,
     _cycle_pieces,
+    _lattice_coords,
     _sheet_frame,
     _u_anchor,
     abel,
@@ -36,7 +38,8 @@ from elliptau.curve import (
 )
 from elliptau.elliptic import wp
 from elliptau.errors import ContourGeometryError, QuadratureError
-from elliptau.scenario import SplitMix64
+from elliptau.isomono import make_params
+from elliptau.scenario import GOLDEN, SplitMix64, random_admissible_scenario
 
 # sqrt(2) * K(m = 1/2); mpmath, 40 digits.  The self-dual modulus makes the
 # period ratio exactly i.
@@ -92,6 +95,91 @@ def test_agm_periods_match_cycle_quadrature(es):
     assert abs(pd.omega1 - om1) <= 1e-12 * abs(om1)
     assert abs(pd.omega2 - om2) <= 1e-12 * abs(om2)
     assert pd.delta_flipped == flipped
+
+
+def _scenario_branch(seed):
+    s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
+    return s.branch
+
+
+def _rounds_within_slack(chart, branch):
+    b1, b2 = _agm_basis(branch)
+    try:
+        _lattice_coords(chart.omega1, b1, b2)
+        _lattice_coords(chart.omega2, b1, b2)
+    except QuadratureError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("seed", [None, 3, 4, 5])
+def test_charted_periods_match_cycle_integrals_on_the_inherited_frame(seed):
+    # moves of 0.05 of the gap round the root's periods within the slack,
+    # and land on the lattice vectors of the cycles integrated on the
+    # frame at the root's anchor
+    root = _scenario_branch(seed)
+    rng = SplitMix64(47)
+    for nu in (1, 2, 3):
+        moved = root.moved(nu, 0.05 * root.min_gap * rng.unit_phase())
+        assert _sheet_frame(moved).anchor == moved.chart.anchor
+        assert _rounds_within_slack(moved.chart, moved)
+        pd = period_data(moved)
+        om1, om2, flipped = _quadrature_period_data(moved)
+        assert abs(pd.omega1 - om1) <= 1e-12 * abs(om1)
+        assert abs(pd.omega2 - om2) <= 1e-12 * abs(om2)
+        assert pd.delta_flipped == flipped
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_chart_beyond_the_slack_falls_back_to_cycle_integrals(golden_branch, nu):
+    moved = golden_branch.moved(nu, 0.3 * golden_branch.min_gap)
+    assert not _rounds_within_slack(moved.chart, moved)
+    pd = period_data(moved)
+    om1, om2, flipped = _quadrature_period_data(moved)
+    assert abs(pd.omega1 - om1) <= 1e-12 * abs(om1)
+    assert abs(pd.omega2 - om2) <= 1e-12 * abs(om2)
+    assert pd.delta_flipped == flipped
+
+
+@pytest.mark.parametrize("seed", [None, 3, 4, 5])
+@pytest.mark.parametrize("fraction", [0.05, 0.3])
+def test_moved_configurations_keep_the_root_half_period_slots(seed, fraction):
+    # wp matching on the charted periods, within the slack and beyond it,
+    # gives each half period the branch point it had at the root
+    root = _scenario_branch(seed)
+    slots = half_period_table(root).perm
+    for nu in (1, 2, 3):
+        moved = root.moved(nu, fraction * root.min_gap * 1j ** nu)
+        assert half_period_table(moved).perm == slots
+
+
+def test_moved_of_moved_carries_the_root_chart(golden_branch):
+    once = golden_branch.moved(1, 1e-3)
+    twice = once.moved(2, 1e-3j)
+    assert golden_branch.chart is None
+    assert once.chart is golden_branch.root_chart
+    assert twice.chart is once.chart
+    assert golden_branch.moved(3, -1e-3).chart is once.chart
+
+
+def test_charted_and_fresh_configurations_share_no_cache_entry(golden_branch):
+    # equal branch points on two charts are two keys of every cache
+    calls = [
+        (period_data, ()),
+        (_sheet_frame, ()),
+        (_u_anchor, ()),
+        (half_period_table, ()),
+        (abel_with_y, (2.0,)),
+        (make_params, (2.0, 0.1, 0.3, 0.2)),
+    ]
+    for k, (cached, args) in enumerate(calls, start=1):
+        moved = golden_branch.moved(3, 1e-7j * k)
+        fresh = BranchConfig(*moved.es)
+        assert fresh.es == moved.es and fresh != moved
+        misses = cached.cache_info().misses
+        cached(moved, *args)
+        cached(fresh, *args)
+        assert cached.cache_info().misses == misses + 2
 
 
 @pytest.mark.parametrize("es", [

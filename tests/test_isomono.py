@@ -19,9 +19,11 @@ from elliptau.isomono import (
     deformation_residual,
     make_params,
     normalize_Y,
+    shifted_params,
     theoretical_monodromy,
 )
 from elliptau.scenario import GOLDEN, SplitMix64, random_admissible_scenario
+from elliptau.tau import H_nu, H_t
 
 
 @pytest.fixture(scope="module")
@@ -459,3 +461,24 @@ def test_d_is_the_product_formula(seed):
         product = ((2.0 * slots[nu] / -1j) * ph * ps
                    * (phi.dlog_row(h, p.alpha) - phi.dlog_row(h, -p.alpha)))
         assert abs(co.D[nu] - product) <= 1e-13 * abs(product)
+
+
+@pytest.mark.parametrize("seed", [None, 3, 4, 5])
+def test_moved_configurations_continue_the_period_convention(seed):
+    # each e_nu moved by 1e-8 of the gap in 64 complex directions: the
+    # periods, alpha and the Hamiltonians move by O(1e-8).  Golden sits on a
+    # tie of two anchor rays, so a moved copy that chose its own anchor would
+    # flip omega1 in about half of these directions
+    s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
+    base = make_params(s.branch, s.a, s.t, s.p, s.q)
+
+    def values(p):
+        return [p.lat.omega1, p.lat.omega2, p.alpha, H_t(p)] + [H_nu(p, nu) for nu in (1, 2, 3)]
+
+    ref = values(base)
+    h = 1e-8 * s.branch.min_gap
+    for nu in (1, 2, 3):
+        for k in range(64):
+            moved = shifted_params(base, f"e{nu}", h * cmath.exp(2j * math.pi * k / 64))
+            for v, r in zip(values(moved), ref):
+                assert abs(v - r) <= 1e-6 * abs(r), (nu, k)

@@ -1,8 +1,13 @@
 """Numerical monodromy continuation against the closed-form data."""
 
+import math
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from elliptau.checks import run_checks
 from elliptau.isomono import shifted_params
 from elliptau.monodromy import (
     base_point,
@@ -11,6 +16,7 @@ from elliptau.monodromy import (
     stokes_ray_directions,
     trivial_loop_identity,
 )
+from elliptau.scenario import GOLDEN
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +66,18 @@ def test_stokes_rays_and_triviality(mono):
     res = sector_connection_residuals(ctx.params, ctx.sol, ctx.coeffs)
     assert len(res) == 2
     assert max(res) < 1e-6
+
+
+def test_overflowing_stokes_half_turn_is_a_failure_note():
+    # at a = 1+1e-5i the half turns at x = a overflow float64: the check
+    # fails with a note, and no numpy warning reaches the caller
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_checks(replace(GOLDEN, a=1 + 1e-5j))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    stokes, = [r for r in report.results if r.name == "stokes_triviality"]
+    assert stokes.status == "fail" and stokes.residual == math.inf
+    assert "overflowed" in stokes.notes
 
 
 def test_monodromy_invariant_under_deformation(golden_ctx):
