@@ -1,7 +1,7 @@
 """Named oracle checks over a scenario, and the machine-readable report.
 
 Every check compares a closed form against an independent route (series
-oracle, finite difference, contour quadrature, or ODE continuation) and
+oracle, Cauchy-ring derivative, contour quadrature, or ODE continuation) and
 returns a residual to be judged against its tolerance, or a status of its
 own when the residual cannot be judged (inconclusive).  Checks are isolated:
 one failure or exception never aborts the others.  Random draws come from
@@ -27,7 +27,7 @@ from .curve import (
     dOmega_de,
     dlog_omega1_de,
     periods,
-    quasiperiod_ratio_derivative_residual,
+    quasiperiod_ratio_derivative,
     theta_constant_residuals,
     x_from_u,
 )
@@ -191,24 +191,22 @@ class CheckContext:
         return self._get("numM", lambda: monodromy_matrices(
             self.params, sol=self.sol, coeffs=self.coeffs))
 
-    def _ring_radius(self, center):
-        """0.05 of the distance from center to the nearest other singular point."""
-        sing = list(self.branch.es) + [self.params.a]
-        return 0.05 * min(abs(center - s) for s in sing if s != center)
-
     @property
     def y1_moment(self):
-        """The order-1 Cauchy moment of the hatted solution on 48 points at a."""
+        """The order-1 Cauchy moment of the hatted solution on 48 points at a,
+        0.05 of the distance to the nearest branch point away."""
         a = self.params.a
         return self._get("y1_moment", lambda: ring_moments(
-            self.sol.hatted, a, self._ring_radius(a), 48, (1,))[1])
+            self.sol.hatted, a, 0.05 * _clearance(self.branch, a, a), 48, (1,))[1])
 
     @property
     def residues(self):
-        """Contour residues of tr A^2/2 at e1, e2, e3 and a, 64 points each."""
+        """Contour residues of tr A^2/2 at e1, e2, e3 and a, 64 points each, 0.05
+        of the distance to the nearest other singular point away."""
+        a = self.params.a
         return self._get("residues", lambda: [
-            ring_moments(self.coeffs.trace_A2_half, s, self._ring_radius(s), 64, (-1,))[-1]
-            for s in list(self.branch.es) + [self.params.a]])
+            ring_moments(self.coeffs.trace_A2_half, s, 0.05 * _clearance(self.branch, a, s),
+                         64, (-1,))[-1] for s in self.branch.es + (a,)])
 
 
 def _random_lattice(rng):
@@ -240,6 +238,57 @@ def ring_moments(f, center, radius, n, orders):
     w = radius * np.exp(2j * math.pi * np.arange(n) / n)
     values = f(center + w)
     return {k: np.tensordot(w ** -k, values, axes=(0, 0)) / n for k in orders}
+
+
+RING_POINTS = 4  # nodes of every derivative ring
+RING_FRACTION = 1e-3  # its radius over the distance to the nearest singularity
+
+
+def ring_derivative(f, center, distance, log=False):
+    """df/dz at center, from one call of f on RING_POINTS nodes at radius
+    RING_FRACTION * distance, distance being that to f's nearest singularity,
+    and the estimate of its 2-point sub-ring (a central difference of step
+    equal to the radius).  A log-valued f (log) has the jumps of its principal
+    logs, multiples of i pi/4, taken out of the opposite-node differences D_0,
+    D_1: D_1 - i D_0 is those jumps plus O(RING_FRACTION^3), however steep f is."""
+    r, half = RING_FRACTION * distance, RING_POINTS // 2
+
+    def values(z):
+        v = f(z)
+        if log:
+            k = (v[1] - v[3] - 1j * (v[0] - v[2])) / (0.25 * math.pi)
+            v = v + 0.25j * math.pi * np.array([0, 0, round(k.real), round(k.imag)])
+        return v
+
+    m = ring_moments(values, center, r, RING_POINTS, (1, 1 - half))
+    return m[1], m[1] + m[1 - half] / r**half
+
+
+def _lattice_distance(lat, u):
+    """Distance from u to the nearest lattice point."""
+    u, w1, w2 = lat.reduce(u)[0], lat.omega1, lat.omega2
+    return min(abs(u - m * w1 - n * w2) for m in (-1, 0, 1) for n in (-1, 0, 1))
+
+
+def _ring(f, params, direction, log=False):
+    """ring_derivative of f(params) as t or e_nu (direction) moves: a t-ring
+    calls f once on the ring's times and is sized by the zeros of
+    theta[p,q](t/omega1), (1/2 - q) omega1 + (1/2 - p) omega2 modulo the
+    lattice; an e_nu ring calls f per node, sized by the other singular points."""
+    p, lat = params, params.lat
+    if direction == "t":
+        zero = (0.5 - p.char.q) * lat.omega1 + (0.5 - p.char.p) * lat.omega2
+        return ring_derivative(lambda ts: f(replace(p, t=ts)), p.t,
+                               _lattice_distance(lat, p.t - zero), log)
+    e = p.branch.es[int(direction[1]) - 1]
+    return ring_derivative(lambda zs: np.array([f(shifted_params(p, direction, z - e))
+                                                for z in zs]),
+                           e, _clearance(p.branch, p.a, e), log)
+
+
+def _clearance(branch, a, x):
+    """Distance from x to the nearest other singular point: e_nu, or a unless None."""
+    return min(abs(x - s) for s in branch.es + (a,) if s is not None and s != x)
 
 
 # ---------------------------------------------------------------------------
@@ -343,64 +392,61 @@ def check_sigma_homogeneity(ctx, rng, tol):
 
 
 def _branch_samples(ctx, rng, base_count):
-    out = [ctx.branch]
-    for _ in range(ctx.draws(base_count, minimum=1)):
-        out.append(admissible_branch(rng))
-    return out
+    """The scenario's branch with its lattice, then admissible draws with theirs."""
+    draws = [admissible_branch(rng) for _ in range(ctx.draws(base_count, minimum=1))]
+    return [(ctx.branch, ctx.params.lat)] + [(b, periods(b)) for b in draws]
 
 
 def check_theta_constants(ctx, rng, tol):
-    worst = 0.0
-    for b in _branch_samples(ctx, rng, 9):
-        lat = periods(b)
-        r1, r2 = theta_constant_residuals(b, lat)
-        worst = max(worst, r1, r2)
+    worst = max(max(theta_constant_residuals(b, lat))
+                for b, lat in _branch_samples(ctx, rng, 9))
     return worst, "odd theta-constant identities vs geometric quasi-period"
 
 
 def _branch_derivative_residual(ctx, rng, value, closed, degree=None):
-    """Worst miss of closed(b, lat, nu) = d value(lattice)/de_nu against a
-    central difference over sampled branches, of the translation sum (which
+    """Worst miss of closed(b, lat, nu) = d value(lattice)/de_nu against its
+    ring derivative over sampled branches, of the translation sum (which
     vanishes) and, given the homogeneity degree, of the Euler sum."""
     worst = 0.0
-    for b in _branch_samples(ctx, rng, 9):
-        lat = periods(b)
-        h = 1e-5 * b.scale
+    for b, lat in _branch_samples(ctx, rng, 9):
         cls = [closed(b, lat, nu) for nu in (1, 2, 3)]
         for nu, cl in zip((1, 2, 3), cls):
-            fd = (value(periods(b.moved(nu, h))) - value(periods(b.moved(nu, -h)))) / (2 * h)
-            worst = max(worst, abs(fd - cl) / max(abs(cl), 1e-30))
+            e = b.es[nu - 1]
+            d, _ = ring_derivative(lambda zs: np.array([value(periods(b.moved(nu, z - e)))
+                                                        for z in zs]),
+                                   e, _clearance(b, None, e))
+            worst = max(worst, abs(d - cl) / max(abs(cl), 1e-30))
         worst = max(worst, abs(sum(cls)) / max(abs(cl) for cl in cls))
         if degree is not None:
             euler = sum(e * cl for e, cl in zip(b.es, cls))
-            worst = max(worst, abs(euler - degree) / abs(degree))
+            worst = max(worst, abs(euler - degree * value(lat)) / abs(degree * value(lat)))
     return worst
 
 
 def check_domega_de(ctx, rng, tol):
     return (_branch_derivative_residual(ctx, rng, lambda lat: lat.Omega, dOmega_de),
-            "closed form vs central difference; translation sum")
+            "closed form vs ring derivative; translation sum")
 
 
 def check_dlog_omega1_de(ctx, rng, tol):
-    # omega1 is homogeneous of degree -1/2 in the branch points
-    return (_branch_derivative_residual(ctx, rng, lambda lat: cmath.log(lat.omega1),
-                                        dlog_omega1_de, degree=-0.5),
-            "closed form vs FD; translation and Euler scaling sums")
+    # omega1 has degree -1/2 in the e_nu; the ring differences omega1, not its log
+    return (_branch_derivative_residual(
+                ctx, rng, lambda lat: lat.omega1,
+                lambda b, lat, nu: lat.omega1 * dlog_omega1_de(b, lat, nu), degree=-0.5),
+            "closed form vs ring derivative; translation and Euler scaling sums")
 
 
 def check_quasiperiod_ratio_derivative(ctx, rng, tol):
-    worst = 0.0
+    # eta1/omega1 is homogeneous of degree 1 in the branch points
     t = ctx.scenario.t if abs(ctx.scenario.t) > 1e-3 else 0.1
-    for b in _branch_samples(ctx, rng, 9):
-        for nu in (1, 2, 3):
-            worst = max(worst, quasiperiod_ratio_derivative_residual(b, nu, t))
-    return worst, "eta1 t^2/(2 omega1) derivative vs closed form"
+    return (_branch_derivative_residual(
+                ctx, rng, lambda lat: t * t * lat.eta1 / (2.0 * lat.omega1),
+                lambda b, lat, nu: quasiperiod_ratio_derivative(b, lat, nu, t), degree=1.0),
+            "eta1 t^2/(2 omega1): closed form vs ring derivative; translation and Euler sums")
 
 
 def check_abel_roundtrip(ctx, rng, tol):
-    b = ctx.branch
-    lat = periods(b)
+    b, lat = ctx.branch, ctx.params.lat
     worst = 0.0
     for _ in range(ctx.draws(50, minimum=8)):
         x = b.centroid + rng.complex_box(-2.0, 2.0) * b.scale
@@ -417,8 +463,7 @@ def check_abel_roundtrip(ctx, rng, tol):
 
 
 def check_periods_scaling(ctx, rng, tol):
-    b = ctx.branch
-    lat = periods(b)
+    b, lat = ctx.branch, ctx.params.lat
     worst = 0.0
     for _ in range(ctx.draws(4, minimum=1)):
         lam = (0.5 + rng.uniform(0.0, 1.0)) * rng.unit_phase()
@@ -470,8 +515,7 @@ def check_det_phi_zeros(ctx, rng, tol):
 
 def check_y_normalization(ctx, rng, tol):
     a = ctx.params.a
-    mom = ring_moments(ctx.sol.hatted, a, 0.02 * min(abs(a - e) for e in ctx.branch.es),
-                       32, (0,))
+    mom = ring_moments(ctx.sol.hatted, a, 0.02 * _clearance(ctx.branch, a, a), 32, (0,))
     res = float(np.max(np.abs(mom[0] - np.eye(2))))
     return res, "ring average of Y exp(-T) minus identity"
 
@@ -487,26 +531,19 @@ def check_y1_closed_form(ctx, rng, tol):
 # ---------------------------------------------------------------------------
 
 
-def _generic_circle_center(ctx):
-    b = ctx.branch
-    sing = list(b.es) + [ctx.params.a]
-    candidates = [b.centroid + 1.3 * b.scale * cmath.exp(2j * math.pi * (k + 0.5) / 8)
-                  for k in range(8)]
-    return max(candidates, key=lambda c: min(abs(c - s) for s in sing))
-
-
 def check_ode_residual(ctx, rng, tol):
-    p = ctx.params
-    center = _generic_circle_center(ctx)
-    radius = 0.1 * ctx.branch.scale
-    h = 1e-6 * max(1.0, ctx.branch.scale)
+    b, a = ctx.branch, ctx.params.a
+    # the centre: of 8 points 1.3 spreads out, the clearest of the singular points
+    center = max((b.centroid + 1.3 * b.scale * cmath.exp(2j * math.pi * (k + 0.5) / 8)
+                  for k in range(8)), key=lambda c: _clearance(b, a, c))
+    radius = 0.1 * b.scale
+    n = ctx.draws(8, minimum=4)
     worst = 0.0
-    for j in range(ctx.draws(8, minimum=4)):
-        x = center + radius * cmath.exp(2j * math.pi * j / ctx.draws(8, minimum=4))
-        Yp = ctx.sol.y_at(x + h)
-        Ym = ctx.sol.y_at(x - h)
-        Y = ctx.sol.y_at(x)
-        lhs = (Yp - Ym) / (2 * h) @ np.linalg.inv(Y)
+    for j in range(n):
+        x = center + radius * cmath.exp(2j * math.pi * j / n)
+        dY, _ = ring_derivative(lambda xs: np.array([ctx.sol.y_at(z) for z in xs]),
+                                x, min(_clearance(b, a, x), b.distance_to_cuts(x)))
+        lhs = dY @ np.linalg.inv(ctx.sol.y_at(x))
         rhs = ctx.coeffs.A_of(x)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))
                                  / max(1.0, float(np.max(np.abs(rhs))))))
@@ -545,21 +582,29 @@ def check_monodromy_invariance(ctx, rng, tol):
     return worst, "drift under 1e-3 moves of t, e1, e2, e3"
 
 
+def deformation_ring(params, direction):
+    """Ring derivatives of (A_1, A_2, A_3) as t or e_nu (direction) moves, and
+    those of the 2-point sub-ring, from one coefficient build per node."""
+    def A(q):
+        A = coefficients(q).A
+        return np.array([A[1], A[2], A[3]])
+
+    if direction == "t":
+        return _ring(lambda q: np.array([A(replace(q, t=t)) for t in q.t]), params, "t")
+    return _ring(A, params, direction)
+
+
 def check_deformation_equation(ctx, rng, tol):
-    worst = 0.0
-    ratios = []
+    worst, ratios = 0.0, []
     for direction in ("t", "e1", "e2"):
-        r1 = deformation_residual(ctx.params, direction, 1e-4,
-                                  sol=ctx.sol, coeffs=ctx.coeffs)
-        r2 = deformation_residual(ctx.params, direction, 5e-5,
-                                  sol=ctx.sol, coeffs=ctx.coeffs)
-        worst = max(worst, max(r1["paired"].values()))
-        big, small = max(r1["paired"].values()), max(r2["paired"].values())
-        ratios.append(big / max(small, 1e-30))
+        r, r_sub = (max(deformation_residual(ctx.params, direction, dA, sol=ctx.sol,
+                                             coeffs=ctx.coeffs)["paired"].values())
+                    for dA in deformation_ring(ctx.params, direction))
+        worst = max(worst, r)
+        ratios.append(r_sub / max(r, 1e-30))
     if any(r < 1.5 for r in ratios):
-        return (worst, f"residual not shrinking with step (ratios {ratios})",
-                "inconclusive")
-    return worst, f"paired reading; halving ratios {['%.1f' % r for r in ratios]}"
+        return worst, f"no gain over the 2-point sub-ring (ratios {ratios})", "inconclusive"
+    return worst, f"paired reading; sub-ring ratios {['%.1e' % r for r in ratios]}"
 
 
 # ---------------------------------------------------------------------------
@@ -583,12 +628,6 @@ def check_residue_sum_rule(ctx, rng, tol):
     return abs(sum(ctx.residues) - big), "finite residues vs the enclosing contour"
 
 
-def _fd(params, f, direction, h):
-    """Central difference of f(params) as t or e_nu (direction) moves by +-h."""
-    return (f(shifted_params(params, direction, h))
-            - f(shifted_params(params, direction, -h))) / (2 * h)
-
-
 def _admissible_neighbors(ctx, rng, count):
     """Params of the scenario point plus mild admissible moves of (t, e)."""
     s = ctx.scenario
@@ -605,42 +644,34 @@ def _admissible_neighbors(ctx, rng, count):
 
 
 def check_dlogtau_dt(ctx, rng, tol):
-    worst = 0.0
-    gap = 0.0
+    worst = gap = 0.0
     for p in _admissible_neighbors(ctx, rng, ctx.draws(4, minimum=1)):
-        h = 1e-6 * (1.0 + abs(p.t))
         v = H_t(p)
-        fd1 = _fd(p, log_tau, "t", h)
-        fd2 = _fd(p, log_tau, "t", h / 2)
-        worst = max(worst, abs(v - fd2) / max(1.0, abs(v)))
-        gap = max(gap, abs(fd1 - fd2))
-    return worst, f"richardson gap {gap:.2e}"
+        d, d_sub = _ring(log_tau, p, "t", log=True)
+        worst = max(worst, abs(v - d) / max(1.0, abs(v)))
+        gap = max(gap, abs(d - d_sub))
+    return worst, f"sub-ring gap {gap:.2e}"
 
 
 def check_dlogtau_de(ctx, rng, tol):
     worst = 0.0
     for p in _admissible_neighbors(ctx, rng, ctx.draws(4, minimum=1)):
-        h = 5e-7 * (1.0 + p.branch.scale)
         for nu in (1, 2, 3):
             v = H_nu(p, nu)
-            fd = _fd(p, log_tau, f"e{nu}", h)
-            worst = max(worst, abs(v - fd) / max(1.0, abs(v)))
-    return worst, "H_nu vs branch-continuous finite differences"
+            d, _ = _ring(log_tau, p, f"e{nu}", log=True)
+            worst = max(worst, abs(v - d) / max(1.0, abs(v)))
+    return worst, "H_nu vs branch-continuous ring derivatives of log tau"
 
 
 def check_omega_closedness(ctx, rng, tol):
-    worst = 0.0
-    h = 1e-5 * (1.0 + ctx.branch.scale)
     p = ctx.params
-    for nu in (1, 2, 3):
-        lhs = _fd(p, H_t, f"e{nu}", h)
-        rhs = _fd(p, lambda q, nu=nu: H_nu(q, nu), "t", h)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    for nu in (1, 2):
-        for mu in range(nu + 1, 4):
-            lhs = _fd(p, lambda q, mu=mu: H_nu(q, mu), f"e{nu}", h)
-            rhs = _fd(p, lambda q, nu=nu: H_nu(q, nu), f"e{mu}", h)
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+
+    def H(q):  # the 1-form's components (H_t, H_1, H_2, H_3) at q
+        return np.array([H_t(q)] + [H_nu(q, nu) for nu in (1, 2, 3)])
+    # dH[i][j]: the derivative of component j along t (i = 0) or e_i
+    dH = [_ring(lambda q: H(q).T, p, "t")[0]] + [_ring(H, p, f"e{nu}")[0] for nu in (1, 2, 3)]
+    worst = max(abs(dH[j][i] - dH[i][j]) / max(1.0, abs(dH[j][i]))
+                for i in range(4) for j in range(i + 1, 4))
     return worst, "all six mixed partials of the 1-form"
 
 
@@ -687,12 +718,12 @@ def check_shifted_tau_dlog(ctx, rng, tol):
     worst = 0.0
     for l in (-1, 0, 1, 2):
         ap = _shift_params(ctx, l)
-        h = 1e-6 * (1.0 + abs(ap.t))
-        fd = (cmath.log(sigma_shift_tau(replace(ap, t=ap.t + h / 2)))
-              - cmath.log(sigma_shift_tau(replace(ap, t=ap.t - h / 2)))) / h
+        d, _ = ring_derivative(
+            lambda ts: np.array([cmath.log(sigma_shift_tau(replace(ap, t=t))) for t in ts]),
+            ap.t, _lattice_distance(ap.lat, ap.t + 2 * l * ap.alpha), log=True)  # tau_l zeros
         cl = sigma_shift_dlog_tau_dt(ap)
-        worst = max(worst, abs(cl - fd) / max(1.0, abs(cl)))
-    return worst, "closed d/dt log tau_l vs finite difference, l in {-1,0,1,2}"
+        worst = max(worst, abs(cl - d) / max(1.0, abs(cl)))
+    return worst, "closed d/dt log tau_l vs ring derivative, l in {-1,0,1,2}"
 
 
 def check_shifted_tau_trace(ctx, rng, tol):
@@ -706,24 +737,15 @@ def check_shifted_tau_trace(ctx, rng, tol):
 def check_shifted_tau_cross_family(ctx, rng, tol):
     # identify sigma[p,q] with the 2 l alpha shift: the multipliers match for
     # p = 1/2 + eta1 l alpha / (pi i), q = 1/2 - eta2 l alpha / (pi i)
-    p = ctx.params
-    lat = p.lat
-    l = 1
-    al = p.alpha
+    ap = _shift_params(ctx, 1)
+    lat, l, al = ap.lat, ap.l, ap.alpha
     pc = 0.5 + lat.eta1 * l * al / (1j * math.pi)
     qc = 0.5 - lat.eta2 * l * al / (1j * math.pi)
-    a_of_alpha = wp(lat, al) + ctx.branch.e_sum / 3.0
-    t = p.t if abs(p.t) > 1e-3 else 0.1
-    h = 1e-5 * (1.0 + abs(t))
-
-    def main_ht(tt):
-        return H_t(make_params(ctx.branch, a_of_alpha, tt, pc, qc))
-
-    def app_dl(tt):
-        return sigma_shift_dlog_tau_dt(SigmaShiftParams(l, tt, al, lat))
-
-    d2_main = (main_ht(t + h) - main_ht(t - h)) / (2 * h)
-    d2_app = (app_dl(t + h) - app_dl(t - h)) / (2 * h)
+    main = replace(ctx.params, char=ThetaChar(pc, qc))
+    distance = _lattice_distance(lat, ap.t + 2 * l * al)  # to a zero of sigma(t + 2 l alpha)
+    d2_main, _ = ring_derivative(lambda ts: H_t(replace(main, t=ts)), ap.t, distance)
+    d2_app, _ = ring_derivative(lambda ts: sigma_shift_dlog_tau_dt(replace(ap, t=ts)),
+                                ap.t, distance)
     return abs(d2_main - d2_app) / max(1.0, abs(d2_app)), \
         "second t-derivatives of log tau agree across the two constructions"
 

@@ -476,7 +476,7 @@ def _lattice_coords(w, b1, b2):
     return round(m), round(n)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=256)  # the 120 ring configurations of a branch check fit
 def period_data(branch):
     """Both periods from the complex AGM, oriented so Im(omega2/omega1) > 0.
 
@@ -603,7 +603,8 @@ def half_period_table(branch):
     te = branch.tilde_es
     perm = []
     for h in tildes:
-        vals = [abs(wp(lat, h) - t) for t in te]
+        w = wp(lat, h)
+        vals = [abs(w - t) for t in te]
         k = vals.index(min(vals))
         if min(vals) > 1e-6 * max(1.0, branch.scale):
             raise QuadratureError(
@@ -704,19 +705,8 @@ def theta_constant_residuals(branch, lat):
     return r1, r2
 
 
-def quasiperiod_ratio_derivative_residual(branch, nu, t):
-    """Residual of the closed form for d/de_nu (eta1 t^2 / (2 omega1)).
-
-    The left side is a central finite difference of eta1/(2 omega1) over
-    recomputed periods; the right side is
-    t^2 (dlog omega1/de_nu)^2 prod_{mu != nu}(e_nu - e_mu) - t^2/12.
-    """
-    h = 1e-5 * branch.scale
-    lat = periods(branch)
-    lp = periods(branch.moved(nu, h))
-    lm = periods(branch.moved(nu, -h))
-    fd = t * t * ((lp.eta1 / (2 * lp.omega1)) - (lm.eta1 / (2 * lm.omega1))) / (2 * h)
-    closed = (t * t * dlog_omega1_de(branch, lat, nu) ** 2 * _gap_product(branch, nu)
-              - t * t / 12.0)
-    scale = max(abs(fd), abs(closed), abs(t * t) / 12.0)
-    return abs(fd - closed) / scale
+def quasiperiod_ratio_derivative(branch, lat, nu, t):
+    """Closed form of d/de_nu (eta1 t^2 / (2 omega1)):
+    t^2 (dlog omega1/de_nu)^2 prod_{mu != nu}(e_nu - e_mu) - t^2/12."""
+    return (t * t * dlog_omega1_de(branch, lat, nu) ** 2 * _gap_product(branch, nu)
+            - t * t / 12.0)

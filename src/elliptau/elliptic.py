@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -166,15 +166,39 @@ def theta11_constants(Omega):
 
 @dataclass(frozen=True)
 class Lattice:
-    """Full periods, period ratio, quasi-period constants, cubic invariants."""
+    """Full periods and, when known, the zero-sum values of wp at the half
+    periods.  The period ratio, quasi-period constants and cubic invariants
+    follow, each at first read: the periods alone need no theta constants."""
 
     omega1: complex
     omega2: complex
-    Omega: complex
-    eta1: complex
-    eta2: complex
-    g2: complex
-    g3: complex
+    e_values: tuple | None = None
+
+    @cached_property
+    def Omega(self):
+        return self.omega2 / self.omega1
+
+    @cached_property
+    def eta1(self):
+        """From the odd theta-constant relation omega1 eta1 = -theta11'''/(3 theta11')."""
+        d1, d3, _ = theta11_constants(self.Omega)
+        return -d3 / (3.0 * d1 * self.omega1)
+
+    @cached_property
+    def eta2(self):
+        """From the normalization eta1 omega2 - eta2 omega1 = 2 pi i."""
+        return (self.eta1 * self.omega2 - TWO_PI_I) / self.omega1
+
+    @cached_property
+    def _invariants(self):
+        """(g2, g3) from e_values, else from wp at the half periods."""
+        w1, w2 = self.omega1, self.omega2
+        e1, e2, e3 = self.e_values or [complex(wp(self, h))
+                                       for h in (w1 / 2, (w1 + w2) / 2, w2 / 2)]
+        return -4.0 * (e1 * e2 + e2 * e3 + e3 * e1), 4.0 * e1 * e2 * e3
+
+    g2 = property(lambda self: self._invariants[0])
+    g3 = property(lambda self: self._invariants[1])
 
     def reduce(self, u):
         """Nearest lattice point subtracted: returns (residual, m, n) with
@@ -193,28 +217,12 @@ class Lattice:
 
 
 def lattice_from_periods(omega1, omega2, e_values=None):
-    """Build a Lattice from its full periods.
-
-    eta1 comes from the odd theta-constant relation
-    omega1*eta1 = -theta11'''/(3*theta11'), eta2 from the normalization
-    eta1*omega2 - eta2*omega1 = 2*pi*i.  The invariants g2, g3 are taken
-    from `e_values` (the zero-sum branch values of wp) when given, otherwise
-    recovered from wp at the half periods.
-    """
-    omega1, omega2 = complex(omega1), complex(omega2)
-    Omega = omega2 / omega1
-    if Omega.imag <= 0:
-        raise LatticeOrientationError(f"Im(omega2/omega1) must be positive, got {Omega}")
-    d1, d3, _ = theta11_constants(Omega)
-    eta1 = -d3 / (3.0 * d1 * omega1)
-    eta2 = (eta1 * omega2 - TWO_PI_I) / omega1
-    lat = Lattice(omega1, omega2, Omega, eta1, eta2, 0j, 0j)
-    if e_values is None:
-        e_values = [wp(lat, h) for h in
-                    (omega1 / 2, (omega1 + omega2) / 2, omega2 / 2)]
-    e1, e2, e3 = (complex(e) for e in e_values)
-    return replace(lat, g2=-4.0 * (e1 * e2 + e2 * e3 + e3 * e1),
-                   g3=4.0 * e1 * e2 * e3)
+    """The Lattice of full periods omega1, omega2, Im(omega2/omega1) > 0, with
+    e_values, when given, the zero-sum branch values of wp."""
+    lat = Lattice(complex(omega1), complex(omega2), e_values and tuple(e_values))
+    if lat.Omega.imag <= 0:
+        raise LatticeOrientationError(f"Im(omega2/omega1) must be positive, got {lat.Omega}")
+    return lat
 
 
 def _logdiv_coeffs(cs):

@@ -96,22 +96,26 @@ def theta_zero_errors(params):
             for v in np.atleast_1d(th)]
 
 
-@lru_cache(maxsize=1024)
-def make_params(branch, a, t, p, q):
-    """Validate and assemble a DeformationParams: fixed_params at time t,
-    which must not put theta[p,q](t/omega1) at a zero."""
-    params = replace(fixed_params(branch, a, p, q), t=complex(t))
+def _at_time(params, t):
+    """params at time t, which must not put theta[p,q](t/omega1) at a zero."""
+    params = replace(params, t=complex(t))
     error, = theta_zero_errors(params)
     if error is not None:
         raise error
     return params
 
 
+@lru_cache(maxsize=1024)
+def make_params(branch, a, t, p, q):
+    """Validate and assemble a DeformationParams: fixed_params at time t."""
+    return _at_time(fixed_params(branch, a, p, q), t)
+
+
 def shifted_params(params, direction, delta):
     """The same point with t ('t') or one branch point ('e1'/'e2'/'e3') moved by delta."""
     p = params
     if direction == "t":
-        return make_params(p.branch, p.a, p.t + delta, p.char.p, p.char.q)
+        return _at_time(p, p.t + delta)
     return make_params(p.branch.moved(int(direction[1]), delta), p.a, p.t,
                        p.char.p, p.char.q)
 
@@ -472,58 +476,38 @@ def _commutator(X, Y):
     return X @ Y - Y @ X
 
 
-def deformation_residual(params, direction, h, m_inf=-1j, sol=None, coeffs=None):
-    """Central-difference dA_nu against the closed deformation equation.
-
-    direction is 't' or 'e1'/'e2'/'e3'.  The Fuchsian commutator sum enters
-    through d log(e_nu - e_mu), which carries both differentials, and the
-    simple-pole coefficient at a contributes to the regular part at e_nu;
-    finite differences single out this paired reading.  Returns per-nu
-    max-entry residuals ('paired'), the difference quotients ('fd') and the
-    right-hand sides ('rhs') as matrices, the FD scale, and the step used.
-    sol and coeffs are the base point's, built from params unless given.
-    """
+def deformation_residual(params, direction, dA, m_inf=-1j, sol=None, coeffs=None):
+    """dA[nu - 1], the derivative of A_nu as direction ('t' or 'e1'/'e2'/'e3')
+    moves, against the closed deformation equation in its paired reading (the
+    Fuchsian sum enters through d log(e_nu - e_mu), which carries both
+    differentials; the simple-pole coefficient at a enters the regular part at
+    e_nu).  Returns per-nu max-entry residuals ('paired') and the right-hand
+    sides ('rhs'); sol and coeffs are the base point's, built unless given."""
     p = params
-    c_plus = coefficients(shifted_params(p, direction, h), m_inf)
-    c_minus = coefficients(shifted_params(p, direction, -h), m_inf)
     if sol is None:
         sol = normalize_Y(p)
     base = coeffs if coeffs is not None else coefficients(p, m_inf, sol.phi, sol)
     Y1 = sol.y1_closed_form()
-    wp1, t = p.wp_a.wp_prime, p.t
-    es = p.branch.es
-    a = p.a
-    sig3 = np.diag([1.0, -1.0]).astype(complex)
-
-    if direction == "t":
-        dT = (wp1 / 2.0) * sig3
-        rho = None
-    else:
-        rho = int(direction[1])
-        dT = -(t * wp1 / (4.0 * (a - es[rho - 1]))) * sig3
-
-    out = {"paired": {}, "fd": {}, "rhs": {}, "scale": 0.0, "h": h}
+    wp1, es, a = p.wp_a.wp_prime, p.branch.es, p.a
+    rho = None if direction == "t" else int(direction[1])
+    # the derivative of the exponent T_{-1} = diag(1, -1) wp'(alpha) t / 2
+    dT = np.diag([1.0, -1.0]) * (wp1 / 2.0 if rho is None
+                                 else -p.t * wp1 / (4.0 * (a - es[rho - 1])))
+    out = {"paired": {}, "rhs": {}}
+    A = base.A
     for nu in (1, 2, 3):
-        fd = (c_plus.A[nu] - c_minus.A[nu]) / (2.0 * h)
-        out["scale"] = max(out["scale"], float(np.max(np.abs(fd))))
-        A = base.A
-        rhs = np.zeros((2, 2), dtype=complex)
-        if rho is not None:
-            if rho == nu:
-                for mu in (1, 2, 3):
-                    if mu != nu:
-                        rhs += _commutator(A[mu], A[nu]) / (es[nu - 1] - es[mu - 1])
-                rhs -= _commutator(A[nu], base.B_minus1) / (a - es[nu - 1]) ** 2
-            rhs += _commutator(A[rho], A[nu]) / (a - es[rho - 1])
-        rhs += _commutator(dT, A[nu]) / (a - es[nu - 1])
-        rhs += _commutator(_commutator(dT, Y1), A[nu])
-        if rho is not None and rho != nu:
-            # d log(e_nu - e_mu) carries both differentials
-            rhs = rhs - _commutator(A[rho], A[nu]) / (es[nu - 1] - es[rho - 1])
-        if rho is not None and rho == nu:
-            # simple-pole coefficient at a enters the regular part at e_nu
-            rhs = rhs + _commutator(A[nu], base.B0) / (a - es[nu - 1])
-        out["paired"][nu] = float(np.max(np.abs(fd - rhs)))
-        out["fd"][nu] = fd
+        d = a - es[nu - 1]
+        rhs = _commutator(dT, A[nu]) / d + _commutator(_commutator(dT, Y1), A[nu])
+        if rho == nu:
+            for mu in (1, 2, 3):
+                if mu != nu:
+                    rhs += _commutator(A[mu], A[nu]) / (es[nu - 1] - es[mu - 1])
+            # the simple-pole coefficient at a enters the regular part at e_nu
+            rhs += (_commutator(A[nu], base.B0) - _commutator(A[nu], base.B_minus1) / d) / d
+        elif rho is not None:
+            # d log(e_nu - e_rho) carries both differentials
+            rhs += _commutator(A[rho], A[nu]) * (1.0 / (a - es[rho - 1])
+                                                  - 1.0 / (es[nu - 1] - es[rho - 1]))
+        out["paired"][nu] = float(np.max(np.abs(dA[nu - 1] - rhs)))
         out["rhs"][nu] = rhs
     return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import dOmega_de, dlog_omega1_de
+from .curve import dOmega_de, dlog_omega1_de, quasiperiod_ratio_derivative
 from .elliptic import (
     Lattice,
     sigma,
@@ -118,17 +118,12 @@ def H_nu(params, nu):
     p = params
     es = p.branch.es
     e = es[nu - 1]
-    others = [x for j, x in enumerate(es, start=1) if j != nu]
-    sum_inv = sum(1.0 / (e - o) for o in others)
-    prod = (e - others[0]) * (e - others[1])
-    dl_w1 = dlog_omega1_de(p.branch, p.lat, nu)
-    t = p.t
-    quasi = t * t * dl_w1**2 * prod - t * t / 12.0
+    sum_inv = sum(1.0 / (e - o) for j, o in enumerate(es, start=1) if j != nu)
     return (dlog_theta_de(params, nu)
-            - 0.5 * dl_w1
+            - 0.5 * dlog_omega1_de(p.branch, p.lat, nu)
             - 0.125 * sum_inv
-            + quasi
-            + (t * t / 4.0) * df_de(*es, p.a, nu))
+            + quasiperiod_ratio_derivative(p.branch, p.lat, nu, p.t)
+            + (p.t * p.t / 4.0) * df_de(*es, p.a, nu))
 
 
 def log_tau(params):

@@ -108,12 +108,15 @@ def test_every_check_sits_in_one_suite():
 
 
 def test_inconclusive_is_a_structured_status(monkeypatch):
-    # a residual that does not shrink with the step cannot be judged, even
-    # though it is below the tolerance
-    def flat(params, direction, h, sol=None, coeffs=None):
-        return {"paired": {1: 1e-7, 2: 1e-7, 3: 1e-7}}
+    # a residual that does not shrink from the 2-point sub-ring to the full
+    # ring cannot be judged, even though it is below the tolerance
+    real = elliptau.checks.ring_derivative
 
-    monkeypatch.setattr(elliptau.checks, "deformation_residual", flat)
+    def no_gain(*args):
+        d, _ = real(*args)
+        return d, d
+
+    monkeypatch.setattr(elliptau.checks, "ring_derivative", no_gain)
     rep = run_checks(GOLDEN, checks=["deformation_equation"])
     assert rep.results[0].status == "inconclusive"
     assert rep.results[0].residual < rep.results[0].tolerance

@@ -8,6 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
+import elliptau.curve
+from elliptau.checks import ring_derivative, run_checks
 from elliptau.curve import (
     Arc,
     BranchConfig,
@@ -30,7 +32,7 @@ from elliptau.curve import (
     path_integral,
     period_data,
     periods,
-    quasiperiod_ratio_derivative_residual,
+    quasiperiod_ratio_derivative,
     second_kind_period,
     theta_constant_residuals,
     wp_alpha_relations,
@@ -151,6 +153,26 @@ def test_moved_configurations_keep_the_root_half_period_slots(seed, fraction):
     for nu in (1, 2, 3):
         moved = root.moved(nu, fraction * root.min_gap * 1j ** nu)
         assert half_period_table(moved).perm == slots
+
+
+def test_verify_integrates_the_scenario_cycles_once(monkeypatch):
+    # the checks read the scenario lattice from its params and moves carry the
+    # root's chart, so however many configurations pass through the period
+    # cache, golden's own two cycles are integrated once per verify
+    for cached in (period_data, _sheet_frame, _u_anchor, half_period_table,
+                   abel_with_y, make_params):
+        cached.cache_clear()
+    calls = []
+    real = elliptau.curve._cycle_integral
+
+    def counted(branch, frame, pieces, numerator=None):
+        if branch.chart is None and numerator is None and branch.es == GOLDEN.branch.es:
+            calls.append(pieces)
+        return real(branch, frame, pieces, numerator)
+
+    monkeypatch.setattr(elliptau.curve, "_cycle_integral", counted)
+    assert run_checks(GOLDEN).overall == "pass"
+    assert len(calls) == 2
 
 
 def test_moved_of_moved_carries_the_root_chart(golden_branch):
@@ -502,10 +524,21 @@ def test_dlog_omega1_translation_and_scaling_sums(golden_branch, golden_lattice)
     assert abs(euler + 0.5) < 1e-7
 
 
-def test_quasiperiod_ratio_derivative(golden_branch):
+def test_quasiperiod_ratio_derivative(golden_branch, golden_lattice):
+    def residual(nu, t):
+        # the ring derivative of eta1 t^2/(2 omega1) in e_nu vs the closed form
+        b = golden_branch
+        e = b.es[nu - 1]
+
+        def ratio(zs):
+            lats = [periods(b.moved(nu, z - e)) for z in zs]
+            return np.array([t * t * lat.eta1 / (2 * lat.omega1) for lat in lats])
+
+        d, _ = ring_derivative(ratio, e, min(abs(e - o) for o in b.es if o != e))
+        closed = quasiperiod_ratio_derivative(b, golden_lattice, nu, t)
+        return abs(d - closed) / max(abs(d), abs(closed), abs(t * t) / 12.0)
+
     for nu in (1, 2, 3):
-        assert quasiperiod_ratio_derivative_residual(golden_branch, nu, 0.1) < 1e-6
+        assert residual(nu, 0.1) < 1e-6
     # both sides scale as t^2, so the relative residual is t-invariant
-    r1 = quasiperiod_ratio_derivative_residual(golden_branch, 1, 0.1)
-    r2 = quasiperiod_ratio_derivative_residual(golden_branch, 1, 0.2)
-    assert abs(r1 - r2) < 1e-6
+    assert abs(residual(1, 0.1) - residual(1, 0.2)) < 1e-6

@@ -11,7 +11,13 @@ from elliptau.curve import BranchConfig, abel_with_y
 from elliptau.elliptic import sigma, sigma_char
 from elliptau.errors import DegenerateParameterError
 import elliptau.isomono
-from elliptau.checks import check_deformation_equation, ring_moments, run_checks
+import elliptau.checks
+from elliptau.checks import (
+    check_deformation_equation,
+    deformation_ring,
+    ring_moments,
+    run_checks,
+)
 from elliptau.isomono import (
     PhiMatrix,
     build_phi,
@@ -275,14 +281,17 @@ def test_ode_residual_on_circle(golden):
 
 
 def test_deformation_equation_paired_reading(golden):
+    p = golden.params
     for direction in ("t", "e1", "e3"):
-        r = deformation_residual(golden.params, direction, 1e-4)
+        dA, _ = deformation_ring(p, direction)
+        r = deformation_residual(p, direction, dA)
         assert max(r["paired"].values()) < 1e-5
-    # finite-difference truth rejects the single-differential reading, where
-    # the commutator sum multiplies de_nu alone and B_0 does not enter
-    r = deformation_residual(golden.params, "e2", 1e-4)
+    # the ring derivative rejects the single-differential reading, where the
+    # commutator sum multiplies de_nu alone and B_0 does not enter
+    dA, _ = deformation_ring(p, "e2")
+    r = deformation_residual(p, "e2", dA)
     assert max(r["paired"].values()) < 1e-5
-    p, co = golden.params, golden.coeffs
+    co = golden.coeffs
     es, A = p.branch.es, co.A
 
     def comm(X, Y):
@@ -294,14 +303,16 @@ def test_deformation_equation_paired_reading(golden):
             rhs = r["rhs"][nu] - comm(A[2], co.B0) / (p.a - es[1])
         else:
             rhs = r["rhs"][nu] + comm(A[2], A[nu]) / (es[nu - 1] - es[1])
-        unpaired[nu] = float(np.max(np.abs(r["fd"][nu] - rhs)))
+        unpaired[nu] = float(np.max(np.abs(dA[nu - 1] - rhs)))
     assert max(unpaired.values()) > 1e-3
 
 
 def test_deformation_residual_shrinks_quadratically(golden):
-    r1 = deformation_residual(golden.params, "e1", 1e-4)
-    r2 = deformation_residual(golden.params, "e1", 5e-5)
-    assert max(r2["paired"].values()) < 0.5 * max(r1["paired"].values())
+    # the 2-point sub-ring errs by (r/R)^2, the 4-point ring by its square
+    dA, dA_sub = deformation_ring(golden.params, "e1")
+    r = deformation_residual(golden.params, "e1", dA)
+    r_sub = deformation_residual(golden.params, "e1", dA_sub)
+    assert max(r["paired"].values()) < 1e-3 * max(r_sub["paired"].values())
 
 
 
@@ -339,13 +350,12 @@ def test_hatted_evaluates_each_row_once(golden, monkeypatch):
 def test_deformation_check_reuses_base_stage(golden, monkeypatch):
     p = golden.params
     for direction in ("t", "e1", "e3"):
-        fresh = deformation_residual(p, direction, 1e-4)
-        shared = deformation_residual(p, direction, 1e-4,
+        dA, _ = deformation_ring(p, direction)
+        fresh = deformation_residual(p, direction, dA)
+        shared = deformation_residual(p, direction, dA,
                                       sol=golden.sol, coeffs=golden.coeffs)
         assert fresh["paired"] == shared["paired"]
-        assert (fresh["scale"], fresh["h"]) == (shared["scale"], shared["h"])
         for nu in (1, 2, 3):
-            assert np.array_equal(fresh["fd"][nu], shared["fd"][nu])
             assert np.array_equal(fresh["rhs"][nu], shared["rhs"][nu])
     golden.coeffs  # the base stages exist before counting
     calls = []
@@ -356,8 +366,9 @@ def test_deformation_check_reuses_base_stage(golden, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(elliptau.isomono, "coefficients", counted)
+    monkeypatch.setattr(elliptau.checks, "coefficients", counted)
     check_deformation_equation(golden, None, 1e-5)
-    # six residuals (three directions, two steps), each at its +-h neighbours only
+    # three rings (t, e1, e2), one coefficient build at each of their 4 nodes
     assert len(calls) == 12
     assert all(q is not p for q in calls)
 
