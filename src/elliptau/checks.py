@@ -12,8 +12,11 @@ reproducible bit-for-bit given the same platform floating point.
 from __future__ import annotations
 
 import cmath
+import glob
 import math
+import os
 import platform
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -61,6 +64,7 @@ from .monodromy import (
 from .scenario import admissible_branch, check_stream
 from .tau import (
     SigmaShiftParams,
+    TauPoint,
     H_nu,
     H_t,
     sigma_shift_dlog_tau_dt,
@@ -271,19 +275,26 @@ def _lattice_distance(lat, u):
 
 
 def _ring(f, params, direction, log=False):
-    """ring_derivative of f(params) as t or e_nu (direction) moves: a t-ring
-    calls f once on the ring's times and is sized by the zeros of
+    """ring_derivative as t or e_nu (direction) moves.  A t-ring calls f once,
+    on params at the ring's times, and is sized by the zeros of
     theta[p,q](t/omega1), (1/2 - q) omega1 + (1/2 - p) omega2 modulo the
-    lattice; an e_nu ring calls f per node, sized by the other singular points."""
+    lattice; an e_nu ring calls f on the moved branch of each node, sized by
+    the other singular points."""
     p, lat = params, params.lat
     if direction == "t":
         zero = (0.5 - p.char.q) * lat.omega1 + (0.5 - p.char.p) * lat.omega2
         return ring_derivative(lambda ts: f(replace(p, t=ts)), p.t,
                                _lattice_distance(lat, p.t - zero), log)
-    e = p.branch.es[int(direction[1]) - 1]
-    return ring_derivative(lambda zs: np.array([f(shifted_params(p, direction, z - e))
-                                                for z in zs]),
+    nu = int(direction[1])
+    e = p.branch.es[nu - 1]
+    return ring_derivative(lambda zs: np.array([f(p.branch.moved(nu, z - e)) for z in zs]),
                            e, _clearance(p.branch, p.a, e), log)
+
+
+def _tau_point(params, branch):
+    """params' a, t and characteristic on branch, with its periods: all that
+    log_tau, H_t and H_nu read."""
+    return TauPoint(branch, periods(branch), params.a, params.t, params.char)
 
 
 def _clearance(branch, a, x):
@@ -364,10 +375,9 @@ def check_quasi_periodicity(ctx, rng, tol):
         lat = _random_lattice(rng)
         ch = _random_char(rng)
         u = _random_u(rng, lat)
-        s0 = sigma_char(lat, ch, u)
-        for w, eta, phase in ((lat.omega1, lat.eta1, 2j * math.pi * ch.p),
-                              (lat.omega2, lat.eta2, -2j * math.pi * ch.q)):
-            lhs = sigma_char(lat, ch, u + w)
+        s0, s1, s2 = sigma_char(lat, ch, u + np.array([0.0, lat.omega1, lat.omega2]))
+        for lhs, w, eta, phase in ((s1, lat.omega1, lat.eta1, 2j * math.pi * ch.p),
+                                   (s2, lat.omega2, lat.eta2, -2j * math.pi * ch.q)):
             rhs = cmath.exp(phase) * cmath.exp(eta * (u + w / 2.0)) * s0
             worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     return worst, "both period shifts of sigma[p,q]"
@@ -485,32 +495,23 @@ def check_periods_scaling(ctx, rng, tol):
 
 
 def check_phi_transformation(ctx, rng, tol):
-    p = ctx.params
-    phi = ctx.phi
-    lat = p.lat
+    phi, lat = ctx.phi, ctx.params.lat
+    us = np.array([_random_u(rng, lat) + 0.03 * lat.omega1
+                   for _ in range(ctx.draws(20, minimum=5))])
+    ms = phi.matrix(np.stack([us, us + lat.omega1, us + lat.omega2]))
     worst = 0.0
-    for _ in range(ctx.draws(20, minimum=5)):
-        u = _random_u(rng, lat) + 0.03 * lat.omega1
-        m0 = phi.matrix(u)
-        lhs = phi.matrix(u + lat.omega1)
-        rhs = m0 @ phi.gamma_multiplier(u)
-        worst = max(worst, np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
-        lhs = phi.matrix(u + lat.omega2)
-        rhs = m0 @ phi.delta_multiplier(u)
-        worst = max(worst, np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
+    for u, m0, m1, m2 in zip(us, *ms):
+        for lhs, mult in ((m1, phi.gamma_multiplier(u)), (m2, phi.delta_multiplier(u))):
+            rhs = m0 @ mult
+            worst = max(worst, np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
     return worst, "both cycle transformations of the row functions"
 
 
 def check_det_phi_zeros(ctx, rng, tol):
     p = ctx.params
-    phi = ctx.phi
-    worst = 0.0
-    pts = list(p.half_periods.omega_tilde) + [0j]
-    for h in pts:
-        d0 = abs(phi.det(h))
-        d1 = abs(phi.det_du(h)) * p.lat.unit()
-        worst = max(worst, d0 / max(d1, 1e-30))
-    return worst, "det Phi vanishes at the four branch places (slope-relative)"
+    r = ctx.phi.rows(list(p.half_periods.omega_tilde) + [0j], du=True)
+    worst = np.max(np.abs(r.det) / np.maximum(np.abs(r.det_du) * p.lat.unit(), 1e-30))
+    return float(worst), "det Phi vanishes at the four branch places (slope-relative)"
 
 
 def check_y_normalization(ctx, rng, tol):
@@ -538,12 +539,12 @@ def check_ode_residual(ctx, rng, tol):
                   for k in range(8)), key=lambda c: _clearance(b, a, c))
     radius = 0.1 * b.scale
     n = ctx.draws(8, minimum=4)
+    xs = [center + radius * cmath.exp(2j * math.pi * j / n) for j in range(n)]
     worst = 0.0
-    for j in range(n):
-        x = center + radius * cmath.exp(2j * math.pi * j / n)
-        dY, _ = ring_derivative(lambda xs: np.array([ctx.sol.y_at(z) for z in xs]),
-                                x, min(_clearance(b, a, x), b.distance_to_cuts(x)))
-        lhs = dY @ np.linalg.inv(ctx.sol.y_at(x))
+    for x, Y in zip(xs, ctx.sol.y_at(np.array(xs))):
+        dY, _ = ring_derivative(ctx.sol.y_at, x,
+                                min(_clearance(b, a, x), b.distance_to_cuts(x)))
+        lhs = dY @ np.linalg.inv(Y)
         rhs = ctx.coeffs.A_of(x)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))
                                  / max(1.0, float(np.max(np.abs(rhs))))))
@@ -589,9 +590,10 @@ def deformation_ring(params, direction):
         A = coefficients(q).A
         return np.array([A[1], A[2], A[3]])
 
+    p = params
     if direction == "t":
-        return _ring(lambda q: np.array([A(replace(q, t=t)) for t in q.t]), params, "t")
-    return _ring(A, params, direction)
+        return _ring(lambda q: np.array([A(replace(q, t=t)) for t in q.t]), p, "t")
+    return _ring(lambda b: A(make_params(b, p.a, p.t, p.char.p, p.char.q)), p, direction)
 
 
 def check_deformation_equation(ctx, rng, tol):
@@ -658,7 +660,7 @@ def check_dlogtau_de(ctx, rng, tol):
     for p in _admissible_neighbors(ctx, rng, ctx.draws(4, minimum=1)):
         for nu in (1, 2, 3):
             v = H_nu(p, nu)
-            d, _ = _ring(log_tau, p, f"e{nu}", log=True)
+            d, _ = _ring(lambda b: log_tau(_tau_point(p, b)), p, f"e{nu}", log=True)
             worst = max(worst, abs(v - d) / max(1.0, abs(v)))
     return worst, "H_nu vs branch-continuous ring derivatives of log tau"
 
@@ -669,7 +671,8 @@ def check_omega_closedness(ctx, rng, tol):
     def H(q):  # the 1-form's components (H_t, H_1, H_2, H_3) at q
         return np.array([H_t(q)] + [H_nu(q, nu) for nu in (1, 2, 3)])
     # dH[i][j]: the derivative of component j along t (i = 0) or e_i
-    dH = [_ring(lambda q: H(q).T, p, "t")[0]] + [_ring(H, p, f"e{nu}")[0] for nu in (1, 2, 3)]
+    dH = [_ring(lambda q: H(q).T, p, "t")[0]] + [
+        _ring(lambda b: H(_tau_point(p, b)), p, f"e{nu}")[0] for nu in (1, 2, 3)]
     worst = max(abs(dH[j][i] - dH[i][j]) / max(1.0, abs(dH[j][i]))
                 for i in range(4) for j in range(i + 1, 4))
     return worst, "all six mixed partials of the 1-form"
@@ -813,15 +816,16 @@ def resolve_check_names(names):
 
 
 def _installed_version(dist):
-    """Version of an installed distribution, or None, read from its metadata
-    without importing it.  importlib.metadata is imported here, after the
-    checks, because its import costs about 20 ms."""
-    import importlib.metadata
-
-    try:
-        return importlib.metadata.version(dist)
-    except importlib.metadata.PackageNotFoundError:
-        return None
+    """Version of an installed distribution, or None: the Version line of the
+    first dist-info METADATA of dist on sys.path, read without importing the
+    distribution or importlib.metadata (whose import costs about 20 ms)."""
+    for entry in sys.path:
+        pattern = os.path.join(glob.escape(entry or "."), dist + "-*.dist-info", "METADATA")
+        for path in sorted(glob.glob(pattern)):
+            with open(path, encoding="utf-8") as meta:
+                return next((line.partition(":")[2].strip() for line in meta
+                             if line.startswith("Version:")), None)
+    return None
 
 
 def run_checks(scenario, checks=None, tol_scale=1.0, draw_scale=1.0):

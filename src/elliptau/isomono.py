@@ -17,8 +17,10 @@ wp'(alpha) come from the curve module's sheet-1 frame.  With the rows at
 u = +-alpha, det Phi(u) = sigma[p,q](t)^2 sigma(2 alpha) sigma(2u), so the
 square root of det Phi is sigma[p,q](t) sigma(2 alpha) times the principal
 root of sigma(2u)/sigma(2 alpha); y_at and hatted both take that root.  Its
-slope at the half period over e_nu is D^(nu) of the frame there.  Pi,
-Pi_hat, row_hat, u_near_a and hatted take a number or an array of points.
+slope at the half period over e_nu is D^(nu) of the frame there.  Every
+evaluator of Phi and Y takes a number or an array of points: PhiMatrix.rows
+evaluates the four rows and Pi on all of them with one call of each sigma
+function, and matrix, det, det_du, hatted, y_at and coefficients read it.
 """
 
 from __future__ import annotations
@@ -120,63 +122,75 @@ def shifted_params(params, direction, delta):
                        p.char.p, p.char.q)
 
 
+@dataclass(frozen=True)
+class PhiRows:
+    """The hatted rows of Phi at points u and Pi(u), with their u-derivatives
+    when asked for.  hat[i, j] = sigma[p,q](u_j + s_i + t) sigma(u_j - s_i)
+    for u_j = u, -u and s_i = alpha, -alpha (phi, psi): the entry layout of
+    Phi, followed by u's shape.  hat_du[i, j] is its derivative in u_j."""
+
+    hat: np.ndarray
+    Pi: object
+    hat_du: np.ndarray | None = None
+    Pi_du: object = None
+
+    @property
+    def det(self):
+        """det Phi; the Pi exponentials cancel."""
+        (r11, r12), (r21, r22) = self.hat
+        return r11 * r22 - r12 * r21
+
+    @property
+    def det_du(self):
+        (r11, r12), (r21, r22) = self.hat
+        (d11, d12), (d21, d22) = self.hat_du
+        return d11 * r22 - r11 * d22 + d12 * r21 - r12 * d21
+
+    def entries(self, pi):
+        """hat times exp(pi) in the u column and exp(-pi) in the -u column,
+        entry axes last: Phi(u) for pi = Pi(u)."""
+        cols = np.stack([np.exp(pi), np.exp(-pi)])
+        return np.moveaxis(self.hat * cols, (0, 1), (-2, -1))
+
+
 class PhiMatrix:
-    """Entry evaluators for Phi(P) as functions of the Abel coordinate u."""
+    """Entry evaluators for Phi(P) as functions of the Abel coordinate u, on
+    a number or an array of points (then u.shape + (2, 2) for a matrix)."""
 
     def __init__(self, params):
         self.params = params
 
     def Pi(self, u):
         p = self.params
-        return -(p.t / 2.0) * (zeta(p.lat, u - p.alpha) + zeta(p.lat, u + p.alpha))
+        z = zeta(p.lat, np.stack([u - p.alpha, u + p.alpha]))
+        return -(p.t / 2.0) * (z[0] + z[1])
 
-    def Pi_prime(self, u):
+    def rows(self, u, du=False):
+        """PhiRows at u, from one call of each sigma function on all points;
+        with du also the derivatives, Pi' = (t/2) (wp(u - alpha) + wp(u + alpha))."""
         p = self.params
-        return (p.t / 2.0) * (wp(p.lat, u - p.alpha) + wp(p.lat, u + p.alpha))
-
-    def Pi_hat(self, u, x=None):
-        """Regular part of Pi near x = a: Pi + wp'(alpha) t / (2 (x-a))."""
-        p = self.params
-        if x is None:
-            x = wp(p.lat, u) + p.branch.e_sum / 3.0
-        return self.Pi(u) + p.wp_a.wp_prime * p.t / (2.0 * (x - p.a))
-
-    # Each row is keyed by its frame shift s: s = alpha is phi, s = -alpha psi.
-
-    def row_hat(self, u, s):
-        p = self.params
-        return sigma_char(p.lat, p.char, u + s + p.t) * sigma(p.lat, u - s)
-
-    def row_hat_du(self, u, s):
-        p = self.params
-        return (sigma_char_du(p.lat, p.char, u + s + p.t) * sigma(p.lat, u - s)
-                + sigma_char(p.lat, p.char, u + s + p.t) * sigma_du(p.lat, u - s))
-
-    def row(self, u, s):
-        return self.row_hat(u, s) * cmath.exp(self.Pi(u))
-
-    def dlog_row(self, u, s):
-        p = self.params
-        return (sigma_char_dlog(p.lat, p.char, u + s + p.t)
-                + zeta(p.lat, u - s) + self.Pi_prime(u))
+        u = np.asarray(u, dtype=complex)
+        s = np.array([p.alpha, -p.alpha]).reshape((2, 1) + (1,) * u.ndim)
+        uj = np.stack([u, -u])
+        shifted, plain = uj + s + p.t, uj - s
+        a, b = sigma_char(p.lat, p.char, shifted), sigma(p.lat, plain)
+        if not du:
+            return PhiRows(a * b, self.Pi(u))
+        w = wp(p.lat, np.stack([u - p.alpha, u + p.alpha]))
+        return PhiRows(a * b, self.Pi(u),
+                       sigma_char_du(p.lat, p.char, shifted) * b + a * sigma_du(p.lat, plain),
+                       (p.t / 2.0) * (w[0] + w[1]))
 
     def matrix(self, u):
-        al = self.params.alpha
-        return np.array([[self.row(u, al), self.row(-u, al)],
-                         [self.row(u, -al), self.row(-u, -al)]], dtype=complex)
+        r = self.rows(u)
+        return r.entries(r.Pi)
 
     def det(self, u):
-        """det Phi as a function of u; the Pi exponentials cancel."""
-        al = self.params.alpha
-        return (self.row_hat(u, al) * self.row_hat(-u, -al)
-                - self.row_hat(-u, al) * self.row_hat(u, -al))
+        """det Phi as a function of u."""
+        return self.rows(u).det
 
     def det_du(self, u):
-        al = self.params.alpha
-        return (self.row_hat_du(u, al) * self.row_hat(-u, -al)
-                - self.row_hat(u, al) * self.row_hat_du(-u, -al)
-                + self.row_hat_du(-u, al) * self.row_hat(u, -al)
-                - self.row_hat(-u, al) * self.row_hat_du(u, -al))
+        return self.rows(u, du=True).det_du
 
     def gamma_multiplier(self, u):
         """Diagonal-and-scalar transformation picked up by Phi under u -> u + omega1."""
@@ -296,8 +310,8 @@ class YSolution:
         """Y(x) exp(-T^(a)(x)): analytic at a, equal to 1 + Y1 (x-a) + ...
 
         Evaluated through the hatted entries and the regular part of Pi, so
-        the irregular exponentials never appear.  Pi_hat still cancels the
-        pole c/(x-a) against the one Pi carries through zeta(u - alpha), so
+        the irregular exponentials never appear.  The regular part cancels
+        the pole c/(x-a) against the one Pi carries through zeta(u - alpha), so
         at distance r from a the relative accuracy is about
         1e-16 (d/r)^2, d the distance from a to the nearest branch point:
         on golden 1.2e-12 at r = 0.02 d and 4.7e-6 at r = 1e-5 d.  The
@@ -309,19 +323,13 @@ class YSolution:
         p = self.params
         if u is None:
             u = self.u_near_a(x)
-        ph = self.phi
-        al = p.alpha
-        pih = ph.Pi_hat(u, x)
-        col1, col2 = _math(pih).exp(pih), _math(pih).exp(-pih)
-        r11, r12 = ph.row_hat(u, al), ph.row_hat(-u, al)
-        r21, r22 = ph.row_hat(u, -al), ph.row_hat(-u, -al)
-        mat = np.array([[r11 * col1, r12 * col2],
-                        [r21 * col1, r22 * col2]], dtype=complex)
+        r = self.phi.rows(u)
+        # the regular part of Pi at a: Pi + wp'(alpha) t / (2 (x - a))
+        mat = r.entries(r.Pi + p.wp_a.wp_prime * p.t / (2.0 * (x - p.a)))
         # Y = N Phi / sqrt(det Phi(u)); N carries the sqrt(det Phi(a)) factor,
-        # and det Phi(u) is PhiMatrix.det from the same four row values
-        det = r11 * r22 - r12 * r21
+        # and det Phi(u) comes from the same four row values
+        det = r.det
         ratio = 1.0 / (self.sqrt_det_a * _math(det).sqrt(det / self.det_a))
-        mat = np.moveaxis(mat, (0, 1), (-2, -1))  # entry axes last, per point
         return np.asarray(ratio)[..., None, None] * (self.N @ mat)
 
     def exp_T_a(self, x):
@@ -355,16 +363,18 @@ class YSolution:
     # -- global evaluation ---------------------------------------------------
 
     def y_at(self, x):
-        """Y at an arbitrary regular point.
+        """Y at a regular point x, a number (a 2x2 result) or an array
+        (x.shape + (2, 2)).
 
         u(x) follows the curve module's canonical sheet-1 path, and
         sqrt(det Phi(u)) is sqrt_det_a times the principal root of
         sigma(2u)/sigma(2 alpha), the same root hatted takes.
         """
         p = self.params
-        u, _ = _curve.abel_with_y(p.branch, x)
+        u = np.reshape([_curve.abel_with_y(p.branch, z)[0] for z in np.ravel(x)], np.shape(x))
         ratio = sigma(p.lat, 2.0 * u) / sigma(p.lat, 2.0 * p.alpha)
-        return (self.N @ self.phi.matrix(u)) / (self.sqrt_det_a * cmath.sqrt(ratio))
+        root = self.sqrt_det_a * _math(ratio).sqrt(ratio)
+        return (self.N @ self.phi.matrix(u)) / np.asarray(root)[..., None, None]
 
 
 def normalize_Y(params, phi=None):
@@ -430,39 +440,30 @@ def coefficients(params, m_inf=-1j, phi=None, sol=None):
     hpt = p.half_periods
     es = p.branch.es
     A, G, D = {}, {}, {}
-    al = p.alpha
-    for nu in (1, 2, 3):
-        k = hpt.slot_of_branch(nu)
-        h = hpt.omega_tilde[k]
+    ks = [hpt.slot_of_branch(nu) for nu in (1, 2, 3)]
+    # the half periods over e1, e2, e3 and u = 0 in one evaluation: the rows
+    # phi, psi (column u of Phi) and their u-derivatives
+    r = phi.rows([hpt.omega_tilde[k] for k in ks] + [0j], du=True)
+    ex = np.exp(r.Pi)
+    rows, drows = r.hat[:, 0] * ex, (r.hat_du[:, 0] + r.hat[:, 0] * r.Pi_du) * ex
+    dets = r.det_du
+    for i, (nu, k) in enumerate(zip((1, 2, 3), ks)):
         eta_t = hpt.eta_tilde[k]
         m = slots[k]
-        ph_h, ps_h = phi.row(h, al), phi.row(h, -al)
-        dl_ph, dl_ps = phi.dlog_row(h, al), phi.dlog_row(h, -al)
-        Dv = phi.det_du(h)
+        D[nu] = Dv = dets[i]
         if abs(Dv) == 0:
             raise DegenerateParameterError(f"D at half period over e_{nu} vanished")
         e_t = [x for j, x in enumerate(es, start=1) if j != nu]
         wpp_half = 2.0 * (es[nu - 1] - e_t[0]) * (es[nu - 1] - e_t[1])
         quarter = (wpp_half / 2.0) ** 0.25
-        F = np.array([
-            [ph_h, ph_h * (dl_ph - eta_t)],
-            [ps_h, ps_h * (dl_ps - eta_t)],
-        ], dtype=complex)
+        F = np.stack([rows[:, i], drows[:, i] - eta_t * rows[:, i]], axis=1)
         pref = cmath.sqrt(2.0 * m) / cmath.sqrt(Dv * 1j)
-        Gn = sol.N @ (pref * F) @ np.diag([quarter, 1.0 / quarter])
-        G[nu] = Gn
-        D[nu] = Dv
+        G[nu] = Gn = sol.N @ (pref * F) @ np.diag([quarter, 1.0 / quarter])
         A[nu] = Gn @ np.diag([-0.25, 0.25]) @ np.linalg.inv(Gn)
     # frame at infinity: columns from the value and u-derivative of the row
     # functions at u = 0
-    dphi0, dpsi0 = phi.dlog_row(0j, al), phi.dlog_row(0j, -al)
-    ph0, ps0 = phi.row(0j, al), phi.row(0j, -al)
-    root = cmath.sqrt(dphi0 - dpsi0)
-    Ginf = sol.N @ np.array([
-        [-1j * ph0, 1j * ph0 * dphi0],
-        [-1j * ps0, 1j * ps0 * dpsi0],
-    ], dtype=complex) / root
-    G["inf"] = Ginf
+    root = cmath.sqrt(drows[0, 3] / rows[0, 3] - drows[1, 3] / rows[1, 3])
+    G["inf"] = sol.N @ np.stack([-1j * rows[:, 3], 1j * drows[:, 3]], axis=1) / root
     return SystemCoefficients(a=p.a, es=es, B_minus1=B_minus1, B0=B0,
                               A=A, G=G, D=D)
 

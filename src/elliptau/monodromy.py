@@ -213,33 +213,34 @@ def _taylor_sums(coeffs, x0, x1):
     the partial sum; the term cap is twice the count at which RHO^n reaches
     epsilon.  Returns the sums at s = 1 and the settled mask.
     """
-    n = len(x0)
     eps = np.finfo(float).eps
     h = x1 - x0
-    d = x0[:, None] - np.array([coeffs.a, *coeffs.es])
-    q = h[:, None] / d
-    # the five pole terms as one (2, 10) block row per chord, the double pole last
+    d = x0 - np.array([coeffs.a, *coeffs.es])[:, None]
+    q = h / d
+    # chords last: the five pole terms as (2, 5, 2, n) blocks f_j C_j[i, k],
+    # the double pole last, and W_a, W_1, W_2, W_3, V as (5, 2, 2, n); the
+    # order's sum over (j, k) runs on their (2, 10, 1, n) and (10, 2, n) views
     C = np.stack([coeffs.B0, coeffs.A[1], coeffs.A[2], coeffs.A[3], coeffs.B_minus1])
-    f = np.concatenate([q, (h / d[:, 0] ** 2)[:, None]], axis=1)
-    M = (f[:, :, None, None] * C).transpose(0, 2, 1, 3).reshape(n, 2, 10)
-    W = np.zeros((n, 5, 2, 2), dtype=complex)  # W_a, W_1, W_2, W_3, V
-    Wcol = W.reshape(n, 10, 2)
-    qW, qa = q[:, :, None, None], q[:, 0, None, None]
-    y = np.zeros((n, 2, 2), dtype=complex)
-    y[:, 0, 0] = y[:, 1, 1] = 1.0
+    f = np.concatenate([q, (h / d[0] ** 2)[None]])
+    M = (C.transpose(1, 0, 2)[..., None] * f[:, None]).reshape(2, 10, 1, len(h))
+    W = np.zeros((5, 2, 2, len(h)), dtype=complex)
+    Wjk = W.reshape(10, 2, len(h))
+    qW, qa = q[:, None, None], q[0]
+    y = np.zeros((2, 2, len(h)), dtype=complex)
+    y[0, 0] = y[1, 1] = 1.0
     S = y.copy()
-    small = ok = np.zeros(n, dtype=bool)
+    small = ok = np.zeros(len(h), dtype=bool)
     for order in range(1, int(2 * math.log(eps) / math.log(RHO)) + 1):
-        W[:, :4] = y[:, None] - qW * W[:, :4]
-        W[:, 4] = W[:, 0] - qa * W[:, 4]
-        y = (M @ Wcol) / order
+        W[:4] = y - qW * W[:4]
+        W[4] = W[0] - qa * W[4]
+        y = (M * Wjk).sum(axis=1) / order
         S += y
-        tiny = np.abs(y).max(axis=(1, 2)) <= eps * np.abs(S).max(axis=(1, 2))
+        tiny = np.abs(y).max(axis=(0, 1)) <= eps * np.abs(S).max(axis=(0, 1))
         ok = ok | (small & tiny)
         small = tiny
         if ok.all():
             break
-    return S, ok
+    return np.moveaxis(S, -1, 0), ok
 
 
 def monodromy_matrices(params, loops=(1, 2, 3, "inf"), sol=None, coeffs=None):

@@ -17,7 +17,14 @@ import pytest
 import elliptau.checks
 import elliptau.cli
 import elliptau.curve
-from elliptau.checks import CHECKS, SUITES, CheckResult, resolve_check_names, run_checks
+from elliptau.checks import (
+    CHECKS,
+    SUITES,
+    CheckResult,
+    _installed_version,
+    resolve_check_names,
+    run_checks,
+)
 from elliptau.cli import main
 from elliptau.errors import DegenerateParameterError, QuadratureError, ScenarioError
 from elliptau.isomono import make_params
@@ -174,6 +181,14 @@ def test_report_explains_itself(tmp_path):
     # y_normalization builds params, phi and sol; each stage is timed once
     assert {"branch", "params", "phi", "sol"} <= set(d["stage_s"])
     assert all(float(v) >= 0 for v in d["stage_s"].values())
+
+
+def test_environment_versions_match_importlib_metadata():
+    import importlib.metadata
+
+    for dist in ("scipy", "numpy"):
+        assert _installed_version(dist) == importlib.metadata.version(dist)
+    assert _installed_version("no-such-distribution") is None
 
 
 def test_cli_imports_no_scipy_and_tau_imports_nothing_late(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import elliptau.curve
+import elliptau.elliptic
 from elliptau.curve import BranchConfig, abel_with_y
 from elliptau.elliptic import sigma, sigma_char
 from elliptau.errors import DegenerateParameterError
@@ -133,12 +134,13 @@ def test_det_phi_du_matches_difference_quotient(golden):
 def test_pi_hat_is_regular_part(golden):
     phi = golden.phi
     p = golden.params
-    # Pi_hat stays bounded while Pi blows up toward u = alpha
+    # the regular part hatted takes, Pi + wp'(alpha) t / (2 (x - a)), stays
+    # bounded while Pi blows up toward u = alpha
     sol = golden.sol
     for r in (1e-2, 1e-3, 1e-4):
         x = p.a + r
         u = sol.u_near_a(x)
-        assert abs(phi.Pi_hat(u, x)) < 10.0
+        assert abs(phi.Pi(u) + p.wp_a.wp_prime * p.t / (2.0 * (x - p.a))) < 10.0
         assert abs(phi.Pi(u)) > 0.1 / r * abs(p.wp_a.wp_prime * p.t) / 4
 
 
@@ -318,33 +320,30 @@ def test_deformation_residual_shrinks_quadratically(golden):
 
 def test_hatted_evaluates_each_row_once(golden, monkeypatch):
     sol, ph, p = golden.sol, golden.phi, golden.params
-    al = p.alpha
     xs = [p.a + 0.01 * cmath.exp(2j * math.pi * (k + 0.3) / 5) for k in range(5)]
-    # the formula with det Phi(u) taken from PhiMatrix.det, which evaluates
-    # the four row values a second time
+    # the formula with det Phi(u) from the same evaluation of the four rows
     refs = []
     for x in xs:
         u = sol.u_near_a(x)
-        pih = ph.Pi_hat(u, x)
-        col1, col2 = cmath.exp(pih), cmath.exp(-pih)
-        mat = np.array([
-            [ph.row_hat(u, al) * col1, ph.row_hat(-u, al) * col2],
-            [ph.row_hat(u, -al) * col1, ph.row_hat(-u, -al) * col2],
-        ], dtype=complex)
-        ratio = 1.0 / (sol.sqrt_det_a * cmath.sqrt(ph.det(u) / sol.det_a))
+        r = ph.rows(u)
+        mat = r.entries(r.Pi + p.wp_a.wp_prime * p.t / (2.0 * (x - p.a)))
+        ratio = 1.0 / (sol.sqrt_det_a * cmath.sqrt(r.det / sol.det_a))
         refs.append(ratio * (sol.N @ mat))
     calls = []
-    row_hat = PhiMatrix.row_hat
+    rows = PhiMatrix.rows
 
-    def counted(self, u, s):
-        calls.append(s)
-        return row_hat(self, u, s)
+    def counted(self, u, du=False):
+        calls.append(np.shape(u))
+        return rows(self, u, du)
 
-    monkeypatch.setattr(PhiMatrix, "row_hat", counted)
+    monkeypatch.setattr(PhiMatrix, "rows", counted)
     for x, ref in zip(xs, refs):
         calls.clear()
         assert np.array_equal(sol.hatted(x), ref)
-        assert len(calls) == 4
+        assert calls == [()]
+    calls.clear()
+    sol.hatted(np.array(xs))
+    assert calls == [(5,)]
 
 
 def test_deformation_check_reuses_base_stage(golden, monkeypatch):
@@ -435,6 +434,48 @@ def test_hatted_on_an_array_equals_pointwise(seed):
         assert np.max(np.abs(arr[idx] - one)) <= 1e-12 * np.max(np.abs(one))
 
 
+@pytest.mark.parametrize("seed", [None, 3, 4, 5])
+@pytest.mark.parametrize("name", ["matrix", "det", "det_du", "y_at"])
+def test_phi_and_y_on_an_array_equal_pointwise(name, seed):
+    # one evaluation of the rows on all points gives the per-point values
+    s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
+    p = make_params(s.branch, s.a, s.t, s.p, s.q)
+    sol = normalize_Y(p)
+    if name == "y_at":
+        f, b = sol.y_at, p.branch
+        ring = np.exp(2j * math.pi * (np.arange(4) + 0.5) / 4)
+        pts = b.centroid + b.scale * np.array([1.3 * ring, 1.6 * ring])
+    else:
+        f, lat, rng = getattr(sol.phi, name), p.lat, SplitMix64(47)
+        pts = np.array([[rng.uniform(-0.5, 0.5) * lat.omega1 + rng.uniform(-0.5, 0.5) * lat.omega2
+                         for _ in range(4)] for _ in range(2)])
+    arr = f(pts)
+    assert arr.shape == pts.shape + (() if name.startswith("det") else (2, 2))
+    for idx in np.ndindex(pts.shape):
+        one = f(complex(pts[idx]))
+        assert np.max(np.abs(arr[idx] - one)) <= 1e-14 * np.max(np.abs(one))
+
+
+def test_golden_verify_stays_array_first(monkeypatch):
+    # from cold caches, one golden verify makes at most 2,000 theta-kernel
+    # calls (3,896 when Phi, Y and the coefficient frames were built one
+    # scalar call at a time)
+    for module in (elliptau.elliptic, elliptau.curve, elliptau.isomono):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    calls = []
+    block = elliptau.elliptic._theta_block
+
+    def counted(char, z, *args):
+        calls.append(z.size)
+        return block(char, z, *args)
+
+    monkeypatch.setattr(elliptau.elliptic, "_theta_block", counted)
+    assert run_checks(GOLDEN).overall == "pass"
+    assert len(calls) <= 2000
+
+
 def test_verify_evaluates_each_shared_ring_once(monkeypatch):
     hatted = elliptau.isomono.YSolution.hatted
     trace = elliptau.isomono.SystemCoefficients.trace_A2_half
@@ -468,9 +509,10 @@ def test_d_is_the_product_formula(seed):
     slots = theoretical_monodromy(p).m
     for nu in (1, 2, 3):
         h = p.half_periods.omega_tilde[p.half_periods.slot_of_branch(nu)]
-        ph, ps = phi.row(h, p.alpha), phi.row(h, -p.alpha)
-        product = ((2.0 * slots[nu] / -1j) * ph * ps
-                   * (phi.dlog_row(h, p.alpha) - phi.dlog_row(h, -p.alpha)))
+        r = phi.rows(h, du=True)
+        ph, ps = r.hat[:, 0] * np.exp(r.Pi)  # the rows at u = h, s = +-alpha
+        dlog = r.hat_du[:, 0] / r.hat[:, 0]  # Pi' cancels in their difference
+        product = (2.0 * slots[nu] / -1j) * ph * ps * (dlog[0] - dlog[1])
         assert abs(co.D[nu] - product) <= 1e-13 * abs(product)
 
 
