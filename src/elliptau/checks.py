@@ -26,9 +26,12 @@ from . import __version__
 from .curve import (
     BranchConfig,
     CurvePoint,
+    Line,
     abel,
+    abel_with_y,
     dOmega_de,
     dlog_omega1_de,
+    path_integral,
     periods,
     quasiperiod_ratio_derivative,
     theta_constant_residuals,
@@ -233,6 +236,27 @@ def _random_u(rng, lat):
             + rng.uniform(0.08, 0.42) * lat.omega2)
 
 
+def _lattice_and_u(rng):
+    lat = _random_lattice(rng)
+    return lat, _random_u(rng, lat)
+
+
+def _draws(rng, count, draw):
+    """count calls of draw(rng), in order, as columns: one tuple per item drawn."""
+    return tuple(zip(*(draw(rng) for _ in range(count))))
+
+
+def _batch(lats):
+    """The lattices as one batch Lattice."""
+    return lattice_from_periods(np.array([lat.omega1 for lat in lats]),
+                                np.array([lat.omega2 for lat in lats]))
+
+
+def _batch_char(chars):
+    """The characteristics as one characteristic of arrays."""
+    return ThetaChar(np.array([c.p for c in chars]), np.array([c.q for c in chars]))
+
+
 def ring_moments(f, center, radius, n, orders):
     """Trapezoidal Cauchy moments (1/n) sum_j f(x_j) (x_j - center)^(-k), k in
     orders, over n equispaced x_j on |x - center| = radius; f is called once
@@ -308,92 +332,89 @@ def _clearance(branch, a, x):
 
 
 def check_legendre(ctx, rng, tol):
-    worst = 0.0
-    for _ in range(ctx.draws(20)):
-        lat = _random_lattice(rng)
-        worst = max(worst, abs(lat.eta1 * lat.omega2 - lat.eta2 * lat.omega1
-                               - 2j * math.pi) / TWO_PI)
-        u = _random_u(rng, lat)
-        worst = max(worst, abs(zeta(lat, u + lat.omega1) - zeta(lat, u) - lat.eta1)
-                    / max(1.0, abs(lat.eta1)))
-        worst = max(worst, abs(zeta(lat, u + lat.omega2) - zeta(lat, u) - lat.eta2)
-                    / max(1.0, abs(lat.eta2)))
-    return worst, "normalization plus zeta-increment cross-check"
+    lats, us = _draws(rng, ctx.draws(20), _lattice_and_u)
+    lat, u = _batch(lats), np.array(us)
+    w1, w2, e1, e2 = lat.omega1, lat.omega2, lat.eta1, lat.eta2
+    z0, z1, z2 = zeta(lat, np.stack([u, u + w1, u + w2]))
+    worst = max(np.max(np.abs(e1 * w2 - e2 * w1 - 2j * math.pi)) / TWO_PI,
+                np.max(np.abs(z1 - z0 - e1) / np.maximum(1.0, np.abs(e1))),
+                np.max(np.abs(z2 - z0 - e2) / np.maximum(1.0, np.abs(e2))))
+    return float(worst), "normalization plus zeta-increment cross-check"
 
 
 def check_heat_equation(ctx, rng, tol):
-    worst = 0.0
+    Om, z, chars = [], [], []
     for i in range(10):
         for j in range(ctx.draws(10)):
-            Om = complex(-0.4 + 0.08 * i, 0.3 + 0.15 * j)
-            z = complex(-0.5 + 0.1 * i, -0.3 + 0.07 * j)
-            ch = _random_char(rng)
-            lhs = theta_dz(ch, z, Om, 2)
-            rhs = 4j * math.pi * theta_dOmega(ch, z, Om)
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-30))
-    return worst, "second z-derivative vs 4 pi i Omega-derivative"
+            Om.append(complex(-0.4 + 0.08 * i, 0.3 + 0.15 * j))
+            z.append(complex(-0.5 + 0.1 * i, -0.3 + 0.07 * j))
+            chars.append(_random_char(rng))
+    ch, z, Om = _batch_char(chars), np.array(z), np.array(Om)
+    lhs = theta_dz(ch, z, Om, 2)
+    rhs = 4j * math.pi * theta_dOmega(ch, z, Om)
+    worst = np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-30))
+    return float(worst), "second z-derivative vs 4 pi i Omega-derivative"
 
 
 def check_wp_ode(ctx, rng, tol):
-    worst = 0.0
-    for _ in range(ctx.draws(20)):
-        lat = _random_lattice(rng)
-        u = _random_u(rng, lat)
-        w, w1 = wp(lat, u), wp_prime(lat, u)
-        res = w1 * w1 - (4.0 * w**3 - lat.g2 * w - lat.g3)
-        worst = max(worst, abs(res) / max(abs(w1 * w1), abs(4 * w**3), 1e-30))
-    return worst, "wp'^2 = 4 wp^3 - g2 wp - g3"
+    lats, us = _draws(rng, ctx.draws(20), _lattice_and_u)
+    lat, u = _batch(lats), np.array(us)
+    w, w1 = wp(lat, u), wp_prime(lat, u)
+    res = w1 * w1 - (4.0 * w**3 - lat.g2 * w - lat.g3)
+    scale = np.maximum(np.maximum(np.abs(w1 * w1), np.abs(4 * w**3)), 1e-30)
+    return float(np.max(np.abs(res) / scale)), "wp'^2 = 4 wp^3 - g2 wp - g3"
 
 
 def check_wp_addition(ctx, rng, tol):
-    worst = 0.0
-    for _ in range(ctx.draws(20)):
-        lat = _random_lattice(rng)
-        u = _random_u(rng, lat)
-        w, w1 = wp(lat, u), wp_prime(lat, u)
-        w2 = wp_n(lat, u, 2)
-        lhs = wp(lat, 2 * u)
-        rhs = -2.0 * w + 0.25 * (w2 / w1) ** 2
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
-    return worst, "duplication wp(2u) = -2 wp + (wp''/wp')^2/4"
+    lats, us = _draws(rng, ctx.draws(20), _lattice_and_u)
+    lat, u = _batch(lats), np.array(us)
+    w, lhs = wp(lat, np.stack([u, 2 * u]))
+    w1, w2 = wp_prime(lat, u), wp_n(lat, u, 2)
+    rhs = -2.0 * w + 0.25 * (w2 / w1) ** 2
+    worst = np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0))
+    return float(worst), "duplication wp(2u) = -2 wp + (wp''/wp')^2/4"
 
 
 def check_wp_triple(ctx, rng, tol):
-    worst = 0.0
-    for _ in range(ctx.draws(20)):
-        lat = _random_lattice(rng)
-        u = _random_u(rng, lat)
-        lhs = wp_n(lat, u, 3)
-        rhs = 12.0 * wp(lat, u) * wp_prime(lat, u)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
-    return worst, "wp''' = 12 wp wp'"
+    lats, us = _draws(rng, ctx.draws(20), _lattice_and_u)
+    lat, u = _batch(lats), np.array(us)
+    lhs = wp_n(lat, u, 3)
+    rhs = 12.0 * wp(lat, u) * wp_prime(lat, u)
+    worst = np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0))
+    return float(worst), "wp''' = 12 wp wp'"
 
 
 def check_quasi_periodicity(ctx, rng, tol):
-    worst = 0.0
-    for _ in range(ctx.draws(100, minimum=10)):
+    def draw(rng):
         lat = _random_lattice(rng)
         ch = _random_char(rng)
-        u = _random_u(rng, lat)
-        s0, s1, s2 = sigma_char(lat, ch, u + np.array([0.0, lat.omega1, lat.omega2]))
-        for lhs, w, eta, phase in ((s1, lat.omega1, lat.eta1, 2j * math.pi * ch.p),
-                                   (s2, lat.omega2, lat.eta2, -2j * math.pi * ch.q)):
-            rhs = cmath.exp(phase) * cmath.exp(eta * (u + w / 2.0)) * s0
-            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-    return worst, "both period shifts of sigma[p,q]"
+        return lat, ch, _random_u(rng, lat)
+
+    lats, chars, us = _draws(rng, ctx.draws(100, minimum=10), draw)
+    lat, ch, u = _batch(lats), _batch_char(chars), np.array(us)
+    s0, s1, s2 = sigma_char(lat, ch, np.stack([u, u + lat.omega1, u + lat.omega2]))
+    worst = 0.0
+    for lhs, w, eta, phase in ((s1, lat.omega1, lat.eta1, 2j * math.pi * ch.p),
+                               (s2, lat.omega2, lat.eta2, -2j * math.pi * ch.q)):
+        rhs = np.exp(phase) * np.exp(eta * (u + w / 2.0)) * s0
+        worst = max(worst, np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-30)))
+    return float(worst), "both period shifts of sigma[p,q]"
 
 
 def check_sigma_homogeneity(ctx, rng, tol):
-    worst = 0.0
-    for _ in range(ctx.draws(20)):
+    def draw(rng):
         lat = _random_lattice(rng)
         lam = (0.5 + rng.uniform(0.0, 1.5)) * rng.unit_phase()
         lat2 = lattice_from_periods(lam * lat.omega1, lam * lat.omega2)
-        u = _random_u(rng, lat)
-        lhs = sigma(lat2, lam * u)
-        rhs = lam * sigma(lat, u)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-    return worst, "sigma(lu; lw1, lw2) = l sigma(u; w1, w2)"
+        return lat, lat2, lam, _random_u(rng, lat)
+
+    lats, lat2s, lams, us = _draws(rng, ctx.draws(20), draw)
+    lam, u = np.array(lams), np.array(us)
+    # the drawn lattices, then the scaled ones, in one batch
+    plain, scaled = np.split(sigma(_batch(lats + lat2s), np.concatenate([u, lam * u])), 2)
+    rhs = lam * plain
+    worst = np.max(np.abs(scaled - rhs) / np.maximum(np.abs(rhs), 1e-30))
+    return float(worst), "sigma(lu; lw1, lw2) = l sigma(u; w1, w2)"
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +443,8 @@ def _branch_derivative_residual(ctx, rng, value, closed, degree=None):
         cls = [closed(b, lat, nu) for nu in (1, 2, 3)]
         for nu, cl in zip((1, 2, 3), cls):
             e = b.es[nu - 1]
-            d, _ = ring_derivative(lambda zs: np.array([value(periods(b.moved(nu, z - e)))
-                                                        for z in zs]),
+            d, _ = ring_derivative(lambda zs: value(_batch([periods(b.moved(nu, z - e))
+                                                            for z in zs])),
                                    e, _clearance(b, None, e))
             worst = max(worst, abs(d - cl) / max(abs(cl), 1e-30))
         worst = max(worst, abs(sum(cls)) / max(abs(cl) for cl in cls))
@@ -542,8 +563,15 @@ def check_ode_residual(ctx, rng, tol):
     xs = [center + radius * cmath.exp(2j * math.pi * j / n) for j in range(n)]
     worst = 0.0
     for x, Y in zip(xs, ctx.sol.y_at(np.array(xs))):
-        dY, _ = ring_derivative(ctx.sol.y_at, x,
-                                min(_clearance(b, a, x), b.distance_to_cuts(x)))
+        # the ring stays within 1e-3 of the distance to the cuts, so u and y
+        # continue from x to each node along a straight chord
+        u0, y0 = abel_with_y(b, x)
+
+        def y_ring(zs):
+            us = [u0 + path_integral([Line(x, z)], b, y0)[0] for z in zs]
+            return ctx.sol.y_at(zs, np.array(us))
+
+        dY, _ = ring_derivative(y_ring, x, min(_clearance(b, a, x), b.distance_to_cuts(x)))
         lhs = dY @ np.linalg.inv(Y)
         rhs = ctx.coeffs.A_of(x)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))
@@ -828,6 +856,26 @@ def _installed_version(dist):
     return None
 
 
+def _platform_name():
+    """platform.platform(), built on Linux from the system, release, machine
+    and libc with its clean-up rules: there it would also read the processor
+    through a `uname -p` subprocess (about 6.5 ms), a field it drops when
+    blank, unknown or equal to the machine."""
+    system = platform.system()
+    if system != "Linux":
+        return platform.platform()
+    libc, version = platform.libc_ver()
+    name = "-".join(x.strip() for x in (system, platform.release(), platform.machine(),
+                                        "with", libc + version) if x)
+    name = name.replace(" ", "_")
+    for c in '/\\:;"()':
+        name = name.replace(c, "-")
+    name = name.replace("unknown", "")
+    while "--" in name:
+        name = name.replace("--", "-")
+    return name.rstrip("-")
+
+
 def run_checks(scenario, checks=None, tol_scale=1.0, draw_scale=1.0):
     """Run the selected checks and assemble the report.
 
@@ -857,7 +905,7 @@ def run_checks(scenario, checks=None, tol_scale=1.0, draw_scale=1.0):
     overall = "pass" if all(r.status == "pass" for r in results) else "fail"
     env = {"precision": "float64/complex128", "version": __version__,
            "python": platform.python_version(), "numpy": np.__version__,
-           "scipy": _installed_version("scipy"), "platform": platform.platform(),
+           "scipy": _installed_version("scipy"), "platform": _platform_name(),
            "seed": scenario.seed}
     return Report(overall=overall, environment=env, results=results,
                   stage_s=ctx.stage_s)

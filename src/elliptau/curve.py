@@ -48,7 +48,6 @@ from numpy.polynomial.legendre import leggauss
 from .elliptic import (
     Lattice,
     lattice_from_periods,
-    theta11_constants,
     wp,
 )
 from .errors import ContourGeometryError, DegenerateParameterError, QuadratureError
@@ -676,7 +675,7 @@ def dOmega_de(branch, lat, nu):
 def dlog_omega1_de(branch, lat, nu):
     """Closed-form d(log omega1)/de_nu, obtained from the discriminant /
     theta-constant relation and the heat equation."""
-    d1, d3, _ = theta11_constants(lat.Omega)
+    d1, d3, _ = lat.odd_theta_constants
     dtheta1p_dOmega = d3 / (4j * math.pi)
     es = branch.es
     e = es[nu - 1]
@@ -693,7 +692,7 @@ def theta_constant_residuals(branch, lat):
     (theta11^(5)/(2 theta11') - 5 (theta11'''/theta11')^2 / 6) / omega1^4.
     Returns the two relative residuals.
     """
-    d1, d3, d5 = theta11_constants(lat.Omega)
+    d1, d3, d5 = lat.odd_theta_constants
     eta1_geom = second_kind_period(branch)
     lhs1 = lat.omega1 * eta1_geom
     rhs1 = -d3 / (3.0 * d1)

@@ -15,10 +15,16 @@ Conventions, fixed once for the whole package:
 
 Every public function of z or u takes a number (the cached size-1 call of
 one kernel) or an array (one call of it, result in the array's shape).  The
+lattice may be a batch: a Lattice whose periods are arrays of one shape
+holds one lattice per point, and u broadcasts against it; likewise Omega
+and the characteristic (p, q) of the theta functions may be arrays.  The
 kernel sums a block of rings |n| <= K at every point; K grows 8, 16, 32, ...
 up to MAX_TERMS = 200 until the edge terms fall below SERIES_TOL = 1e-16 of
-the running scale at every z, else it raises ThetaConvergenceError.  These
-are module constants, not options.
+the running scale at every point, else it raises ThetaConvergenceError.
+These are module constants, not options.  Every point adds its rings in
+the same order in a call of any size, so a point's value is that of its
+size-1 call up to the rings past its own K that other points need, which
+lie below SERIES_TOL of its scale.
 """
 
 from __future__ import annotations
@@ -52,24 +58,37 @@ MAX_TERMS = 200
 _EXP_MAX = 650.0
 
 
-@lru_cache(maxsize=256)
-def _rings(p, done, K, kmax, with_dOmega):
-    """The rings done < |n| <= K (-K first, K last) as columns of m = n + p:
-    m^2, 2 pi i m, and the row weights (2 pi i m)^k for k = 0..kmax, then
-    i pi m^2 with with_dOmega."""
-    n = np.arange(-K, K + 1)
-    m = (n[np.abs(n) > done] + p)[:, None]
+def _ring_tables(m, kmax, with_dOmega):
+    """For a block m = n + p of rings by points: m^2, 2 pi i m, and the row
+    weights (2 pi i m)^k for k = 0..kmax, then i pi m^2 with with_dOmega,
+    stacked as (rings, rows, points)."""
     weights = [np.ones_like(m)]
     for _ in range(kmax):
         weights.append(weights[-1] * (TWO_PI_I * m))
     if with_dOmega:
         weights.append((1j * math.pi) * m * m)
-    return m * m, TWO_PI_I * m, np.stack(weights)
+    return m * m, TWO_PI_I * m, np.stack(weights, axis=1)
+
+
+def _ring_indices(done, K):
+    """The rings done < |n| <= K, -K first and K last, as a column."""
+    n = np.arange(-K, K + 1)
+    return n[np.abs(n) > done][:, None]
+
+
+@lru_cache(maxsize=256)
+def _rings(p, done, K, kmax, with_dOmega):
+    """_ring_tables of the rings done < |n| <= K for one characteristic p,
+    as (rings, 1) columns shared by every point."""
+    return _ring_tables(_ring_indices(done, K) + p, kmax, with_dOmega)
 
 
 def _theta_block(char, z, Omega, kmax, with_dOmega):
     """Rows d^k/dz^k theta[p,q], k = 0..kmax, then d/dOmega theta with
     with_dOmega, at every point of the 1-D array z: shape (rows, len(z)).
+    Omega, p and q are numbers or arrays of z's length (one per point);
+    a number p reads the cached _rings columns, an array p builds the
+    (rings, points) block m = n + p.
 
     K doubles from 8 (capped at MAX_TERMS) until at every point the edge
     terms (rings +-K) of every row are at most SERIES_TOL of that row's
@@ -77,30 +96,40 @@ def _theta_block(char, z, Omega, kmax, with_dOmega):
     deadlock at symmetric zeros such as theta11(0).  A term beyond
     exp(_EXP_MAX) raises ThetaConvergenceError before it overflows.
     """
-    if Omega.imag <= 0:
-        raise LatticeOrientationError(f"Im(Omega) must be positive, got {Omega}")
+    def at(bad):  # the error's z and Omega at point bad
+        return complex(z[bad]), complex(np.broadcast_to(Omega, z.shape)[bad])
+
+    wrong = Omega.imag <= 0
+    if _any(wrong):
+        worst = np.ravel(Omega)[np.argmax(np.ravel(wrong))]
+        raise LatticeOrientationError(f"Im(Omega) must be positive, got {worst}")
     if not z.size:
         return np.zeros((kmax + 1 + with_dOmega, 0), dtype=complex)
-    p, zq = complex(char.p), z + complex(char.q)
+    p, zq = char.p, z + char.q
     sums = peaks = 0.0
     done, K = -1, 8
     while True:
-        msq, lin, weights = _rings(p, done, K, kmax, with_dOmega)
+        if isinstance(p, np.ndarray):
+            msq, lin, weights = _ring_tables(_ring_indices(done, K) + p, kmax, with_dOmega)
+        else:
+            msq, lin, weights = _rings(p, done, K, kmax, with_dOmega)
         expo = (1j * math.pi * Omega) * msq + lin * zq
         if expo.real.max() > _EXP_MAX:
             bad = np.unravel_index(np.argmax(expo.real), expo.shape)[1]
-            raise ThetaConvergenceError(complex(z[bad]), Omega, MAX_TERMS)
-        terms = weights * np.exp(expo)
+            raise ThetaConvergenceError(*at(bad), MAX_TERMS)
+        # rings first, added in order in a call of any size: numpy adds the
+        # rings of several columns in order but those of a lone column
+        # pairwise, so a cumulative sum keeps the order there
+        terms = weights * np.exp(expo)[:, None]
         mags = np.abs(terms)
-        sums = sums + terms.sum(axis=1)
-        peaks = np.maximum(peaks, mags.max(axis=1))
-        edge = np.maximum(mags[:, 0], mags[:, -1])
+        sums = sums + (terms.sum(axis=0) if terms[0].size > 1 else terms.cumsum(axis=0)[-1])
+        peaks = np.maximum(peaks, mags.max(axis=0))
+        edge = np.maximum(mags[0], mags[-1])
         ok = edge <= SERIES_TOL * np.maximum(np.abs(sums), peaks)
         if ok.all():
             return sums
         if K == MAX_TERMS:
-            bad = np.flatnonzero(~ok.all(axis=0))[0]
-            raise ThetaConvergenceError(complex(z[bad]), Omega, MAX_TERMS)
+            raise ThetaConvergenceError(*at(np.flatnonzero(~ok.all(axis=0))[0]), MAX_TERMS)
         done, K = K, min(2 * K, MAX_TERMS)
 
 
@@ -109,8 +138,15 @@ def _theta_jet(char, z, Omega, kmax, with_dOmega=False):
     """The size-1 call of _theta_block, cached: (jet, dOmega) with
     jet[k] = d^k/dz^k theta for k = 0..kmax and dOmega = d/dOmega theta
     (or None).  Evaluation is pure."""
+    char = ThetaChar(complex(char.p), complex(char.q))
     rows = _theta_block(char, np.array([z]), Omega, kmax, with_dOmega)[:, 0].tolist()
     return tuple(rows[:kmax + 1]), (rows[-1] if with_dOmega else None)
+
+
+def _any(mask):
+    """Whether a mask, a bool or a bool array, holds a true entry (numpy's
+    own any costs microseconds on a bool)."""
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
 
 
 def _arg(z):
@@ -126,13 +162,27 @@ def _math(w):
 
 
 def _theta_rows(char, z, Omega, kmax, with_dOmega=False):
-    """(jet, dOmega) as _theta_jet returns them; an array of z goes to one
-    uncached _theta_block call and gives rows of z's shape."""
+    """(jet, dOmega) as _theta_jet returns them.  Where z, Omega, p or q is
+    an array, they broadcast and go to one uncached _theta_block call, which
+    gives rows of the broadcast shape; the numbers among them stay numbers."""
     z = _arg(z)
-    if not isinstance(z, np.ndarray):
+    per_point = [v for v in (z, Omega, char.p, char.q) if isinstance(v, np.ndarray)]
+    if not per_point:
         return _theta_jet(char, z, complex(Omega), kmax, with_dOmega)
-    rows = _theta_block(char, z.ravel(), complex(Omega), kmax, with_dOmega)
-    rows = rows.reshape((len(rows),) + z.shape)
+    shape = per_point[0].shape
+    if any(v.shape != shape for v in per_point):
+        shape = np.broadcast_shapes(*(v.shape for v in per_point))
+
+    def flat(v):
+        if not isinstance(v, np.ndarray):
+            return complex(v)
+        return (v if v.shape == shape else np.broadcast_to(v, shape)).astype(
+            complex, copy=False).ravel()
+
+    zs = flat(z) if isinstance(z, np.ndarray) else np.full(shape, z).ravel()
+    rows = _theta_block(ThetaChar(flat(char.p), flat(char.q)), zs, flat(Omega),
+                        kmax, with_dOmega)
+    rows = rows.reshape((len(rows),) + shape)
     return rows[:kmax + 1], (rows[-1] if with_dOmega else None)
 
 
@@ -157,10 +207,10 @@ def theta_dOmega(char, z, Omega):
     return dom
 
 
-@lru_cache(maxsize=256)
 def theta11_constants(Omega):
-    """Odd theta-constant derivatives (theta11', theta11''', theta11^(5)) at 0."""
-    jet, _ = _theta_jet(HALF_HALF, 0j, complex(Omega), 5)
+    """Odd theta-constant derivatives (theta11', theta11''', theta11^(5)) at 0;
+    an array of Omega gives arrays of its shape from one uncached kernel call."""
+    jet, _ = _theta_rows(HALF_HALF, 0j, Omega, 5)
     return jet[1], jet[3], jet[5]
 
 
@@ -168,7 +218,11 @@ def theta11_constants(Omega):
 class Lattice:
     """Full periods and, when known, the zero-sum values of wp at the half
     periods.  The period ratio, quasi-period constants and cubic invariants
-    follow, each at first read: the periods alone need no theta constants."""
+    follow, each at first read: the periods alone need no theta constants.
+
+    Periods that are arrays of one shape make a batch, one lattice per
+    point: every derived value is then an array of that shape, and every
+    function of u broadcasts u against it."""
 
     omega1: complex
     omega2: complex
@@ -179,9 +233,14 @@ class Lattice:
         return self.omega2 / self.omega1
 
     @cached_property
+    def odd_theta_constants(self):
+        """theta11_constants of the period ratio, evaluated once per lattice."""
+        return theta11_constants(self.Omega)
+
+    @cached_property
     def eta1(self):
         """From the odd theta-constant relation omega1 eta1 = -theta11'''/(3 theta11')."""
-        d1, d3, _ = theta11_constants(self.Omega)
+        d1, d3, _ = self.odd_theta_constants
         return -d3 / (3.0 * d1 * self.omega1)
 
     @cached_property
@@ -193,8 +252,7 @@ class Lattice:
     def _invariants(self):
         """(g2, g3) from e_values, else from wp at the half periods."""
         w1, w2 = self.omega1, self.omega2
-        e1, e2, e3 = self.e_values or [complex(wp(self, h))
-                                       for h in (w1 / 2, (w1 + w2) / 2, w2 / 2)]
+        e1, e2, e3 = self.e_values or wp(self, np.stack([w1 / 2, (w1 + w2) / 2, w2 / 2]))
         return -4.0 * (e1 * e2 + e2 * e3 + e3 * e1), 4.0 * e1 * e2 * e3
 
     g2 = property(lambda self: self._invariants[0])
@@ -202,25 +260,27 @@ class Lattice:
 
     def reduce(self, u):
         """Nearest lattice point subtracted: returns (residual, m, n) with
-        u = m*omega1 + n*omega2 + residual."""
-        u = complex(u)
-        det = (self.omega1.real * self.omega2.imag
-               - self.omega1.imag * self.omega2.real)
-        s = (u.real * self.omega2.imag - u.imag * self.omega2.real) / det
-        t = (self.omega1.real * u.imag - self.omega1.imag * u.real) / det
-        m, n = round(s), round(t)
-        return u - m * self.omega1 - n * self.omega2, m, n
+        u = m*omega1 + n*omega2 + residual; m and n are ints for a number,
+        float arrays for an array or a batch."""
+        u, w1, w2 = _arg(u), self.omega1, self.omega2
+        det = w1.real * w2.imag - w1.imag * w2.real
+        s = (u.real * w2.imag - u.imag * w2.real) / det
+        t = (w1.real * u.imag - w1.imag * u.real) / det
+        m, n = (np.rint(s), np.rint(t)) if isinstance(s, np.ndarray) else (round(s), round(t))
+        return u - m * w1 - n * w2, m, n
 
     def unit(self):
         """Length scale of the fundamental cell."""
-        return max(abs(self.omega1), abs(self.omega2))
+        a, b = abs(self.omega1), abs(self.omega2)
+        return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
 
 
 def lattice_from_periods(omega1, omega2, e_values=None):
     """The Lattice of full periods omega1, omega2, Im(omega2/omega1) > 0, with
-    e_values, when given, the zero-sum branch values of wp."""
-    lat = Lattice(complex(omega1), complex(omega2), e_values and tuple(e_values))
-    if lat.Omega.imag <= 0:
+    e_values, when given, the zero-sum branch values of wp.  Arrays of
+    periods make a batch."""
+    lat = Lattice(_arg(omega1), _arg(omega2), e_values and tuple(e_values))
+    if _any(lat.Omega.imag <= 0):
         raise LatticeOrientationError(f"Im(omega2/omega1) must be positive, got {lat.Omega}")
     return lat
 
@@ -244,9 +304,10 @@ def _theta11_logdiv(lat, u, depth):
     """Derivatives d^m/dz^m [theta11'/theta11](u/omega1) for m = 0..depth-1;
     raises LatticePoleError naming the first u within 1e-12 of the lattice."""
     u = _arg(u)
-    for v in (u.ravel() if isinstance(u, np.ndarray) else (u,)):
-        if abs(lat.reduce(v)[0]) <= 1e-12 * lat.unit():
-            raise LatticePoleError(f"u={complex(v)} is within 1e-12 of a lattice point")
+    near = abs(lat.reduce(u)[0]) <= 1e-12 * lat.unit()
+    if _any(near):
+        v = np.broadcast_to(u, np.shape(near))[near][0]
+        raise LatticePoleError(f"u={complex(v)} is within 1e-12 of a lattice point")
     jet, _ = _theta_rows(HALF_HALF, u / lat.omega1, lat.Omega, depth)
     g = _logdiv_coeffs([jet[k] / _FACT[k] for k in range(depth + 1)])
     return [g[m] * _FACT[m] for m in range(depth)]
@@ -254,8 +315,9 @@ def _theta11_logdiv(lat, u, depth):
 
 def _gauss(lat, u):
     """exp(eta1 u^2/(2 omega1)) omega1/theta11', the prefactor of every sigma."""
-    d1, _, _ = theta11_constants(lat.Omega)
-    return _math(u).exp(lat.eta1 * u * u / (2 * lat.omega1)) * (lat.omega1 / d1)
+    d1, _, _ = lat.odd_theta_constants
+    x = lat.eta1 * u * u / (2 * lat.omega1)
+    return _math(x).exp(x) * (lat.omega1 / d1)
 
 
 def sigma_char(lat, char, u):

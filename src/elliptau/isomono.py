@@ -362,16 +362,18 @@ class YSolution:
 
     # -- global evaluation ---------------------------------------------------
 
-    def y_at(self, x):
+    def y_at(self, x, u=None):
         """Y at a regular point x, a number (a 2x2 result) or an array
         (x.shape + (2, 2)).
 
-        u(x) follows the curve module's canonical sheet-1 path, and
-        sqrt(det Phi(u)) is sqrt_det_a times the principal root of
+        u(x) follows the curve module's canonical sheet-1 path unless given,
+        and sqrt(det Phi(u)) is sqrt_det_a times the principal root of
         sigma(2u)/sigma(2 alpha), the same root hatted takes.
         """
         p = self.params
-        u = np.reshape([_curve.abel_with_y(p.branch, z)[0] for z in np.ravel(x)], np.shape(x))
+        if u is None:
+            u = np.reshape([_curve.abel_with_y(p.branch, z)[0] for z in np.ravel(x)],
+                           np.shape(x))
         ratio = sigma(p.lat, 2.0 * u) / sigma(p.lat, 2.0 * p.alpha)
         root = self.sqrt_det_a * _math(ratio).sqrt(ratio)
         return (self.N @ self.phi.matrix(u)) / np.asarray(root)[..., None, None]

@@ -164,19 +164,29 @@ def calibrate_loops(params):
 
 
 def continue_solution(coeffs, pieces, Y0):
-    """Continue the matrix solution Y0 along the pieces by Taylor steps.
+    """Continue the matrix solution Y0 along the pieces by Taylor steps: the
+    one-path case of _continue_paths."""
+    return _continue_paths(coeffs, [pieces], [Y0])[0]
 
-    curve.chords cuts the pieces around {a, e_nu} under the KAPPA bound, and
-    Y0 is carried through the product of the chords' transfer matrices,
-    which _transfers sums for all chords of the path in one array pass.
+
+def _continue_paths(coeffs, paths, Y0s):
+    """Each Y0s[k] continued along paths[k] by Taylor steps.
+
+    curve.chords cuts every path around {a, e_nu} under the KAPPA bound,
+    _transfers sums the chords of all paths in one array pass, and each Y0
+    is carried through the product of its own path's transfer matrices.
     """
     b = float(np.max(np.abs(coeffs.B_minus1)))
     bound = (lambda x: KAPPA * abs(x - coeffs.a) ** 2 / b) if b > 0 else None
-    x0, x1 = chords(pieces, (coeffs.a, *coeffs.es), bound)
-    Y = np.array(Y0, dtype=complex)
-    for T in _transfers(coeffs, x0, x1):
-        Y = T @ Y
-    return Y
+    cuts = [chords(pieces, (coeffs.a, *coeffs.es), bound) for pieces in paths]
+    T = _transfers(coeffs, *(np.concatenate(ends) for ends in zip(*cuts)))
+    out = []
+    for Ts, Y0 in zip(np.split(T, np.cumsum([len(x0) for x0, _ in cuts])[:-1]), Y0s):
+        Y = np.array(Y0, dtype=complex)
+        for Tk in Ts:
+            Y = Tk @ Y
+        out.append(Y)
+    return out
 
 
 def _transfers(coeffs, x0, x1, halvings=0):
@@ -255,8 +265,8 @@ def monodromy_matrices(params, loops=(1, 2, 3, "inf"), sol=None, coeffs=None):
     Y0 = sol.y_at(base_point(params.branch))
     pieces, offsets = calibrate_loops(params)
     Y0_inv = np.linalg.inv(Y0)
-    return ({which: Y0_inv @ continue_solution(coeffs, pieces[which], Y0)
-             for which in loops}, offsets)
+    ends = _continue_paths(coeffs, [pieces[which] for which in loops], [Y0] * len(loops))
+    return {which: Y0_inv @ W for which, W in zip(loops, ends)}, offsets
 
 
 def trivial_loop_identity(params, coeffs):
@@ -291,15 +301,17 @@ def sector_connection_residuals(params, sol, coeffs):
     p = params
     radius = 0.2 * min(abs(p.a - e) for e in p.branch.es)
     th0 = cmath.phase(p.wp_a.wp_prime * p.t)
+    a0s = (th0, th0 + math.pi)
+
+    def constructed(th):  # the constructed Y at angle th on the circle
+        x = p.a + radius * cmath.exp(1j * th)
+        return sol.hatted(x) @ sol.exp_T_a(x)
+
+    Ws = _continue_paths(coeffs, [[Arc(p.a, radius, a0, a0 + math.pi)] for a0 in a0s],
+                         [constructed(a0) for a0 in a0s])
     out = []
-    for j in (0, 1):
-        a0 = th0 + j * math.pi
-        a1 = a0 + math.pi
-        x_start = p.a + radius * cmath.exp(1j * a0)
-        x_end = p.a + radius * cmath.exp(1j * a1)
-        Y_start = sol.hatted(x_start) @ sol.exp_T_a(x_start)
-        W = continue_solution(coeffs, [Arc(p.a, radius, a0, a1)], Y_start)
-        Y_end = sol.hatted(x_end) @ sol.exp_T_a(x_end)
+    for W, a0 in zip(Ws, a0s):
+        Y_end = constructed(a0 + math.pi)
         with np.errstate(over="ignore", invalid="ignore"):
             r = float(np.max(np.abs(np.linalg.inv(Y_end) @ W - np.eye(2))))
         out.append(r if math.isfinite(r) else math.inf)

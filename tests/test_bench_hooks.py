@@ -48,7 +48,7 @@ def test_call_shapes_the_worker_uses():
     assert _params(isomono.build_phi) == ["params"]
     assert _params(isomono.normalize_Y)[:2] == ["params", "phi"]
     assert {"phi", "sol"} <= set(_params(isomono.coefficients))
-    assert _params(isomono.YSolution.y_at) == ["self", "x"]
+    assert _params(isomono.YSolution.y_at)[:2] == ["self", "x"]
     assert _params(isomono.SystemCoefficients.A_of) == ["self", "x"]
     assert _params(monodromy.base_point) == ["branch"]
     assert _params(monodromy.calibrate_loops) == ["params"]

@@ -22,6 +22,7 @@ from elliptau.checks import (
     SUITES,
     CheckResult,
     _installed_version,
+    _platform_name,
     resolve_check_names,
     run_checks,
 )
@@ -189,6 +190,38 @@ def test_environment_versions_match_importlib_metadata():
     for dist in ("scipy", "numpy"):
         assert _installed_version(dist) == importlib.metadata.version(dist)
     assert _installed_version("no-such-distribution") is None
+
+
+def test_platform_name_is_platform_platform():
+    # platform.platform() drops a processor that is blank, unknown or the
+    # machine name; the report's name never reads the processor
+    if platform.processor() not in ("", "unknown", platform.machine()):
+        pytest.skip("this host's platform string names its processor")
+    assert _platform_name() == platform.platform()
+
+
+def test_verify_imports_no_subprocess(tmp_path):
+    # a fresh interpreter's verify fills its environment block without
+    # spawning anything (platform.platform() runs `uname -p`)
+    scenario = tmp_path / "golden.json"
+    scenario.write_text(json.dumps(golden_dict()))
+    script = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        import elliptau.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = elliptau.cli.main(["verify", "--scenario", {str(scenario)!r},
+                                      "--out", {str(tmp_path / "report.json")!r}])
+        print(json.dumps([code, "subprocess" in sys.modules]))
+    """)
+    src = str(Path(elliptau.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["environment"]["platform"] == _platform_name()
 
 
 def test_cli_imports_no_scipy_and_tau_imports_nothing_late(tmp_path):

@@ -13,6 +13,7 @@ from elliptau.elliptic import sigma, sigma_char
 from elliptau.errors import DegenerateParameterError
 import elliptau.isomono
 import elliptau.checks
+import elliptau.monodromy
 from elliptau.checks import (
     check_deformation_equation,
     deformation_ring,
@@ -457,23 +458,31 @@ def test_phi_and_y_on_an_array_equal_pointwise(name, seed):
 
 
 def test_golden_verify_stays_array_first(monkeypatch):
-    # from cold caches, one golden verify makes at most 2,000 theta-kernel
+    # from cold caches, one golden verify makes at most 900 theta-kernel
     # calls (3,896 when Phi, Y and the coefficient frames were built one
-    # scalar call at a time)
+    # scalar call at a time, 1,602 when the elliptic checks built one lattice
+    # per draw) and at most 8 Taylor passes (23 with one per loop)
     for module in (elliptau.elliptic, elliptau.curve, elliptau.isomono):
         for fn in vars(module).values():
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
-    calls = []
+    calls, passes = [], []
     block = elliptau.elliptic._theta_block
+    taylor = elliptau.monodromy._taylor_sums
 
     def counted(char, z, *args):
         calls.append(z.size)
         return block(char, z, *args)
 
+    def counted_taylor(coeffs, x0, x1):
+        passes.append(len(x0))
+        return taylor(coeffs, x0, x1)
+
     monkeypatch.setattr(elliptau.elliptic, "_theta_block", counted)
+    monkeypatch.setattr(elliptau.monodromy, "_taylor_sums", counted_taylor)
     assert run_checks(GOLDEN).overall == "pass"
-    assert len(calls) <= 2000
+    assert len(calls) <= 900
+    assert len(passes) <= 8
 
 
 def test_verify_evaluates_each_shared_ring_once(monkeypatch):

@@ -157,6 +157,38 @@ def test_array_kernel_matches_size_one(monkeypatch, Omega, zs):
         assert np.all(np.abs(arr - ref) <= 2e-13 * np.abs(ref))
 
 
+def test_a_point_is_bit_for_bit_its_size_one_call(monkeypatch):
+    # every point adds its rings in one order in a call of any size, so its
+    # value is that of its size-1 call: the first point settles at K = 8,
+    # and the rings to 16 that the last (|Im z| = 2) needs lie far below
+    # the last bit of its sum
+    real = elliptau.elliptic._rings
+
+    def max_ring(f):
+        bounds = []
+
+        def spy(p, done, K, *rest):
+            bounds.append(K)
+            return real(p, done, K, *rest)
+
+        monkeypatch.setattr(elliptau.elliptic, "_rings", spy)
+        value = f()
+        monkeypatch.undo()
+        return value, max(bounds)
+
+    ch = ThetaChar(0.3, 0.2)
+    zs = np.array([0.1 + 0.05j, -0.3 + 0.1j, 0.2 - 2.0j])
+    for Omega in (0.2 + 0.25j, np.array([0.2 + 0.9j, 0.1 + 1.8j, 0.2 + 0.25j])):
+        Oms = np.broadcast_to(Omega, zs.shape).tolist()
+        elliptau.elliptic._theta_jet.cache_clear()
+        _, K_first = max_ring(lambda: theta(ch, complex(zs[0]), Oms[0]))
+        _, K_call = max_ring(lambda: theta(ch, zs, Omega))
+        assert K_first < K_call
+        for f in (lambda z, Om: theta(ch, z, Om), lambda z, Om: theta_dz(ch, z, Om, 3),
+                  lambda z, Om: theta_dOmega(ch, z, Om)):
+            assert f(zs, Omega).tolist() == [f(z, Om) for z, Om in zip(zs.tolist(), Oms)]
+
+
 def test_array_kernel_keeps_the_shape_of_z():
     zs = np.array([[0.1, 0.2 + 0.1j], [-0.3j, 0.4]])
     assert theta(HALF_HALF, zs, 1j).shape == (2, 2)

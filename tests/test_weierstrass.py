@@ -190,6 +190,21 @@ ARRAY_FUNCTIONS = {
 }
 
 
+def batch_of(lats):
+    """The lattices as one batch lattice of their array's shape."""
+    lats = np.array(lats, dtype=object)
+    return lattice_from_periods(np.vectorize(lambda lat: lat.omega1, otypes=[complex])(lats),
+                                np.vectorize(lambda lat: lat.omega2, otypes=[complex])(lats))
+
+
+def mixed_lattices(rng):
+    """2 x 4 lattices whose Im(Omega) alternates between 0.25 and 1.8."""
+    return [[lattice_from_periods(w1, w1 * complex(rng.uniform(-0.45, 0.45), im))
+             for w1, im in zip(((0.6 + rng.uniform(0.0, 1.2)) * rng.unit_phase()
+                                for _ in range(4)), (0.25, 1.8, 1.8, 0.25))]
+            for _ in range(2)]
+
+
 @pytest.mark.parametrize("name", list(ARRAY_FUNCTIONS))
 def test_array_call_equals_scalar_calls(name):
     f = ARRAY_FUNCTIONS[name]
@@ -203,6 +218,15 @@ def test_array_call_equals_scalar_calls(name):
         assert arr.shape == us.shape
         one = np.array([[f(lat, u) for u in row] for row in us.tolist()])
         assert np.all(np.abs(arr - one) <= 1e-14 * np.abs(one))
+    # a batch lattice, one lattice per point: the points at Im(Omega) = 0.25
+    # make the kernel sum more rings for all of them than 1.8 needs
+    lats = mixed_lattices(rng)
+    us = np.array([[rng.uniform(-0.45, 0.45) * lat.omega1
+                    + rng.uniform(-0.45, 0.45) * lat.omega2 for lat in row] for row in lats])
+    arr = f(batch_of(lats), us)
+    assert arr.shape == us.shape
+    one = np.array([[f(lat, u) for lat, u in zip(*rows)] for rows in zip(lats, us.tolist())])
+    assert np.all(np.abs(arr - one) <= 1e-14 * np.abs(one))
 
 
 def test_array_with_a_lattice_point_names_it():
@@ -211,3 +235,12 @@ def test_array_with_a_lattice_point_names_it():
     for name in ("zeta", "wp", "wp_prime", "wp_n2", "wp_n3"):
         with pytest.raises(LatticePoleError, match=r"u=\(1\.3\+1j\)"):
             ARRAY_FUNCTIONS[name](lat, us)
+    # in a batch, u is a pole only on its own lattice: 1.3+1j sits on the
+    # second lattice, and on the third, where it is no lattice point, it passes
+    lats = [lattice_from_periods(1.0, 1j), lat, lattice_from_periods(1.0, 0.2 + 1.5j)]
+    batch = batch_of(lats)
+    fine = np.array([0.2 + 0.1j, 0.3j, 1.3 + 1j])
+    for name in ("zeta", "wp", "wp_prime", "wp_n2", "wp_n3"):
+        ARRAY_FUNCTIONS[name](batch, fine)
+        with pytest.raises(LatticePoleError, match=r"u=\(1\.3\+1j\)"):
+            ARRAY_FUNCTIONS[name](batch, np.array([0.2 + 0.1j, 1.3 + 1j, 0.3j]))
