@@ -67,7 +67,6 @@ from .monodromy import (
 from .scenario import admissible_branch, check_stream
 from .tau import (
     SigmaShiftParams,
-    TauPoint,
     H_nu,
     H_t,
     sigma_shift_dlog_tau_dt,
@@ -302,7 +301,7 @@ def _ring(f, params, direction, log=False):
     """ring_derivative as t or e_nu (direction) moves.  A t-ring calls f once,
     on params at the ring's times, and is sized by the zeros of
     theta[p,q](t/omega1), (1/2 - q) omega1 + (1/2 - p) omega2 modulo the
-    lattice; an e_nu ring calls f on the moved branch of each node, sized by
+    lattice; an e_nu ring calls f on the moved point of each node, sized by
     the other singular points."""
     p, lat = params, params.lat
     if direction == "t":
@@ -311,14 +310,8 @@ def _ring(f, params, direction, log=False):
                                _lattice_distance(lat, p.t - zero), log)
     nu = int(direction[1])
     e = p.branch.es[nu - 1]
-    return ring_derivative(lambda zs: np.array([f(p.branch.moved(nu, z - e)) for z in zs]),
+    return ring_derivative(lambda zs: np.array([f(p.moved(nu, z - e)) for z in zs]),
                            e, _clearance(p.branch, p.a, e), log)
-
-
-def _tau_point(params, branch):
-    """params' a, t and characteristic on branch, with its periods: all that
-    log_tau, H_t and H_nu read."""
-    return TauPoint(branch, periods(branch), params.a, params.t, params.char)
 
 
 def _clearance(branch, a, x):
@@ -478,19 +471,22 @@ def check_quasiperiod_ratio_derivative(ctx, rng, tol):
 
 def check_abel_roundtrip(ctx, rng, tol):
     b, lat = ctx.branch, ctx.params.lat
-    worst = 0.0
+    xs, us, us2 = [], [], []
     for _ in range(ctx.draws(50, minimum=8)):
         x = b.centroid + rng.complex_box(-2.0, 2.0) * b.scale
         if min(abs(x - e) for e in b.es) < 0.05 * b.scale:
             continue
         if b.distance_to_cuts(x) < 1e-3 * b.scale:
             continue
-        u = abel(b, CurvePoint(x, 1))
-        worst = max(worst, abs(x_from_u(b, lat, u) - x) / max(abs(x), 1.0))
-        u2 = abel(b, CurvePoint(x, 2))
-        r, _, _ = lat.reduce(u + u2)
-        worst = max(worst, abs(r) / lat.unit())
-    return worst, "inversion and involution mod lattice"
+        xs.append(x)
+        us.append(abel(b, CurvePoint(x, 1)))
+        us2.append(abel(b, CurvePoint(x, 2)))
+    x, u = np.array(xs), np.array(us)
+    r, _, _ = lat.reduce(u + np.array(us2))
+    worst = max(np.max(np.abs(x_from_u(b, lat, u) - x) / np.maximum(np.abs(x), 1.0),
+                       initial=0.0),
+                np.max(np.abs(r), initial=0.0) / lat.unit())
+    return float(worst), "inversion and involution mod lattice"
 
 
 def check_periods_scaling(ctx, rng, tol):
@@ -621,7 +617,7 @@ def deformation_ring(params, direction):
     p = params
     if direction == "t":
         return _ring(lambda q: np.array([A(replace(q, t=t)) for t in q.t]), p, "t")
-    return _ring(lambda b: A(make_params(b, p.a, p.t, p.char.p, p.char.q)), p, direction)
+    return _ring(A, p, direction)
 
 
 def check_deformation_equation(ctx, rng, tol):
@@ -688,7 +684,7 @@ def check_dlogtau_de(ctx, rng, tol):
     for p in _admissible_neighbors(ctx, rng, ctx.draws(4, minimum=1)):
         for nu in (1, 2, 3):
             v = H_nu(p, nu)
-            d, _ = _ring(lambda b: log_tau(_tau_point(p, b)), p, f"e{nu}", log=True)
+            d, _ = _ring(log_tau, p, f"e{nu}", log=True)
             worst = max(worst, abs(v - d) / max(1.0, abs(v)))
     return worst, "H_nu vs branch-continuous ring derivatives of log tau"
 
@@ -700,7 +696,7 @@ def check_omega_closedness(ctx, rng, tol):
         return np.array([H_t(q)] + [H_nu(q, nu) for nu in (1, 2, 3)])
     # dH[i][j]: the derivative of component j along t (i = 0) or e_i
     dH = [_ring(lambda q: H(q).T, p, "t")[0]] + [
-        _ring(lambda b: H(_tau_point(p, b)), p, f"e{nu}")[0] for nu in (1, 2, 3)]
+        _ring(H, p, f"e{nu}")[0] for nu in (1, 2, 3)]
     worst = max(abs(dH[j][i] - dH[i][j]) / max(1.0, abs(dH[j][i]))
                 for i in range(4) for j in range(i + 1, 4))
     return worst, "all six mixed partials of the 1-form"
@@ -881,8 +877,12 @@ def run_checks(scenario, checks=None, tol_scale=1.0, draw_scale=1.0):
 
     Checks come from `checks` when given, else from the scenario, else all.
     Each runs in isolation with its own seeded stream; tolerances are the
-    registry defaults, overridden per-name by the scenario, then scaled.
+    registry defaults, overridden per-name by the scenario, then scaled.  A
+    scenario tolerance for a name that is no check raises ScenarioError.
     """
+    unknown = sorted(set(scenario.tolerances) - set(CHECKS))
+    if unknown:
+        raise ScenarioError(f"tolerances name unknown checks: {unknown}")
     names = resolve_check_names(list(checks) if checks is not None
                                 else list(scenario.checks))
     ctx = CheckContext(scenario, draw_scale=draw_scale)

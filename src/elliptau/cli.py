@@ -26,7 +26,9 @@ import numpy as np
 
 from .checks import run_checks
 from .errors import EllipTauError, ScenarioError
-from .isomono import fixed_params, make_params, theta_zero_errors
+from .curve import periods
+from .elliptic import ThetaChar
+from .isomono import DeformationParams, make_params, theta_zero_errors
 from .monodromy import base_point, monodromy_matrices
 from .scenario import load_scenario
 from .tau import H_t, log_tau
@@ -86,14 +88,15 @@ def _unwrap(value, previous):
     return value + 2j * math.pi * k
 
 
-def _tau_rows(fixed, ts):
-    """Per time of ts: (log tau, H_t) from one array evaluation, or the row's
-    error (theta[p,q](t/omega1) at a zero, or a value that is not finite)."""
+def _tau_rows(point, ts):
+    """Per time of ts: (log tau, H_t) from one array evaluation at point with
+    those times, or the row's error (theta[p,q](t/omega1) at a zero, or a
+    value that is not finite)."""
     ts = np.asarray(ts, dtype=complex)
-    rows = theta_zero_errors(replace(fixed, t=ts))
+    rows = theta_zero_errors(replace(point, t=ts))
     good = [k for k, error in enumerate(rows) if error is None]
     if good:
-        params = replace(fixed, t=ts[good])
+        params = replace(point, t=ts[good])
         for k, lt, ht in zip(good, log_tau(params).tolist(), H_t(params).tolist()):
             rows[k] = ((lt, ht) if cmath.isfinite(lt) and cmath.isfinite(ht)
                        else EllipTauError("log tau or H_t is not finite"))
@@ -103,10 +106,11 @@ def _tau_rows(fixed, ts):
 def _cmd_tau(args):
     s = load_scenario(args.scenario)
     t0, step, n = _parse_grid(args.grid)
-    try:  # the t-independent stage is built once; if it fails, every row does
-        fixed, stage_error = fixed_params(s.branch, s.a, s.p, s.q), None
+    try:  # the lattice is built once; if that fails, every row does
+        point = DeformationParams(s.branch, periods(s.branch), s.a, 0j, ThetaChar(s.p, s.q))
+        stage_error = None
     except EllipTauError as exc:
-        fixed, stage_error = None, exc
+        point, stage_error = None, exc
     out = open(args.out, "w") if args.out else sys.stdout
     failed, first = 0, None
     try:
@@ -114,7 +118,7 @@ def _cmd_tau(args):
         prev = None
         for lo in range(0, n, TAU_CHUNK):
             ts = [t0 + k * step for k in range(lo, min(n, lo + TAU_CHUNK))]
-            rows = [stage_error] * len(ts) if fixed is None else _tau_rows(fixed, ts)
+            rows = [stage_error] * len(ts) if point is None else _tau_rows(point, ts)
             for t, row in zip(ts, rows):
                 if isinstance(row, EllipTauError):
                     out.write(f"{t:.12g},nan,nan,nan,nan\n")

@@ -509,7 +509,7 @@ def period_data(branch):
     flipped = False
     if (om2 / om1).imag <= 0:
         om2, flipped = -om2, True
-    lat = lattice_from_periods(om1, om2, e_values=branch.tilde_es)
+    lat = lattice_from_periods(om1, om2)
     return PeriodData(lat, om1, om2, flipped)
 
 
@@ -593,10 +593,9 @@ class HalfPeriodTable:
 
 
 @lru_cache(maxsize=64)
-def half_period_table(branch):
-    """The half periods of the branch's lattice matched to its branch
-    points; it depends on the branch alone, so it is built once per branch."""
-    lat = periods(branch)
+def half_period_table(branch, lat):
+    """The half periods of lat, the branch's lattice, matched to its branch
+    points; built once per branch."""
     tildes = (lat.omega1 / 2.0, (lat.omega1 + lat.omega2) / 2.0, lat.omega2 / 2.0)
     etas = (lat.eta1, lat.eta1 + lat.eta2, lat.eta2)
     te = branch.tilde_es

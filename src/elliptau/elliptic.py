@@ -216,9 +216,9 @@ def theta11_constants(Omega):
 
 @dataclass(frozen=True)
 class Lattice:
-    """Full periods and, when known, the zero-sum values of wp at the half
-    periods.  The period ratio, quasi-period constants and cubic invariants
-    follow, each at first read: the periods alone need no theta constants.
+    """Full periods.  The period ratio, quasi-period constants and cubic
+    invariants follow, each at first read: the periods alone need no theta
+    constants.
 
     Periods that are arrays of one shape make a batch, one lattice per
     point: every derived value is then an array of that shape, and every
@@ -226,7 +226,6 @@ class Lattice:
 
     omega1: complex
     omega2: complex
-    e_values: tuple | None = None
 
     @cached_property
     def Omega(self):
@@ -250,9 +249,9 @@ class Lattice:
 
     @cached_property
     def _invariants(self):
-        """(g2, g3) from e_values, else from wp at the half periods."""
+        """(g2, g3) from wp at the half periods."""
         w1, w2 = self.omega1, self.omega2
-        e1, e2, e3 = self.e_values or wp(self, np.stack([w1 / 2, (w1 + w2) / 2, w2 / 2]))
+        e1, e2, e3 = wp(self, np.stack([w1 / 2, (w1 + w2) / 2, w2 / 2]))
         return -4.0 * (e1 * e2 + e2 * e3 + e3 * e1), 4.0 * e1 * e2 * e3
 
     g2 = property(lambda self: self._invariants[0])
@@ -275,11 +274,10 @@ class Lattice:
         return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
 
 
-def lattice_from_periods(omega1, omega2, e_values=None):
-    """The Lattice of full periods omega1, omega2, Im(omega2/omega1) > 0, with
-    e_values, when given, the zero-sum branch values of wp.  Arrays of
-    periods make a batch."""
-    lat = Lattice(_arg(omega1), _arg(omega2), e_values and tuple(e_values))
+def lattice_from_periods(omega1, omega2):
+    """The Lattice of full periods omega1, omega2, Im(omega2/omega1) > 0.
+    Arrays of periods make a batch."""
+    lat = Lattice(_arg(omega1), _arg(omega2))
     if _any(lat.Omega.imag <= 0):
         raise LatticeOrientationError(f"Im(omega2/omega1) must be positive, got {lat.Omega}")
     return lat

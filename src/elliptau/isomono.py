@@ -28,12 +28,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import curve as _curve
-from .curve import BranchConfig, HalfPeriodTable, WpAtA
+from .curve import BranchConfig
 from .elliptic import (
     Lattice,
     ThetaChar,
@@ -51,20 +51,34 @@ from .elliptic import (
 from .errors import DegenerateParameterError
 
 TWO_PI_I = 2j * math.pi
+M_INF = -1j  # m at infinity; of the coefficients, only the G frames depend on it
 
 
 @dataclass(frozen=True)
 class DeformationParams:
-    """One point of the deformation space, with its derived data."""
+    """One point of the deformation space: the branch with its lattice, a, t
+    and the characteristic.  alpha = u(a), the wp data at alpha and the
+    half-period table, which only Y, its coefficients and its monodromy read,
+    are derived at first read; log tau and the Hamiltonians read none of them.
+    With t an array of times, log_tau and H_t evaluate elementwise."""
 
     branch: BranchConfig
     lat: Lattice
     a: complex
-    alpha: complex
     t: complex
     char: ThetaChar
-    wp_a: WpAtA
-    half_periods: HalfPeriodTable
+
+    @cached_property
+    def alpha(self):
+        return _curve.abel_with_y(self.branch, self.a)[0]
+
+    @cached_property
+    def wp_a(self):
+        return _curve.wp_alpha_relations(self.branch, self.a)
+
+    @cached_property
+    def half_periods(self):
+        return _curve.half_period_table(self.branch, self.lat)
 
     @property
     def kappa(self):
@@ -72,20 +86,10 @@ class DeformationParams:
         return (self.wp_a.wp_pp / (2.0 * self.wp_a.wp_prime)
                 + zeta(self.lat, 2.0 * self.alpha))
 
-
-def fixed_params(branch, a, p, q):
-    """The t-independent stage of make_params, validated, at t = 0.  a must be
-    a regular point (so alpha is no half period and wp'(alpha) != 0).  With t
-    replaced by an array of times, log_tau and H_t evaluate elementwise."""
-    a = complex(a)
-    branch.check_regular_point(a)
-    lat = _curve.periods(branch)
-    alpha, _ = _curve.abel_with_y(branch, a)
-    return DeformationParams(
-        branch=branch, lat=lat, a=a, alpha=alpha, t=0j, char=ThetaChar(p, q),
-        wp_a=_curve.wp_alpha_relations(branch, a),
-        half_periods=_curve.half_period_table(branch),
-    )
+    def moved(self, nu, delta):
+        """The same point with the branch point e_nu moved by delta, on its lattice."""
+        b = self.branch.moved(nu, delta)
+        return replace(self, branch=b, lat=_curve.periods(b))
 
 
 def theta_zero_errors(params):
@@ -98,9 +102,8 @@ def theta_zero_errors(params):
             for v in np.atleast_1d(th)]
 
 
-def _at_time(params, t):
-    """params at time t, which must not put theta[p,q](t/omega1) at a zero."""
-    params = replace(params, t=complex(t))
+def _theta_checked(params):
+    """params, unless theta[p,q](t/omega1) is at a zero there."""
     error, = theta_zero_errors(params)
     if error is not None:
         raise error
@@ -109,17 +112,21 @@ def _at_time(params, t):
 
 @lru_cache(maxsize=1024)
 def make_params(branch, a, t, p, q):
-    """Validate and assemble a DeformationParams: fixed_params at time t."""
-    return _at_time(fixed_params(branch, a, p, q), t)
+    """Validate and assemble a DeformationParams.  a must be a regular point
+    (so alpha is no half period and wp'(alpha) != 0), and theta[p,q](t/omega1)
+    must not vanish."""
+    a = complex(a)
+    branch.check_regular_point(a)
+    return _theta_checked(DeformationParams(branch, _curve.periods(branch), a,
+                                            complex(t), ThetaChar(p, q)))
 
 
 def shifted_params(params, direction, delta):
     """The same point with t ('t') or one branch point ('e1'/'e2'/'e3') moved by delta."""
     p = params
-    if direction == "t":
-        return _at_time(p, p.t + delta)
-    return make_params(p.branch.moved(int(direction[1]), delta), p.a, p.t,
-                       p.char.p, p.char.q)
+    moved = (replace(p, t=p.t + delta) if direction == "t"
+             else p.moved(int(direction[1]), delta))
+    return _theta_checked(moved)
 
 
 @dataclass(frozen=True)
@@ -251,7 +258,7 @@ def _connection(m):
     return (1.0 / cmath.sqrt(2j * m)) * np.array([[1j, -m], [1j, m]], dtype=complex)
 
 
-def theoretical_monodromy(params, m_inf=-1j):
+def theoretical_monodromy(params, m_inf=M_INF):
     """Monodromy data determined by the characteristics alone.
 
     The scalar attached to each finite branch point follows the half period
@@ -418,7 +425,7 @@ class SystemCoefficients:
         return 0.5 * np.trace(A @ A, axis1=-2, axis2=-1)
 
 
-def coefficients(params, m_inf=-1j, phi=None, sol=None):
+def coefficients(params, phi=None, sol=None):
     """Assemble B_{-1}, B_0, A_nu, the frames G^(nu), G^(inf), and D^(nu).
 
     Each finite branch point uses the half period lying over it.  D^(nu) is
@@ -438,7 +445,7 @@ def coefficients(params, m_inf=-1j, phi=None, sol=None):
     # residue of Y'Y^{-1} at a pins this down.
     Y1 = sol.y1_closed_form()
     B0 = Y1 @ B_minus1 - B_minus1 @ Y1
-    slots = _m_slot_values(p.char, m_inf)
+    slots = _m_slot_values(p.char, M_INF)
     hpt = p.half_periods
     es = p.branch.es
     A, G, D = {}, {}, {}
@@ -479,7 +486,7 @@ def _commutator(X, Y):
     return X @ Y - Y @ X
 
 
-def deformation_residual(params, direction, dA, m_inf=-1j, sol=None, coeffs=None):
+def deformation_residual(params, direction, dA, sol=None, coeffs=None):
     """dA[nu - 1], the derivative of A_nu as direction ('t' or 'e1'/'e2'/'e3')
     moves, against the closed deformation equation in its paired reading (the
     Fuchsian sum enters through d log(e_nu - e_mu), which carries both
@@ -489,7 +496,7 @@ def deformation_residual(params, direction, dA, m_inf=-1j, sol=None, coeffs=None
     p = params
     if sol is None:
         sol = normalize_Y(p)
-    base = coeffs if coeffs is not None else coefficients(p, m_inf, sol.phi, sol)
+    base = coeffs if coeffs is not None else coefficients(p, sol.phi, sol)
     Y1 = sol.y1_closed_form()
     wp1, es, a = p.wp_a.wp_prime, p.branch.es, p.a
     rho = None if direction == "t" else int(direction[1])

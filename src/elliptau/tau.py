@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import BranchConfig, dOmega_de, dlog_omega1_de, quasiperiod_ratio_derivative
+from .curve import dOmega_de, dlog_omega1_de, quasiperiod_ratio_derivative
 from .elliptic import (
     Lattice,
-    ThetaChar,
     sigma,
     sigma_char_dlog,
     theta,
@@ -35,19 +34,6 @@ from .elliptic import (
     zeta,
 )
 from .errors import DegenerateParameterError
-
-
-@dataclass(frozen=True)
-class TauPoint:
-    """What H_t, H_nu, log_tau and the residue formula read of a point of the
-    deformation space.  A DeformationParams serves them too, but building one
-    also costs the Abel map of a and the wp data at alpha."""
-
-    branch: BranchConfig
-    lat: Lattice
-    a: complex
-    t: complex
-    char: ThetaChar
 
 
 def f_func(e1, e2, e3, a):

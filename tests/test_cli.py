@@ -388,6 +388,20 @@ def test_tau_grid_is_parsed_without_forming_its_points():
     assert peak < 100_000
 
 
+def test_cli_misspelled_tolerance_exits_2(tmp_path, capsys):
+    # a tolerance for a name that is no check would silently fall back to the
+    # default, so the run is refused before any check
+    data = dict(golden_dict(), tolerances={"legendr": 1e-30, "legendre": 1e-10})
+    scenario = tmp_path / "typo.json"
+    scenario.write_text(json.dumps(data))
+    report = tmp_path / "r.json"
+    code = main(["verify", "--scenario", str(scenario), "--checks", "legendre",
+                 "--out", str(report)])
+    assert code == 2
+    assert "['legendr']" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_cli_unknown_check_exits_2(tmp_path):
     scenario = tmp_path / "golden.json"
     scenario.write_text(json.dumps(golden_dict()))
@@ -456,7 +470,7 @@ def test_cli_tau_fixed_stage_failure_fails_every_row(tmp_path, monkeypatch, caps
     def failing(branch):
         raise QuadratureError("forced stage failure")
 
-    monkeypatch.setattr(elliptau.curve, "half_period_table", failing)
+    monkeypatch.setattr(elliptau.curve, "period_data", failing)
     code = main(["tau", "--scenario", str(scenario), "--grid", "t=0.05:0.25:0.1"])
     assert code == 1
     out, err = capsys.readouterr()

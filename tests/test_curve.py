@@ -149,10 +149,10 @@ def test_moved_configurations_keep_the_root_half_period_slots(seed, fraction):
     # wp matching on the charted periods, within the slack and beyond it,
     # gives each half period the branch point it had at the root
     root = _scenario_branch(seed)
-    slots = half_period_table(root).perm
+    slots = half_period_table(root, periods(root)).perm
     for nu in (1, 2, 3):
         moved = root.moved(nu, fraction * root.min_gap * 1j ** nu)
-        assert half_period_table(moved).perm == slots
+        assert half_period_table(moved, periods(moved)).perm == slots
 
 
 def test_verify_integrates_the_scenario_cycles_once(monkeypatch):
@@ -190,7 +190,7 @@ def test_charted_and_fresh_configurations_share_no_cache_entry(golden_branch):
         (period_data, ()),
         (_sheet_frame, ()),
         (_u_anchor, ()),
-        (half_period_table, ()),
+        (half_period_table, (periods(golden_branch),)),
         (abel_with_y, (2.0,)),
         (make_params, (2.0, 0.1, 0.3, 0.2)),
     ]
@@ -334,7 +334,7 @@ def test_periods_scaling_and_translation():
 
 
 def test_half_periods_hit_branch_values(golden_branch, golden_lattice):
-    ht = half_period_table(golden_branch)
+    ht = half_period_table(golden_branch, golden_lattice)
     assert sorted(ht.perm) == [1, 2, 3]
     te = golden_branch.tilde_es
     for k in range(3):

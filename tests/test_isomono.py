@@ -31,7 +31,7 @@ from elliptau.isomono import (
     theoretical_monodromy,
 )
 from elliptau.scenario import GOLDEN, SplitMix64, random_admissible_scenario
-from elliptau.tau import H_nu, H_t
+from elliptau.tau import H_nu, H_t, log_tau
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +63,23 @@ def test_half_period_table_is_built_once_per_branch(monkeypatch):
     second = make_params(branch, 2.0, 0.2, 0.3, 0.2)
     assert at_half_periods == []
     assert second.half_periods is first.half_periods
+
+
+def test_tau_and_hamiltonians_read_no_abel_map_or_half_periods():
+    # log tau, H_t and H_nu read the branch, its lattice, a, t and (p, q) only:
+    # on a point and on its moved copies they build neither alpha nor the
+    # half-period table, which come at first read
+    branch = BranchConfig(1.0, 0.07j, -1.0)  # a branch no other test builds
+    abel_misses = abel_with_y.cache_info().misses
+    table_misses = elliptau.curve.half_period_table.cache_info().misses
+    p = make_params(branch, 2.0, 0.1, 0.3, 0.2)
+    for q in [p] + [p.moved(nu, 1e-3 * 1j ** nu) for nu in (1, 2, 3)]:
+        log_tau(q), H_t(q), [H_nu(q, nu) for nu in (1, 2, 3)]
+    assert abel_with_y.cache_info().misses == abel_misses
+    assert elliptau.curve.half_period_table.cache_info().misses == table_misses
+    assert p.alpha is p.alpha
+    assert p.wp_a is p.wp_a and p.half_periods is p.half_periods
+    assert abel_with_y.cache_info().misses == abel_misses + 1
 
 
 def test_phi_cycle_transformations(golden):
