@@ -152,21 +152,6 @@ class BranchConfig:
         return min(d_seg, d_ray)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """A point (x, sheet) of the double cover; sheet 2 is the involution image."""
-
-    x: complex
-    sheet: int = 1
-
-    def __post_init__(self):
-        if self.sheet not in (1, 2):
-            raise ValueError(f"sheet must be 1 or 2, got {self.sheet}")
-
-    def involution(self):
-        return CurvePoint(self.x, 3 - self.sheet)
-
-
 ORDER = 12  # Gauss-Legendre nodes per chord
 RHO = 0.4  # step rule: chord length <= RHO * distance to the nearest singular point
 CLEARANCE = 0.1  # detour radius around branch points, in min branch gaps
@@ -545,25 +530,6 @@ def abel_with_y(branch, x):
     pieces = detoured_path(frame.anchor, x, branch.es, frame.clearance)
     val, y_end = path_integral(pieces, branch, frame.y_anchor)
     return _u_anchor(branch) + val, y_end
-
-
-def abel(branch, point):
-    """Abel map with base point infinity on sheet 1; u(P*) = -u(P).
-
-    A CurvePoint carries an explicit sheet label, which is ambiguous on the
-    branch cuts, so such points raise a geometry error there.  A bare complex
-    x is resolved by the canonical detoured path itself (counterclockwise
-    around obstacles), which assigns a deterministic one-sided value even on
-    a cut.
-    """
-    if isinstance(point, CurvePoint):
-        x, sheet = point.x, point.sheet
-        if branch.distance_to_cuts(x) < 1e-9 * branch.scale:
-            raise ContourGeometryError(f"point {x} lies on a branch cut")
-    else:
-        x, sheet = complex(point), 1
-    u, _ = abel_with_y(branch, x)
-    return -u if sheet == 2 else u
 
 
 def x_from_u(branch, lat, u):

@@ -217,7 +217,7 @@ def build_phi(params):
     return PhiMatrix(params)
 
 
-def _m_slot_values(char, m_inf):
+def _m_slot_values(char):
     """Anti-diagonal monodromy entries keyed by half-period slot.
 
     Slot 0 is omega1/2, slot 1 is (omega1+omega2)/2, slot 2 is omega2/2; the
@@ -226,59 +226,37 @@ def _m_slot_values(char, m_inf):
     """
     p, q = char.p, char.q
     return (
-        -m_inf * cmath.exp(-TWO_PI_I * p),
-        m_inf * cmath.exp(TWO_PI_I * (q - p)),
-        -m_inf * cmath.exp(TWO_PI_I * q),
+        -M_INF * cmath.exp(-TWO_PI_I * p),
+        M_INF * cmath.exp(TWO_PI_I * (q - p)),
+        -M_INF * cmath.exp(TWO_PI_I * q),
     )
 
 
 @dataclass(frozen=True)
 class MonodromyData:
-    """Monodromy matrices, scalars, Stokes and connection data of Y."""
+    """The anti-diagonal scalars m and monodromy matrices M of Y, by loop."""
 
     m: dict
     M: dict
-    C: dict
-    S1: np.ndarray
-    S2: np.ndarray
-    T0: dict
-    T_minus1_a: np.ndarray
-
-    def cyclic_residual(self):
-        """Max entry of M3 M2 M1 M_inf - 1."""
-        prod = self.M[3] @ self.M[2] @ self.M[1] @ self.M["inf"]
-        return float(np.max(np.abs(prod - np.eye(2))))
 
 
 def _off_diag(m):
     return np.array([[0.0, m], [-1.0 / m, 0.0]], dtype=complex)
 
 
-def _connection(m):
-    return (1.0 / cmath.sqrt(2j * m)) * np.array([[1j, -m], [1j, m]], dtype=complex)
-
-
-def theoretical_monodromy(params, m_inf=M_INF):
+def theoretical_monodromy(params):
     """Monodromy data determined by the characteristics alone.
 
     The scalar attached to each finite branch point follows the half period
     lying over it (the curve's matching permutation), so the table is correct
     for branch configurations where that matching is not the identity.
     """
-    slots = _m_slot_values(params.char, m_inf)
+    slots = _m_slot_values(params.char)
     hpt = params.half_periods
-    m = {"inf": m_inf}
+    m = {"inf": M_INF}
     for nu in (1, 2, 3):
         m[nu] = slots[hpt.slot_of_branch(nu)]
-    M = {k: _off_diag(v) for k, v in m.items()}
-    C = {k: _connection(v) for k, v in m.items()}
-    wp1 = params.wp_a.wp_prime
-    return MonodromyData(
-        m=m, M=M, C=C,
-        S1=np.eye(2, dtype=complex), S2=np.eye(2, dtype=complex),
-        T0={k: np.diag([-0.25, 0.25]) for k in (1, 2, 3, "inf")},
-        T_minus1_a=np.diag([wp1 * params.t / 2.0, -wp1 * params.t / 2.0]),
-    )
+    return MonodromyData(m=m, M={k: _off_diag(v) for k, v in m.items()})
 
 
 class YSolution:
@@ -445,7 +423,7 @@ def coefficients(params, phi=None, sol=None):
     # residue of Y'Y^{-1} at a pins this down.
     Y1 = sol.y1_closed_form()
     B0 = Y1 @ B_minus1 - B_minus1 @ Y1
-    slots = _m_slot_values(p.char, M_INF)
+    slots = _m_slot_values(p.char)
     hpt = p.half_periods
     es = p.branch.es
     A, G, D = {}, {}, {}

@@ -281,13 +281,6 @@ def trivial_loop_identity(params, coeffs):
     return float(np.max(np.abs(W - np.eye(2))))
 
 
-def stokes_ray_directions(params):
-    """Directions where Re(wp'(alpha) t / (x - a)) changes sign on |x-a| = r."""
-    c = params.wp_a.wp_prime * params.t
-    th = cmath.phase(c)
-    return th - math.pi / 2, th + math.pi / 2
-
-
 def sector_connection_residuals(params, sol, coeffs):
     """Continue Y across both rays bounding the growth sectors at x = a.
 

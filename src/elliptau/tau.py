@@ -143,11 +143,6 @@ def log_tau(params):
     return val
 
 
-def tau_closed_form(params):
-    """The tau value itself, with the same principal branches as log_tau."""
-    return cmath.exp(log_tau(params))
-
-
 # ---------------------------------------------------------------------------
 # Zero-sum-lattice family built from shifted sigma functions
 # ---------------------------------------------------------------------------
@@ -167,16 +162,6 @@ class SigmaShiftParams:
         return wp(lat, al), wp_prime(lat, al), wp_n(lat, al, 2), wp_n(lat, al, 3)
 
 
-def sigma_shift_row(ap, z, l=None):
-    """sigma(z-a)^{l-1} sigma(z+a)^{-l} sigma(z+t+(2l-1)a) exp(-t/2 (zeta(z-a)+zeta(z+a)))."""
-    l = ap.l if l is None else l
-    lat, al, t = ap.lat, ap.alpha, ap.t
-    return (sigma(lat, z - al) ** (l - 1)
-            * sigma(lat, z + al) ** (-l)
-            * sigma(lat, z + t + (2 * l - 1) * al)
-            * cmath.exp(-(t / 2.0) * (zeta(lat, z - al) + zeta(lat, z + al))))
-
-
 def _c0(ap, t, l):
     lat, al = ap.lat, ap.alpha
     _, wp1, wpp, _ = ap.wp_data()
@@ -191,11 +176,6 @@ def _c1(ap, t, l):
     return (zeta(lat, t + 2 * l * al)
             - l * zeta(lat, 2 * al)
             + (t / 2.0) * wp(lat, 2 * al))
-
-
-def sigma_shift_c0_c1(ap):
-    """Leading constant and first coefficient of y_l near z = alpha."""
-    return _c0(ap, ap.t, ap.l), _c1(ap, ap.t, ap.l)
 
 
 def _growth_coefficient(ap):

@@ -61,3 +61,35 @@ def test_heat_equation_rounds_its_draw_count_like_every_check(monkeypatch):
     ctx = checks.CheckContext(GOLDEN, draw_scale=0.35)
     checks.check_heat_equation(ctx, checks.check_stream(GOLDEN.seed, "heat_equation"), 1e-9)
     assert len(chars) == 10 * ctx.draws(10) == 40
+
+
+def test_every_public_name_has_a_reader_outside_tests():
+    # a public module-level function or class of the package, or a public
+    # method of such a class, must be named in src/ or perfbench/ somewhere
+    # other than its own def or class line: code that only tests read has no job
+    import ast
+    import io
+    import tokenize
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "elliptau").glob("*.py"))
+    public = {}  # name -> defining file
+    for path in package:
+        for node in ast.parse(path.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *members]:
+                if (isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                        and not d.name.startswith("_")):
+                    public[d.name] = path.name
+    named = set()
+    for path in package + sorted((root / "perfbench").glob("*.py")):
+        prev = None
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+            if tok.type == tokenize.NAME and prev not in ("def", "class"):
+                named.add(tok.string)
+            if tok.type not in (tokenize.NL, tokenize.COMMENT):
+                prev = tok.string
+    unread = sorted(f"{module}:{name}" for name, module in public.items()
+                    if name not in named)
+    assert not unread, f"read only by tests, or by nothing: {unread}"

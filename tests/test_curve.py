@@ -13,7 +13,6 @@ from elliptau.checks import ring_derivative, run_checks
 from elliptau.curve import (
     Arc,
     BranchConfig,
-    CurvePoint,
     Line,
     _agm_basis,
     _cycle_integral,
@@ -21,7 +20,6 @@ from elliptau.curve import (
     _lattice_coords,
     _sheet_frame,
     _u_anchor,
-    abel,
     abel_with_y,
     chords,
     dOmega_de,
@@ -363,29 +361,9 @@ def test_abel_roundtrip_random_points(golden_branch, golden_lattice):
             continue
         if golden_branch.distance_to_cuts(x) < 1e-3:
             continue
-        u = abel(golden_branch, CurvePoint(x, 1))
+        u, _ = abel_with_y(golden_branch, x)
         assert abs(x_from_u(golden_branch, golden_lattice, u) - x) < 1e-9
         count += 1
-
-
-def test_involution_negates_abel(golden_branch, golden_lattice):
-    rng = SplitMix64(32)
-    for _ in range(20):
-        x = rng.complex_box(-2.0, 2.0)
-        if (min(abs(x - e) for e in golden_branch.es) < 0.15
-                or golden_branch.distance_to_cuts(x) < 1e-2):
-            continue
-        pt = CurvePoint(x, 1)
-        u1 = abel(golden_branch, pt)
-        u2 = abel(golden_branch, pt.involution())
-        r, _, _ = golden_lattice.reduce(u1 + u2)
-        assert abs(r) < 1e-9
-
-
-def test_curve_point_on_cut_is_rejected(golden_branch):
-    # the segment cut between the second and third branch points
-    with pytest.raises(ContourGeometryError):
-        abel(golden_branch, CurvePoint(-0.5 + 0j, 1))
 
 
 def test_wp_alpha_relations_golden(golden_branch, golden_lattice):
@@ -395,7 +373,7 @@ def test_wp_alpha_relations_golden(golden_branch, golden_lattice):
     assert abs(rel.wp_pp - 22.0) < 1e-12
     assert abs(rel.wp_prime**2 - rel.wp_prime_sq) < 1e-12
     # transcendental cross-check through the Abel map
-    alpha = abel(golden_branch, 2.0)
+    alpha, _ = abel_with_y(golden_branch, 2.0)
     assert abs(wp(golden_lattice, alpha) - rel.wp) < 1e-9
     from elliptau.elliptic import wp_prime
     assert abs(wp_prime(golden_lattice, alpha) - rel.wp_prime) < 1e-9
