@@ -29,8 +29,9 @@ from .curve import (
     abel_with_y,
     dOmega_de,
     dlog_omega1_de,
-    path_integral,
+    path_integrals,
     periods,
+    periods_of,
     quasiperiod_ratio_derivative,
     theta_constant_residuals,
     x_from_u,
@@ -62,7 +63,7 @@ from .monodromy import (
     sector_connection_residuals,
     trivial_loop_identity,
 )
-from .scenario import admissible_branch, check_stream
+from .scenario import admissible_branches, check_stream
 from .tau import (
     SigmaShiftParams,
     H_nu,
@@ -260,9 +261,14 @@ def ring_moments(f, center, radius, n, orders):
     on all x_j.  Moment k estimates the Taylor coefficient of (x - center)^k
     (k = -1: the residue), spectrally for a ring well inside the nearest
     other singularity."""
-    w = radius * np.exp(2j * math.pi * np.arange(n) / n)
+    w = _ring_offsets(radius, n)
     values = f(center + w)
     return {k: np.tensordot(w ** -k, values, axes=(0, 0)) / n for k in orders}
+
+
+def _ring_offsets(radius, n):
+    """The offsets radius e^(2 pi i j/n), j < n, of a ring's nodes from its centre."""
+    return radius * np.exp(2j * math.pi * np.arange(n) / n)
 
 
 RING_POINTS = 4  # nodes of every derivative ring
@@ -287,6 +293,15 @@ def ring_derivative(f, center, distance, log=False):
 
     m = ring_moments(values, center, r, RING_POINTS, (1, 1 - half))
     return m[1], m[1] + m[1 - half] / r**half
+
+
+def _ring_derivatives(f, rings, log=False):
+    """ring_derivative at each (center, distance) of rings, f being called once
+    on the (len(rings), RING_POINTS) array of their nodes, read back by node."""
+    nodes = np.array([c + _ring_offsets(RING_FRACTION * d, RING_POINTS) for c, d in rings])
+    values = {z.tobytes(): v for z, v in zip(nodes, f(nodes))}
+    return [ring_derivative(lambda z: values[z.tobytes()], center, distance, log)
+            for center, distance in rings]
 
 
 def _lattice_distance(lat, u):
@@ -415,28 +430,35 @@ def check_sigma_homogeneity(ctx, rng, tol):
 
 def _branch_samples(ctx, rng, base_count):
     """The scenario's branch with its lattice, then admissible draws with theirs."""
-    draws = [admissible_branch(rng) for _ in range(ctx.draws(base_count, minimum=1))]
+    draws = admissible_branches(rng, ctx.draws(base_count, minimum=1))
     return [(ctx.branch, ctx.params.lat)] + [(b, periods(b)) for b in draws]
 
 
 def check_theta_constants(ctx, rng, tol):
-    worst = max(max(theta_constant_residuals(b, lat))
-                for b, lat in _branch_samples(ctx, rng, 9))
-    return worst, "odd theta-constant identities vs geometric quasi-period"
+    branches, lats = zip(*_branch_samples(ctx, rng, 9))
+    r1, r2 = theta_constant_residuals(branches, _batch(lats))
+    return (float(max(r1.max(), r2.max())),
+            "odd theta-constant identities vs geometric quasi-period")
 
 
 def _branch_derivative_residual(ctx, rng, value, closed, degree=None):
     """Worst miss of closed(b, lat, nu) = d value(lattice)/de_nu against its
     ring derivative over sampled branches, of the translation sum (which
-    vanishes) and, given the homogeneity degree, of the Euler sum."""
+    vanishes) and, given the homogeneity degree, of the Euler sum.  All ring
+    nodes share one periods_of call and one batch lattice."""
+    samples = _branch_samples(ctx, rng, 9)
+    keys = [(b, nu, b.es[nu - 1]) for b, _ in samples for nu in (1, 2, 3)]
+
+    def on_moved(nodes):
+        moved = [b.moved(nu, z - e) for (b, nu, e), zs in zip(keys, nodes) for z in zs]
+        return value(_batch(periods_of(moved))).reshape(nodes.shape)
+
+    ds = iter(_ring_derivatives(on_moved, [(e, _clearance(b, None, e)) for b, _, e in keys]))
     worst = 0.0
-    for b, lat in _branch_samples(ctx, rng, 9):
+    for b, lat in samples:
         cls = [closed(b, lat, nu) for nu in (1, 2, 3)]
-        for nu, cl in zip((1, 2, 3), cls):
-            e = b.es[nu - 1]
-            d, _ = ring_derivative(lambda zs: value(_batch([periods(b.moved(nu, z - e))
-                                                            for z in zs])),
-                                   e, _clearance(b, None, e))
+        for cl in cls:
+            d, _ = next(ds)
             worst = max(worst, abs(d - cl) / max(abs(cl), 1e-30))
         worst = max(worst, abs(sum(cls)) / max(abs(cl) for cl in cls))
         if degree is not None:
@@ -469,8 +491,8 @@ def check_quasiperiod_ratio_derivative(ctx, rng, tol):
 
 def check_abel_roundtrip(ctx, rng, tol):
     b, lat = ctx.branch, ctx.params.lat
-    xs = []
-    for _ in range(ctx.draws(50, minimum=8)):
+    xs, draws = [], ctx.draws(50, minimum=8)
+    for _ in range(draws):
         x = b.centroid + rng.complex_box(-2.0, 2.0) * b.scale
         if min(abs(x - e) for e in b.es) < 0.05 * b.scale:
             continue
@@ -480,21 +502,21 @@ def check_abel_roundtrip(ctx, rng, tol):
     x = np.array(xs)
     u = np.array([abel_with_y(b, xk)[0] for xk in xs])
     worst = np.max(np.abs(x_from_u(b, lat, u) - x) / np.maximum(np.abs(x), 1.0), initial=0.0)
-    return float(worst), "inversion x(u(x)) = x"
+    return float(worst), f"inversion x(u(x)) = x; {len(xs)} of {draws} draws kept"
 
 
 def check_periods_scaling(ctx, rng, tol):
     b, lat = ctx.branch, ctx.params.lat
+    moves = [((0.5 + rng.uniform(0.0, 1.0)) * rng.unit_phase(), rng.complex_box(-1.0, 1.0))
+             for _ in range(ctx.draws(4, minimum=1))]  # (lambda, c): a scaling, a translation
+    lats = periods_of([BranchConfig(*es) for lam, c in moves
+                       for es in ([lam * e for e in b.es], [e + c for e in b.es])])
     worst = 0.0
-    for _ in range(ctx.draws(4, minimum=1)):
-        lam = (0.5 + rng.uniform(0.0, 1.0)) * rng.unit_phase()
-        lat_s = periods(BranchConfig(*(lam * e for e in b.es)))
+    for (lam, _), lat_s, lat_t in zip(moves, lats[::2], lats[1::2]):
         # dx/y scales by lambda^{-1/2}; compare the ratio squared to kill the
         # orientation-dependent square-root sign
         ratio_sq = (lat_s.omega1 / lat.omega1) ** 2 * lam
         worst = max(worst, abs(ratio_sq - 1.0))
-        c = rng.complex_box(-1.0, 1.0)
-        lat_t = periods(BranchConfig(*(e + c for e in b.es)))
         worst = max(worst, abs(lat_t.omega1 - lat.omega1) / abs(lat.omega1))
         worst = max(worst, abs(lat_t.omega2 - lat.omega2) / abs(lat.omega2))
     return worst, "sqrt-scaling law and translation invariance"
@@ -551,17 +573,20 @@ def check_ode_residual(ctx, rng, tol):
     radius = 0.1 * b.scale
     n = ctx.draws(8, minimum=4)
     xs = [center + radius * cmath.exp(2j * math.pi * j / n) for j in range(n)]
+    u0, y0 = np.array([abel_with_y(b, x) for x in xs]).T
+
+    def y_rings(nodes):
+        # each ring stays within 1e-3 of the distance to the cuts, so u and y
+        # continue from its centre to each node along a straight chord
+        ends = path_integrals([[Line(x, z)] for x, zs in zip(xs, nodes) for z in zs],
+                              [b] * nodes.size, np.repeat(y0, nodes.shape[1]))
+        us = np.repeat(u0, nodes.shape[1]) + np.array([du for du, _ in ends])
+        return ctx.sol.y_at(nodes, us.reshape(nodes.shape))
+
+    rings = _ring_derivatives(y_rings, [(x, min(_clearance(b, a, x), b.distance_to_cuts(x)))
+                                        for x in xs])
     worst = 0.0
-    for x, Y in zip(xs, ctx.sol.y_at(np.array(xs))):
-        # the ring stays within 1e-3 of the distance to the cuts, so u and y
-        # continue from x to each node along a straight chord
-        u0, y0 = abel_with_y(b, x)
-
-        def y_ring(zs):
-            us = [u0 + path_integral([Line(x, z)], b, y0)[0] for z in zs]
-            return ctx.sol.y_at(zs, np.array(us))
-
-        dY, _ = ring_derivative(y_ring, x, min(_clearance(b, a, x), b.distance_to_cuts(x)))
+    for x, Y, (dY, _) in zip(xs, ctx.sol.y_at(np.array(xs), u0), rings):
         lhs = dY @ np.linalg.inv(Y)
         rhs = ctx.coeffs.A_of(x)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))
@@ -648,39 +673,45 @@ def check_residue_sum_rule(ctx, rng, tol):
     return abs(sum(ctx.residues) - big), "finite residues vs the enclosing contour"
 
 
-def _admissible_neighbors(ctx, rng, count):
-    """Params of the scenario point plus mild admissible moves of (t, e)."""
-    s = ctx.scenario
+def _admissible_neighbors(ctx, rng):
+    """Params of the scenario point and of the admissible ones of 4 mild moves
+    of (t, e), whose periods come from one call; and a note of their count."""
+    s, count = ctx.scenario, ctx.draws(4, minimum=1)
+    moves = [(tuple(e + 0.08 * ctx.branch.scale * rng.complex_box() for e in ctx.branch.es),
+              s.t + 0.05 * rng.complex_box()) for _ in range(count)]
+    try:
+        periods_of([BranchConfig(*es) for es, _ in moves])
+    except EllipTauError:
+        pass  # each move below then computes alone and fails alone
     out = [ctx.params]
-    for _ in range(count):
-        es = tuple(e + 0.08 * ctx.branch.scale * rng.complex_box()
-                   for e in ctx.branch.es)
-        t = s.t + 0.05 * rng.complex_box()
+    for es, t in moves:
         try:
             out.append(make_params(BranchConfig(*es), s.a, t, s.p, s.q))
         except EllipTauError:
             continue
-    return out
+    return out, f"{len(out) - 1} of {count} neighbours"
 
 
 def check_dlogtau_dt(ctx, rng, tol):
     worst = gap = 0.0
-    for p in _admissible_neighbors(ctx, rng, ctx.draws(4, minimum=1)):
+    points, used = _admissible_neighbors(ctx, rng)
+    for p in points:
         v = H_t(p)
         d, d_sub = _ring(log_tau, p, "t", log=True)
         worst = max(worst, abs(v - d) / max(1.0, abs(v)))
         gap = max(gap, abs(d - d_sub))
-    return worst, f"sub-ring gap {gap:.2e}"
+    return worst, f"sub-ring gap {gap:.2e}; {used}"
 
 
 def check_dlogtau_de(ctx, rng, tol):
     worst = 0.0
-    for p in _admissible_neighbors(ctx, rng, ctx.draws(4, minimum=1)):
+    points, used = _admissible_neighbors(ctx, rng)
+    for p in points:
         for nu in (1, 2, 3):
             v = H_nu(p, nu)
             d, _ = _ring(log_tau, p, f"e{nu}", log=True)
             worst = max(worst, abs(v - d) / max(1.0, abs(v)))
-    return worst, "H_nu vs branch-continuous ring derivatives of log tau"
+    return worst, f"H_nu vs branch-continuous ring derivatives of log tau; {used}"
 
 
 def check_omega_closedness(ctx, rng, tol):
@@ -741,7 +772,7 @@ def check_shifted_tau_dlog(ctx, rng, tol):
     for l in (-1, 0, 1, 2):
         ap = _shift_params(ctx, l)
         d, _ = ring_derivative(
-            lambda ts: np.array([cmath.log(sigma_shift_tau(replace(ap, t=t))) for t in ts]),
+            lambda ts: np.log(sigma_shift_tau(replace(ap, t=ts))),
             ap.t, _lattice_distance(ap.lat, ap.t + 2 * l * ap.alpha), log=True)  # tau_l zeros
         cl = sigma_shift_dlog_tau_dt(ap)
         worst = max(worst, abs(cl - d) / max(1.0, abs(cl)))

@@ -16,7 +16,7 @@ Geometry conventions (the "sheet-1" frame everything downstream relies on):
   recorded.
 * Period values come from the complex AGM; the two cycles, integrated at
   full accuracy, only pick which lattice vectors they are.  The cycle
-  integral also serves as the independent oracle (second_kind_period).
+  integral also serves as the independent oracle (second_kind_periods).
 * Fresh configurations choose all this themselves.  A configuration made by
   BranchConfig.moved continues its root's chart instead: the root's anchor,
   and its periods, rounded in the moved configuration's AGM basis (the
@@ -27,12 +27,16 @@ Geometry conventions (the "sheet-1" frame everything downstream relies on):
 One step rule cuts every path, here and in monodromy: chords() splits the
 pieces into straight chords no longer than RHO = 0.4 of the distance from
 the chord's start to the nearest singular point, so the steps grade
-geometrically toward a nearby branch point.  path_integral applies one
+geometrically toward a nearby branch point.  path_integrals applies one
 ORDER = 12-node Gauss-Legendre rule to each chord (the integrand is
 analytic within 2.5 chord lengths of the chord's start, so the rule is
 exact to rounding) and continues y through all nodes of a path at once,
 keeping at each node the sign of the principal root that moves y least.
 Paths are detoured by CLEARANCE = 0.1 of the smallest branch gap.
+
+path_integrals and periods_of work on many paths or configurations in one
+array pass; path_integral and period_data are their one-item cases and give
+the same numbers.
 """
 
 from __future__ import annotations
@@ -45,12 +49,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .elliptic import (
-    Lattice,
-    lattice_from_periods,
-    wp,
-)
-from .errors import ContourGeometryError, DegenerateParameterError, QuadratureError
+from .elliptic import Lattice, lattice_from_periods, wp
+from .errors import ContourGeometryError, DegenerateParameterError, EllipTauError, QuadratureError
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,8 @@ class BranchConfig:
 
     chart is None on a fresh configuration, which chooses its own period
     convention; moved() copies carry their root's chart.  The chart is part
-    of equality and hash, so cached data never crosses between charts.
+    of equality and hash, so cached data never crosses between charts.  es,
+    scale and min_gap (largest and smallest gap) are set at construction.
     """
 
     e1: complex
@@ -79,16 +80,12 @@ class BranchConfig:
     chart: Chart | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        es = self.es
-        gaps = [abs(es[i] - es[j]) for i in range(3) for j in range(i + 1, 3)]
-        if min(gaps) <= 1e-8 * max(gaps):
+        e1, e2, e3 = es = (complex(self.e1), complex(self.e2), complex(self.e3))
+        gaps = (abs(e1 - e2), abs(e1 - e3), abs(e2 - e3))
+        self.__dict__.update(es=es, scale=max(gaps), min_gap=min(gaps))
+        if self.min_gap <= 1e-8 * self.scale:
             raise ContourGeometryError(
-                f"branch points nearly collide: {es} (min gap {min(gaps):.3e})"
-            )
-
-    @property
-    def es(self):
-        return (complex(self.e1), complex(self.e2), complex(self.e3))
+                f"branch points nearly collide: {es} (min gap {self.min_gap:.3e})")
 
     @property
     def e_sum(self):
@@ -96,22 +93,11 @@ class BranchConfig:
 
     @property
     def tilde_es(self):
-        s = self.e_sum / 3.0
-        return tuple(e - s for e in self.es)
+        return tuple(e - self.centroid for e in self.es)
 
     @property
     def centroid(self):
         return self.e_sum / 3.0
-
-    @property
-    def scale(self):
-        return max(abs(self.es[i] - self.es[j])
-                   for i in range(3) for j in range(i + 1, 3))
-
-    @property
-    def min_gap(self):
-        return min(abs(self.es[i] - self.es[j])
-                   for i in range(3) for j in range(i + 1, 3))
 
     @cached_property
     def root_chart(self):
@@ -197,11 +183,11 @@ class Arc:
 
     def x(self, s):
         th = self.th0 + s * (self.th1 - self.th0)
-        return self.center + self.radius * np.exp(1j * th)
+        return self.center + self.radius * cmath.exp(1j * th)
 
     def dx(self, s):
         th = self.th0 + s * (self.th1 - self.th0)
-        return 1j * (self.th1 - self.th0) * self.radius * np.exp(1j * th)
+        return 1j * (self.th1 - self.th0) * self.radius * cmath.exp(1j * th)
 
 
 @lru_cache(maxsize=1)
@@ -218,50 +204,91 @@ def chords(pieces, poles, bound=None):
     A chord of length h and the stretch of piece it spans both lie in the
     disc of radius h about its start, which holds no pole, so a function
     analytic off the poles has the same integral and continuation along
-    either.  A step below 1e-12 of the path length means the path runs into
-    a pole, and raises.  Returns the arrays x0 and x1.
+    either.  A step below the floor, 1e-12 of the path length, means the
+    path runs into a pole, and raises.  Returns the arrays x0 and x1.
     """
-    speeds = [abs(piece.dx(0.0)) for piece in pieces]  # constant on a Line or an Arc
-    floor = 1e-12 * sum(speeds)
+    floor = _path_floor(pieces)
+    ends = [_cut_piece(piece, poles, bound, floor) for piece in pieces]
+    return (np.array([x for x0, _ in ends for x in x0], dtype=complex),
+            np.array([x for _, x1 in ends for x in x1], dtype=complex))
+
+
+def _path_floor(pieces):
+    """The shortest step chords allows on a path: 1e-12 of its length."""
+    return 1e-12 * sum(abs(piece.dx(0.0)) for piece in pieces)  # dx is constant on a piece
+
+
+def _cut_piece(piece, poles, bound, floor):
+    """The chords of one piece by chords' rule and the path's floor: lists x0, x1."""
+    speed = abs(piece.dx(0.0))
+    at, s = piece.x, 0.0
+    x = complex(at(0.0))
     x0, x1 = [], []
-    for piece, speed in zip(pieces, speeds):
-        s, x = 0.0, complex(piece.x(0.0))
-        while s < 1.0 and speed > 0:
-            h = RHO * min(abs(x - p) for p in poles)
-            if bound is not None:
-                h = min(h, bound(x))
-            if h < floor:
-                raise QuadratureError(f"path reached a pole: step {h:.3g} at x={x}")
-            s = min(1.0, s + h / speed)
-            x0.append(x)
-            x = complex(piece.x(s))
-            x1.append(x)
-    return np.array(x0, dtype=complex), np.array(x1, dtype=complex)
+    first, rest = poles[0], poles[1:]
+    while s < 1.0 and speed > 0:  # the hot loop of every path: one abs per pole, no calls
+        d = abs(x - first)
+        for p in rest:
+            dp = abs(x - p)
+            if dp < d:
+                d = dp
+        h = RHO * d
+        if bound is not None:
+            h = min(h, bound(x))
+        if h < floor:
+            raise QuadratureError(f"path reached a pole: step {h:.3g} at x={x}")
+        s += h / speed
+        if s > 1.0:
+            s = 1.0
+        x0.append(x)
+        x = complex(at(s))
+        x1.append(x)
+    return x0, x1
 
 
 def path_integral(pieces, branch, y_start, numerator=None):
-    """Integrate numerator(x)/y dx along the pieces, tracking the y-branch.
+    """path_integrals for one path, numerator taking arrays of x: returns
+    (value, y_end) of numerator(x)/y dx along the pieces."""
+    num = None if numerator is None else (lambda x, k: numerator(x))
+    return path_integrals([pieces], [branch], [y_start], num)[0]
 
-    y starts at y_start at the start of the first piece.  The pieces are
-    cut by chords() around the branch points, each chord gets one
-    ORDER-node Gauss-Legendre rule, and y is continued through all nodes in
-    order, each node taking the sign of the principal root that moves y
-    least from the node before; the step rule keeps every move far from
-    ambiguous.  numerator takes arrays of x.  Returns (value, y_end).
-    """
-    x0, x1 = chords(pieces, branch.es)
-    if x0.size == 0:
-        return 0j, complex(y_start)
+
+def path_integrals(paths, branches, y_starts, numerator=None):
+    """[(value, y_end)] of numerator/y dx along each path (a list of pieces) on
+    its branch from its y_start.  chords() cuts each path, each chord gets one
+    ORDER-node Gauss-Legendre rule, and the nodes and ends of all chords are
+    evaluated in one pass, y taking at each, in path order, the sign of the
+    principal root that moves it least from the one before (y_start first).
+    numerator(x, k) takes the nodes and, as a column, their path indices."""
+    cuts = [chords(pieces, b.es) for pieces, b in zip(paths, branches)]
+    out = [(0j, complex(y)) for y in y_starts]
+    sizes = np.array([len(x0) for x0, _ in cuts])
+    live = sizes.nonzero()[0]
+    if live.size == 0:
+        return out
+    x0, x1 = (np.concatenate(ends) for ends in zip(*cuts))
+    path = np.arange(len(paths)).repeat(sizes)[:, None]
+    stop = sizes.cumsum()[live]  # one past each path's last chord
+    start = stop - sizes[live]
+    e = np.array([b.es for b in branches]).repeat(sizes, axis=0)  # each chord's branch
     nodes, weights = _gauss()
     half = 0.5 * (x1 - x0)[:, None]
     x = x0[:, None] + half * (1.0 + nodes)
-    w = np.sqrt(branch.y_squared(np.append(x, x1[-1])))
-    prev = np.concatenate(([y_start], w[:-1]))
-    y = np.cumprod(np.where(np.abs(w - prev) <= np.abs(w + prev), 1.0, -1.0)) * w
-    f = half * weights / y[:-1].reshape(x.shape)
+    # the nodes of each chord, then its end: sqrt(y^2) there, in path order
+    xe = np.concatenate([x, x1[:, None]], axis=1)
+    w = np.sqrt(4.0 * (xe - e[:, :1]) * (xe - e[:, 1:2]) * (xe - e[:, 2:])).ravel()
+    prev = np.concatenate(([0j], w[:-1]))
+    prev[start * (ORDER + 1)] = np.asarray(y_starts, dtype=complex)[live]
+    sign = np.where(np.abs(w - prev) <= np.abs(w + prev), 1.0, -1.0).cumprod()
+    # restart at each path: the product before its start is +-1
+    sign *= np.where(start > 0, sign[start * (ORDER + 1) - 1], 1.0).repeat(
+        sizes[live] * (ORDER + 1))
+    y = (sign * w).reshape(xe.shape)
+    f = half * weights / y[:, :ORDER]
     if numerator is not None:
-        f = f * numerator(x)
-    return complex(np.sum(f)), complex(y[-1])
+        f = f * numerator(x, path)
+    for k, r0, r1 in zip(live.tolist(), start.tolist(), stop.tolist()):
+        out[k] = (complex(f[r0:r1].sum()), complex(y[r1 - 1, ORDER]))
+    return out
 
 
 def detoured_path(start, target, obstacles, clearance):
@@ -344,21 +371,25 @@ class SheetFrame:
     clearance: float
 
 
+_RAYS = [cmath.exp(2j * math.pi * k / 16.0) for k in range(16)]
+
+
 def _fresh_anchor(branch):
     """The anchor of a fresh configuration: of 16 rays at 8 times the
-    spread, the one whose outward ray keeps clearest of the branch points."""
+    spread, the one whose outward ray keeps clearest of the branch points
+    (the first of those within 1e-12 R), the clearances in one array pass."""
     c = branch.centroid
-    spread = max(abs(e - c) for e in branch.es)
-    R = 8.0 * (1.0 + spread + abs(c))
-    best = None
-    for k in range(16):
-        d = cmath.exp(2j * math.pi * k / 16.0)
-        a = c + R * d
-        clear = min(_dist_to_ray(e, a, a / abs(a)) for e in branch.es)
-        clear = min(clear, min(abs(a - e) for e in branch.es))
-        if best is None or clear > best[0] + 1e-12 * R:
-            best = (clear, a)
-    return best[1]
+    R = 8.0 * (1.0 + max(abs(e - c) for e in branch.es) + abs(c))
+    a = c + R * np.array(_RAYS)
+    d = a / np.abs(a)
+    rel = np.array(branch.es)[:, None] - a  # e - a
+    t = np.maximum(0.0, rel.real * d.real + rel.imag * d.imag)
+    clear = np.minimum(np.abs(rel - t * d), np.abs(rel)).min(axis=0).tolist()
+    best = 0
+    for k in range(1, 16):
+        if clear[k] > clear[best] + 1e-12 * R:
+            best = k
+    return c + R * _RAYS[best]
 
 
 @lru_cache(maxsize=64)
@@ -401,23 +432,31 @@ class PeriodData:
     delta_flipped: bool
 
 
-def _cycle_pieces(branch, pair, excluded):
-    p, q = pair
-    margin = 0.4 * _dist_to_segment(excluded, p, q)
-    if margin <= 0:
-        raise ContourGeometryError("cycle cannot separate the excluded branch point")
-    return stadium(p, q, margin)
+def _cycles(branch):
+    """The two stadium cycles: around {e2, e3}, then around {e1, e2}."""
+    e1, e2, e3 = branch.es
+    out = []
+    for p, q, excluded in ((e2, e3, e1), (e1, e2, e3)):
+        margin = 0.4 * _dist_to_segment(excluded, p, q)
+        if margin <= 0:
+            raise ContourGeometryError("cycle cannot separate the excluded branch point")
+        out.append(stadium(p, q, margin))
+    return out
 
 
-def _cycle_integral(branch, frame, pieces, numerator=None):
-    """Integral of numerator(x)/y dx around a cycle on the sheet-1 frame."""
-    start = pieces[0].x(0.0)
-    approach = detoured_path(frame.anchor, start, branch.es, frame.clearance)
-    y0 = path_integral(approach, branch, frame.y_anchor)[1]
-    val, y_end = path_integral(pieces, branch, y0, numerator)
-    if abs(y_end - y0) > 1e-8 * abs(y0):
-        raise QuadratureError("y-branch did not close along the cycle")
-    return val
+def _cycle_integrals(branches, cycles, numerator=None):
+    """Integral of numerator/y dx (numerator as path_integrals takes it)
+    around each cycle on its configuration's sheet-1 frame: the approach
+    paths in one pass, the cycles in one."""
+    frames = [_sheet_frame(b) for b in branches]
+    approach = [detoured_path(f.anchor, c[0].x(0.0), b.es, f.clearance)
+                for b, f, c in zip(branches, frames, cycles)]
+    y0s = [y for _, y in path_integrals(approach, branches, [f.y_anchor for f in frames])]
+    out = path_integrals(cycles, branches, y0s, numerator)
+    for (_, y_end), y0 in zip(out, y0s):
+        if abs(y_end - y0) > 1e-8 * abs(y0):
+            raise QuadratureError("y-branch did not close along the cycle")
+    return np.array([val for val, _ in out])
 
 
 # Slack of the lattice coordinates of a cycle integral around the integers.
@@ -460,6 +499,42 @@ def _lattice_coords(w, b1, b2):
     return round(m), round(n)
 
 
+def _period_data_batch(branches):
+    """PeriodData of each configuration, as period_data defines it, with the
+    cycles that need integrating (both on a fresh configuration, a chart's
+    period beyond the slack on a moved one) in one _cycle_integrals call."""
+    bases = [_agm_basis(b) for b in branches]
+    coords, todo = {}, []
+    for i, (b, basis) in enumerate(zip(branches, bases)):
+        for c in (0, 1):
+            try:
+                if b.chart is not None:
+                    coords[i, c] = _lattice_coords((b.chart.omega1, b.chart.omega2)[c], *basis)
+                    continue
+            except QuadratureError:
+                pass  # moved beyond the slack: integrate on the inherited frame
+            todo.append((i, c))
+    if todo:
+        ws = _cycle_integrals([branches[i] for i, _ in todo],
+                              [_cycles(branches[i])[c] for i, c in todo])
+        for (i, c), w in zip(todo, ws.tolist()):
+            coords[i, c] = _lattice_coords(w, *bases[i])
+    out = []
+    for i, (b1, b2) in enumerate(bases):
+        (m1, n1), (m2, n2) = coords[i, 0], coords[i, 1]
+        if abs(m1 * n2 - m2 * n1) != 1:
+            raise QuadratureError(
+                f"cycles do not span the period lattice: {(m1, n1)}, {(m2, n2)}")
+        om1, om2 = m1 * b1 + n1 * b2, m2 * b1 + n2 * b2
+        flipped = (om2 / om1).imag <= 0
+        om2 = -om2 if flipped else om2
+        out.append(PeriodData(lattice_from_periods(om1, om2), om1, om2, flipped))
+    return out
+
+
+_batched = {}  # configuration -> the PeriodData that periods_of computed for it
+
+
 @lru_cache(maxsize=256)  # the 120 ring configurations of a branch check fit
 def period_data(branch):
     """Both periods from the complex AGM, oriented so Im(omega2/omega1) > 0.
@@ -468,34 +543,11 @@ def period_data(branch):
     {e2, e3}, omega2 around {e1, e2}, both on the sheet-1 frame) by rounding
     lattice coordinates in that basis to integers: of the chart's periods on
     a moved configuration, else (and when those are off by more than the
-    slack) of the two cycle integrals.
+    slack) of the two cycle integrals.  The one-item case of periods_of,
+    whose values a miss takes when periods_of computed them.
     """
-    e1, e2, e3 = branch.es
-    b1, b2 = _agm_basis(branch)
-    chart = branch.chart
-    inherited = (None, None) if chart is None else (chart.omega1, chart.omega2)
-
-    def coords(pair, excluded, w):
-        if w is not None:
-            try:
-                return _lattice_coords(w, b1, b2)
-            except QuadratureError:
-                pass  # moved beyond the slack: integrate on the inherited frame
-        w = _cycle_integral(branch, _sheet_frame(branch),
-                            _cycle_pieces(branch, pair, excluded))
-        return _lattice_coords(w, b1, b2)
-
-    m1, n1 = coords((e2, e3), e1, inherited[0])
-    m2, n2 = coords((e1, e2), e3, inherited[1])
-    if abs(m1 * n2 - m2 * n1) != 1:
-        raise QuadratureError(
-            f"cycles do not span the period lattice: {(m1, n1)}, {(m2, n2)}")
-    om1, om2 = m1 * b1 + n1 * b2, m2 * b1 + n2 * b2
-    flipped = False
-    if (om2 / om1).imag <= 0:
-        om2, flipped = -om2, True
-    lat = lattice_from_periods(om1, om2)
-    return PeriodData(lat, om1, om2, flipped)
+    done = _batched.get(branch)
+    return done if done is not None else _period_data_batch([branch])[0]
 
 
 def periods(branch):
@@ -503,18 +555,33 @@ def periods(branch):
     return period_data(branch).lattice
 
 
-def second_kind_period(branch):
-    """Quasi-period of zeta over the first cycle, via -loop(x - e_sum/3) dx/y.
+def periods_of(branches):
+    """periods(b) of each configuration, computed together (a cached one again),
+    each a period_data cache entry afterwards.  When one fails they are
+    computed one at a time, and the first failing one raises its own error."""
+    try:
+        values = _period_data_batch(branches)
+    except EllipTauError:
+        values = []
+    added = {b: v for b, v in zip(branches, values) if b not in _batched}
+    _batched.update(added)
+    try:
+        return [period_data(b).lattice for b in branches]
+    finally:
+        for b in added:
+            del _batched[b]
+
+
+def second_kind_periods(branches):
+    """Quasi-period of zeta over the first cycle of each configuration, via
+    -loop(x - e_sum/3) dx/y, in one _cycle_integrals call.
 
     Independent of the theta-constant route used by lattice_from_periods;
     serves as the geometric oracle for eta1.
     """
-    e1, e2, e3 = branch.es
-    frame = _sheet_frame(branch)
-    shift = branch.e_sum / 3.0
-    val = _cycle_integral(branch, frame, _cycle_pieces(branch, (e2, e3), e1),
-                          numerator=lambda x: x - shift)
-    return -val
+    shifts = np.array([b.e_sum / 3.0 for b in branches])
+    return -_cycle_integrals(branches, [_cycles(b)[0] for b in branches],
+                             numerator=lambda x, k: x - shifts[k])
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +672,10 @@ def wp_alpha_relations(branch, a):
     if min(abs(a - e) for e in es) == 0:
         raise ContourGeometryError("a collides with a branch point")
     w = a - branch.e_sum / 3.0
-    prod = (a - es[0]) * (a - es[1]) * (a - es[2])
     wpp = 2.0 * ((a - es[0]) * (a - es[1]) + (a - es[1]) * (a - es[2])
                  + (a - es[0]) * (a - es[2]))
     _, y = abel_with_y(branch, a)
-    return WpAtA(w, 4.0 * prod, y, wpp, 12.0 * w * y)
+    return WpAtA(w, branch.y_squared(a), y, wpp, 12.0 * w * y)
 
 
 def local_inverse_coeffs(branch, a):
@@ -648,24 +714,24 @@ def dlog_omega1_de(branch, lat, nu):
     return (2.0 * (dtheta1p_dOmega / d1) * dOmega_de(branch, lat, nu) - 0.5 * s) / 3.0
 
 
-def theta_constant_residuals(branch, lat):
-    """Residuals of the two odd theta-constant identities.
+def theta_constant_residuals(branches, lat):
+    """Residuals of the two odd theta-constant identities, for configurations
+    and their lattice (a batch of theirs for several).
 
     First: omega1*eta1 = -theta11'''/(3 theta11'), with eta1 taken from the
     geometric second-kind period (independent of the theta route).
     Second: -(sum e)^2/3 + sum_{i<j} e_i e_j equals
     (theta11^(5)/(2 theta11') - 5 (theta11'''/theta11')^2 / 6) / omega1^4.
-    Returns the two relative residuals.
+    Returns the two arrays of relative residuals.
     """
     d1, d3, d5 = lat.odd_theta_constants
-    eta1_geom = second_kind_period(branch)
-    lhs1 = lat.omega1 * eta1_geom
+    lhs1 = lat.omega1 * second_kind_periods(branches)
     rhs1 = -d3 / (3.0 * d1)
-    r1 = abs(lhs1 - rhs1) / max(abs(lhs1), abs(rhs1))
-    e1, e2, e3 = branch.es
+    r1 = np.abs(lhs1 - rhs1) / np.maximum(np.abs(lhs1), np.abs(rhs1))
+    e1, e2, e3 = np.array([b.es for b in branches]).T
     lhs2 = -(e1 + e2 + e3) ** 2 / 3.0 + (e1 * e2 + e2 * e3 + e3 * e1)
     rhs2 = (0.5 * (d5 / d1) - (5.0 / 6.0) * (d3 / d1) ** 2) / lat.omega1**4
-    r2 = abs(lhs2 - rhs2) / max(abs(lhs2), abs(rhs2), 1e-30)
+    r2 = np.abs(lhs2 - rhs2) / np.maximum(np.maximum(np.abs(lhs2), np.abs(rhs2)), 1e-30)
     return r1, r2
 
 

@@ -26,11 +26,12 @@ from .curve import (
     RHO,
     Arc,
     Line,
-    _cycle_pieces,
+    _cut_piece,
+    _cycles,
+    _path_floor,
     abel_with_y,
-    chords,
     detoured_path,
-    path_integral,
+    path_integrals,
 )
 from .errors import QuadratureError
 from .isomono import coefficients, normalize_Y
@@ -85,9 +86,8 @@ def _reverse(pieces):
     return out
 
 
-def _connected_cycle(params, pair, excluded):
-    """Cycle stadium around a branch-point pair, based at the base point."""
-    pieces = _cycle_pieces(params.branch, pair, excluded)
+def _connected_cycle(params, pieces):
+    """A cycle stadium of the curve, based at the base point."""
     x0 = base_point(params.branch)
     start = pieces[0].x(0.0)
     connector = detoured_path(x0, start, singularities(params),
@@ -111,19 +111,14 @@ def calibrate_loops(params):
     lat = p.lat
     x0 = base_point(p.branch)
     u0, y0 = abel_with_y(p.branch, x0)
-
-    def journey(pieces):
-        du, _ = path_integral(pieces, p.branch, y0)
-        return du
-
-    e1, e2, e3 = p.branch.es
-    cyc = {
-        "gamma": _connected_cycle(p, (e2, e3), e1),
-        "delta": _connected_cycle(p, (e1, e2), e3),
-    }
+    cyc = dict(zip(("gamma", "delta"), (_connected_cycle(p, c) for c in _cycles(p.branch))))
+    naive = {which: loop_pieces(p, which) for which in (1, 2, 3, "inf")}
+    # the Abel-side journeys of the six loops, in one pass
+    journey = dict(zip([*cyc, *naive], (du for du, _ in path_integrals(
+        [*cyc.values(), *naive.values()], [p.branch] * 6, [y0] * 6))))
     basis = {}
-    for name, pieces in cyc.items():
-        r, m, n = lat.reduce(journey(pieces))
+    for name in cyc:
+        r, m, n = lat.reduce(journey[name])
         if abs(r) > 1e-8 * lat.unit() or (abs(m) + abs(n)) != 1:
             raise QuadratureError(f"cycle loop journey is not a basis period: {(m, n)}")
         if m != 0:
@@ -135,8 +130,7 @@ def calibrate_loops(params):
 
     loops, offsets = {}, {}
     for which in (1, 2, 3, "inf"):
-        naive = loop_pieces(p, which)
-        w_eff = u0 + 0.5 * journey(naive)
+        w_eff = u0 + 0.5 * journey[which]
         if which == "inf":
             target = 0j
         else:
@@ -149,7 +143,7 @@ def calibrate_loops(params):
             )
         offsets[which] = (m, n)
         if (m, n) == (0, 0):
-            loops[which] = naive
+            loops[which] = naive[which]
             continue
         if abs(m) > 3 or abs(n) > 3:
             raise QuadratureError(f"loop {which}: offset {(m, n)} too large")
@@ -159,34 +153,60 @@ def calibrate_loops(params):
             need = -count * sign  # forward copies so the journey cancels the offset
             path = cyc[name] if need > 0 else _reverse(cyc[name])
             conj.extend(path * abs(need))
-        loops[which] = [*conj, *naive, *_reverse(conj)]
+        loops[which] = [*conj, *naive[which], *_reverse(conj)]
     return loops, offsets
 
 
 def continue_solution(coeffs, pieces, Y0):
-    """Continue the matrix solution Y0 along the pieces by Taylor steps: the
-    one-path case of _continue_paths."""
+    """Continue the matrix solution Y0 along the pieces: _continue_paths of one path."""
     return _continue_paths(coeffs, [pieces], [Y0])[0]
 
 
 def _continue_paths(coeffs, paths, Y0s):
     """Each Y0s[k] continued along paths[k] by Taylor steps.
 
-    curve.chords cuts every path around {a, e_nu} under the KAPPA bound,
-    _transfers sums the chords of all paths in one array pass, and each Y0
-    is carried through the product of its own path's transfer matrices.
+    Each distinct piece is cut once by the rule of curve.chords, around
+    {a, e_nu} under the KAPPA bound and with the floor of the longest path
+    through it, and _transfers sums all the chords in one array pass.  A
+    piece met after its reverse (loops return along their descents,
+    conjugating cycles come back reversed) runs back through the reverse's
+    chords by their inverse transfers.  The paths take their chords in step,
+    one stacked product per step.
     """
     b = float(np.max(np.abs(coeffs.B_minus1)))
     bound = (lambda x: KAPPA * abs(x - coeffs.a) ** 2 / b) if b > 0 else None
-    cuts = [chords(pieces, (coeffs.a, *coeffs.es), bound) for pieces in paths]
-    T = _transfers(coeffs, *(np.concatenate(ends) for ends in zip(*cuts)))
-    out = []
-    for Ts, Y0 in zip(np.split(T, np.cumsum([len(x0) for x0, _ in cuts])[:-1]), Y0s):
-        Y = np.array(Y0, dtype=complex)
-        for Tk in Ts:
-            Y = Tk @ Y
-        out.append(Y)
-    return out
+    which, distinct, floors = {}, [], []  # which: piece -> (distinct piece's index, backwards?)
+    for pieces in paths:
+        floor = _path_floor(pieces)
+        for piece in pieces:
+            if piece not in which:
+                back = which.get(_reverse([piece])[0])
+                which[piece] = (back[0], not back[1]) if back else (len(distinct), False)
+                if not back:
+                    distinct.append(piece)
+                    floors.append(floor)
+            k = which[piece][0]
+            floors[k] = max(floors[k], floor)
+    if not distinct:
+        return [np.array(Y0, dtype=complex) for Y0 in Y0s]
+    cuts = [_cut_piece(piece, (coeffs.a, *coeffs.es), bound, floor)
+            for piece, floor in zip(distinct, floors)]
+    T = _transfers(coeffs, *(np.array([x for xs in ends for x in xs], dtype=complex)
+                             for ends in zip(*cuts)))
+    n, ends = len(T), np.cumsum([len(x0) for x0, _ in cuts]).tolist()
+
+    def rows(piece):  # its chords as rows of [T, T^-1, 1], backwards by the inverses
+        k, backwards = which[piece]
+        span = range(ends[k] - len(cuts[k][0]), ends[k])
+        return [n + i for i in reversed(span)] if backwards else span
+    seqs = [[i for piece in pieces for i in rows(piece)] for pieces in paths]
+    steps = np.full((max(map(len, seqs)), len(paths)), 2 * n)  # a path at its end takes 1
+    for k, seq in enumerate(seqs):
+        steps[:len(seq), k] = seq
+    Y = np.array(Y0s, dtype=complex)
+    for Tk in np.concatenate([T, np.linalg.inv(T), np.eye(2)[None]])[steps]:
+        Y = Tk @ Y  # every path one chord on
+    return list(Y)
 
 
 def _transfers(coeffs, x0, x1, halvings=0):
@@ -239,13 +259,14 @@ def _taylor_sums(coeffs, x0, x1):
     y = np.zeros((2, 2, len(h)), dtype=complex)
     y[0, 0] = y[1, 1] = 1.0
     S = y.copy()
+    terms = np.empty((2, 10, 2, len(h)), dtype=complex)
     small = ok = np.zeros(len(h), dtype=bool)
     for order in range(1, int(2 * math.log(eps) / math.log(RHO)) + 1):
         W[:4] = y - qW * W[:4]
         W[4] = W[0] - qa * W[4]
-        y = (M * Wjk).sum(axis=1) / order
+        y = np.multiply(M, Wjk, out=terms).sum(axis=1) / order
         S += y
-        tiny = np.abs(y).max(axis=(0, 1)) <= eps * np.abs(S).max(axis=(0, 1))
+        tiny = np.abs(y.reshape(4, -1)).max(axis=0) <= eps * np.abs(S.reshape(4, -1)).max(axis=0)
         ok = ok | (small & tiny)
         small = tiny
         if ok.all():

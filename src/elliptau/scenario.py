@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .curve import BranchConfig, periods
+from .curve import BranchConfig, periods, periods_of
 from .errors import EllipTauError, ScenarioError
 
 _MASK = (1 << 64) - 1
@@ -165,19 +165,41 @@ def golden_dict():
 def admissible_branch(rng):
     """Draw three branch points from complex_box(-1.2, 1.2) until their
     minimum pairwise gap is at least 0.3 of their spread, the spread is at
-    least 0.5 and the period ratio has Im >= 0.05; at most 500 attempts."""
-    for _ in range(500):
-        es = tuple(rng.complex_box(-1.2, 1.2) for _ in range(3))
-        gaps = [abs(es[i] - es[j]) for i in range(3) for j in range(i + 1, 3)]
-        if min(gaps) < 0.3 * max(gaps) or max(gaps) < 0.5:
-            continue
+    least 0.5 and the period ratio has Im >= 0.05; at most 500 attempts.
+    The one-draw case of admissible_branches."""
+    return admissible_branches(rng, 1)[0]
+
+
+def admissible_branches(rng, count):
+    """count admissible_branch draws, leaving rng where count calls of it
+    leave it: the candidates that pass the gap test get their periods from
+    one periods_of call, and those the period ratio rejects are topped up."""
+    out, tries = [], 0  # tries: attempts of the draw under way
+    while len(out) < count:
+        found, spent, last = [], 0, 0  # candidates and their attempt; attempts; last accepted
+        while len(found) < count - len(out) and tries + spent < 500:
+            spent += 1
+            es = tuple(rng.complex_box(-1.2, 1.2) for _ in range(3))
+            gaps = [abs(es[i] - es[j]) for i in range(3) for j in range(i + 1, 3)]
+            if min(gaps) >= 0.3 * max(gaps) and max(gaps) >= 0.5:
+                found.append((es, spent))
         try:
-            branch = BranchConfig(*es)
-            if periods(branch).Omega.imag >= 0.05:
-                return branch
+            periods_of([BranchConfig(*es) for es, _ in found])
         except EllipTauError:
-            continue
-    raise ScenarioError("could not draw an admissible branch")
+            pass  # each candidate below then computes alone and fails alone
+        for es, attempt in found:
+            try:
+                branch = BranchConfig(*es)
+                if periods(branch).Omega.imag < 0.05:
+                    continue
+            except EllipTauError:
+                continue
+            out.append(branch)
+            last, tries = attempt, 0
+        tries += spent - last
+        if tries >= 500:
+            raise ScenarioError("could not draw an admissible branch")
+    return out
 
 
 def random_admissible_scenario(rng, seed=0):

@@ -23,6 +23,8 @@ import numpy as np
 from .curve import dOmega_de, dlog_omega1_de, quasiperiod_ratio_derivative
 from .elliptic import (
     Lattice,
+    _any,
+    _math,
     sigma,
     sigma_char_dlog,
     theta,
@@ -194,14 +196,15 @@ def sigma_shift_h(ap):
 
 
 def sigma_shift_tau(ap):
-    """tau_l(t) = sigma(t + 2 l alpha) exp h_l(t)."""
-    if abs(sigma(ap.lat, ap.t + 2 * ap.l * ap.alpha)) == 0:
+    """tau_l(t) = sigma(t + 2 l alpha) exp h_l(t); elementwise when ap.t is an array."""
+    s = sigma(ap.lat, ap.t + 2 * ap.l * ap.alpha)
+    if _any(s == 0):
         raise DegenerateParameterError("sigma(t + 2 l alpha) vanishes")
-    return sigma(ap.lat, ap.t + 2 * ap.l * ap.alpha) * cmath.exp(sigma_shift_h(ap))
+    return s * _math(s).exp(sigma_shift_h(ap))
 
 
 def sigma_shift_dlog_tau_dt(ap):
-    """d/dt log tau_l in closed form."""
+    """d/dt log tau_l in closed form; elementwise in t."""
     lat, al, t, l = ap.lat, ap.alpha, ap.t, ap.l
     _, wp1, wpp, _ = ap.wp_data()
     return (zeta(lat, t + 2 * l * al)

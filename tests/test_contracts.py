@@ -93,3 +93,51 @@ def test_every_public_name_has_a_reader_outside_tests():
     unread = sorted(f"{module}:{name}" for name, module in public.items()
                     if name not in named)
     assert not unread, f"read only by tests, or by nothing: {unread}"
+
+
+def _sequential_draw(rng, periods):
+    """One admissible branch as a lone draw makes it: candidates in stream
+    order, the gap test, then the period ratio; a reference."""
+    from elliptau.curve import BranchConfig
+    from elliptau.errors import EllipTauError, ScenarioError
+
+    for _ in range(500):
+        es = tuple(rng.complex_box(-1.2, 1.2) for _ in range(3))
+        gaps = [abs(es[i] - es[j]) for i in range(3) for j in range(i + 1, 3)]
+        if min(gaps) < 0.3 * max(gaps) or max(gaps) < 0.5:
+            continue
+        try:
+            branch = BranchConfig(*es)
+            if periods(branch).Omega.imag >= 0.05:
+                return branch
+        except EllipTauError:
+            continue
+    raise ScenarioError("could not draw an admissible branch")
+
+
+def test_batched_draws_consume_the_stream_as_sequential_draws(monkeypatch):
+    # the period-ratio test rejects no drawn branch on its own, so it is
+    # forced here to reject every candidate whose e1 has a positive real part
+    import types
+
+    from elliptau import scenario
+    from elliptau.scenario import SplitMix64, admissible_branch, admissible_branches
+
+    real = scenario.periods
+    rejected = []
+
+    def forced(branch):
+        if branch.es[0].real > 0:
+            rejected.append(branch)
+            return types.SimpleNamespace(Omega=0.01j)
+        return real(branch)
+
+    monkeypatch.setattr(scenario, "periods", forced)
+    for seed in (7, 8):
+        for count in (1, 4, 9):
+            ref_rng, one_rng, batch_rng = (SplitMix64(seed) for _ in range(3))
+            ref = [_sequential_draw(ref_rng, forced) for _ in range(count)]
+            ones = [admissible_branch(one_rng) for _ in range(count)]
+            assert admissible_branches(batch_rng, count) == ones == ref
+            assert batch_rng.state == one_rng.state == ref_rng.state
+    assert rejected

@@ -7,6 +7,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 import elliptau.curve
 from elliptau.checks import ring_derivative, run_checks
@@ -14,9 +15,11 @@ from elliptau.curve import (
     Arc,
     BranchConfig,
     Line,
+    ORDER,
     _agm_basis,
-    _cycle_integral,
-    _cycle_pieces,
+    _cycle_integrals,
+    _cycles,
+    _period_data_batch,
     _lattice_coords,
     _sheet_frame,
     _u_anchor,
@@ -28,16 +31,18 @@ from elliptau.curve import (
     half_period_table,
     local_inverse_coeffs,
     path_integral,
+    path_integrals,
     period_data,
     periods,
+    periods_of,
     quasiperiod_ratio_derivative,
-    second_kind_period,
+    second_kind_periods,
     theta_constant_residuals,
     wp_alpha_relations,
     x_from_u,
 )
 from elliptau.elliptic import wp
-from elliptau.errors import ContourGeometryError, QuadratureError
+from elliptau.errors import ContourGeometryError, EllipTauError, QuadratureError
 from elliptau.isomono import make_params
 from elliptau.scenario import GOLDEN, SplitMix64, random_admissible_scenario
 
@@ -72,10 +77,7 @@ def test_golden_periods_against_elliptic_integral():
 def _quadrature_period_data(branch):
     """The cycle-quadrature route: both stadium cycles at full accuracy on
     the sheet-1 frame, then the same orientation flip as period_data."""
-    e1, e2, e3 = branch.es
-    frame = _sheet_frame(branch)
-    om1 = _cycle_integral(branch, frame, _cycle_pieces(branch, (e2, e3), e1))
-    om2 = _cycle_integral(branch, frame, _cycle_pieces(branch, (e1, e2), e3))
+    om1, om2 = _cycle_integrals([branch] * 2, _cycles(branch))
     flipped = (om2 / om1).imag <= 0
     return om1, -om2 if flipped else om2, flipped
 
@@ -161,14 +163,15 @@ def test_verify_integrates_the_scenario_cycles_once(monkeypatch):
                    abel_with_y, make_params):
         cached.cache_clear()
     calls = []
-    real = elliptau.curve._cycle_integral
+    real = elliptau.curve._cycle_integrals
 
-    def counted(branch, frame, pieces, numerator=None):
-        if branch.chart is None and numerator is None and branch.es == GOLDEN.branch.es:
-            calls.append(pieces)
-        return real(branch, frame, pieces, numerator)
+    def counted(branches, cycles, numerator=None):
+        for branch, pieces in zip(branches, cycles):
+            if branch.chart is None and numerator is None and branch.es == GOLDEN.branch.es:
+                calls.append(pieces)
+        return real(branches, cycles, numerator)
 
-    monkeypatch.setattr(elliptau.curve, "_cycle_integral", counted)
+    monkeypatch.setattr(elliptau.curve, "_cycle_integrals", counted)
     assert run_checks(GOLDEN).overall == "pass"
     assert len(calls) == 2
 
@@ -263,6 +266,72 @@ def test_continue_matches_scalar_stepping(golden_branch, piece, samples):
     assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
+def _one_path_reference(pieces, branch, y_start, numerator=None):
+    """The one-path rule on its own: y continued through the nodes of the
+    path, then its end, from y_start."""
+    x0, x1 = chords(pieces, branch.es)
+    if x0.size == 0:
+        return 0j, complex(y_start)
+    nodes, weights = leggauss(ORDER)
+    half = 0.5 * (x1 - x0)[:, None]
+    x = x0[:, None] + half * (1.0 + nodes)
+    w = np.sqrt(branch.y_squared(np.append(x, x1[-1])))
+    prev = np.concatenate(([y_start], w[:-1]))
+    y = np.cumprod(np.where(np.abs(w - prev) <= np.abs(w + prev), 1.0, -1.0)) * w
+    f = half * weights / y[:-1].reshape(x.shape)
+    if numerator is not None:
+        f = f * numerator(x)
+    return complex(np.sum(f)), complex(y[-1])
+
+
+def test_path_integrals_equal_one_path_at_a_time(golden_branch):
+    # approach paths, cycles, a -y start, a zero-length path and an empty one,
+    # on two branches in one call, with and without a numerator per path
+    generic = BranchConfig(0.3 + 0.7j, -0.9 + 0.1j, 0.5 - 0.8j)
+    paths, branches, starts = [], [], []
+    for b in (golden_branch, generic):
+        frame = _sheet_frame(b)
+        for x in (0.4 + 0.3j, -1.7 + 0.2j, b.es[0] + 1e-4):
+            paths.append(detoured_path(frame.anchor, x, b.es, frame.clearance))
+            branches.append(b)
+            starts.append(frame.y_anchor)
+        cycle = _cycles(b)[1]
+        paths += [cycle, [], [Line(2.0 + 1j, 2.0 + 1j)]]
+        branches += [b] * 3
+        y0 = cmath.sqrt(b.y_squared(cycle[0].x(0.0)))
+        starts += [-y0, y0, y0]
+    shifts = np.array([b.e_sum / 3.0 + 0.1j * k for k, b in enumerate(branches)])
+    for numerator in (None, lambda x, k: x - shifts[k]):
+        got = path_integrals(paths, branches, starts, numerator)
+        for k, (pieces, b, y0) in enumerate(zip(paths, branches, starts)):
+            one = None if numerator is None else (lambda x, k=k: x - shifts[k])
+            want = _one_path_reference(pieces, b, y0, one)
+            for g, w in zip(got[k], want):
+                assert abs(g - w) <= 1e-14 * max(abs(w), 1e-300), (k, g, w)
+    assert got[-2] == (0j, starts[-2]) and got[-1] == (0j, starts[-1])
+
+
+def test_a_failing_configuration_fails_alone():
+    # (0, 1, -1): e1 sits on the segment [e2, e3], so no stadium separates it
+    good = [BranchConfig(0.31 + 0.7j, -0.9 + 0.1j * k, 0.5 - 0.8j) for k in (1, 2)]
+    bad = BranchConfig(0.0, 1.0, -1.0)
+    with pytest.raises(EllipTauError) as alone:
+        period_data(bad)
+    want = [_period_data_batch([b])[0] for b in good]
+    with pytest.raises(type(alone.value)) as batched:
+        periods_of([good[0], bad, good[1]])
+    assert str(batched.value) == str(alone.value)
+    assert [period_data(b) for b in good] == want
+    # a batch that succeeds: each configuration a cache entry, equal to its
+    # own call's data
+    others = [BranchConfig(0.32 + 0.7j, -0.9 + 0.1j * k, 0.5 - 0.8j) for k in (1, 2, 3)]
+    misses = period_data.cache_info().misses
+    lats = periods_of(others)
+    assert [period_data(b).lattice for b in others] == lats
+    assert period_data.cache_info().misses == misses + 3
+    assert lats == [_period_data_batch([b])[0].lattice for b in others]
+
+
 def test_continue_once_around_a_branch_point_flips_y(golden_branch):
     arc = Arc(1.0, 0.3, 0.2, 0.2 + 2 * math.pi)
     y_in = cmath.sqrt(golden_branch.y_squared(arc.x(0.0)))
@@ -315,7 +384,7 @@ def test_chord_count_grows_like_log_of_the_distance(golden_branch):
 def test_second_kind_period_near_collinear():
     branch = BranchConfig(*NEAR_COLLINEAR)
     eta1 = periods(branch).eta1
-    assert abs(second_kind_period(branch) - eta1) <= 1e-12 * max(1.0, abs(eta1))
+    assert abs(second_kind_periods([branch])[0] - eta1) <= 1e-12 * max(1.0, abs(eta1))
 
 
 def test_periods_scaling_and_translation():
@@ -429,7 +498,7 @@ def test_alternative_inversion_coefficient_is_dimensionally_off(golden_branch,
 
 
 def test_second_kind_period_legendre_pair(golden_branch, golden_lattice):
-    eta1 = second_kind_period(golden_branch)
+    eta1 = second_kind_periods([golden_branch])[0]
     assert abs(eta1 - golden_lattice.eta1) < 1e-10 * max(1.0, abs(eta1))
 
 
@@ -458,7 +527,7 @@ def test_theta_constant_residuals_random():
     for _ in range(4):
         b = random_branch(rng)
         lat = periods(b)
-        r1, r2 = theta_constant_residuals(b, lat)
+        (r1,), (r2,) = theta_constant_residuals([b], lat)
         assert r1 < 1e-8
         assert r2 < 1e-8
 

@@ -466,14 +466,18 @@ def test_golden_verify_stays_array_first(monkeypatch):
     # from cold caches, one golden verify makes at most 900 theta-kernel
     # calls (3,896 when Phi, Y and the coefficient frames were built one
     # scalar call at a time, 1,602 when the elliptic checks built one lattice
-    # per draw) and at most 8 Taylor passes (23 with one per loop)
+    # per draw), at most 8 Taylor passes (23 with one per loop), at most 146
+    # path_integrals node passes (366 with one per path) and, continuing each
+    # distinct loop piece once, at most 140 chords for the base system's
+    # monodromy, the first pass (277 when every loop piece was summed)
     for module in (elliptau.elliptic, elliptau.curve, elliptau.isomono):
         for fn in vars(module).values():
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
-    calls, passes = [], []
+    calls, passes, node_passes = [], [], []
     block = elliptau.elliptic._theta_block
     taylor = elliptau.monodromy._taylor_sums
+    integrals = elliptau.curve.path_integrals
 
     def counted(char, z, *args):
         calls.append(z.size)
@@ -483,11 +487,19 @@ def test_golden_verify_stays_array_first(monkeypatch):
         passes.append(len(x0))
         return taylor(coeffs, x0, x1)
 
+    def counted_integrals(*args):
+        node_passes.append(len(args[0]))
+        return integrals(*args)
+
     monkeypatch.setattr(elliptau.elliptic, "_theta_block", counted)
     monkeypatch.setattr(elliptau.monodromy, "_taylor_sums", counted_taylor)
+    for module in (elliptau.curve, elliptau.monodromy, elliptau.checks):
+        monkeypatch.setattr(module, "path_integrals", counted_integrals)
     assert run_checks(GOLDEN).overall == "pass"
     assert len(calls) <= 900
     assert len(passes) <= 8
+    assert len(node_passes) <= 146
+    assert passes[0] <= 140
 
 
 def test_verify_evaluates_each_shared_ring_once(monkeypatch):

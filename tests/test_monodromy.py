@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 
 from elliptau.checks import run_checks
+from elliptau.curve import Line
+from elliptau.errors import QuadratureError
 from elliptau.isomono import shifted_params
 from elliptau.monodromy import (
+    _reverse,
     base_point,
+    calibrate_loops,
+    continue_solution,
     monodromy_matrices,
     sector_connection_residuals,
     trivial_loop_identity,
@@ -90,3 +95,31 @@ def test_monodromy_invariant_under_deformation(golden_ctx):
 def test_base_point_above_all_singularities(golden_branch):
     x0 = base_point(golden_branch)
     assert x0.imag >= 2.0 * max(abs(e.imag) for e in golden_branch.es) + 1.0
+
+
+def test_reverse_piece_continues_by_the_inverse_transfer(golden_ctx):
+    # _continue_paths takes a piece met after its reverse by inverse chord
+    # transfers; continuing along the reversed piece itself, with its own
+    # chords, stays the check
+    coeffs, eye = golden_ctx.coeffs, np.eye(2, dtype=complex)
+    loops, _ = calibrate_loops(golden_ctx.params)
+    pieces = list(dict.fromkeys(piece for loop in loops.values() for piece in loop))
+    assert len(pieces) >= 10
+    for piece in pieces:
+        inverse = np.linalg.inv(continue_solution(coeffs, [piece], eye))
+        back = continue_solution(coeffs, _reverse([piece]), eye)
+        assert np.max(np.abs(back - inverse)) <= 1e-12 * np.max(np.abs(inverse))
+
+
+def test_a_piece_cut_once_keeps_the_floor_of_its_path(golden_ctx):
+    # a step below 1e-12 of the path length means the path runs into a pole;
+    # a piece that many loop pieces repeat is cut once, still under the floor
+    # of the whole path: its smallest step, about 4e-11 of its own length,
+    # passes alone and raises on a path of 1,001 copies
+    b, coeffs, eye = golden_ctx.branch, golden_ctx.coeffs, np.eye(2, dtype=complex)
+    e1 = b.es[0]
+    out = 0.5 * b.min_gap * (e1 - b.centroid) / abs(e1 - b.centroid)
+    piece = Line(e1 + out, e1 + 1e-10 * out)
+    assert np.all(np.isfinite(continue_solution(coeffs, [piece], eye)))
+    with pytest.raises(QuadratureError, match="reached a pole"):
+        continue_solution(coeffs, [piece, *_reverse([piece])] * 500 + [piece], eye)
