@@ -50,11 +50,8 @@ from .elliptic import (
 )
 from .errors import EllipTauError, ScenarioError
 from .isomono import (
-    build_phi,
-    coefficients,
     deformation_residual,
     make_params,
-    normalize_Y,
     shifted_params,
     theoretical_monodromy,
 )
@@ -174,18 +171,22 @@ class CheckContext:
         return self._get("params", lambda: make_params(
             self.branch, s.a, s.t, s.p, s.q))
 
+    # phi, sol, coeffs and numM read the point's chain, each once the stage
+    # before it exists, so that every link is built, and timed, as its own stage
+
     @property
     def phi(self):
-        return self._get("phi", lambda: build_phi(self.params))
+        return self._get("phi", lambda: self.params.phi)
 
     @property
     def sol(self):
-        return self._get("sol", lambda: normalize_Y(self.params, self.phi))
+        self.phi
+        return self._get("sol", lambda: self.params.sol)
 
     @property
     def coeffs(self):
-        return self._get("coeffs", lambda: coefficients(
-            self.params, phi=self.phi, sol=self.sol))
+        self.sol
+        return self._get("coeffs", lambda: self.params.coeffs)
 
     @property
     def theory(self):
@@ -193,8 +194,8 @@ class CheckContext:
 
     @property
     def numerical_monodromy(self):
-        return self._get("numM", lambda: monodromy_matrices(
-            self.params, sol=self.sol, coeffs=self.coeffs))
+        self.coeffs
+        return self._get("numM", lambda: monodromy_matrices(self.params))
 
     @property
     def y1_moment(self):
@@ -267,41 +268,40 @@ def ring_moments(f, center, radius, n, orders):
 
 
 def _ring_offsets(radius, n):
-    """The offsets radius e^(2 pi i j/n), j < n, of a ring's nodes from its centre."""
-    return radius * np.exp(2j * math.pi * np.arange(n) / n)
+    """The offsets radius e^(2 pi i j/n), j < n, of a ring's nodes from its
+    centre; radius a number or an array (then radius.shape + (n,))."""
+    return np.asarray(radius)[..., None] * np.exp(2j * math.pi * np.arange(n) / n)
 
 
 RING_POINTS = 4  # nodes of every derivative ring
 RING_FRACTION = 1e-3  # its radius over the distance to the nearest singularity
 
 
-def ring_derivative(f, center, distance, log=False):
-    """df/dz at center, from one call of f on RING_POINTS nodes at radius
-    RING_FRACTION * distance, distance being that to f's nearest singularity,
-    and the estimate of its 2-point sub-ring (a central difference of step
-    equal to the radius).  A log-valued f (log) has the jumps of its principal
-    logs, multiples of i pi/4, taken out of the opposite-node differences D_0,
-    D_1: D_1 - i D_0 is those jumps plus O(RING_FRACTION^3), however steep f is."""
-    r, half = RING_FRACTION * distance, RING_POINTS // 2
-
-    def values(z):
-        v = f(z)
+def ring_derivative(f, centers, distances, log=False):
+    """df/dz at centers (a number or an array), and the estimate of each
+    one's 2-point sub-ring (a central difference of step equal to the
+    radius), from one call of f on the RING_POINTS nodes of every ring: of
+    shape centers.shape + (RING_POINTS,), each ring of radius RING_FRACTION
+    times its distance, that from its centre to f's nearest singularity.  A
+    log-valued f (log) has the jumps of its principal logs, multiples of
+    i pi/4, taken out of the opposite-node differences D_0, D_1: D_1 - i D_0 is
+    those jumps plus O(RING_FRACTION^3), however steep f is."""
+    centers, radii = np.asarray(centers), RING_FRACTION * np.asarray(distances)
+    w = _ring_offsets(radii, RING_POINTS)
+    values = np.asarray(f(centers[..., None] + w))
+    vshape, half = values.shape[centers.ndim + 1:], RING_POINTS // 2
+    d, d_sub = [], []
+    for r, wr, v in zip(radii.ravel(), w.reshape(-1, RING_POINTS),
+                        values.reshape((-1, RING_POINTS) + vshape)):
         if log:
             k = (v[1] - v[3] - 1j * (v[0] - v[2])) / (0.25 * math.pi)
             v = v + 0.25j * math.pi * np.array([0, 0, round(k.real), round(k.imag)])
-        return v
-
-    m = ring_moments(values, center, r, RING_POINTS, (1, 1 - half))
-    return m[1], m[1] + m[1 - half] / r**half
-
-
-def _ring_derivatives(f, rings, log=False):
-    """ring_derivative at each (center, distance) of rings, f being called once
-    on the (len(rings), RING_POINTS) array of their nodes, read back by node."""
-    nodes = np.array([c + _ring_offsets(RING_FRACTION * d, RING_POINTS) for c, d in rings])
-    values = {z.tobytes(): v for z, v in zip(nodes, f(nodes))}
-    return [ring_derivative(lambda z: values[z.tobytes()], center, distance, log)
-            for center, distance in rings]
+        # ring by ring, summed as ring_moments sums one
+        m, m_sub = (np.tensordot(wr ** -order, v, axes=(0, 0)) / RING_POINTS
+                    for order in (1, 1 - half))
+        d.append(m)
+        d_sub.append(m + m_sub / r**half)
+    return np.reshape(d, centers.shape + vshape), np.reshape(d_sub, centers.shape + vshape)
 
 
 def _lattice_distance(lat, u):
@@ -337,7 +337,7 @@ def _clearance(branch, a, x):
 # ---------------------------------------------------------------------------
 
 
-def check_legendre(ctx, rng, tol):
+def check_legendre(ctx, rng):
     lats, us = _draws(rng, ctx.draws(20), _lattice_and_u)
     lat, u = _batch(lats), np.array(us)
     w1, w2, e1, e2 = lat.omega1, lat.omega2, lat.eta1, lat.eta2
@@ -348,7 +348,7 @@ def check_legendre(ctx, rng, tol):
     return float(worst), "normalization plus zeta-increment cross-check"
 
 
-def check_heat_equation(ctx, rng, tol):
+def check_heat_equation(ctx, rng):
     Om, z, chars = [], [], []
     for i in range(10):
         for j in range(ctx.draws(10)):
@@ -362,7 +362,7 @@ def check_heat_equation(ctx, rng, tol):
     return float(worst), "second z-derivative vs 4 pi i Omega-derivative"
 
 
-def check_wp_ode(ctx, rng, tol):
+def check_wp_ode(ctx, rng):
     lats, us = _draws(rng, ctx.draws(20), _lattice_and_u)
     lat, u = _batch(lats), np.array(us)
     w, w1 = wp(lat, u), wp_prime(lat, u)
@@ -371,7 +371,7 @@ def check_wp_ode(ctx, rng, tol):
     return float(np.max(np.abs(res) / scale)), "wp'^2 = 4 wp^3 - g2 wp - g3"
 
 
-def check_wp_addition(ctx, rng, tol):
+def check_wp_addition(ctx, rng):
     lats, us = _draws(rng, ctx.draws(20), _lattice_and_u)
     lat, u = _batch(lats), np.array(us)
     w, lhs = wp(lat, np.stack([u, 2 * u]))
@@ -381,7 +381,7 @@ def check_wp_addition(ctx, rng, tol):
     return float(worst), "duplication wp(2u) = -2 wp + (wp''/wp')^2/4"
 
 
-def check_wp_triple(ctx, rng, tol):
+def check_wp_triple(ctx, rng):
     lats, us = _draws(rng, ctx.draws(20), _lattice_and_u)
     lat, u = _batch(lats), np.array(us)
     lhs = wp_n(lat, u, 3)
@@ -390,7 +390,7 @@ def check_wp_triple(ctx, rng, tol):
     return float(worst), "wp''' = 12 wp wp'"
 
 
-def check_quasi_periodicity(ctx, rng, tol):
+def check_quasi_periodicity(ctx, rng):
     def draw(rng):
         lat = _random_lattice(rng)
         ch = _random_char(rng)
@@ -407,7 +407,7 @@ def check_quasi_periodicity(ctx, rng, tol):
     return float(worst), "both period shifts of sigma[p,q]"
 
 
-def check_sigma_homogeneity(ctx, rng, tol):
+def check_sigma_homogeneity(ctx, rng):
     def draw(rng):
         lat = _random_lattice(rng)
         lam = (0.5 + rng.uniform(0.0, 1.5)) * rng.unit_phase()
@@ -434,7 +434,7 @@ def _branch_samples(ctx, rng, base_count):
     return [(ctx.branch, ctx.params.lat)] + [(b, periods(b)) for b in draws]
 
 
-def check_theta_constants(ctx, rng, tol):
+def check_theta_constants(ctx, rng):
     branches, lats = zip(*_branch_samples(ctx, rng, 9))
     r1, r2 = theta_constant_residuals(branches, _batch(lats))
     return (float(max(r1.max(), r2.max())),
@@ -453,12 +453,13 @@ def _branch_derivative_residual(ctx, rng, value, closed, degree=None):
         moved = [b.moved(nu, z - e) for (b, nu, e), zs in zip(keys, nodes) for z in zs]
         return value(_batch(periods_of(moved))).reshape(nodes.shape)
 
-    ds = iter(_ring_derivatives(on_moved, [(e, _clearance(b, None, e)) for b, _, e in keys]))
+    ds = iter(ring_derivative(on_moved, [e for _, _, e in keys],
+                              [_clearance(b, None, e) for b, _, e in keys])[0])
     worst = 0.0
     for b, lat in samples:
         cls = [closed(b, lat, nu) for nu in (1, 2, 3)]
         for cl in cls:
-            d, _ = next(ds)
+            d = next(ds)
             worst = max(worst, abs(d - cl) / max(abs(cl), 1e-30))
         worst = max(worst, abs(sum(cls)) / max(abs(cl) for cl in cls))
         if degree is not None:
@@ -467,12 +468,12 @@ def _branch_derivative_residual(ctx, rng, value, closed, degree=None):
     return worst
 
 
-def check_domega_de(ctx, rng, tol):
+def check_domega_de(ctx, rng):
     return (_branch_derivative_residual(ctx, rng, lambda lat: lat.Omega, dOmega_de),
             "closed form vs ring derivative; translation sum")
 
 
-def check_dlog_omega1_de(ctx, rng, tol):
+def check_dlog_omega1_de(ctx, rng):
     # omega1 has degree -1/2 in the e_nu; the ring differences omega1, not its log
     return (_branch_derivative_residual(
                 ctx, rng, lambda lat: lat.omega1,
@@ -480,7 +481,7 @@ def check_dlog_omega1_de(ctx, rng, tol):
             "closed form vs ring derivative; translation and Euler scaling sums")
 
 
-def check_quasiperiod_ratio_derivative(ctx, rng, tol):
+def check_quasiperiod_ratio_derivative(ctx, rng):
     # eta1/omega1 is homogeneous of degree 1 in the branch points
     t = ctx.scenario.t if abs(ctx.scenario.t) > 1e-3 else 0.1
     return (_branch_derivative_residual(
@@ -489,7 +490,7 @@ def check_quasiperiod_ratio_derivative(ctx, rng, tol):
             "eta1 t^2/(2 omega1): closed form vs ring derivative; translation and Euler sums")
 
 
-def check_abel_roundtrip(ctx, rng, tol):
+def check_abel_roundtrip(ctx, rng):
     b, lat = ctx.branch, ctx.params.lat
     xs, draws = [], ctx.draws(50, minimum=8)
     for _ in range(draws):
@@ -505,7 +506,7 @@ def check_abel_roundtrip(ctx, rng, tol):
     return float(worst), f"inversion x(u(x)) = x; {len(xs)} of {draws} draws kept"
 
 
-def check_periods_scaling(ctx, rng, tol):
+def check_periods_scaling(ctx, rng):
     b, lat = ctx.branch, ctx.params.lat
     moves = [((0.5 + rng.uniform(0.0, 1.0)) * rng.unit_phase(), rng.complex_box(-1.0, 1.0))
              for _ in range(ctx.draws(4, minimum=1))]  # (lambda, c): a scaling, a translation
@@ -527,7 +528,7 @@ def check_periods_scaling(ctx, rng, tol):
 # ---------------------------------------------------------------------------
 
 
-def check_phi_transformation(ctx, rng, tol):
+def check_phi_transformation(ctx, rng):
     phi, lat = ctx.phi, ctx.params.lat
     us = np.array([_random_u(rng, lat) + 0.03 * lat.omega1
                    for _ in range(ctx.draws(20, minimum=5))])
@@ -540,21 +541,21 @@ def check_phi_transformation(ctx, rng, tol):
     return worst, "both cycle transformations of the row functions"
 
 
-def check_det_phi_zeros(ctx, rng, tol):
+def check_det_phi_zeros(ctx, rng):
     p = ctx.params
     r = ctx.phi.rows(list(p.half_periods.omega_tilde) + [0j], du=True)
     worst = np.max(np.abs(r.det) / np.maximum(np.abs(r.det_du) * p.lat.unit(), 1e-30))
     return float(worst), "det Phi vanishes at the four branch places (slope-relative)"
 
 
-def check_y_normalization(ctx, rng, tol):
+def check_y_normalization(ctx, rng):
     a = ctx.params.a
     mom = ring_moments(ctx.sol.hatted, a, 0.02 * _clearance(ctx.branch, a, a), 32, (0,))
     res = float(np.max(np.abs(mom[0] - np.eye(2))))
     return res, "ring average of Y exp(-T) minus identity"
 
 
-def check_y1_closed_form(ctx, rng, tol):
+def check_y1_closed_form(ctx, rng):
     Y1 = ctx.sol.y1_closed_form()
     res = float(np.max(np.abs(ctx.y1_moment - Y1)) / max(1.0, float(np.max(np.abs(Y1)))))
     return res, "Cauchy-moment extraction vs closed form"
@@ -565,7 +566,7 @@ def check_y1_closed_form(ctx, rng, tol):
 # ---------------------------------------------------------------------------
 
 
-def check_ode_residual(ctx, rng, tol):
+def check_ode_residual(ctx, rng):
     b, a = ctx.branch, ctx.params.a
     # the centre: of 8 points 1.3 spreads out, the clearest of the singular points
     center = max((b.centroid + 1.3 * b.scale * cmath.exp(2j * math.pi * (k + 0.5) / 8)
@@ -583,10 +584,10 @@ def check_ode_residual(ctx, rng, tol):
         us = np.repeat(u0, nodes.shape[1]) + np.array([du for du, _ in ends])
         return ctx.sol.y_at(nodes, us.reshape(nodes.shape))
 
-    rings = _ring_derivatives(y_rings, [(x, min(_clearance(b, a, x), b.distance_to_cuts(x)))
-                                        for x in xs])
+    dYs, _ = ring_derivative(y_rings, xs, [min(_clearance(b, a, x), b.distance_to_cuts(x))
+                                           for x in xs])
     worst = 0.0
-    for x, Y, (dY, _) in zip(xs, ctx.sol.y_at(np.array(xs), u0), rings):
+    for x, Y, dY in zip(xs, ctx.sol.y_at(np.array(xs), u0), dYs):
         lhs = dY @ np.linalg.inv(Y)
         rhs = ctx.coeffs.A_of(x)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))
@@ -594,7 +595,7 @@ def check_ode_residual(ctx, rng, tol):
     return worst, "Y'Y^{-1} vs the rational coefficient matrix"
 
 
-def check_monodromy_match(ctx, rng, tol):
+def check_monodromy_match(ctx, rng):
     nums, offsets = ctx.numerical_monodromy
     worst = 0.0
     for which in (1, 2, 3, "inf"):
@@ -602,7 +603,7 @@ def check_monodromy_match(ctx, rng, tol):
     return worst, f"loop frame offsets {offsets}"
 
 
-def check_cyclic_relation(ctx, rng, tol):
+def check_cyclic_relation(ctx, rng):
     nums, _ = ctx.numerical_monodromy
     prod = nums[3] @ nums[2] @ nums[1] @ nums["inf"]
     extra = trivial_loop_identity(ctx.params, ctx.coeffs)
@@ -610,13 +611,13 @@ def check_cyclic_relation(ctx, rng, tol):
         "M3 M2 M1 M_inf = 1 and a contractible loop"
 
 
-def check_stokes_triviality(ctx, rng, tol):
+def check_stokes_triviality(ctx, rng):
     res = max(sector_connection_residuals(ctx.params, ctx.sol, ctx.coeffs))
     notes = "sectorial connection matrices vs identity"
     return res, notes + ("; the half turn overflowed" if math.isinf(res) else "")
 
 
-def check_monodromy_invariance(ctx, rng, tol):
+def check_monodromy_invariance(ctx, rng):
     nums, _ = ctx.numerical_monodromy
     worst = 0.0
     for direction in ("t", "e1", "e2", "e3"):
@@ -630,7 +631,7 @@ def deformation_ring(params, direction):
     """Ring derivatives of (A_1, A_2, A_3) as t or e_nu (direction) moves, and
     those of the 2-point sub-ring, from one coefficient build per node."""
     def A(q):
-        A = coefficients(q).A
+        A = q.coeffs.A
         return np.array([A[1], A[2], A[3]])
 
     p = params
@@ -639,11 +640,11 @@ def deformation_ring(params, direction):
     return _ring(A, p, direction)
 
 
-def check_deformation_equation(ctx, rng, tol):
+def check_deformation_equation(ctx, rng):
     worst, ratios = 0.0, []
+    ctx.coeffs  # the base point's chain, timed as its stages
     for direction in ("t", "e1", "e2"):
-        r, r_sub = (max(deformation_residual(ctx.params, direction, dA, sol=ctx.sol,
-                                             coeffs=ctx.coeffs)["paired"].values())
+        r, r_sub = (max(deformation_residual(ctx.params, direction, dA)["paired"].values())
                     for dA in deformation_ring(ctx.params, direction))
         worst = max(worst, r)
         ratios.append(r_sub / max(r, 1e-30))
@@ -657,7 +658,7 @@ def check_deformation_equation(ctx, rng, tol):
 # ---------------------------------------------------------------------------
 
 
-def check_residue_identity(ctx, rng, tol):
+def check_residue_identity(ctx, rng):
     worst = 0.0
     for nu, num in zip((1, 2, 3), ctx.residues):
         worst = max(worst, abs(num - residue_formula(ctx.params, nu))
@@ -665,7 +666,7 @@ def check_residue_identity(ctx, rng, tol):
     return worst, "analytic seven-term value vs contour residue of tr A^2/2"
 
 
-def check_residue_sum_rule(ctx, rng, tol):
+def check_residue_sum_rule(ctx, rng):
     c = ctx.branch.centroid
     R = 6.0 * max(max(abs(s - c) for s in list(ctx.branch.es) + [ctx.params.a]),
                   ctx.branch.scale)
@@ -692,7 +693,7 @@ def _admissible_neighbors(ctx, rng):
     return out, f"{len(out) - 1} of {count} neighbours"
 
 
-def check_dlogtau_dt(ctx, rng, tol):
+def check_dlogtau_dt(ctx, rng):
     worst = gap = 0.0
     points, used = _admissible_neighbors(ctx, rng)
     for p in points:
@@ -703,7 +704,7 @@ def check_dlogtau_dt(ctx, rng, tol):
     return worst, f"sub-ring gap {gap:.2e}; {used}"
 
 
-def check_dlogtau_de(ctx, rng, tol):
+def check_dlogtau_de(ctx, rng):
     worst = 0.0
     points, used = _admissible_neighbors(ctx, rng)
     for p in points:
@@ -714,7 +715,7 @@ def check_dlogtau_de(ctx, rng, tol):
     return worst, f"H_nu vs branch-continuous ring derivatives of log tau; {used}"
 
 
-def check_omega_closedness(ctx, rng, tol):
+def check_omega_closedness(ctx, rng):
     p = ctx.params
 
     def H(q):  # the 1-form's components (H_t, H_1, H_2, H_3) at q
@@ -727,7 +728,7 @@ def check_omega_closedness(ctx, rng, tol):
     return worst, "all six mixed partials of the 1-form"
 
 
-def check_hamiltonian_cross(ctx, rng, tol):
+def check_hamiltonian_cross(ctx, rng):
     worst = 0.0
     for nu, res in zip((1, 2, 3), ctx.residues):
         lhs = H_nu(ctx.params, nu)
@@ -737,7 +738,7 @@ def check_hamiltonian_cross(ctx, rng, tol):
                           "irregular-point part")
 
 
-def check_h_t_residue_oracle(ctx, rng, tol):
+def check_h_t_residue_oracle(ctx, rng):
     p = ctx.params
     mom = ctx.y1_moment
     wp1 = p.wp_a.wp_prime
@@ -757,7 +758,7 @@ def _shift_params(ctx, l):
     return SigmaShiftParams(l, p.t if abs(p.t) > 1e-3 else 0.1, p.alpha, p.lat)
 
 
-def check_shifted_tau_at_zero(ctx, rng, tol):
+def check_shifted_tau_at_zero(ctx, rng):
     worst = 0.0
     for l in (-1, 1, 2):
         ap = _shift_params(ctx, l)
@@ -767,7 +768,7 @@ def check_shifted_tau_at_zero(ctx, rng, tol):
     return worst, "tau_l(0) = sigma(2 l alpha)"
 
 
-def check_shifted_tau_dlog(ctx, rng, tol):
+def check_shifted_tau_dlog(ctx, rng):
     worst = 0.0
     for l in (-1, 0, 1, 2):
         ap = _shift_params(ctx, l)
@@ -779,7 +780,7 @@ def check_shifted_tau_dlog(ctx, rng, tol):
     return worst, "closed d/dt log tau_l vs ring derivative, l in {-1,0,1,2}"
 
 
-def check_shifted_tau_trace(ctx, rng, tol):
+def check_shifted_tau_trace(ctx, rng):
     worst = 0.0
     for l in (-1, 0, 1, 2):
         worst = max(worst, sigma_shift_trace_residual(
@@ -787,7 +788,7 @@ def check_shifted_tau_trace(ctx, rng, tol):
     return worst, "wp' tr(Y1 diag(1/2,-1/2)) vs d/dt log tau_l"
 
 
-def check_shifted_tau_cross_family(ctx, rng, tol):
+def check_shifted_tau_cross_family(ctx, rng):
     # identify sigma[p,q] with the 2 l alpha shift: the multipliers match for
     # p = 1/2 + eta1 l alpha / (pi i), q = 1/2 - eta2 l alpha / (pi i)
     ap = _shift_params(ctx, 1)
@@ -919,7 +920,7 @@ def run_checks(scenario, checks=None, tol_scale=1.0, draw_scale=1.0):
         rng = check_stream(scenario.seed, name)
         start = time.perf_counter()
         try:
-            residual, notes, *verdict = fn(ctx, rng, tol)
+            residual, notes, *verdict = fn(ctx, rng)
             status = verdict[0] if verdict else ("pass" if residual < tol else "fail")
         except Exception as exc:  # isolation: a crash is a failed check
             stage = ctx.failed_stage(exc)

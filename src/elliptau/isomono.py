@@ -20,7 +20,7 @@ root of sigma(2u)/sigma(2 alpha); y_at and hatted both take that root.  Its
 slope at the half period over e_nu is D^(nu) of the frame there.  Every
 evaluator of Phi and Y takes a number or an array of points: PhiMatrix.rows
 evaluates the four rows and Pi on all of them with one call of each sigma
-function, and matrix, det, det_du, hatted, y_at and coefficients read it.
+function, and matrix, hatted, y_at and coefficients read it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -57,10 +57,11 @@ M_INF = -1j  # m at infinity; of the coefficients, only the G frames depend on i
 @dataclass(frozen=True)
 class DeformationParams:
     """One point of the deformation space: the branch with its lattice, a, t
-    and the characteristic.  alpha = u(a), the wp data at alpha and the
-    half-period table, which only Y, its coefficients and its monodromy read,
-    are derived at first read; log tau and the Hamiltonians read none of them.
-    With t an array of times, log_tau and H_t evaluate elementwise."""
+    and the characteristic.  What only Y, its coefficients and its monodromy
+    read is derived at first read: alpha = u(a), the wp data at alpha, the
+    half-period table and the chain phi -> sol -> coeffs; log tau and the
+    Hamiltonians read none of it, and a copy (replace, moved) carries none of
+    it.  With t an array of times, log_tau and H_t evaluate elementwise."""
 
     branch: BranchConfig
     lat: Lattice
@@ -79,6 +80,18 @@ class DeformationParams:
     @cached_property
     def half_periods(self):
         return _curve.half_period_table(self.branch, self.lat)
+
+    @cached_property
+    def phi(self):
+        return build_phi(self)
+
+    @cached_property
+    def sol(self):
+        return normalize_Y(self, self.phi)
+
+    @cached_property
+    def coeffs(self):
+        return coefficients(self, self.phi, self.sol)
 
     @property
     def kappa(self):
@@ -110,7 +123,6 @@ def _theta_checked(params):
     return params
 
 
-@lru_cache(maxsize=1024)
 def make_params(branch, a, t, p, q):
     """Validate and assemble a DeformationParams.  a must be a regular point
     (so alpha is no half period and wp'(alpha) != 0), and theta[p,q](t/omega1)
@@ -191,13 +203,6 @@ class PhiMatrix:
     def matrix(self, u):
         r = self.rows(u)
         return r.entries(r.Pi)
-
-    def det(self, u):
-        """det Phi as a function of u."""
-        return self.rows(u).det
-
-    def det_du(self, u):
-        return self.rows(u, du=True).det_du
 
     def gamma_multiplier(self, u):
         """Diagonal-and-scalar transformation picked up by Phi under u -> u + omega1."""
@@ -364,10 +369,9 @@ class YSolution:
         return (self.N @ self.phi.matrix(u)) / np.asarray(root)[..., None, None]
 
 
-def normalize_Y(params, phi=None):
-    """Normalized fundamental solution with Y exp(-T^(a)) -> 1 at x = a."""
-    if phi is None:
-        phi = build_phi(params)
+def normalize_Y(params, phi):
+    """Normalized fundamental solution with Y exp(-T^(a)) -> 1 at x = a, on
+    the point's Phi."""
     sol = YSolution(params, phi)
     if abs(sol.det_a) == 0:
         raise DegenerateParameterError("det Phi(a) vanished; parameters degenerate")
@@ -403,7 +407,7 @@ class SystemCoefficients:
         return 0.5 * np.trace(A @ A, axis1=-2, axis2=-1)
 
 
-def coefficients(params, phi=None, sol=None):
+def coefficients(params, phi, sol):
     """Assemble B_{-1}, B_0, A_nu, the frames G^(nu), G^(inf), and D^(nu).
 
     Each finite branch point uses the half period lying over it.  D^(nu) is
@@ -412,10 +416,6 @@ def coefficients(params, phi=None, sol=None):
     conjugation cancels any global quarter-power ambiguity in A_nu.
     """
     p = params
-    if phi is None:
-        phi = build_phi(p)
-    if sol is None:
-        sol = normalize_Y(p, phi)
     wp1 = p.wp_a.wp_prime
     B_minus1 = np.diag([wp1 * p.t / 2.0, -wp1 * p.t / 2.0]).astype(complex)
     # Expanding Y = (1 + Y1 w + ...) exp(-T_{-1}/w) gives the simple-pole
@@ -464,18 +464,16 @@ def _commutator(X, Y):
     return X @ Y - Y @ X
 
 
-def deformation_residual(params, direction, dA, sol=None, coeffs=None):
+def deformation_residual(params, direction, dA):
     """dA[nu - 1], the derivative of A_nu as direction ('t' or 'e1'/'e2'/'e3')
     moves, against the closed deformation equation in its paired reading (the
     Fuchsian sum enters through d log(e_nu - e_mu), which carries both
     differentials; the simple-pole coefficient at a enters the regular part at
     e_nu).  Returns per-nu max-entry residuals ('paired') and the right-hand
-    sides ('rhs'); sol and coeffs are the base point's, built unless given."""
+    sides ('rhs'), from the point's Y and coefficients."""
     p = params
-    if sol is None:
-        sol = normalize_Y(p)
-    base = coeffs if coeffs is not None else coefficients(p, sol.phi, sol)
-    Y1 = sol.y1_closed_form()
+    base = p.coeffs
+    Y1 = p.sol.y1_closed_form()
     wp1, es, a = p.wp_a.wp_prime, p.branch.es, p.a
     rho = None if direction == "t" else int(direction[1])
     # the derivative of the exponent T_{-1} = diag(1, -1) wp'(alpha) t / 2

@@ -34,7 +34,6 @@ from .curve import (
     path_integrals,
 )
 from .errors import QuadratureError
-from .isomono import coefficients, normalize_Y
 
 KAPPA = 1.0  # step bound near the irregular point: |h| <= KAPPA |x - a|^2 / max|B_{-1}|
 
@@ -274,19 +273,16 @@ def _taylor_sums(coeffs, x0, x1):
     return np.moveaxis(S, -1, 0), ok
 
 
-def monodromy_matrices(params, loops=(1, 2, 3, "inf"), sol=None, coeffs=None):
+def monodromy_matrices(params, loops=(1, 2, 3, "inf")):
     """Numerical monodromy M = Y(x0)^{-1} W of each loop, W being Y(x0)
-    continued around the calibrated loop.  sol and coeffs are built from
-    params unless given.  Returns ({loop: M}, offsets of calibrate_loops).
+    continued around the calibrated loop by the point's Y and coefficients.
+    Returns ({loop: M}, offsets of calibrate_loops).
     """
-    if sol is None:
-        sol = normalize_Y(params)
-    if coeffs is None:
-        coeffs = coefficients(params, phi=sol.phi, sol=sol)
-    Y0 = sol.y_at(base_point(params.branch))
+    Y0 = params.sol.y_at(base_point(params.branch))
     pieces, offsets = calibrate_loops(params)
     Y0_inv = np.linalg.inv(Y0)
-    ends = _continue_paths(coeffs, [pieces[which] for which in loops], [Y0] * len(loops))
+    ends = _continue_paths(params.coeffs, [pieces[which] for which in loops],
+                           [Y0] * len(loops))
     return {which: Y0_inv @ W for which, W in zip(loops, ends)}, offsets
 
 

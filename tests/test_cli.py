@@ -132,7 +132,7 @@ def test_inconclusive_is_a_structured_status(monkeypatch):
 
 
 def test_notes_prefix_is_not_a_status(monkeypatch):
-    def check(ctx, rng, tol):
+    def check(ctx, rng):
         return 0.0, "INCONCLUSIVE in name only"
 
     monkeypatch.setitem(CHECKS, "legendre", (check, "elliptic", 1e-10))

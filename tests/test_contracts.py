@@ -59,7 +59,7 @@ def test_heat_equation_rounds_its_draw_count_like_every_check(monkeypatch):
     real = checks._random_char
     monkeypatch.setattr(checks, "_random_char", lambda rng: chars.append(1) or real(rng))
     ctx = checks.CheckContext(GOLDEN, draw_scale=0.35)
-    checks.check_heat_equation(ctx, checks.check_stream(GOLDEN.seed, "heat_equation"), 1e-9)
+    checks.check_heat_equation(ctx, checks.check_stream(GOLDEN.seed, "heat_equation"))
     assert len(chars) == 10 * ctx.draws(10) == 40
 
 

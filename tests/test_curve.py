@@ -43,7 +43,6 @@ from elliptau.curve import (
 )
 from elliptau.elliptic import wp
 from elliptau.errors import ContourGeometryError, EllipTauError, QuadratureError
-from elliptau.isomono import make_params
 from elliptau.scenario import GOLDEN, SplitMix64, random_admissible_scenario
 
 # sqrt(2) * K(m = 1/2); mpmath, 40 digits.  The self-dual modulus makes the
@@ -159,8 +158,7 @@ def test_verify_integrates_the_scenario_cycles_once(monkeypatch):
     # the checks read the scenario lattice from its params and moves carry the
     # root's chart, so however many configurations pass through the period
     # cache, golden's own two cycles are integrated once per verify
-    for cached in (period_data, _sheet_frame, _u_anchor, half_period_table,
-                   abel_with_y, make_params):
+    for cached in (period_data, _sheet_frame, _u_anchor, half_period_table, abel_with_y):
         cached.cache_clear()
     calls = []
     real = elliptau.curve._cycle_integrals
@@ -193,7 +191,6 @@ def test_charted_and_fresh_configurations_share_no_cache_entry(golden_branch):
         (_u_anchor, ()),
         (half_period_table, (periods(golden_branch),)),
         (abel_with_y, (2.0,)),
-        (make_params, (2.0, 0.1, 0.3, 0.2)),
     ]
     for k, (cached, args) in enumerate(calls, start=1):
         moved = golden_branch.moved(3, 1e-7j * k)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,11 +23,8 @@ from elliptau.checks import (
 )
 from elliptau.isomono import (
     PhiMatrix,
-    build_phi,
-    coefficients,
     deformation_residual,
     make_params,
-    normalize_Y,
     shifted_params,
     theoretical_monodromy,
 )
@@ -101,9 +99,10 @@ def test_det_phi_vanishes_only_at_branch_places(golden):
     phi = golden.phi
     p = golden.params
     for h in list(p.half_periods.omega_tilde) + [0j]:
-        assert abs(phi.det(h)) < 1e-8 * abs(phi.det_du(h)) * p.lat.unit()
+        r = phi.rows(h, du=True)
+        assert abs(r.det) < 1e-8 * abs(r.det_du) * p.lat.unit()
     # generic points are far from the zero set
-    assert abs(phi.det(0.31 * p.lat.omega1 + 0.22 * p.lat.omega2)) > 1e-3
+    assert abs(phi.rows(0.31 * p.lat.omega1 + 0.22 * p.lat.omega2).det) > 1e-3
 
 
 @pytest.mark.parametrize("seed", [None, 3, 4])
@@ -111,14 +110,14 @@ def test_det_phi_closed_form(seed):
     # det Phi(u) = sigma[p,q](t)^2 sigma(2 alpha) sigma(2u), rows at +-alpha
     s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
     p = make_params(s.branch, s.a, s.t, s.p, s.q)
-    phi = build_phi(p)
+    phi = p.phi
     c = sigma_char(p.lat, p.char, p.t) ** 2 * sigma(p.lat, 2.0 * p.alpha)
     rng = SplitMix64(43)
     for _ in range(8):
         u = (rng.uniform(-0.5, 0.5) * p.lat.omega1
              + rng.uniform(-0.5, 0.5) * p.lat.omega2)
         closed = c * sigma(p.lat, 2.0 * u)
-        assert abs(phi.det(u) - closed) <= 1e-12 * abs(closed)
+        assert abs(phi.rows(u).det - closed) <= 1e-12 * abs(closed)
 
 
 @pytest.mark.parametrize("seed", [None, 3, 4])
@@ -128,7 +127,7 @@ def test_y_at_and_hatted_share_sqrt_det_phi(seed):
     # cut can cross the ring, e.g. for seed 5)
     s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
     p = make_params(s.branch, s.a, s.t, s.p, s.q)
-    sol = normalize_Y(p)
+    sol = p.sol
     radius = 0.05 * min(abs(p.a - e) for e in p.branch.es)
     compared = 0
     for k in range(8):
@@ -145,8 +144,8 @@ def test_y_at_and_hatted_share_sqrt_det_phi(seed):
 def test_det_phi_du_matches_difference_quotient(golden):
     phi = golden.phi
     u, h = 0.21 + 0.13j, 1e-6
-    fd = (phi.det(u + h) - phi.det(u - h)) / (2 * h)
-    assert abs(phi.det_du(u) - fd) < 1e-7
+    fd = (phi.rows(u + h).det - phi.rows(u - h).det) / (2 * h)
+    assert abs(phi.rows(u, du=True).det_du - fd) < 1e-7
 
 
 def test_pi_hat_is_regular_part(golden):
@@ -244,7 +243,7 @@ def test_simple_pole_coefficient_is_commutator(golden):
     assert np.max(np.abs(co.B0 - B0)) < 1e-13
     # it vanishes with t
     p0 = make_params(p.branch, p.a, 1e-12, p.char.p, p.char.q)
-    co0 = coefficients(p0)
+    co0 = p0.coeffs
     assert np.max(np.abs(co0.B0)) < 1e-10
 
 
@@ -353,16 +352,9 @@ def test_hatted_evaluates_each_row_once(golden, monkeypatch):
 
 
 def test_deformation_check_reuses_base_stage(golden, monkeypatch):
+    # the check reads the base point's chain, the context's stages
     p = golden.params
-    for direction in ("t", "e1", "e3"):
-        dA, _ = deformation_ring(p, direction)
-        fresh = deformation_residual(p, direction, dA)
-        shared = deformation_residual(p, direction, dA,
-                                      sol=golden.sol, coeffs=golden.coeffs)
-        assert fresh["paired"] == shared["paired"]
-        for nu in (1, 2, 3):
-            assert np.array_equal(fresh["rhs"][nu], shared["rhs"][nu])
-    golden.coeffs  # the base stages exist before counting
+    assert golden.phi is p.phi and golden.sol is p.sol and golden.coeffs is p.coeffs
     calls = []
     real = elliptau.isomono.coefficients
 
@@ -371,11 +363,39 @@ def test_deformation_check_reuses_base_stage(golden, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(elliptau.isomono, "coefficients", counted)
-    monkeypatch.setattr(elliptau.checks, "coefficients", counted)
-    check_deformation_equation(golden, None, 1e-5)
+    check_deformation_equation(golden, None)
     # three rings (t, e1, e2), one coefficient build at each of their 4 nodes
     assert len(calls) == 12
     assert all(q is not p for q in calls)
+
+
+def test_point_builds_its_chain_once(golden_branch, monkeypatch):
+    calls = {name: [] for name in ("build_phi", "normalize_Y", "coefficients")}
+
+    def counting(name, real):
+        def counted(*args):
+            calls[name].append(args)
+            return real(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(elliptau.isomono, name,
+                            counting(name, getattr(elliptau.isomono, name)))
+    p = make_params(golden_branch, 2.0, 0.1, 0.3, 0.2)
+    assert p.sol is p.sol and p.sol.phi is p.phi
+    assert p.coeffs is p.coeffs
+    assert calls["coefficients"] == [(p, p.phi, p.sol)]
+    # a copy carries none of its parent's chain, so it never returns stale Y or A
+    for q in (replace(p, t=0.2), p.moved(1, 1e-3)):
+        assert not {"phi", "sol", "coeffs"} & set(vars(q))
+        assert q.sol is not p.sol and q.sol.params is q
+        assert not np.array_equal(q.coeffs.A[1], p.coeffs.A[1])
+    # a verify builds each chain once: the base point, the 12 deformation-ring
+    # nodes and the 4 moved points of the monodromy-invariance check
+    for name in calls:
+        calls[name].clear()
+    assert run_checks(GOLDEN).overall == "pass"
+    assert [len(c) for c in calls.values()] == [17, 17, 17]
 
 
 def _scalar_y_ring_moments(sol, radius, npoints, orders):
@@ -404,8 +424,7 @@ def _scalar_residue(coeffs, center, radius, n):
 def test_ring_moments_match_the_scalar_loops(seed):
     s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
     p = make_params(s.branch, s.a, s.t, s.p, s.q)
-    sol = normalize_Y(p)
-    co = coefficients(p, sol=sol, phi=sol.phi)
+    sol, co = p.sol, p.coeffs
     r = 0.05 * min(abs(p.a - e) for e in p.branch.es)
     got = ring_moments(sol.hatted, p.a, r, 32, (0, 1))
     ref = _scalar_y_ring_moments(sol, r, 32, (0, 1))
@@ -429,7 +448,7 @@ def test_hatted_on_an_array_equals_pointwise(seed):
     # the 48-point ring of the checks (r = 0.05 dist), 1e-14 at r = 0.2 dist
     s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
     p = make_params(s.branch, s.a, s.t, s.p, s.q)
-    sol = normalize_Y(p)
+    sol = p.sol
     dist = min(abs(p.a - e) for e in p.branch.es)
     ring = np.exp(2j * math.pi * (np.arange(8) + 0.3) / 8)
     xs = p.a + dist * np.array([0.05 * ring, 0.2 * ring])
@@ -446,13 +465,14 @@ def test_phi_and_y_on_an_array_equal_pointwise(name, seed):
     # one evaluation of the rows on all points gives the per-point values
     s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
     p = make_params(s.branch, s.a, s.t, s.p, s.q)
-    sol = normalize_Y(p)
     if name == "y_at":
-        f, b = sol.y_at, p.branch
+        f, b = p.sol.y_at, p.branch
         ring = np.exp(2j * math.pi * (np.arange(4) + 0.5) / 4)
         pts = b.centroid + b.scale * np.array([1.3 * ring, 1.6 * ring])
     else:
-        f, lat, rng = getattr(sol.phi, name), p.lat, SplitMix64(47)
+        f = {"matrix": p.phi.matrix, "det": lambda u: p.phi.rows(u).det,
+             "det_du": lambda u: p.phi.rows(u, du=True).det_du}[name]
+        lat, rng = p.lat, SplitMix64(47)
         pts = np.array([[rng.uniform(-0.5, 0.5) * lat.omega1 + rng.uniform(-0.5, 0.5) * lat.omega2
                          for _ in range(4)] for _ in range(2)])
     arr = f(pts)
@@ -530,8 +550,7 @@ def test_d_is_the_product_formula(seed):
     # the half period h over e_nu wherever phi and psi do not vanish there
     s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
     p = make_params(s.branch, s.a, s.t, s.p, s.q)
-    phi = build_phi(p)
-    co = coefficients(p, phi=phi)
+    phi, co = p.phi, p.coeffs
     slots = theoretical_monodromy(p).m
     for nu in (1, 2, 3):
         h = p.half_periods.omega_tilde[p.half_periods.slot_of_branch(nu)]

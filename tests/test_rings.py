@@ -29,9 +29,9 @@ def _ring_calls(monkeypatch, scenario, check):
     calls = []
     real = elliptau.checks.ring_derivative
 
-    def recording(f, center, distance, log=False):
-        calls.append((center, distance))
-        return real(f, center, distance, log)
+    def recording(f, centers, distances, log=False):
+        calls.extend(zip(np.ravel(centers).tolist(), np.ravel(distances).tolist()))
+        return real(f, centers, distances, log)
 
     monkeypatch.setattr(elliptau.checks, "ring_derivative", recording)
     assert run_checks(scenario, checks=[check]).overall == "pass"
@@ -55,6 +55,14 @@ def test_ring_derivative_and_its_sub_ring():
     central = (cmath.exp(c + r) - cmath.exp(c - r)) / (2 * r)
     assert abs(d_sub - central) < 1e-12
     assert abs(d_sub - cmath.exp(c)) > 1e-8  # errs by r^2/6 relative
+    # an array of centres: one call of f on all their nodes, each ring as alone
+    cs, ds = np.array([c, c + 0.5, c - 0.2j]), np.array([distance, 0.5, 2.0])
+    nodes.clear()
+    rings = ring_derivative(f, cs, ds)
+    assert len(nodes) == 1 and nodes[0].shape == (3, RING_POINTS)
+    for k in range(3):
+        alone = ring_derivative(np.exp, cs[k], ds[k])
+        assert all(np.array_equal(x[k], y) for x, y in zip(rings, alone))
 
 
 def test_log_ring_folds_across_the_principal_cut():
