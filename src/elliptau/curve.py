@@ -4,12 +4,13 @@ Geometry conventions (the "sheet-1" frame everything downstream relies on):
 
 * Branch cuts: one joins e2 and e3 (straight segment), the other runs from
   e1 to infinity, directed away from the midpoint of the other two points.
-* Sheet 1 is anchored far away: at the anchor point A (|A| large, direction
-  chosen for maximal clearance), y(A) := 2 A^{3/2} prod_nu sqrt(1 - e_nu/A)
-  with principal roots and the phase of A^{3/2} taken from arg A.  Every
-  other y-value is obtained by continuous continuation along canonical
-  detoured paths from A, so the Abel map, the sign of y(a), and the period
-  cycles all live on one coherent branch.
+* Sheet 1 is anchored far away, relative to the centroid c: at the anchor
+  point A (|A - c| large, on the ray from c that keeps clearest), with
+  X = A - c, y(A) := 2 X^{3/2} prod_nu sqrt(1 - (e_nu - c)/X) with principal
+  roots and the phase of X^{3/2} taken from arg X, so a translated curve
+  has the same sheet 1.  Every other y-value is obtained by continuous
+  continuation along canonical detoured paths from A, so the Abel map, the
+  sign of y(a), and the period cycles all live on one coherent branch.
 * The first cycle is a counterclockwise stadium around {e2, e3}, the second
   a stadium around {e1, e2} (it crosses both cuts); the second period's sign
   is flipped if needed so that Im(omega2/omega1) > 0, and the flip is
@@ -197,9 +198,9 @@ def _gauss():
     return leggauss(ORDER)
 
 
-def chords(pieces, poles, bound=None):
+def chords(pieces, poles):
     """Cut the pieces into straight chords x0 -> x1 by the step rule
-    |h| <= RHO * dist(x0, poles), and |h| <= bound(x0) when bound is given.
+    |h| <= RHO * dist(x0, poles).
 
     A chord of length h and the stretch of piece it spans both lie in the
     disc of radius h about its start, which holds no pole, so a function
@@ -208,7 +209,7 @@ def chords(pieces, poles, bound=None):
     path runs into a pole, and raises.  Returns the arrays x0 and x1.
     """
     floor = _path_floor(pieces)
-    ends = [_cut_piece(piece, poles, bound, floor) for piece in pieces]
+    ends = [_cut_piece(piece, poles, None, floor) for piece in pieces]
     return (np.array([x for x0, _ in ends for x in x0], dtype=complex),
             np.array([x for _, x1 in ends for x in x1], dtype=complex))
 
@@ -219,7 +220,8 @@ def _path_floor(pieces):
 
 
 def _cut_piece(piece, poles, bound, floor):
-    """The chords of one piece by chords' rule and the path's floor: lists x0, x1."""
+    """The chords of one piece by chords' rule, also |h| <= bound(x0) unless
+    bound is None, and the path's floor: lists x0, x1."""
     speed = abs(piece.dx(0.0))
     at, s = piece.x, 0.0
     x = complex(at(0.0))
@@ -245,11 +247,9 @@ def _cut_piece(piece, poles, bound, floor):
     return x0, x1
 
 
-def path_integral(pieces, branch, y_start, numerator=None):
-    """path_integrals for one path, numerator taking arrays of x: returns
-    (value, y_end) of numerator(x)/y dx along the pieces."""
-    num = None if numerator is None else (lambda x, k: numerator(x))
-    return path_integrals([pieces], [branch], [y_start], num)[0]
+def path_integral(pieces, branch, y_start):
+    """path_integrals of dx/y for one path: returns (value, y_end)."""
+    return path_integrals([pieces], [branch], [y_start])[0]
 
 
 def path_integrals(paths, branches, y_starts, numerator=None):
@@ -355,36 +355,37 @@ def stadium(p, q, margin):
 # ---------------------------------------------------------------------------
 
 
-def _tail_g(branch, x):
+def _tail_g(branch, X):
+    """prod sqrt(1 - e~_nu/X), X = x - centroid: y = 2 X^{3/2} g far out."""
     out = 1.0 + 0j
-    for e in branch.es:
-        out = out * np.sqrt(1.0 - e / x)
+    for e in branch.tilde_es:
+        out = out * np.sqrt(1.0 - e / X)
     return out
 
 
 @dataclass(frozen=True)
 class SheetFrame:
-    """Anchor data fixing sheet 1: the anchor, y there, and the detour radius."""
+    """Anchor data fixing sheet 1: the anchor, y and the Abel value u there,
+    and the detour radius."""
 
     anchor: complex
     y_anchor: complex
+    u_anchor: complex
     clearance: float
 
 
-_RAYS = [cmath.exp(2j * math.pi * k / 16.0) for k in range(16)]
+# half steps, so no ray runs along the cut of the principal phase of X
+_RAYS = [cmath.exp(2j * math.pi * (k + 0.5) / 16.0) for k in range(16)]
 
 
 def _fresh_anchor(branch):
-    """The anchor of a fresh configuration: of 16 rays at 8 times the
-    spread, the one whose outward ray keeps clearest of the branch points
+    """The anchor of a fresh configuration: of the ends of 16 rays from the
+    centroid at 8 times the spread, the one farthest from the branch points
     (the first of those within 1e-12 R), the clearances in one array pass."""
     c = branch.centroid
-    R = 8.0 * (1.0 + max(abs(e - c) for e in branch.es) + abs(c))
-    a = c + R * np.array(_RAYS)
-    d = a / np.abs(a)
-    rel = np.array(branch.es)[:, None] - a  # e - a
-    t = np.maximum(0.0, rel.real * d.real + rel.imag * d.imag)
-    clear = np.minimum(np.abs(rel - t * d), np.abs(rel)).min(axis=0).tolist()
+    R = 8.0 * (1.0 + max(abs(e - c) for e in branch.es))
+    rel = np.array(branch.tilde_es)[:, None] - R * np.array(_RAYS)  # e - ray end
+    clear = np.abs(rel).min(axis=0).tolist()
     best = 0
     for k in range(1, 16):
         if clear[k] > clear[best] + 1e-12 * R:
@@ -395,33 +396,27 @@ def _fresh_anchor(branch):
 @lru_cache(maxsize=64)
 def _sheet_frame(branch):
     """The frame at the chart's anchor, or at the anchor ray of a fresh
-    configuration.  Either lies 8 (1 + spread + |centroid|) from its root's
-    centroid, far outside every e_nu of a move, so the tail g keeps its
-    principal roots there."""
+    configuration.  Either lies 8 (1 + spread) from its root's centroid c,
+    far outside every e_nu of a move, so the tail g keeps its principal roots
+    there: y(anchor) = 2 |X|^{3/2} e^{1.5 i arg X} g(X), X = anchor - c.
+
+    u at the anchor is the tail integral from infinity: x = c + X/s^2 maps
+    s in (0, 1] onto the ray from infinity to the anchor, where
+    dx/y = -X^{-1/2} ds / g(X/s^2), and g -> 1 at s = 0.  g is analytic for
+    |s| < sqrt(8), so one ORDER-node Gauss-Legendre rule on (0, 1] is exact
+    to rounding.
+    """
     chart = branch.chart
     anchor = chart.anchor if chart is not None else _fresh_anchor(branch)
-    phase = cmath.phase(anchor)
-    y_anchor = complex(2.0 * abs(anchor) ** 1.5 * cmath.exp(1.5j * phase)
-                       * _tail_g(branch, anchor))
-    return SheetFrame(anchor, y_anchor, CLEARANCE * branch.min_gap)
-
-
-@lru_cache(maxsize=64)
-def _u_anchor(branch):
-    """Abel-map value at the anchor: the tail integral from infinity.
-
-    x = anchor/s^2 maps s in (0, 1] onto the ray from infinity to the anchor,
-    where dx/y = -anchor^{-1/2} ds / g(x) with g = prod sqrt(1 - e_nu/x) -> 1
-    at s = 0.  The anchor lies at least 8 times as far out as every e_nu, so
-    g keeps its principal roots and is analytic for |s| < sqrt(8): one
-    ORDER-node Gauss-Legendre rule on (0, 1] is exact to rounding.
-    """
-    anchor = _sheet_frame(branch).anchor
-    inv_sqrt_a = abs(anchor) ** -0.5 * cmath.exp(-0.5j * cmath.phase(anchor))
+    X = anchor - branch.centroid
+    phase = cmath.phase(X)
+    y_anchor = complex(2.0 * abs(X) ** 1.5 * cmath.exp(1.5j * phase) * _tail_g(branch, X))
+    inv_sqrt_X = abs(X) ** -0.5 * cmath.exp(-0.5j * phase)
     nodes, weights = _gauss()
     s = 0.5 * (1.0 + nodes)
-    total = np.sum(0.5 * weights / _tail_g(branch, anchor / (s * s)))
-    return complex(-inv_sqrt_a * total)
+    total = np.sum(0.5 * weights / _tail_g(branch, X / (s * s)))
+    return SheetFrame(anchor, y_anchor, complex(-inv_sqrt_X * total),
+                      CLEARANCE * branch.min_gap)
 
 
 @dataclass(frozen=True)
@@ -596,7 +591,7 @@ def abel_with_y(branch, x):
     frame = _sheet_frame(branch)
     pieces = detoured_path(frame.anchor, x, branch.es, frame.clearance)
     val, y_end = path_integral(pieces, branch, frame.y_anchor)
-    return _u_anchor(branch) + val, y_end
+    return frame.u_anchor + val, y_end
 
 
 def x_from_u(branch, lat, u):
@@ -678,10 +673,10 @@ def wp_alpha_relations(branch, a):
     return WpAtA(w, branch.y_squared(a), y, wpp, 12.0 * w * y)
 
 
-def local_inverse_coeffs(branch, a):
+def local_inverse_coeffs(rel):
     """Series u - alpha = c1 (x-a) + c2 (x-a)^2 + c3 (x-a)^3 + ... by formal
-    reversion of x(u) = wp(u) + e_sum/3 at alpha.  c1 = 1/wp'(alpha)."""
-    rel = wp_alpha_relations(branch, a)
+    reversion of x(u) = wp(u) + e_sum/3 at alpha, from rel, the WpAtA of a.
+    c1 = 1/wp'(alpha)."""
     if rel.wp_prime == 0:
         raise ContourGeometryError("a is a branch point; series inversion degenerates")
     b1, b2, b3 = rel.wp_prime, rel.wp_pp / 2.0, rel.wp_ppp / 6.0

@@ -284,7 +284,7 @@ class YSolution:
         """Abel coordinate near alpha by series seed plus Newton refinement;
         x a number or an array (Newton runs until every point converged)."""
         p = self.params
-        c1, c2, c3 = _curve.local_inverse_coeffs(p.branch, p.a)
+        c1, c2, c3 = _curve.local_inverse_coeffs(p.wp_a)
         w = x - p.a
         u = p.alpha + c1 * w + c2 * w * w + c3 * w**3
         shift = p.branch.e_sum / 3.0
@@ -296,7 +296,7 @@ class YSolution:
                 break
         return u
 
-    def hatted(self, x, u=None):
+    def hatted(self, x):
         """Y(x) exp(-T^(a)(x)): analytic at a, equal to 1 + Y1 (x-a) + ...
 
         Evaluated through the hatted entries and the regular part of Pi, so
@@ -311,9 +311,7 @@ class YSolution:
         (x.shape + (2, 2)).
         """
         p = self.params
-        if u is None:
-            u = self.u_near_a(x)
-        r = self.phi.rows(u)
+        r = self.phi.rows(self.u_near_a(x))
         # the regular part of Pi at a: Pi + wp'(alpha) t / (2 (x - a))
         mat = r.entries(r.Pi + p.wp_a.wp_prime * p.t / (2.0 * (x - p.a)))
         # Y = N Phi / sqrt(det Phi(u)); N carries the sqrt(det Phi(a)) factor,

@@ -286,20 +286,20 @@ def monodromy_matrices(params, loops=(1, 2, 3, "inf")):
     return {which: Y0_inv @ W for which, W in zip(loops, ends)}, offsets
 
 
-def trivial_loop_identity(params, coeffs):
-    """Continuation along a contractible loop away from all singular points."""
+def trivial_loop_identity(params):
+    """The point's continuation along a contractible loop away from all singular points."""
     sing = singularities(params)
     c = params.branch.centroid
     R = 4.0 * max(max(abs(s - c) for s in sing), params.branch.scale)
     center = c + R
     r = 0.1 * R
     pieces = [Arc(center, r, 0.0, 2 * math.pi)]
-    W = continue_solution(coeffs, pieces, np.eye(2, dtype=complex))
+    W = continue_solution(params.coeffs, pieces, np.eye(2, dtype=complex))
     return float(np.max(np.abs(W - np.eye(2))))
 
 
-def sector_connection_residuals(params, sol, coeffs):
-    """Continue Y across both rays bounding the growth sectors at x = a.
+def sector_connection_residuals(params):
+    """Continue the point's Y across both rays bounding the growth sectors at a.
 
     Starting from the constructed Y at one sector center and integrating the
     half turn to the opposite center, the mismatch against the constructed Y
@@ -315,9 +315,9 @@ def sector_connection_residuals(params, sol, coeffs):
 
     def constructed(th):  # the constructed Y at angle th on the circle
         x = p.a + radius * cmath.exp(1j * th)
-        return sol.hatted(x) @ sol.exp_T_a(x)
+        return p.sol.hatted(x) @ p.sol.exp_T_a(x)
 
-    Ws = _continue_paths(coeffs, [[Arc(p.a, radius, a0, a0 + math.pi)] for a0 in a0s],
+    Ws = _continue_paths(p.coeffs, [[Arc(p.a, radius, a0, a0 + math.pi)] for a0 in a0s],
                          [constructed(a0) for a0 in a0s])
     out = []
     for W, a0 in zip(Ws, a0s):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -152,13 +153,15 @@ def log_tau(params):
 
 @dataclass(frozen=True)
 class SigmaShiftParams:
-    """Shift index l, time t, base point alpha on a zero-sum lattice."""
+    """Shift index l, time t, base point alpha on a zero-sum lattice; wp_data
+    is wp and its first three derivatives at alpha, derived at first read."""
 
     l: int
     t: complex
     alpha: complex
     lat: Lattice
 
+    @cached_property
     def wp_data(self):
         lat, al = self.lat, self.alpha
         return wp(lat, al), wp_prime(lat, al), wp_n(lat, al, 2), wp_n(lat, al, 3)
@@ -166,7 +169,7 @@ class SigmaShiftParams:
 
 def _c0(ap, t, l):
     lat, al = ap.lat, ap.alpha
-    _, wp1, wpp, _ = ap.wp_data()
+    _, wp1, wpp, _ = ap.wp_data
     return (sigma(lat, 2 * al) ** (-l)
             * sigma(lat, t + 2 * l * al)
             * cmath.exp(-(t / 2.0) * zeta(lat, 2 * al)
@@ -184,12 +187,12 @@ def _growth_coefficient(ap):
     """wp(2a) + wp''(a)^2/(4 wp'(a)^2) - wp'''(a)/(6 wp'(a)); equals f on a
     zero-sum configuration."""
     lat, al = ap.lat, ap.alpha
-    _, wp1, wpp, wppp = ap.wp_data()
+    _, wp1, wpp, wppp = ap.wp_data
     return wp(lat, 2 * al) + wpp**2 / (4.0 * wp1**2) - wppp / (6.0 * wp1)
 
 
 def sigma_shift_h(ap):
-    _, wp1, wpp, _ = ap.wp_data()
+    _, wp1, wpp, _ = ap.wp_data
     lat, al, t, l = ap.lat, ap.alpha, ap.t, ap.l
     return ((t * t / 4.0) * _growth_coefficient(ap)
             - t * l * (zeta(lat, 2 * al) + wpp / (2.0 * wp1)))
@@ -206,7 +209,7 @@ def sigma_shift_tau(ap):
 def sigma_shift_dlog_tau_dt(ap):
     """d/dt log tau_l in closed form; elementwise in t."""
     lat, al, t, l = ap.lat, ap.alpha, ap.t, ap.l
-    _, wp1, wpp, _ = ap.wp_data()
+    _, wp1, wpp, _ = ap.wp_data
     return (zeta(lat, t + 2 * l * al)
             + (t / 2.0) * _growth_coefficient(ap)
             - l * (zeta(lat, 2 * al) + wpp / (2.0 * wp1)))
@@ -218,7 +221,7 @@ def sigma_shift_y1(ap):
     The diagonal shift carries wp''/(2 wp'^2) (half the raw quotient): the
     half factor is what makes the trace identity with d/dt log tau_l close.
     """
-    _, wp1, wpp, wppp = ap.wp_data()
+    _, wp1, wpp, wppp = ap.wp_data
     t, l = ap.t, ap.l
     core = np.array([
         [_c1(ap, t, l), _c0(ap, -t, 1 - l) / _c0(ap, t, l)],
@@ -232,7 +235,7 @@ def sigma_shift_y1(ap):
 
 def sigma_shift_trace_residual(ap):
     """|wp'(alpha) tr(Y1 diag(1/2,-1/2)) - d/dt log tau_l|, relative."""
-    _, wp1, _, _ = ap.wp_data()
+    _, wp1, _, _ = ap.wp_data
     Y1 = sigma_shift_y1(ap)
     lhs = wp1 * 0.5 * (Y1[0, 0] - Y1[1, 1])
     rhs = sigma_shift_dlog_tau_dt(ap)

@@ -95,6 +95,52 @@ def test_every_public_name_has_a_reader_outside_tests():
     assert not unread, f"read only by tests, or by nothing: {unread}"
 
 
+def test_every_default_parameter_is_set_outside_tests():
+    # a parameter with a default, on a public function or method of the
+    # package, must be passed, by keyword or by position, in some call in
+    # src/ or perfbench/: a setting that only tests change has no job
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "elliptau").glob("*.py"))
+    trees = {path: ast.parse(path.read_text())
+             for path in package + sorted((root / "perfbench").glob("*.py"))}
+    defaults = []  # (where, name, parameter, its position or None)
+    for path in package:
+        for node in trees[path].body:
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *methods]:
+                if not isinstance(d, ast.FunctionDef) or d.name.startswith("_"):
+                    continue
+                args = d.args
+                positional = args.posonlyargs + args.args
+                if d is not node:  # a method: the call passes self as its receiver
+                    positional = positional[1:]
+                first = len(positional) - len(args.defaults)
+                for k, arg in enumerate(positional[first:], start=first):
+                    defaults.append((path.name, d.name, arg.arg, k))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        defaults.append((path.name, d.name, arg.arg, None))
+    calls = [c for tree in trees.values() for c in ast.walk(tree)
+             if isinstance(c, ast.Call)]
+
+    def name(call):
+        f = call.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+    def passes(call, param, k):
+        if any(kw.arg in (param, None) for kw in call.keywords):  # None: **kwargs
+            return True
+        return any(isinstance(a, ast.Starred) for a in call.args) or (
+            k is not None and len(call.args) > k)
+
+    unset = sorted(f"{where}:{fn}({param})" for where, fn, param, k in defaults
+                   if not any(name(c) == fn and passes(c, param, k) for c in calls))
+    assert not unset, f"set only by tests, or by nothing: {unset}"
+
+
 def _sequential_draw(rng, periods):
     """One admissible branch as a lone draw makes it: candidates in stream
     order, the gap test, then the period ratio; a reference."""

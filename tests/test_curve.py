@@ -22,7 +22,6 @@ from elliptau.curve import (
     _period_data_batch,
     _lattice_coords,
     _sheet_frame,
-    _u_anchor,
     abel_with_y,
     chords,
     dOmega_de,
@@ -158,7 +157,7 @@ def test_verify_integrates_the_scenario_cycles_once(monkeypatch):
     # the checks read the scenario lattice from its params and moves carry the
     # root's chart, so however many configurations pass through the period
     # cache, golden's own two cycles are integrated once per verify
-    for cached in (period_data, _sheet_frame, _u_anchor, half_period_table, abel_with_y):
+    for cached in (period_data, _sheet_frame, half_period_table, abel_with_y):
         cached.cache_clear()
     calls = []
     real = elliptau.curve._cycle_integrals
@@ -188,7 +187,6 @@ def test_charted_and_fresh_configurations_share_no_cache_entry(golden_branch):
     calls = [
         (period_data, ()),
         (_sheet_frame, ()),
-        (_u_anchor, ()),
         (half_period_table, (periods(golden_branch),)),
         (abel_with_y, (2.0,)),
     ]
@@ -212,22 +210,24 @@ def test_charted_and_fresh_configurations_share_no_cache_entry(golden_branch):
         "near-collinear"])
 def test_anchor_tail_integral_matches_mpmath(es):
     # u(anchor) = -integral of dx/y along the ray from the anchor to
-    # infinity, with y = 2 x^{3/2} prod sqrt(1 - e/x) and the phase of
-    # x^{3/2} taken from arg(anchor); mpmath at 30 digits
+    # infinity, away from the centroid c: with X = x - c,
+    # y = 2 X^{3/2} prod sqrt(1 - e~/X) and the phase of X^{3/2} taken from
+    # arg(anchor - c); mpmath at 30 digits
     branch = BranchConfig(*es)
-    anchor = _sheet_frame(branch).anchor
+    frame = _sheet_frame(branch)
+    X = frame.anchor - branch.centroid
     with mpmath.workdps(30):
-        d = mpmath.mpc(anchor) / abs(anchor)
-        x32_phase = mpmath.exp(1.5j * mpmath.mpf(cmath.phase(anchor)))
+        d = mpmath.mpc(X) / abs(X)
+        x32_phase = mpmath.exp(1.5j * mpmath.mpf(cmath.phase(X)))
 
         def integrand(r):
             g = 1
-            for e in branch.es:
+            for e in branch.tilde_es:
                 g *= mpmath.sqrt(1 - mpmath.mpc(e) / (r * d))
             return d / (2 * r**1.5 * x32_phase * g)
 
-        ref = complex(-mpmath.quad(integrand, [abs(anchor), mpmath.inf]))
-    assert abs(_u_anchor(branch) - ref) <= 1e-14 * abs(ref)
+        ref = complex(-mpmath.quad(integrand, [abs(X), mpmath.inf]))
+    assert abs(frame.u_anchor - ref) <= 1e-14 * abs(ref)
 
 
 def _scalar_continue(fsq, piece, s0, s1, y0, halvings, depth=0):
@@ -414,8 +414,7 @@ def test_abel_base_point_is_infinity(golden_branch, golden_lattice):
     assert abs(u_farther) < abs(u_far) / 2
     # at the anchor the path is empty
     frame = _sheet_frame(golden_branch)
-    assert abel_with_y(golden_branch, frame.anchor) == (_u_anchor(golden_branch),
-                                                       frame.y_anchor)
+    assert abel_with_y(golden_branch, frame.anchor) == (frame.u_anchor, frame.y_anchor)
 
 
 def test_abel_roundtrip_random_points(golden_branch, golden_lattice):
@@ -446,7 +445,7 @@ def test_wp_alpha_relations_golden(golden_branch, golden_lattice):
 
 
 def test_local_inverse_coeffs_golden(golden_branch):
-    c1, c2, c3 = local_inverse_coeffs(golden_branch, 2.0)
+    c1, c2, c3 = local_inverse_coeffs(wp_alpha_relations(golden_branch, 2.0))
     # exact values by series reversion of x(u) at a=2: wp'= sqrt(24),
     # wp''=22, wp'''=4 sqrt(24)
     s24 = math.sqrt(24.0)
@@ -466,7 +465,7 @@ def test_local_inverse_matches_cauchy_derivatives(golden_branch):
         for k in range(3):
             moments[k] += u * w ** (-(k + 1))
     coeffs = [m / n for m in moments]
-    c = local_inverse_coeffs(golden_branch, a)
+    c = local_inverse_coeffs(wp_alpha_relations(golden_branch, a))
     for k in range(3):
         assert abs(coeffs[k] - c[k]) < 1e-8
 
@@ -474,7 +473,7 @@ def test_local_inverse_matches_cauchy_derivatives(golden_branch):
 def test_series_inversion_composes_to_identity(golden_branch):
     rel = wp_alpha_relations(golden_branch, 0.7 + 1.1j)
     b1, b2, b3 = rel.wp_prime, rel.wp_pp / 2.0, rel.wp_ppp / 6.0
-    c1, c2, c3 = local_inverse_coeffs(golden_branch, 0.7 + 1.1j)
+    c1, c2, c3 = local_inverse_coeffs(rel)
     assert abs(b1 * c1 - 1.0) < 1e-10
     assert abs(b1 * c2 + b2 * c1**2) < 1e-10
     assert abs(b1 * c3 + 2 * b2 * c1 * c2 + b3 * c1**3) < 1e-10
@@ -512,7 +511,7 @@ def test_local_inverse_alternative_gap(golden_branch, golden_lattice):
     # there) and misses it generically
     def gap(a):
         rel = wp_alpha_relations(golden_branch, a)
-        _, c2, _ = local_inverse_coeffs(golden_branch, a)
+        _, c2, _ = local_inverse_coeffs(rel)
         return abs(c2 + rel.wp_pp / (2.0 * rel.wp_ppp))
 
     assert gap(2.0) < 1e-14

@@ -135,7 +135,7 @@ def test_y_at_and_hatted_share_sqrt_det_phi(seed):
         u = sol.u_near_a(x)
         if abs(abel_with_y(p.branch, x)[0] - u) > 1e-9 * max(1.0, abs(u)):
             continue
-        ref = sol.hatted(x, u) @ sol.exp_T_a(x)
+        ref = sol.hatted(x) @ sol.exp_T_a(x)
         assert np.max(np.abs(sol.y_at(x) - ref)) <= 1e-11 * np.max(np.abs(ref))
         compared += 1
     assert compared >= 4
@@ -351,6 +351,25 @@ def test_hatted_evaluates_each_row_once(golden, monkeypatch):
     assert calls == [(5,)]
 
 
+def test_the_point_reads_its_wp_data_instead_of_rebuilding_it(monkeypatch):
+    # u_near_a seeds Newton from the point's wp data at a, so the relations at
+    # a run once per point, however many hatted and u_near_a calls follow
+    calls = []
+    real = elliptau.curve.wp_alpha_relations
+    monkeypatch.setattr(elliptau.curve, "wp_alpha_relations",
+                        lambda branch, a: calls.append(a) or real(branch, a))
+    p = make_params(GOLDEN.branch, GOLDEN.a, GOLDEN.t, GOLDEN.p, GOLDEN.q)
+    xs = p.a + 0.02 * np.exp(2j * math.pi * (np.arange(6) + 0.3) / 6)
+    for x in xs:
+        p.sol.hatted(x)
+        p.sol.u_near_a(x)
+    p.sol.hatted(xs)
+    moved = shifted_params(p, "t", 1e-3)
+    moved.sol.hatted(xs)
+    moved.sol.hatted(xs[0])
+    assert calls == [p.a, p.a]
+
+
 def test_deformation_check_reuses_base_stage(golden, monkeypatch):
     # the check reads the base point's chain, the context's stages
     p = golden.params
@@ -527,10 +546,10 @@ def test_verify_evaluates_each_shared_ring_once(monkeypatch):
     trace = elliptau.isomono.SystemCoefficients.trace_A2_half
     array_x, rings = [], []
 
-    def count_hatted(self, x, u=None):
+    def count_hatted(self, x):
         if np.ndim(x):
             array_x.append(len(x))
-        return hatted(self, x, u)
+        return hatted(self, x)
 
     def count_trace(self, x):
         rings.append((np.round(np.mean(x), 12), np.round(abs(x[0] - np.mean(x)), 12)))
@@ -580,3 +599,24 @@ def test_moved_configurations_continue_the_period_convention(seed):
             moved = shifted_params(base, f"e{nu}", h * cmath.exp(2j * math.pi * k / 64))
             for v, r in zip(values(moved), ref):
                 assert abs(v - r) <= 1e-6 * abs(r), (nu, k)
+
+
+def test_translating_the_curve_changes_nothing():
+    # sheet 1 is fixed relative to the centroid, so moving the whole scenario
+    # (e_nu + c, a + c) leaves the periods, alpha, the Hamiltonians and
+    # log tau as they were, to rounding; 40 interior draws, 5 translations
+    # each with |c| <= 2.1
+    def values(e, a, s):
+        p = make_params(BranchConfig(*e), a, s.t, s.p, s.q)
+        return [p.lat.omega1, p.lat.omega2, p.alpha, H_t(p), log_tau(p),
+                *(H_nu(p, nu) for nu in (1, 2, 3))]
+
+    for k in range(40):
+        s = random_admissible_scenario(SplitMix64(0xBEEF + k))
+        ref = values(s.e, s.a, s)
+        rng = SplitMix64(0x7A5 + k)
+        for j in range(5):
+            c = rng.complex_box(-1.5, 1.5)
+            got = values([e + c for e in s.e], s.a + c, s)
+            for g, r in zip(got, ref):
+                assert abs(g - r) <= 1e-12 * abs(r), (k, j, c)

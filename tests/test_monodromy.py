@@ -51,7 +51,7 @@ def test_loop_frame_offsets_recorded(mono):
 
 def test_trivial_loop_gives_identity(mono):
     ctx, _, _ = mono
-    assert trivial_loop_identity(ctx.params, ctx.coeffs) < 1e-9
+    assert trivial_loop_identity(ctx.params) < 1e-9
 
 
 def test_monodromy_eigenvalues_quarter_exponents(mono):
@@ -65,7 +65,7 @@ def test_monodromy_eigenvalues_quarter_exponents(mono):
 
 def test_stokes_rays_and_triviality(mono):
     ctx, _, _ = mono
-    res = sector_connection_residuals(ctx.params, ctx.sol, ctx.coeffs)
+    res = sector_connection_residuals(ctx.params)
     assert len(res) == 2
     assert max(res) < 1e-6
 
