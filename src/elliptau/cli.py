@@ -15,7 +15,6 @@ scenario error.
 from __future__ import annotations
 
 import argparse
-import cmath
 import hashlib
 import json
 import math
@@ -34,6 +33,7 @@ from .scenario import load_scenario
 from .tau import H_t, log_tau
 
 TAU_CHUNK = 1024  # grid points per array evaluation: memory is O(TAU_CHUNK)
+TWO_PI = 2.0 * math.pi
 
 
 def _parse_grid(spec):
@@ -80,27 +80,18 @@ def _cmd_verify(args):
     return 0 if report.overall == "pass" else 1
 
 
-def _unwrap(value, previous):
-    """Shift by multiples of 2 pi i to keep the log branch continuous."""
-    if previous is None:
-        return value
-    k = round((previous - value).imag / (2.0 * math.pi))
-    return value + 2j * math.pi * k
-
-
 def _tau_rows(point, ts):
-    """Per time of ts: (log tau, H_t) from one array evaluation at point with
-    those times, or the row's error (theta[p,q](t/omega1) at a zero, or a
-    value that is not finite)."""
-    ts = np.asarray(ts, dtype=complex)
-    rows = theta_zero_errors(replace(point, t=ts))
-    good = [k for k, error in enumerate(rows) if error is None]
-    if good:
-        params = replace(point, t=ts[good])
-        for k, lt, ht in zip(good, log_tau(params).tolist(), H_t(params).tolist()):
-            rows[k] = ((lt, ht) if cmath.isfinite(lt) and cmath.isfinite(ht)
-                       else EllipTauError("log tau or H_t is not finite"))
-    return rows
+    """Re and Im of log tau and of H_t per time of ts, as four float lists,
+    from one theta jet at point with those times, and by index the errors of
+    the rows that failed: theta[p,q](t/omega1) at a zero, or a value that is
+    not finite."""
+    params = replace(point, t=np.asarray(ts, dtype=complex))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a row at a zero fails
+        lt, ht = log_tau(params), H_t(params)
+    errors = theta_zero_errors(params)
+    for k in np.flatnonzero(~(np.isfinite(lt) & np.isfinite(ht))).tolist():
+        errors.setdefault(k, EllipTauError("log tau or H_t is not finite"))
+    return [v.tolist() for v in (lt.real, lt.imag, ht.real, ht.imag)], errors
 
 
 def _cmd_tau(args):
@@ -115,21 +106,24 @@ def _cmd_tau(args):
     failed, first = 0, None
     try:
         out.write("t,re_log_tau,im_log_tau,re_H_t,im_H_t\n")
-        prev = None
+        prev = None  # Im log tau of the row before, unless it failed
         for lo in range(0, n, TAU_CHUNK):
             ts = [t0 + k * step for k in range(lo, min(n, lo + TAU_CHUNK))]
-            rows = [stage_error] * len(ts) if point is None else _tau_rows(point, ts)
-            for t, row in zip(ts, rows):
-                if isinstance(row, EllipTauError):
+            if point is None:  # every row fails, so no column is read
+                cols, errors = [ts] * 4, dict.fromkeys(range(len(ts)), stage_error)
+            else:
+                cols, errors = _tau_rows(point, ts)
+            for k, (t, lr, li, hr, hi) in enumerate(zip(ts, *cols)):
+                if k in errors:
                     out.write(f"{t:.12g},nan,nan,nan,nan\n")
                     prev = None
                     failed += 1
-                    first = first or (t, row)
+                    first = first or (t, errors[k])
                     continue
-                lt, ht = row
-                prev = lt = _unwrap(lt, prev)
-                out.write(f"{t:.12g},{lt.real:.17g},{lt.imag:.17g},"
-                          f"{ht.real:.17g},{ht.imag:.17g}\n")
+                if prev is not None:  # keep the log branch continuous
+                    li += TWO_PI * round((prev - li) / TWO_PI)
+                prev = li
+                out.write("%.12g,%.17g,%.17g,%.17g,%.17g\n" % (t, lr, li, hr, hi))
     finally:
         if args.out:
             out.close()

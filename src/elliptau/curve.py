@@ -365,13 +365,27 @@ def _tail_g(branch, X):
 
 @dataclass(frozen=True)
 class SheetFrame:
-    """Anchor data fixing sheet 1: the anchor, y and the Abel value u there,
-    and the detour radius."""
+    """Anchor data fixing sheet 1: the anchor, y there and the detour radius;
+    the Abel value u there, which only the Abel map reads, at first read."""
 
+    branch: BranchConfig
     anchor: complex
     y_anchor: complex
-    u_anchor: complex
     clearance: float
+
+    @cached_property
+    def u_anchor(self):
+        """The tail integral from infinity: x = c + X/s^2 maps s in (0, 1]
+        onto the ray from infinity to the anchor, where dx/y =
+        -X^{-1/2} ds / g(X/s^2), and g -> 1 at s = 0.  g is analytic for
+        |s| < sqrt(8), so one ORDER-node Gauss-Legendre rule on (0, 1] is
+        exact to rounding."""
+        X = self.anchor - self.branch.centroid
+        inv_sqrt_X = abs(X) ** -0.5 * cmath.exp(-0.5j * cmath.phase(X))
+        nodes, weights = _gauss()
+        s = 0.5 * (1.0 + nodes)
+        total = np.sum(0.5 * weights / _tail_g(self.branch, X / (s * s)))
+        return complex(-inv_sqrt_X * total)
 
 
 # half steps, so no ray runs along the cut of the principal phase of X
@@ -399,24 +413,13 @@ def _sheet_frame(branch):
     configuration.  Either lies 8 (1 + spread) from its root's centroid c,
     far outside every e_nu of a move, so the tail g keeps its principal roots
     there: y(anchor) = 2 |X|^{3/2} e^{1.5 i arg X} g(X), X = anchor - c.
-
-    u at the anchor is the tail integral from infinity: x = c + X/s^2 maps
-    s in (0, 1] onto the ray from infinity to the anchor, where
-    dx/y = -X^{-1/2} ds / g(X/s^2), and g -> 1 at s = 0.  g is analytic for
-    |s| < sqrt(8), so one ORDER-node Gauss-Legendre rule on (0, 1] is exact
-    to rounding.
     """
     chart = branch.chart
     anchor = chart.anchor if chart is not None else _fresh_anchor(branch)
     X = anchor - branch.centroid
-    phase = cmath.phase(X)
-    y_anchor = complex(2.0 * abs(X) ** 1.5 * cmath.exp(1.5j * phase) * _tail_g(branch, X))
-    inv_sqrt_X = abs(X) ** -0.5 * cmath.exp(-0.5j * phase)
-    nodes, weights = _gauss()
-    s = 0.5 * (1.0 + nodes)
-    total = np.sum(0.5 * weights / _tail_g(branch, X / (s * s)))
-    return SheetFrame(anchor, y_anchor, complex(-inv_sqrt_X * total),
-                      CLEARANCE * branch.min_gap)
+    y_anchor = complex(2.0 * abs(X) ** 1.5 * cmath.exp(1.5j * cmath.phase(X))
+                       * _tail_g(branch, X))
+    return SheetFrame(branch, anchor, y_anchor, CLEARANCE * branch.min_gap)
 
 
 @dataclass(frozen=True)

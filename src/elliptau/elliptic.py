@@ -329,11 +329,16 @@ def sigma(lat, u):
     return sigma_char(lat, HALF_HALF, u)
 
 
+def _char_dlog(lat, u, jet):
+    """sigma[p,q]'(u)/sigma[p,q](u) from the jet (theta[p,q], theta[p,q]') at u/omega1."""
+    return lat.eta1 * u / lat.omega1 + jet[1] / (jet[0] * lat.omega1)
+
+
 def sigma_char_dlog(lat, char, u):
     """Logarithmic derivative sigma[p,q]'(u)/sigma[p,q](u)."""
     u = _arg(u)
     jet, _ = _theta_rows(char, u / lat.omega1, lat.Omega, 1)
-    return lat.eta1 * u / lat.omega1 + jet[1] / (jet[0] * lat.omega1)
+    return _char_dlog(lat, u, jet)
 
 
 def sigma_char_du(lat, char, u):

@@ -38,12 +38,12 @@ from .elliptic import (
     Lattice,
     ThetaChar,
     _math,
+    _theta_rows,
     sigma,
     sigma_char,
     sigma_char_dlog,
     sigma_char_du,
     sigma_du,
-    theta,
     wp,
     wp_prime,
     zeta,
@@ -57,17 +57,23 @@ M_INF = -1j  # m at infinity; of the coefficients, only the G frames depend on i
 @dataclass(frozen=True)
 class DeformationParams:
     """One point of the deformation space: the branch with its lattice, a, t
-    and the characteristic.  What only Y, its coefficients and its monodromy
-    read is derived at first read: alpha = u(a), the wp data at alpha, the
-    half-period table and the chain phi -> sol -> coeffs; log tau and the
-    Hamiltonians read none of it, and a copy (replace, moved) carries none of
-    it.  With t an array of times, log_tau and H_t evaluate elementwise."""
+    and the characteristic.  Derived at first read: theta_jet, which the
+    theta-zero test, log tau and the Hamiltonians read, and what only Y, its
+    coefficients and its monodromy read: alpha = u(a), the wp data at alpha,
+    the half-period table and the chain phi -> sol -> coeffs.  A copy
+    (replace, moved) carries none of it.  With t an array of times, theta_jet,
+    log_tau and H_t evaluate elementwise."""
 
     branch: BranchConfig
     lat: Lattice
     a: complex
     t: complex
     char: ThetaChar
+
+    @cached_property
+    def theta_jet(self):
+        """(theta[p,q], theta[p,q]') at t/omega1, from one kernel call."""
+        return _theta_rows(self.char, self.t / self.lat.omega1, self.lat.Omega, 1)[0]
 
     @cached_property
     def alpha(self):
@@ -106,20 +112,20 @@ class DeformationParams:
 
 
 def theta_zero_errors(params):
-    """Per time of params.t (a number or an array): the DegenerateParameterError
-    where theta[p,q](t/omega1), which the normalization divides by, is too
-    close to its zero, else None."""
-    th = theta(params.char, params.t / params.lat.omega1, params.lat.Omega)
+    """By index of the times of params.t (a number or an array), only where
+    theta[p,q](t/omega1), which the normalization divides by, is too close to
+    its zero: the DegenerateParameterError."""
+    th = np.atleast_1d(params.theta_jet[0])
     message = "theta[p,q](t/omega1) = {} is too close to its zero"
-    return [DegenerateParameterError(message.format(complex(v))) if abs(v) < 1e-8 else None
-            for v in np.atleast_1d(th)]
+    return {k: DegenerateParameterError(message.format(complex(th[k])))
+            for k in np.flatnonzero(np.abs(th) < 1e-8).tolist()}
 
 
 def _theta_checked(params):
     """params, unless theta[p,q](t/omega1) is at a zero there."""
-    error, = theta_zero_errors(params)
-    if error is not None:
-        raise error
+    errors = theta_zero_errors(params)
+    if errors:
+        raise errors[0]
     return params
 
 

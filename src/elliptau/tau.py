@@ -25,12 +25,11 @@ from .curve import dOmega_de, dlog_omega1_de, quasiperiod_ratio_derivative
 from .elliptic import (
     Lattice,
     _any,
+    _char_dlog,
     _math,
     sigma,
     sigma_char_dlog,
-    theta,
     theta_dOmega,
-    theta_dz,
     wp,
     wp_n,
     wp_prime,
@@ -61,10 +60,10 @@ def df_de(e1, e2, e3, a, nu):
 
 
 def H_t(params):
-    """dt-component of the 1-form: sigma[p,q]'(t)/sigma[p,q](t) + (t/2) f.
-    Elementwise when params.t is an array."""
+    """dt-component of the 1-form: sigma[p,q]'(t)/sigma[p,q](t) + (t/2) f,
+    from the point's theta jet.  Elementwise when params.t is an array."""
     p = params
-    L = sigma_char_dlog(p.lat, p.char, p.t)
+    L = _char_dlog(p.lat, p.t, p.theta_jet)
     es = p.branch.es
     return L + (p.t / 2.0) * f_func(*es, p.a)
 
@@ -81,10 +80,8 @@ def omega_a_de_component(params, nu):
 def dlog_theta_de(params, nu):
     """Full branch-point derivative of log theta[p,q](t/omega1; Omega)."""
     p = params
-    z = p.t / p.lat.omega1
-    th = theta(p.char, z, p.lat.Omega)
-    thz = theta_dz(p.char, z, p.lat.Omega, 1)
-    tho = theta_dOmega(p.char, z, p.lat.Omega)
+    th, thz = p.theta_jet
+    tho = theta_dOmega(p.char, p.t / p.lat.omega1, p.lat.Omega)
     dl_w1 = dlog_omega1_de(p.branch, p.lat, nu)
     d_om = dOmega_de(p.branch, p.lat, nu)
     return -(p.t / p.lat.omega1) * dl_w1 * (thz / th) + d_om * (tho / th)
@@ -135,8 +132,7 @@ def log_tau(params):
     Elementwise when params.t is an array."""
     p = params
     es = p.branch.es
-    z = p.t / p.lat.omega1
-    val = np.log(theta(p.char, z, p.lat.Omega))
+    val = np.log(p.theta_jet[0])
     val -= 0.5 * cmath.log(p.lat.omega1)
     for i in range(3):
         for j in range(i + 1, 3):

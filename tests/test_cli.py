@@ -17,6 +17,9 @@ import pytest
 import elliptau.checks
 import elliptau.cli
 import elliptau.curve
+import elliptau.elliptic
+import elliptau.isomono
+import elliptau.monodromy
 from elliptau.checks import (
     CHECKS,
     SUITES,
@@ -28,7 +31,7 @@ from elliptau.checks import (
 )
 from elliptau.cli import main
 from elliptau.errors import DegenerateParameterError, QuadratureError, ScenarioError
-from elliptau.isomono import make_params
+from elliptau.isomono import DeformationParams, make_params
 from elliptau.monodromy import monodromy_matrices
 from elliptau.scenario import (
     GOLDEN,
@@ -427,13 +430,19 @@ def test_cli_tau_grid(tmp_path, capsys):
 def test_cli_tau_failed_row_exits_1(tmp_path, monkeypatch, capsys):
     scenario = tmp_path / "golden.json"
     scenario.write_text(json.dumps(golden_dict()))
+    # a zero of theta forced into the chunk's jet at t = 0.1; its error is
+    # renamed so that the message names the forcing
+    jet = DeformationParams.theta_jet.func
     real = elliptau.cli.theta_zero_errors
 
-    def flaky(params):
-        return [DegenerateParameterError("forced failure")
-                if abs(t - 0.1) < 1e-12 else error
-                for t, error in zip(params.t, real(params))]
+    def forced_zero(params):
+        th, thz = jet(params)
+        return np.where(np.abs(params.t - 0.1) < 1e-12, 0j, th), thz
 
+    def flaky(params):
+        return {k: DegenerateParameterError("forced failure") for k in real(params)}
+
+    monkeypatch.setattr(DeformationParams, "theta_jet", property(forced_zero))
     monkeypatch.setattr(elliptau.cli, "theta_zero_errors", flaky)
     code = main(["tau", "--scenario", str(scenario), "--grid", "t=0:0.2:0.1"])
     assert code == 1
@@ -534,6 +543,90 @@ def test_cli_tau_batch_matches_rows(tmp_path, draw):
         lt += 2j * np.pi * round((lt_im - lt.imag) / (2 * np.pi))  # the CSV unwraps
         assert abs(complex(lt_re, lt_im) - lt) <= 1e-14 * abs(lt)
         assert abs(complex(ht_re, ht_im) - ht) <= 1e-14 * abs(ht)
+
+
+def test_tau_sweep_makes_one_kernel_call_per_chunk(tmp_path, monkeypatch):
+    # once the lattice exists, log tau, H_t and the theta-zero test of a chunk
+    # all read its one theta jet: two chunks, two calls (six with one call
+    # per reader)
+    scenario = tmp_path / "golden.json"
+    scenario.write_text(json.dumps(golden_dict()))
+    grid = f"t=0:0.3:{0.3 / elliptau.cli.TAU_CHUNK!r}"
+    argv = ["tau", "--scenario", str(scenario), "--grid", grid, "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 0  # builds the lattice
+    calls = []
+    block = elliptau.elliptic._theta_block
+
+    def counted(char, z, *args):
+        calls.append(z.size)
+        return block(char, z, *args)
+
+    monkeypatch.setattr(elliptau.elliptic, "_theta_block", counted)
+    assert main(argv) == 0
+    assert calls == [elliptau.cli.TAU_CHUNK, 1]
+
+
+@pytest.mark.parametrize("data, grid", [
+    (golden_dict(), "t=0:4:0.001"),  # Im log tau jumps by 2 pi inside
+    (dict(golden_dict(), p=0.5), None),  # a theta zero at the end of a 7-chunk
+])
+def test_tau_chunking_leaves_no_trace(tmp_path, monkeypatch, capsys, data, grid):
+    # the unwrap of Im log tau runs across chunk boundaries and restarts after
+    # a nan row, whatever the chunk size
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data))
+    if grid is None:
+        g = GOLDEN
+        t0 = (0.5 - g.q) * make_params(g.branch, g.a, g.t, 0.5, g.q).lat.omega1.real
+        grid = f"t={t0 - 0.06!r}:{t0 + 0.14!r}:0.01"
+    runs = []
+    for chunk in (elliptau.cli.TAU_CHUNK, 7):
+        monkeypatch.setattr(elliptau.cli, "TAU_CHUNK", chunk)
+        code = main(["tau", "--scenario", str(scenario), "--grid", grid])
+        runs.append((code,) + capsys.readouterr())
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    im = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+    if data["p"] == 0.5:
+        assert code == 1 and err.startswith("tau: 1/21 rows failed")
+        assert out.splitlines()[7].endswith(",nan,nan,nan,nan")
+    else:
+        assert code == 0 and err == ""
+        assert max(abs(b - a) for a, b in zip(im, im[1:])) < 0.1  # unwrapped
+        g = GOLDEN
+        principal = log_tau(make_params(g.branch, g.a, 4.0, g.p, g.q)).imag
+        assert abs(im[-1] - principal - 2 * math.pi) < 1e-9  # one jump inside
+
+
+def test_anchor_tail_is_integrated_only_for_the_abel_map(tmp_path, monkeypatch):
+    # the period cycles read a frame's anchor and y only: from cold caches a
+    # golden verify integrates the anchor's tail once per frame that
+    # abel_with_y reads, and a tau sweep never
+    for module in (elliptau.elliptic, elliptau.curve, elliptau.isomono):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    tails, abel_branches = [], set()
+    tail_g, abel = elliptau.curve._tail_g, elliptau.curve.abel_with_y
+
+    def counted_tail(branch, X):
+        if np.ndim(X):
+            tails.append(branch)
+        return tail_g(branch, X)
+
+    def counted_abel(branch, x):
+        abel_branches.add(branch)
+        return abel(branch, x)
+
+    monkeypatch.setattr(elliptau.curve, "_tail_g", counted_tail)
+    for module in (elliptau.curve, elliptau.checks, elliptau.monodromy):
+        monkeypatch.setattr(module, "abel_with_y", counted_abel)
+    scenario = tmp_path / "golden.json"
+    scenario.write_text(json.dumps(golden_dict()))
+    assert main(["tau", "--scenario", str(scenario), "--grid", "t=0:1:0.25"]) == 0
+    assert tails == [] and abel_branches == set()
+    assert run_checks(GOLDEN).overall == "pass"
+    assert len(tails) == len(abel_branches) and set(tails) == abel_branches
 
 
 def test_failed_stage_is_built_once(monkeypatch):
