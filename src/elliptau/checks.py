@@ -26,7 +26,7 @@ from . import __version__
 from .curve import (
     BranchConfig,
     Line,
-    abel_with_y,
+    abel_values,
     dOmega_de,
     dlog_omega1_de,
     path_integrals,
@@ -197,6 +197,26 @@ class CheckContext:
         self.coeffs
         return self._get("numM", lambda: monodromy_matrices(self.params))
 
+    # the samples and rings that several checks read, each drawn from its own
+    # stream: a check's residual does not depend on which other checks run
+
+    @property
+    def branch_samples(self):
+        """The scenario's branch with its lattice, then admissible draws with theirs."""
+        return self._get("branch_samples", lambda: _branch_samples(self))
+
+    @property
+    def branch_ring(self):
+        """The e_nu rings of the sampled branches (centres, distances) and the
+        lattices of all their nodes as one batch of shape (rings, RING_POINTS)."""
+        return self._get("branch_ring", lambda: _branch_ring(self.branch_samples))
+
+    @property
+    def neighbours(self):
+        """Points of the scenario and of its admissible neighbours, and a note."""
+        return self._get("neighbours", lambda: _admissible_neighbors(
+            self, check_stream(self.scenario.seed, "neighbours")))
+
     @property
     def y1_moment(self):
         """The order-1 Cauchy moment of the hatted solution on 48 points at a,
@@ -277,31 +297,37 @@ RING_POINTS = 4  # nodes of every derivative ring
 RING_FRACTION = 1e-3  # its radius over the distance to the nearest singularity
 
 
+def _ring_nodes(centers, distances):
+    """The RING_POINTS nodes of each ring about centers (a number or an
+    array), of radius RING_FRACTION times its distance, and their offsets
+    from it: each of shape centers.shape + (RING_POINTS,)."""
+    w = _ring_offsets(RING_FRACTION * np.asarray(distances), RING_POINTS)
+    return np.asarray(centers)[..., None] + w, w
+
+
 def ring_derivative(f, centers, distances, log=False):
     """df/dz at centers (a number or an array), and the estimate of each
     one's 2-point sub-ring (a central difference of step equal to the
-    radius), from one call of f on the RING_POINTS nodes of every ring: of
-    shape centers.shape + (RING_POINTS,), each ring of radius RING_FRACTION
-    times its distance, that from its centre to f's nearest singularity.  A
-    log-valued f (log) has the jumps of its principal logs, multiples of
-    i pi/4, taken out of the opposite-node differences D_0, D_1: D_1 - i D_0 is
-    those jumps plus O(RING_FRACTION^3), however steep f is."""
+    radius), from one call of f on the _ring_nodes of every ring, of radius
+    RING_FRACTION times its distance, that from its centre to f's nearest
+    singularity; all rings summed in one pass.  A log-valued f (log) has the
+    jumps of its principal logs, multiples of i pi/4, taken out of the
+    opposite-node differences D_0, D_1: D_1 - i D_0 is those jumps plus
+    O(RING_FRACTION^3), however steep f is."""
     centers, radii = np.asarray(centers), RING_FRACTION * np.asarray(distances)
-    w = _ring_offsets(radii, RING_POINTS)
-    values = np.asarray(f(centers[..., None] + w))
-    vshape, half = values.shape[centers.ndim + 1:], RING_POINTS // 2
-    d, d_sub = [], []
-    for r, wr, v in zip(radii.ravel(), w.reshape(-1, RING_POINTS),
-                        values.reshape((-1, RING_POINTS) + vshape)):
-        if log:
-            k = (v[1] - v[3] - 1j * (v[0] - v[2])) / (0.25 * math.pi)
-            v = v + 0.25j * math.pi * np.array([0, 0, round(k.real), round(k.imag)])
-        # ring by ring, summed as ring_moments sums one
-        m, m_sub = (np.tensordot(wr ** -order, v, axes=(0, 0)) / RING_POINTS
-                    for order in (1, 1 - half))
-        d.append(m)
-        d_sub.append(m + m_sub / r**half)
-    return np.reshape(d, centers.shape + vshape), np.reshape(d_sub, centers.shape + vshape)
+    nodes, w = _ring_nodes(centers, distances)
+    # the node axis first; the offsets and radii then broadcast over f's values
+    v = np.moveaxis(np.asarray(f(nodes)), centers.ndim, 0)
+    lift = (1,) * (v.ndim - 1 - centers.ndim)
+    w = np.moveaxis(w, -1, 0).reshape((RING_POINTS,) + centers.shape + lift)
+    if log:
+        k = (v[1] - v[3] - 1j * (v[0] - v[2])) / (0.25 * math.pi)
+        v = v.copy()
+        v[2] += 0.25j * math.pi * np.round(k.real)
+        v[3] += 0.25j * math.pi * np.round(k.imag)
+    half = RING_POINTS // 2
+    m, m_sub = ((w ** -order * v).sum(axis=0) / RING_POINTS for order in (1, 1 - half))
+    return m, m + m_sub / radii.reshape(centers.shape + lift) ** half
 
 
 def _lattice_distance(lat, u):
@@ -310,21 +336,24 @@ def _lattice_distance(lat, u):
     return min(abs(u - m * w1 - n * w2) for m in (-1, 0, 1) for n in (-1, 0, 1))
 
 
-def _ring(f, params, direction, log=False):
-    """ring_derivative as t or e_nu (direction) moves.  A t-ring calls f once,
-    on params at the ring's times, and is sized by the zeros of
-    theta[p,q](t/omega1), (1/2 - q) omega1 + (1/2 - p) omega2 modulo the
-    lattice; an e_nu ring calls f on the moved point of each node, sized by
-    the other singular points."""
+def _ring(f, params, directions, log=False):
+    """ring_derivative as t or e_nu moves, one ring per direction ('t' or
+    'e1'/'e2'/'e3'), from one call of f: on the batch point of all their
+    nodes (params.moved), or with t alone on params at the ring's times.  A
+    t ring is sized by the zeros of theta[p,q](t/omega1), (1/2 - q) omega1 +
+    (1/2 - p) omega2 modulo the lattice; an e_nu ring by the other singular
+    points.  Returns (d, d_sub), one row per direction."""
     p, lat = params, params.lat
-    if direction == "t":
-        zero = (0.5 - p.char.q) * lat.omega1 + (0.5 - p.char.p) * lat.omega2
-        return ring_derivative(lambda ts: f(replace(p, t=ts)), p.t,
-                               _lattice_distance(lat, p.t - zero), log)
-    nu = int(direction[1])
-    e = p.branch.es[nu - 1]
-    return ring_derivative(lambda zs: np.array([f(p.moved(nu, z - e)) for z in zs]),
-                           e, _clearance(p.branch, p.a, e), log)
+    zero = (0.5 - p.char.q) * lat.omega1 + (0.5 - p.char.p) * lat.omega2
+    nus = np.array([0 if d == "t" else int(d[1]) for d in directions])
+    centers = [p.t if nu == 0 else p.branch.es[nu - 1] for nu in nus]
+    distances = [_lattice_distance(lat, c - zero) if nu == 0 else _clearance(p.branch, p.a, c)
+                 for nu, c in zip(nus, centers)]
+    centers = np.array(centers)
+    if not nus.any():
+        return ring_derivative(lambda ts: f(replace(p, t=ts)), centers, distances, log)
+    return ring_derivative(lambda zs: f(p.moved(nus[:, None], zs - centers[:, None])),
+                           centers, distances, log)
 
 
 def _clearance(branch, a, x):
@@ -428,33 +457,43 @@ def check_sigma_homogeneity(ctx, rng):
 # ---------------------------------------------------------------------------
 
 
-def _branch_samples(ctx, rng, base_count):
-    """The scenario's branch with its lattice, then admissible draws with theirs."""
-    draws = admissible_branches(rng, ctx.draws(base_count, minimum=1))
+def _branch_samples(ctx):
+    """The scenario's branch with its lattice, then ctx.draws(9) admissible
+    draws with theirs, from the stream named branch_samples."""
+    rng = check_stream(ctx.scenario.seed, "branch_samples")
+    draws = admissible_branches(rng, ctx.draws(9, minimum=1))
     return [(ctx.branch, ctx.params.lat)] + [(b, periods(b)) for b in draws]
 
 
+def _branch_ring(samples):
+    """(centers, distances, lat): the e1, e2, e3 rings of each sampled branch,
+    sized by its other branch points, and the lattices of all their nodes,
+    from one periods_of call, as one batch lattice."""
+    keys = [(b, nu) for b, _ in samples for nu in (1, 2, 3)]
+    centers = np.array([b.es[nu - 1] for b, nu in keys])
+    distances = [_clearance(b, None, e) for (b, _), e in zip(keys, centers)]
+    nodes, _ = _ring_nodes(centers, distances)
+    lats = periods_of([b.moved(nu, z - e)
+                       for (b, nu), e, zs in zip(keys, centers, nodes) for z in zs])
+    return centers, distances, _batch(lats)
+
+
 def check_theta_constants(ctx, rng):
-    branches, lats = zip(*_branch_samples(ctx, rng, 9))
+    branches, lats = zip(*ctx.branch_samples)
     r1, r2 = theta_constant_residuals(branches, _batch(lats))
     return (float(max(r1.max(), r2.max())),
             "odd theta-constant identities vs geometric quasi-period")
 
 
-def _branch_derivative_residual(ctx, rng, value, closed, degree=None):
+def _branch_derivative_residual(ctx, value, closed, degree=None):
     """Worst miss of closed(b, lat, nu) = d value(lattice)/de_nu against its
-    ring derivative over sampled branches, of the translation sum (which
-    vanishes) and, given the homogeneity degree, of the Euler sum.  All ring
-    nodes share one periods_of call and one batch lattice."""
-    samples = _branch_samples(ctx, rng, 9)
-    keys = [(b, nu, b.es[nu - 1]) for b, _ in samples for nu in (1, 2, 3)]
-
-    def on_moved(nodes):
-        moved = [b.moved(nu, z - e) for (b, nu, e), zs in zip(keys, nodes) for z in zs]
-        return value(_batch(periods_of(moved))).reshape(nodes.shape)
-
-    ds = iter(ring_derivative(on_moved, [e for _, _, e in keys],
-                              [_clearance(b, None, e) for b, _, e in keys])[0])
+    ring derivative over the sampled branches, of the translation sum (which
+    vanishes) and, given the homogeneity degree, of the Euler sum.  The ring
+    nodes are the context's shared branch ring."""
+    samples = ctx.branch_samples
+    centers, distances, nodes_lat = ctx.branch_ring
+    ds = iter(ring_derivative(lambda nodes: value(nodes_lat).reshape(nodes.shape),
+                              centers, distances)[0])
     worst = 0.0
     for b, lat in samples:
         cls = [closed(b, lat, nu) for nu in (1, 2, 3)]
@@ -469,14 +508,14 @@ def _branch_derivative_residual(ctx, rng, value, closed, degree=None):
 
 
 def check_domega_de(ctx, rng):
-    return (_branch_derivative_residual(ctx, rng, lambda lat: lat.Omega, dOmega_de),
+    return (_branch_derivative_residual(ctx, lambda lat: lat.Omega, dOmega_de),
             "closed form vs ring derivative; translation sum")
 
 
 def check_dlog_omega1_de(ctx, rng):
     # omega1 has degree -1/2 in the e_nu; the ring differences omega1, not its log
     return (_branch_derivative_residual(
-                ctx, rng, lambda lat: lat.omega1,
+                ctx, lambda lat: lat.omega1,
                 lambda b, lat, nu: lat.omega1 * dlog_omega1_de(b, lat, nu), degree=-0.5),
             "closed form vs ring derivative; translation and Euler scaling sums")
 
@@ -485,7 +524,7 @@ def check_quasiperiod_ratio_derivative(ctx, rng):
     # eta1/omega1 is homogeneous of degree 1 in the branch points
     t = ctx.scenario.t if abs(ctx.scenario.t) > 1e-3 else 0.1
     return (_branch_derivative_residual(
-                ctx, rng, lambda lat: t * t * lat.eta1 / (2.0 * lat.omega1),
+                ctx, lambda lat: t * t * lat.eta1 / (2.0 * lat.omega1),
                 lambda b, lat, nu: quasiperiod_ratio_derivative(b, lat, nu, t), degree=1.0),
             "eta1 t^2/(2 omega1): closed form vs ring derivative; translation and Euler sums")
 
@@ -501,7 +540,7 @@ def check_abel_roundtrip(ctx, rng):
             continue
         xs.append(x)
     x = np.array(xs)
-    u = np.array([abel_with_y(b, xk)[0] for xk in xs])
+    u = np.array([u for u, _ in abel_values(b, xs)])
     worst = np.max(np.abs(x_from_u(b, lat, u) - x) / np.maximum(np.abs(x), 1.0), initial=0.0)
     return float(worst), f"inversion x(u(x)) = x; {len(xs)} of {draws} draws kept"
 
@@ -574,7 +613,7 @@ def check_ode_residual(ctx, rng):
     radius = 0.1 * b.scale
     n = ctx.draws(8, minimum=4)
     xs = [center + radius * cmath.exp(2j * math.pi * j / n) for j in range(n)]
-    u0, y0 = np.array([abel_with_y(b, x) for x in xs]).T
+    u0, y0 = np.array(abel_values(b, xs)).T
 
     def y_rings(nodes):
         # each ring stays within 1e-3 of the distance to the cuts, so u and y
@@ -628,25 +667,21 @@ def check_monodromy_invariance(ctx, rng):
     return worst, "drift under 1e-3 moves of t, e1, e2, e3"
 
 
-def deformation_ring(params, direction):
-    """Ring derivatives of (A_1, A_2, A_3) as t or e_nu (direction) moves, and
-    those of the 2-point sub-ring, from one coefficient build per node."""
-    def A(q):
-        A = q.coeffs.A
-        return np.array([A[1], A[2], A[3]])
-
-    p = params
-    if direction == "t":
-        return _ring(lambda q: np.array([A(replace(q, t=t)) for t in q.t]), p, "t")
-    return _ring(A, p, direction)
+def deformation_ring(params, directions):
+    """Ring derivatives of (A_1, A_2, A_3) as t or e_nu moves, one row per
+    direction ('t' or 'e1'/'e2'/'e3'), and those of the 2-point sub-ring,
+    from one coefficient build on the batch point of all their nodes."""
+    return _ring(lambda q: np.stack([q.coeffs.A[nu] for nu in (1, 2, 3)], axis=-3),
+                 params, directions)
 
 
 def check_deformation_equation(ctx, rng):
     worst, ratios = 0.0, []
     ctx.coeffs  # the base point's chain, timed as its stages
-    for direction in ("t", "e1", "e2"):
+    directions = ("t", "e1", "e2")
+    for direction, *dAs in zip(directions, *deformation_ring(ctx.params, directions)):
         r, r_sub = (max(deformation_residual(ctx.params, direction, dA)["paired"].values())
-                    for dA in deformation_ring(ctx.params, direction))
+                    for dA in dAs)
         worst = max(worst, r)
         ratios.append(r_sub / max(r, 1e-30))
     if any(r < 1.5 for r in ratios):
@@ -696,10 +731,10 @@ def _admissible_neighbors(ctx, rng):
 
 def check_dlogtau_dt(ctx, rng):
     worst = gap = 0.0
-    points, used = _admissible_neighbors(ctx, rng)
+    points, used = ctx.neighbours
     for p in points:
         v = H_t(p)
-        d, d_sub = _ring(log_tau, p, "t", log=True)
+        (d,), (d_sub,) = _ring(log_tau, p, ["t"], log=True)
         worst = max(worst, abs(v - d) / max(1.0, abs(v)))
         gap = max(gap, abs(d - d_sub))
     return worst, f"sub-ring gap {gap:.2e}; {used}"
@@ -707,23 +742,20 @@ def check_dlogtau_dt(ctx, rng):
 
 def check_dlogtau_de(ctx, rng):
     worst = 0.0
-    points, used = _admissible_neighbors(ctx, rng)
+    points, used = ctx.neighbours
     for p in points:
-        for nu in (1, 2, 3):
+        ds, _ = _ring(log_tau, p, ["e1", "e2", "e3"], log=True)
+        for nu, d in zip((1, 2, 3), ds):
             v = H_nu(p, nu)
-            d, _ = _ring(log_tau, p, f"e{nu}", log=True)
             worst = max(worst, abs(v - d) / max(1.0, abs(v)))
     return worst, f"H_nu vs branch-continuous ring derivatives of log tau; {used}"
 
 
 def check_omega_closedness(ctx, rng):
-    p = ctx.params
-
-    def H(q):  # the 1-form's components (H_t, H_1, H_2, H_3) at q
-        return np.array([H_t(q)] + [H_nu(q, nu) for nu in (1, 2, 3)])
+    def H(q):  # the 1-form's components (H_t, H_1, H_2, H_3) at q, last
+        return np.stack([H_t(q)] + [H_nu(q, nu) for nu in (1, 2, 3)], axis=-1)
     # dH[i][j]: the derivative of component j along t (i = 0) or e_i
-    dH = [_ring(lambda q: H(q).T, p, "t")[0]] + [
-        _ring(H, p, f"e{nu}")[0] for nu in (1, 2, 3)]
+    dH, _ = _ring(H, ctx.params, ["t", "e1", "e2", "e3"])
     worst = max(abs(dH[j][i] - dH[i][j]) / max(1.0, abs(dH[j][i]))
                 for i in range(4) for j in range(i + 1, 4))
     return worst, "all six mixed partials of the 1-form"

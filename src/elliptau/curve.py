@@ -50,7 +50,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .elliptic import Lattice, lattice_from_periods, wp
+from .elliptic import Lattice, _any, _arg, lattice_from_periods, wp
 from .errors import ContourGeometryError, DegenerateParameterError, EllipTauError, QuadratureError
 
 
@@ -73,6 +73,8 @@ class BranchConfig:
     convention; moved() copies carry their root's chart.  The chart is part
     of equality and hash, so cached data never crosses between charts.  es,
     scale and min_gap (largest and smallest gap) are set at construction.
+    Branch points that are arrays make a batch, one configuration per entry,
+    whose es, gaps and algebra broadcast; no cache takes a batch.
     """
 
     e1: complex
@@ -81,12 +83,16 @@ class BranchConfig:
     chart: Chart | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        e1, e2, e3 = es = (complex(self.e1), complex(self.e2), complex(self.e3))
+        e1, e2, e3 = es = (_arg(self.e1), _arg(self.e2), _arg(self.e3))
         gaps = (abs(e1 - e2), abs(e1 - e3), abs(e2 - e3))
-        self.__dict__.update(es=es, scale=max(gaps), min_gap=min(gaps))
-        if self.min_gap <= 1e-8 * self.scale:
+        if any(isinstance(g, np.ndarray) for g in gaps):
+            gaps = np.broadcast_arrays(*gaps)
+            self.__dict__.update(es=es, scale=np.max(gaps, 0), min_gap=np.min(gaps, 0))
+        else:
+            self.__dict__.update(es=es, scale=max(gaps), min_gap=min(gaps))
+        if _any(self.min_gap <= 1e-8 * self.scale):
             raise ContourGeometryError(
-                f"branch points nearly collide: {es} (min gap {self.min_gap:.3e})")
+                f"branch points nearly collide: {es} (min gap {np.min(self.min_gap):.3e})")
 
     @property
     def e_sum(self):
@@ -587,14 +593,42 @@ def second_kind_periods(branches):
 # ---------------------------------------------------------------------------
 
 
+_abel_batched = {}  # (configuration, x) -> the value abel_values computed for it
+
+
 @lru_cache(maxsize=4096)
 def abel_with_y(branch, x):
-    """Sheet-1 Abel map value u(x) together with the sheet-1 value y(x)."""
+    """Sheet-1 Abel map value u(x) together with the sheet-1 value y(x); a
+    miss takes the value abel_values computed for it."""
     x = complex(x)
+    done = _abel_batched.get((branch, x))
+    if done is not None:
+        return done
     frame = _sheet_frame(branch)
     pieces = detoured_path(frame.anchor, x, branch.es, frame.clearance)
     val, y_end = path_integral(pieces, branch, frame.y_anchor)
     return frame.u_anchor + val, y_end
+
+
+def abel_values(branch, xs):
+    """abel_with_y(branch, x) of each point of xs, their paths integrated in
+    one path_integrals pass (a cached one again), each an abel_with_y cache
+    entry afterwards.  When one path fails they are taken one at a time, and
+    the first failing point raises its own error."""
+    frame, xs = _sheet_frame(branch), [complex(x) for x in xs]
+    paths = [detoured_path(frame.anchor, x, branch.es, frame.clearance) for x in xs]
+    try:
+        ends = path_integrals(paths, [branch] * len(xs), [frame.y_anchor] * len(xs))
+    except EllipTauError:
+        ends = []
+    added = {(branch, x): (frame.u_anchor + val, y)
+             for x, (val, y) in zip(xs, ends) if (branch, x) not in _abel_batched}
+    _abel_batched.update(added)
+    try:
+        return [abel_with_y(branch, x) for x in xs]
+    finally:
+        for key in added:
+            del _abel_batched[key]
 
 
 def x_from_u(branch, lat, u):
@@ -623,12 +657,18 @@ class HalfPeriodTable:
         return self.perm.index(nu)
 
 
+def half_period_values(lat):
+    """The half periods omega1/2, (omega1 + omega2)/2, omega2/2 of lat and
+    their quasi-period constants, by slot (a batch lattice: arrays)."""
+    return ((lat.omega1 / 2.0, (lat.omega1 + lat.omega2) / 2.0, lat.omega2 / 2.0),
+            (lat.eta1, lat.eta1 + lat.eta2, lat.eta2))
+
+
 @lru_cache(maxsize=64)
 def half_period_table(branch, lat):
     """The half periods of lat, the branch's lattice, matched to its branch
     points; built once per branch."""
-    tildes = (lat.omega1 / 2.0, (lat.omega1 + lat.omega2) / 2.0, lat.omega2 / 2.0)
-    etas = (lat.eta1, lat.eta1 + lat.eta2, lat.eta2)
+    tildes, etas = half_period_values(lat)
     te = branch.tilde_es
     perm = []
     for h in tildes:
@@ -661,19 +701,25 @@ class WpAtA:
     wp_ppp: complex
 
 
-def wp_alpha_relations(branch, a):
+def wp_alpha_relations(branch, a, near=None):
     """wp(alpha) = a - e_sum/3, wp'(alpha)^2 = 4 prod(a - e_nu),
     wp''(alpha) = 2 sum_{i<j} (a-e_i)(a-e_j); the sign of wp'(alpha) is the
-    sheet-1 y(a)."""
+    sheet-1 y(a), or given near (on a batch configuration, the wp'(alpha) of
+    the point it moved from) the sign of the root nearest it, by continuity."""
     a = complex(a)
     es = branch.es
-    if min(abs(a - e) for e in es) == 0:
+    if any(_any(a == e) for e in es):
         raise ContourGeometryError("a collides with a branch point")
     w = a - branch.e_sum / 3.0
     wpp = 2.0 * ((a - es[0]) * (a - es[1]) + (a - es[1]) * (a - es[2])
                  + (a - es[0]) * (a - es[2]))
-    _, y = abel_with_y(branch, a)
-    return WpAtA(w, branch.y_squared(a), y, wpp, 12.0 * w * y)
+    ysq = branch.y_squared(a)
+    if near is None:
+        _, y = abel_with_y(branch, a)
+    else:
+        y = np.sqrt(ysq)
+        y = np.where(np.abs(y - near) <= np.abs(y + near), y, -y)
+    return WpAtA(w, ysq, y, wpp, 12.0 * w * y)
 
 
 def local_inverse_coeffs(rel):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -37,6 +37,7 @@ from .curve import BranchConfig
 from .elliptic import (
     Lattice,
     ThetaChar,
+    _any,
     _math,
     _theta_rows,
     sigma,
@@ -44,6 +45,7 @@ from .elliptic import (
     sigma_char_dlog,
     sigma_char_du,
     sigma_du,
+    lattice_from_periods,
     wp,
     wp_prime,
     zeta,
@@ -61,14 +63,21 @@ class DeformationParams:
     theta-zero test, log tau and the Hamiltonians read, and what only Y, its
     coefficients and its monodromy read: alpha = u(a), the wp data at alpha,
     the half-period table and the chain phi -> sol -> coeffs.  A copy
-    (replace, moved) carries none of it.  With t an array of times, theta_jet,
-    log_tau and H_t evaluate elementwise."""
+    (replace, moved) carries none of it.
+
+    A batch point holds one point per entry: t an array of times (then
+    theta_jet, log_tau, H_t and the chain evaluate elementwise), or what
+    moved gives for an array of moves, a batch branch on one batch lattice
+    whose alpha, wp data and half periods come from its root, the point it
+    moved from.  Its Phi, Y and coefficient arrays carry the batch axes
+    after the axes of the points u or x, before a matrix's (2, 2)."""
 
     branch: BranchConfig
     lat: Lattice
     a: complex
     t: complex
     char: ThetaChar
+    root: DeformationParams | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def theta_jet(self):
@@ -77,15 +86,26 @@ class DeformationParams:
 
     @cached_property
     def alpha(self):
-        return _curve.abel_with_y(self.branch, self.a)[0]
+        """u(a); on a batch, Newton's method on wp(u) = a - e_sum/3 from the root's."""
+        r = self.root
+        if r is None:
+            return _curve.abel_with_y(self.branch, self.a)[0]
+        return _wp_inverse(self.lat, r.alpha, self.branch.e_sum / 3.0, self.a)
 
     @cached_property
     def wp_a(self):
-        return _curve.wp_alpha_relations(self.branch, self.a)
+        r = self.root
+        if r is None:
+            return _curve.wp_alpha_relations(self.branch, self.a)
+        return _curve.wp_alpha_relations(self.branch, self.a, r.wp_a.wp_prime)
 
     @cached_property
     def half_periods(self):
-        return _curve.half_period_table(self.branch, self.lat)
+        """The half-period table; a batch keeps the root's slots."""
+        r = self.root
+        if r is None:
+            return _curve.half_period_table(self.branch, self.lat)
+        return _curve.HalfPeriodTable(*_curve.half_period_values(self.lat), r.half_periods.perm)
 
     @cached_property
     def phi(self):
@@ -99,16 +119,30 @@ class DeformationParams:
     def coeffs(self):
         return coefficients(self, self.phi, self.sol)
 
-    @property
+    @cached_property
     def kappa(self):
         """wp''(alpha)/(2 wp'(alpha)) + zeta(2 alpha); the local exponent shift."""
         return (self.wp_a.wp_pp / (2.0 * self.wp_a.wp_prime)
                 + zeta(self.lat, 2.0 * self.alpha))
 
     def moved(self, nu, delta):
-        """The same point with the branch point e_nu moved by delta, on its lattice."""
-        b = self.branch.moved(nu, delta)
-        return replace(self, branch=b, lat=_curve.periods(b))
+        """The same point with the branch point e_nu moved by delta, on its
+        lattice.  An array of deltas gives one batch point of its shape, nu a
+        number or an array broadcast against it (0 moving t): its branch
+        points and t are arrays on this point's chart, with one batch
+        lattice from one periods_of call, and this point is its root."""
+        if np.ndim(delta) == 0:
+            b = self.branch.moved(nu, delta)
+            return replace(self, branch=b, lat=_curve.periods(b))
+        nu, delta = np.broadcast_arrays(nu, delta)
+        lats = iter(_curve.periods_of([self.branch.moved(k, d)
+                                       for k, d in zip(nu.flat, delta.flat) if k]))
+        lats = [next(lats) if k else self.lat for k in nu.flat]
+        lat = lattice_from_periods(*(np.reshape([getattr(l, w) for l in lats], delta.shape)
+                                     for w in ("omega1", "omega2")))
+        es = [e + np.where(nu == k, delta, 0) for k, e in enumerate(self.branch.es, 1)]
+        return replace(self, branch=BranchConfig(*es, chart=self.branch.root_chart), lat=lat,
+                       t=self.t + np.where(nu == 0, delta, 0), root=self)
 
 
 def theta_zero_errors(params):
@@ -192,10 +226,12 @@ class PhiMatrix:
 
     def rows(self, u, du=False):
         """PhiRows at u, from one call of each sigma function on all points;
-        with du also the derivatives, Pi' = (t/2) (wp(u - alpha) + wp(u + alpha))."""
+        with du also the derivatives, Pi' = (t/2) (wp(u - alpha) + wp(u + alpha)).
+        On a batch point u's last axes are the batch's."""
         p = self.params
         u = np.asarray(u, dtype=complex)
-        s = np.array([p.alpha, -p.alpha]).reshape((2, 1) + (1,) * u.ndim)
+        s = np.reshape([p.alpha, -p.alpha],
+                       (2, 1) + (1,) * (u.ndim - np.ndim(p.alpha)) + np.shape(p.alpha))
         uj = np.stack([u, -u])
         shifted, plain = uj + s + p.t, uj - s
         a, b = sigma_char(p.lat, p.char, shifted), sigma(p.lat, plain)
@@ -251,8 +287,25 @@ class MonodromyData:
     M: dict
 
 
+def _mat(a, b, c, d):
+    """[[a, b], [c, d]]; entries that are arrays give one matrix per entry
+    (their shape + (2, 2))."""
+    m = np.array(np.broadcast_arrays(a, b, c, d), dtype=complex)
+    return np.moveaxis(m, 0, -1).reshape(m.shape[1:] + (2, 2))
+
+
+def _columns(c0, c1):
+    """The matrix of columns c0, c1 (each of shape (2,) + batch shape)."""
+    return np.moveaxis(np.stack([c0, c1], axis=1), (0, 1), (-2, -1))
+
+
+def _each(x):
+    """A number, or an array of one per matrix of a stack, to scale matrices by."""
+    return np.asarray(x)[..., None, None]
+
+
 def _off_diag(m):
-    return np.array([[0.0, m], [-1.0 / m, 0.0]], dtype=complex)
+    return _mat(0.0, m, -1.0 / m, 0.0)
 
 
 def theoretical_monodromy(params):
@@ -279,8 +332,8 @@ class YSolution:
         p = params
         # sqrt(det Phi(a)) (G^(a))^{-1} in closed form; the branch of the
         # square root is fixed with it and everything downstream keeps it.
-        ek = cmath.exp(p.t * p.kappa / 2.0)
-        self.N = np.array([[0.0, ek], [-1.0 / ek, 0.0]], dtype=complex)
+        tk = p.t * p.kappa / 2.0
+        self.N = _off_diag(_math(tk).exp(tk))
         self.sqrt_det_a = sigma_char(p.lat, p.char, p.t) * sigma(p.lat, 2.0 * p.alpha)
         self.det_a = self.sqrt_det_a**2
 
@@ -292,15 +345,8 @@ class YSolution:
         p = self.params
         c1, c2, c3 = _curve.local_inverse_coeffs(p.wp_a)
         w = x - p.a
-        u = p.alpha + c1 * w + c2 * w * w + c3 * w**3
-        shift = p.branch.e_sum / 3.0
-        for _ in range(8):
-            f = wp(p.lat, u) + shift - x
-            du = f / wp_prime(p.lat, u)
-            u = u - du
-            if np.all(np.abs(du) <= 1e-14 * np.maximum(1.0, np.abs(u))):
-                break
-        return u
+        return _wp_inverse(p.lat, p.alpha + c1 * w + c2 * w * w + c3 * w**3,
+                           p.branch.e_sum / 3.0, x)
 
     def hatted(self, x):
         """Y(x) exp(-T^(a)(x)): analytic at a, equal to 1 + Y1 (x-a) + ...
@@ -349,10 +395,10 @@ class YSolution:
         s2a = sigma(p.lat, 2.0 * p.alpha)
         tk = p.t * p.kappa
         y21 = (-sigma_char(p.lat, p.char, 2.0 * p.alpha + p.t)
-               / (st * s2a * wp1)) * cmath.exp(-tk)
+               / (st * s2a * wp1)) * _math(tk).exp(-tk)
         y12 = (-sigma_char(p.lat, p.char, -2.0 * p.alpha + p.t)
-               / (st * s2a * wp1)) * cmath.exp(tk)
-        return np.array([[d11, y12], [y21, -d11]], dtype=complex)
+               / (st * s2a * wp1)) * _math(tk).exp(tk)
+        return _mat(d11, y12, y21, -d11)
 
     # -- global evaluation ---------------------------------------------------
 
@@ -377,9 +423,20 @@ def normalize_Y(params, phi):
     """Normalized fundamental solution with Y exp(-T^(a)) -> 1 at x = a, on
     the point's Phi."""
     sol = YSolution(params, phi)
-    if abs(sol.det_a) == 0:
+    if _any(sol.det_a == 0):
         raise DegenerateParameterError("det Phi(a) vanished; parameters degenerate")
     return sol
+
+
+def _wp_inverse(lat, u, shift, x):
+    """u refined by Newton's method on wp(u) + shift = x, until every point
+    converged (at most 8 steps)."""
+    for _ in range(8):
+        du = (wp(lat, u) + shift - x) / wp_prime(lat, u)
+        u = u - du
+        if np.all(np.abs(du) <= 1e-14 * np.maximum(1.0, np.abs(u))):
+            break
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +474,12 @@ def coefficients(params, phi, sol):
     Each finite branch point uses the half period lying over it.  D^(nu) is
     the slope of det Phi at that half period, which stays exact where phi or
     psi vanishes there.  The quarter powers use principal branches;
-    conjugation cancels any global quarter-power ambiguity in A_nu.
+    conjugation cancels any global quarter-power ambiguity in A_nu.  On a
+    batch point every matrix is a stack, one per entry (batch shape + (2, 2)).
     """
     p = params
     wp1 = p.wp_a.wp_prime
-    B_minus1 = np.diag([wp1 * p.t / 2.0, -wp1 * p.t / 2.0]).astype(complex)
+    B_minus1 = _mat(wp1 * p.t / 2.0, 0.0, 0.0, -wp1 * p.t / 2.0)
     # Expanding Y = (1 + Y1 w + ...) exp(-T_{-1}/w) gives the simple-pole
     # coefficient [Y1, T_{-1}]; it vanishes only at t = 0.  The numerical
     # residue of Y'Y^{-1} at a pins this down.
@@ -432,9 +490,11 @@ def coefficients(params, phi, sol):
     es = p.branch.es
     A, G, D = {}, {}, {}
     ks = [hpt.slot_of_branch(nu) for nu in (1, 2, 3)]
-    # the half periods over e1, e2, e3 and u = 0 in one evaluation: the rows
-    # phi, psi (column u of Phi) and their u-derivatives
-    r = phi.rows([hpt.omega_tilde[k] for k in ks] + [0j], du=True)
+    # the half periods over e1, e2, e3 and u = 0 in one evaluation, with the
+    # batch axes last: the rows phi, psi (column u of Phi) and their u-derivatives
+    shape = np.broadcast_shapes(np.shape(p.t), np.shape(p.lat.omega1))
+    r = phi.rows([np.broadcast_to(u, shape) for u in [hpt.omega_tilde[k] for k in ks] + [0j]],
+                 du=True)
     ex = np.exp(r.Pi)
     rows, drows = r.hat[:, 0] * ex, (r.hat_du[:, 0] + r.hat[:, 0] * r.Pi_du) * ex
     dets = r.det_du
@@ -442,19 +502,19 @@ def coefficients(params, phi, sol):
         eta_t = hpt.eta_tilde[k]
         m = slots[k]
         D[nu] = Dv = dets[i]
-        if abs(Dv) == 0:
+        if _any(Dv == 0):
             raise DegenerateParameterError(f"D at half period over e_{nu} vanished")
         e_t = [x for j, x in enumerate(es, start=1) if j != nu]
         wpp_half = 2.0 * (es[nu - 1] - e_t[0]) * (es[nu - 1] - e_t[1])
         quarter = (wpp_half / 2.0) ** 0.25
-        F = np.stack([rows[:, i], drows[:, i] - eta_t * rows[:, i]], axis=1)
-        pref = cmath.sqrt(2.0 * m) / cmath.sqrt(Dv * 1j)
-        G[nu] = Gn = sol.N @ (pref * F) @ np.diag([quarter, 1.0 / quarter])
+        F = _columns(rows[:, i], drows[:, i] - eta_t * rows[:, i])
+        pref = cmath.sqrt(2.0 * m) / _math(Dv).sqrt(Dv * 1j)
+        G[nu] = Gn = sol.N @ (_each(pref) * F) @ _mat(quarter, 0.0, 0.0, 1.0 / quarter)
         A[nu] = Gn @ np.diag([-0.25, 0.25]) @ np.linalg.inv(Gn)
     # frame at infinity: columns from the value and u-derivative of the row
     # functions at u = 0
-    root = cmath.sqrt(drows[0, 3] / rows[0, 3] - drows[1, 3] / rows[1, 3])
-    G["inf"] = sol.N @ np.stack([-1j * rows[:, 3], 1j * drows[:, 3]], axis=1) / root
+    q = drows[0, 3] / rows[0, 3] - drows[1, 3] / rows[1, 3]
+    G["inf"] = sol.N @ _columns(-1j * rows[:, 3], 1j * drows[:, 3]) / _each(_math(q).sqrt(q))
     return SystemCoefficients(a=p.a, es=es, B_minus1=B_minus1, B0=B0,
                               A=A, G=G, D=D)
 

@@ -39,10 +39,10 @@ from .errors import DegenerateParameterError
 
 
 def f_func(e1, e2, e3, a):
-    """f = -a + (e1+e2+e3)/3 + (1/2) prod(a-e) sum 1/(a-e)^2."""
-    es = (complex(e1), complex(e2), complex(e3))
-    a = complex(a)
-    if any(a == e for e in es):
+    """f = -a + (e1+e2+e3)/3 + (1/2) prod(a-e) sum 1/(a-e)^2; elementwise
+    in branch points that are arrays."""
+    es = (e1, e2, e3)
+    if any(_any(a == e) for e in es):
         raise DegenerateParameterError("a collides with a branch point")
     prod = (a - es[0]) * (a - es[1]) * (a - es[2])
     s = sum(1.0 / (a - e) ** 2 for e in es)
@@ -51,8 +51,7 @@ def f_func(e1, e2, e3, a):
 
 def df_de(e1, e2, e3, a, nu):
     """Closed-form derivative of f in the branch point e_nu."""
-    es = (complex(e1), complex(e2), complex(e3))
-    a = complex(a)
+    es = (e1, e2, e3)
     prod = (a - es[0]) * (a - es[1]) * (a - es[2])
     s = sum(1.0 / (a - e) ** 2 for e in es)
     d = a - es[nu - 1]
@@ -61,7 +60,7 @@ def df_de(e1, e2, e3, a, nu):
 
 def H_t(params):
     """dt-component of the 1-form: sigma[p,q]'(t)/sigma[p,q](t) + (t/2) f,
-    from the point's theta jet.  Elementwise when params.t is an array."""
+    from the point's theta jet.  Elementwise on a batch point."""
     p = params
     L = _char_dlog(p.lat, p.t, p.theta_jet)
     es = p.branch.es
@@ -114,7 +113,8 @@ def residue_formula(params, nu):
 
 
 def H_nu(params, nu):
-    """de_nu-component of the 1-form, in the five-term closed form."""
+    """de_nu-component of the 1-form, in the five-term closed form;
+    elementwise on a batch point."""
     p = params
     es = p.branch.es
     e = es[nu - 1]
@@ -129,14 +129,14 @@ def H_nu(params, nu):
 def log_tau(params):
     """log tau with principal-branch constants; only its derivatives are
     comparison-grade (tau itself is defined up to a constant factor).
-    Elementwise when params.t is an array."""
+    Elementwise on a batch point."""
     p = params
     es = p.branch.es
     val = np.log(p.theta_jet[0])
-    val -= 0.5 * cmath.log(p.lat.omega1)
+    val -= 0.5 * _math(p.lat.omega1).log(p.lat.omega1)
     for i in range(3):
         for j in range(i + 1, 3):
-            val -= 0.125 * cmath.log(es[i] - es[j])
+            val -= 0.125 * _math(es[i] - es[j]).log(es[i] - es[j])
     val += p.lat.eta1 * p.t**2 / (2.0 * p.lat.omega1)
     val += (p.t**2 / 4.0) * f_func(*es, p.a)
     return val

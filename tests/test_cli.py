@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -619,7 +620,7 @@ def test_anchor_tail_is_integrated_only_for_the_abel_map(tmp_path, monkeypatch):
         return abel(branch, x)
 
     monkeypatch.setattr(elliptau.curve, "_tail_g", counted_tail)
-    for module in (elliptau.curve, elliptau.checks, elliptau.monodromy):
+    for module in (elliptau.curve, elliptau.monodromy):
         monkeypatch.setattr(module, "abel_with_y", counted_abel)
     scenario = tmp_path / "golden.json"
     scenario.write_text(json.dumps(golden_dict()))
@@ -630,22 +631,55 @@ def test_anchor_tail_is_integrated_only_for_the_abel_map(tmp_path, monkeypatch):
 
 
 def test_failed_stage_is_built_once(monkeypatch):
-    calls = []
+    # (function the stage calls, the stage, its readers, the error raised);
+    # an EllipTauError from periods_of is taken as a bad draw, so it raises
+    # another error there
+    cases = [
+        ("make_params", "params", ["phi_transformation", "det_phi_zeros",
+                                   "y_normalization", "ode_residual"],
+         DegenerateParameterError),
+        ("admissible_branches", "branch_samples",
+         ["theta_constants", "domega_de", "dlog_omega1_de", "quasiperiod_ratio_derivative"],
+         DegenerateParameterError),
+        ("periods_of", "branch_ring",
+         ["domega_de", "dlog_omega1_de", "quasiperiod_ratio_derivative"], RuntimeError),
+        ("periods_of", "neighbours", ["dlogtau_dt", "dlogtau_de"], RuntimeError),
+    ]
+    for function, stage, names, error in cases:
+        calls = []
 
-    def failing(*args, **kwargs):
-        calls.append(args)
-        raise DegenerateParameterError("forced stage failure")
+        def failing(*args, **kwargs):
+            calls.append(args)
+            raise error("forced stage failure")
 
-    monkeypatch.setattr(elliptau.checks, "make_params", failing)
-    names = ["phi_transformation", "det_phi_zeros", "y_normalization",
-             "ode_residual"]
-    rep = run_checks(GOLDEN, checks=names)
-    assert len(calls) == 1
-    assert [r.name for r in rep.results] == names
-    for r in rep.results:
-        assert r.status == "fail"
-        assert r.notes == ("error: DegenerateParameterError in stage 'params': "
-                           "forced stage failure")
+        with monkeypatch.context() as mp:
+            mp.setattr(elliptau.checks, function, failing)
+            rep = run_checks(GOLDEN, checks=names)
+        assert len(calls) == 1, stage
+        assert [r.name for r in rep.results] == names
+        for r in rep.results:
+            assert r.status == "fail"
+            assert r.notes == (f"error: {error.__name__} in stage {stage!r}: "
+                               "forced stage failure")
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_shared_draws_do_not_depend_on_which_checks_run(seed):
+    # the checks that read the shared branch samples, branch ring and
+    # neighbours give the same residual run alone, in their suite and in the
+    # full run: each shared stage draws from its own stream
+    scenario = GOLDEN if seed is None else replace(GOLDEN, seed=seed)
+    names = ["theta_constants", "domega_de", "dlog_omega1_de",
+             "quasiperiod_ratio_derivative", "dlogtau_dt", "dlogtau_de"]
+
+    def residuals(checks):
+        rep = run_checks(scenario, checks=checks).to_json_dict()
+        return {c["name"]: c["residual"] for c in rep["checks"] if c["name"] in names}
+
+    full = residuals(None)
+    suites = {**residuals(["branch"]), **residuals(["tau"])}
+    alone = {name: residuals([name])[name] for name in names}
+    assert full == suites == alone
 
 
 def test_cli_tau_bad_grid_exits_2(tmp_path):

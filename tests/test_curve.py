@@ -22,6 +22,7 @@ from elliptau.curve import (
     _period_data_batch,
     _lattice_coords,
     _sheet_frame,
+    abel_values,
     abel_with_y,
     chords,
     dOmega_de,
@@ -171,6 +172,21 @@ def test_verify_integrates_the_scenario_cycles_once(monkeypatch):
     monkeypatch.setattr(elliptau.curve, "_cycle_integrals", counted)
     assert run_checks(GOLDEN).overall == "pass"
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("seed", [None, 3, 4])
+def test_many_point_abel_values_equal_one_at_a_time(seed):
+    # one path_integrals pass for all points gives each point's u and y bit
+    # for bit, and leaves each as an abel_with_y cache entry
+    b = _scenario_branch(seed)
+    rng = SplitMix64(0xAB + (seed or 0))
+    xs = [b.centroid + 1.7 * b.scale * rng.complex_box() for _ in range(12)]
+    alone = [abel_with_y.__wrapped__(b, x) for x in xs]
+    misses = abel_with_y.cache_info().misses
+    assert abel_values(b, xs) == alone
+    assert abel_with_y.cache_info().misses == misses + len(xs)
+    assert [abel_with_y(b, x) for x in xs] == alone
+    assert abel_with_y.cache_info().misses == misses + len(xs)
 
 
 def test_moved_of_moved_carries_the_root_chart(golden_branch):

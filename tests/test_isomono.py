@@ -290,12 +290,12 @@ def test_ode_residual_on_circle(golden):
 def test_deformation_equation_paired_reading(golden):
     p = golden.params
     for direction in ("t", "e1", "e3"):
-        dA, _ = deformation_ring(p, direction)
+        (dA,), _ = deformation_ring(p, [direction])
         r = deformation_residual(p, direction, dA)
         assert max(r["paired"].values()) < 1e-5
     # the ring derivative rejects the single-differential reading, where the
     # commutator sum multiplies de_nu alone and B_0 does not enter
-    dA, _ = deformation_ring(p, "e2")
+    (dA,), _ = deformation_ring(p, ["e2"])
     r = deformation_residual(p, "e2", dA)
     assert max(r["paired"].values()) < 1e-5
     co = golden.coeffs
@@ -316,7 +316,7 @@ def test_deformation_equation_paired_reading(golden):
 
 def test_deformation_residual_shrinks_quadratically(golden):
     # the 2-point sub-ring errs by (r/R)^2, the 4-point ring by its square
-    dA, dA_sub = deformation_ring(golden.params, "e1")
+    (dA,), (dA_sub,) = deformation_ring(golden.params, ["e1"])
     r = deformation_residual(golden.params, "e1", dA)
     r_sub = deformation_residual(golden.params, "e1", dA_sub)
     assert max(r["paired"].values()) < 1e-3 * max(r_sub["paired"].values())
@@ -383,8 +383,9 @@ def test_deformation_check_reuses_base_stage(golden, monkeypatch):
 
     monkeypatch.setattr(elliptau.isomono, "coefficients", counted)
     check_deformation_equation(golden, None)
-    # three rings (t, e1, e2), one coefficient build at each of their 4 nodes
-    assert len(calls) == 12
+    # three rings (t, e1, e2), one coefficient build on the batch point of
+    # all their nodes
+    assert len(calls) == 1
     assert all(q is not p for q in calls)
 
 
@@ -409,12 +410,12 @@ def test_point_builds_its_chain_once(golden_branch, monkeypatch):
         assert not {"phi", "sol", "coeffs"} & set(vars(q))
         assert q.sol is not p.sol and q.sol.params is q
         assert not np.array_equal(q.coeffs.A[1], p.coeffs.A[1])
-    # a verify builds each chain once: the base point, the 12 deformation-ring
-    # nodes and the 4 moved points of the monodromy-invariance check
+    # a verify builds each chain once: the base point, the batch point of the
+    # deformation rings and the 4 moved points of the monodromy-invariance check
     for name in calls:
         calls[name].clear()
     assert run_checks(GOLDEN).overall == "pass"
-    assert [len(c) for c in calls.values()] == [17, 17, 17]
+    assert [len(c) for c in calls.values()] == [6, 6, 6]
 
 
 def _scalar_y_ring_moments(sol, radius, npoints, orders):
@@ -539,6 +540,88 @@ def test_golden_verify_stays_array_first(monkeypatch):
     assert len(passes) <= 8
     assert len(node_passes) <= 146
     assert passes[0] <= 140
+
+
+def test_golden_verify_draws_each_sample_and_ring_once(monkeypatch):
+    # from cold caches, the branch checks share one set of sampled branches
+    # and one ring of them, the two dlogtau checks one set of neighbours, and
+    # each t or e_nu ring of a point is one batch point: at most 54 cycle
+    # integrals (116 when each check drew and ringed its own), at most 20
+    # theta-kernel calls in dlogtau_de (114 size-1 ones, one per node) and 40
+    # in deformation_equation (148), and the Abel values of abel_roundtrip in
+    # one path_integrals pass (50, one per point)
+    for module in (elliptau.elliptic, elliptau.curve, elliptau.isomono):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    current, cycles, kernel, node_passes = [None], [], [], []
+    block = elliptau.elliptic._theta_block
+    cycle_integrals = elliptau.curve._cycle_integrals
+    integrals = elliptau.curve.path_integrals
+
+    def counted_block(*args):
+        kernel.append(current[0])
+        return block(*args)
+
+    def counted_cycles(branches, *args, **kwargs):
+        cycles.extend(current * len(branches))
+        return cycle_integrals(branches, *args, **kwargs)
+
+    def counted_integrals(*args, **kwargs):
+        node_passes.append(current[0])
+        return integrals(*args, **kwargs)
+
+    def named(name, check):
+        def run(ctx, rng):
+            current[0] = name
+            try:
+                return check(ctx, rng)
+            finally:
+                current[0] = None
+        return run
+
+    monkeypatch.setattr(elliptau.elliptic, "_theta_block", counted_block)
+    monkeypatch.setattr(elliptau.curve, "_cycle_integrals", counted_cycles)
+    for module in (elliptau.curve, elliptau.monodromy, elliptau.checks):
+        monkeypatch.setattr(module, "path_integrals", counted_integrals)
+    for name, (check, suite, tol) in elliptau.checks.CHECKS.items():
+        monkeypatch.setitem(elliptau.checks.CHECKS, name, (named(name, check), suite, tol))
+    assert run_checks(GOLDEN).overall == "pass"
+    assert len(cycles) <= 54
+    assert kernel.count("dlogtau_de") <= 20
+    assert kernel.count("deformation_equation") <= 40
+    assert node_passes.count("abel_roundtrip") == 1
+
+
+@pytest.mark.parametrize("seed", [None, 3, 4])
+def test_a_batch_point_equals_its_nodes_one_by_one(seed):
+    # a t ring, each e_nu ring and all four rings as one batch point: log tau,
+    # the Hamiltonians, A_nu and B_0 of each entry are those of its node as a
+    # point of its own, to 1e-14 relative (alpha by Newton from the root on
+    # the batch, by the Abel map on the node)
+    s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
+    p = make_params(s.branch, s.a, s.t, s.p, s.q)
+    w = 1e-3 * np.exp(2j * math.pi * (np.arange(4) + 0.25) / 4)
+
+    def node(nu, d):
+        return replace(p, t=p.t + d) if nu == 0 else p.moved(nu, d)
+
+    def values(q):
+        co = q.coeffs
+        return ([log_tau(q), H_t(q)] + [H_nu(q, nu) for nu in (1, 2, 3)]
+                + [co.A[nu] for nu in (1, 2, 3)] + [co.B0])
+
+    nus = np.arange(4)[:, None]
+    batches = [(replace(p, t=p.t + w), np.zeros((1, 4), int))]
+    batches += [(p.moved(nu, w), np.full((1, 4), nu)) for nu in (1, 2, 3)]
+    batches += [(p.moved(nus, np.broadcast_to(w, (4, 4))), np.broadcast_to(nus, (4, 4)))]
+    for batch, which in batches:
+        got = values(batch)
+        for idx in np.ndindex(which.shape):
+            ref = values(node(which[idx], w[idx[-1]]))
+            at = idx[-np.ndim(got[0]):]
+            for g, r in zip(got, ref):
+                assert np.max(np.abs(g[at] - r)) <= 1e-14 * np.max(np.abs(r)), (idx, seed)
 
 
 def test_verify_evaluates_each_shared_ring_once(monkeypatch):
