@@ -62,7 +62,6 @@ from .monodromy import (
 )
 from .scenario import admissible_branches, check_stream
 from .tau import (
-    SigmaShiftParams,
     H_nu,
     H_t,
     sigma_shift_dlog_tau_dt,
@@ -786,53 +785,51 @@ def check_h_t_residue_oracle(ctx, rng):
 # ---------------------------------------------------------------------------
 
 
-def _shift_params(ctx, l):
+def _shift_point(ctx):
+    """The scenario point, or that point at t = 0.1 when |t| <= 1e-3."""
     p = ctx.params
-    return SigmaShiftParams(l, p.t if abs(p.t) > 1e-3 else 0.1, p.alpha, p.lat)
+    return p if abs(p.t) > 1e-3 else replace(p, t=0.1)
 
 
 def check_shifted_tau_at_zero(ctx, rng):
-    worst = 0.0
+    worst, q = 0.0, replace(ctx.params, t=0.0)
     for l in (-1, 1, 2):
-        ap = _shift_params(ctx, l)
-        lhs = sigma_shift_tau(replace(ap, t=0.0))
-        rhs = sigma(ap.lat, 2 * l * ap.alpha)
+        lhs = sigma_shift_tau(q, l)
+        rhs = sigma(q.lat, 2 * l * q.alpha)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return worst, "tau_l(0) = sigma(2 l alpha)"
 
 
 def check_shifted_tau_dlog(ctx, rng):
-    worst = 0.0
+    worst, q = 0.0, _shift_point(ctx)
     for l in (-1, 0, 1, 2):
-        ap = _shift_params(ctx, l)
         d, _ = ring_derivative(
-            lambda ts: np.log(sigma_shift_tau(replace(ap, t=ts))),
-            ap.t, _lattice_distance(ap.lat, ap.t + 2 * l * ap.alpha), log=True)  # tau_l zeros
-        cl = sigma_shift_dlog_tau_dt(ap)
+            lambda ts: np.log(sigma_shift_tau(replace(q, t=ts), l)),
+            q.t, _lattice_distance(q.lat, q.t + 2 * l * q.alpha), log=True)  # tau_l zeros
+        cl = sigma_shift_dlog_tau_dt(q, l)
         worst = max(worst, abs(cl - d) / max(1.0, abs(cl)))
     return worst, "closed d/dt log tau_l vs ring derivative, l in {-1,0,1,2}"
 
 
 def check_shifted_tau_trace(ctx, rng):
-    worst = 0.0
+    worst, q = 0.0, _shift_point(ctx)
     for l in (-1, 0, 1, 2):
-        worst = max(worst, sigma_shift_trace_residual(
-            _shift_params(ctx, l)))
+        worst = max(worst, sigma_shift_trace_residual(q, l))
     return worst, "wp' tr(Y1 diag(1/2,-1/2)) vs d/dt log tau_l"
 
 
 def check_shifted_tau_cross_family(ctx, rng):
     # identify sigma[p,q] with the 2 l alpha shift: the multipliers match for
     # p = 1/2 + eta1 l alpha / (pi i), q = 1/2 - eta2 l alpha / (pi i)
-    ap = _shift_params(ctx, 1)
-    lat, l, al = ap.lat, ap.l, ap.alpha
+    q, l = _shift_point(ctx), 1
+    lat, al = q.lat, q.alpha
     pc = 0.5 + lat.eta1 * l * al / (1j * math.pi)
     qc = 0.5 - lat.eta2 * l * al / (1j * math.pi)
-    main = replace(ctx.params, char=ThetaChar(pc, qc))
-    distance = _lattice_distance(lat, ap.t + 2 * l * al)  # to a zero of sigma(t + 2 l alpha)
-    d2_main, _ = ring_derivative(lambda ts: H_t(replace(main, t=ts)), ap.t, distance)
-    d2_app, _ = ring_derivative(lambda ts: sigma_shift_dlog_tau_dt(replace(ap, t=ts)),
-                                ap.t, distance)
+    main = replace(q, char=ThetaChar(pc, qc))
+    distance = _lattice_distance(lat, q.t + 2 * l * al)  # to a zero of sigma(t + 2 l alpha)
+    d2_main, _ = ring_derivative(lambda ts: H_t(replace(main, t=ts)), q.t, distance)
+    d2_app, _ = ring_derivative(lambda ts: sigma_shift_dlog_tau_dt(replace(q, t=ts), l),
+                                q.t, distance)
     return abs(d2_main - d2_app) / max(1.0, abs(d2_app)), \
         "second t-derivatives of log tau agree across the two constructions"
 

@@ -593,17 +593,10 @@ def second_kind_periods(branches):
 # ---------------------------------------------------------------------------
 
 
-_abel_batched = {}  # (configuration, x) -> the value abel_values computed for it
-
-
 @lru_cache(maxsize=4096)
 def abel_with_y(branch, x):
-    """Sheet-1 Abel map value u(x) together with the sheet-1 value y(x); a
-    miss takes the value abel_values computed for it."""
+    """Sheet-1 Abel map value u(x) together with the sheet-1 value y(x)."""
     x = complex(x)
-    done = _abel_batched.get((branch, x))
-    if done is not None:
-        return done
     frame = _sheet_frame(branch)
     pieces = detoured_path(frame.anchor, x, branch.es, frame.clearance)
     val, y_end = path_integral(pieces, branch, frame.y_anchor)
@@ -612,23 +605,16 @@ def abel_with_y(branch, x):
 
 def abel_values(branch, xs):
     """abel_with_y(branch, x) of each point of xs, their paths integrated in
-    one path_integrals pass (a cached one again), each an abel_with_y cache
-    entry afterwards.  When one path fails they are taken one at a time, and
-    the first failing point raises its own error."""
+    one path_integrals pass; no abel_with_y cache entry is read or filled.
+    When one path fails they are taken one at a time through abel_with_y,
+    and the first failing point raises its own error."""
     frame, xs = _sheet_frame(branch), [complex(x) for x in xs]
     paths = [detoured_path(frame.anchor, x, branch.es, frame.clearance) for x in xs]
     try:
         ends = path_integrals(paths, [branch] * len(xs), [frame.y_anchor] * len(xs))
     except EllipTauError:
-        ends = []
-    added = {(branch, x): (frame.u_anchor + val, y)
-             for x, (val, y) in zip(xs, ends) if (branch, x) not in _abel_batched}
-    _abel_batched.update(added)
-    try:
         return [abel_with_y(branch, x) for x in xs]
-    finally:
-        for key in added:
-            del _abel_batched[key]
+    return [(frame.u_anchor + val, y) for val, y in ends]
 
 
 def x_from_u(branch, lat, u):
@@ -695,7 +681,6 @@ class WpAtA:
     """Algebraic values of wp and derivatives at alpha = u(a), sheet 1."""
 
     wp: complex
-    wp_prime_sq: complex
     wp_prime: complex  # signed, sheet-1 branch
     wp_pp: complex
     wp_ppp: complex
@@ -713,13 +698,12 @@ def wp_alpha_relations(branch, a, near=None):
     w = a - branch.e_sum / 3.0
     wpp = 2.0 * ((a - es[0]) * (a - es[1]) + (a - es[1]) * (a - es[2])
                  + (a - es[0]) * (a - es[2]))
-    ysq = branch.y_squared(a)
     if near is None:
         _, y = abel_with_y(branch, a)
     else:
-        y = np.sqrt(ysq)
+        y = np.sqrt(branch.y_squared(a))
         y = np.where(np.abs(y - near) <= np.abs(y + near), y, -y)
-    return WpAtA(w, ysq, y, wpp, 12.0 * w * y)
+    return WpAtA(w, y, wpp, 12.0 * w * y)
 
 
 def local_inverse_coeffs(rel):

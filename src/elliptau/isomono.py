@@ -47,6 +47,7 @@ from .elliptic import (
     sigma_du,
     lattice_from_periods,
     wp,
+    wp_n,
     wp_prime,
     zeta,
 )
@@ -62,8 +63,9 @@ class DeformationParams:
     and the characteristic.  Derived at first read: theta_jet, which the
     theta-zero test, log tau and the Hamiltonians read, and what only Y, its
     coefficients and its monodromy read: alpha = u(a), the wp data at alpha,
-    the half-period table and the chain phi -> sol -> coeffs.  A copy
-    (replace, moved) carries none of it.
+    the half-period table and the chain phi -> sol -> coeffs; and wp_series,
+    which the sigma-shift family of tau reads.  A copy (replace, moved)
+    carries none of it.
 
     A batch point holds one point per entry: t an array of times (then
     theta_jet, log_tau, H_t and the chain evaluate elementwise), or what
@@ -100,6 +102,13 @@ class DeformationParams:
         return _curve.wp_alpha_relations(self.branch, self.a, r.wp_a.wp_prime)
 
     @cached_property
+    def wp_series(self):
+        """(wp, wp', wp'', wp''') at alpha from the theta series on the point's
+        lattice: the sigma-shift family of tau tests sigma and zeta against them."""
+        lat, al = self.lat, self.alpha
+        return wp(lat, al), wp_prime(lat, al), wp_n(lat, al, 2), wp_n(lat, al, 3)
+
+    @cached_property
     def half_periods(self):
         """The half-period table; a batch keeps the root's slots."""
         r = self.root
@@ -127,11 +136,13 @@ class DeformationParams:
 
     def moved(self, nu, delta):
         """The same point with the branch point e_nu moved by delta, on its
-        lattice.  An array of deltas gives one batch point of its shape, nu a
-        number or an array broadcast against it (0 moving t): its branch
-        points and t are arrays on this point's chart, with one batch
-        lattice from one periods_of call, and this point is its root."""
+        lattice, or with t moved for nu = 0.  An array of deltas gives one
+        batch point of its shape, nu a number or an array broadcast against
+        it: its branch points and t are arrays on this point's chart, with
+        one batch lattice from one periods_of call, and this point is its root."""
         if np.ndim(delta) == 0:
+            if nu == 0:
+                return replace(self, t=self.t + delta)
             b = self.branch.moved(nu, delta)
             return replace(self, branch=b, lat=_curve.periods(b))
         nu, delta = np.broadcast_arrays(nu, delta)
@@ -175,10 +186,7 @@ def make_params(branch, a, t, p, q):
 
 def shifted_params(params, direction, delta):
     """The same point with t ('t') or one branch point ('e1'/'e2'/'e3') moved by delta."""
-    p = params
-    moved = (replace(p, t=p.t + delta) if direction == "t"
-             else p.moved(int(direction[1]), delta))
-    return _theta_checked(moved)
+    return _theta_checked(params.moved(0 if direction == "t" else int(direction[1]), delta))
 
 
 @dataclass(frozen=True)

@@ -11,19 +11,19 @@ with f the rational function of (e1, e2, e3, a) below.  tau is defined up to
 a multiplicative constant, so every comparison here is a logarithmic
 derivative.  The module also carries the zero-sum-lattice family
 tau_l = sigma(t + 2 l alpha) exp h_l(t) built from shifted sigma quotients.
+Each function of it reads a deformation point and a shift index l: the
+point's lattice, alpha = u(a), t (elementwise when t is an array) and
+wp_series, the series values of wp and its first three derivatives at alpha.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .curve import dOmega_de, dlog_omega1_de, quasiperiod_ratio_derivative
 from .elliptic import (
-    Lattice,
     _any,
     _char_dlog,
     _math,
@@ -31,8 +31,6 @@ from .elliptic import (
     sigma_char_dlog,
     theta_dOmega,
     wp,
-    wp_n,
-    wp_prime,
     zeta,
 )
 from .errors import DegenerateParameterError
@@ -147,81 +145,64 @@ def log_tau(params):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SigmaShiftParams:
-    """Shift index l, time t, base point alpha on a zero-sum lattice; wp_data
-    is wp and its first three derivatives at alpha, derived at first read."""
-
-    l: int
-    t: complex
-    alpha: complex
-    lat: Lattice
-
-    @cached_property
-    def wp_data(self):
-        lat, al = self.lat, self.alpha
-        return wp(lat, al), wp_prime(lat, al), wp_n(lat, al, 2), wp_n(lat, al, 3)
-
-
-def _c0(ap, t, l):
-    lat, al = ap.lat, ap.alpha
-    _, wp1, wpp, _ = ap.wp_data
+def _c0(p, t, l):
+    lat, al = p.lat, p.alpha
+    _, wp1, wpp, _ = p.wp_series
     return (sigma(lat, 2 * al) ** (-l)
             * sigma(lat, t + 2 * l * al)
             * cmath.exp(-(t / 2.0) * zeta(lat, 2 * al)
                         - (t / 4.0) * wpp / wp1))
 
 
-def _c1(ap, t, l):
-    lat, al = ap.lat, ap.alpha
+def _c1(p, t, l):
+    lat, al = p.lat, p.alpha
     return (zeta(lat, t + 2 * l * al)
             - l * zeta(lat, 2 * al)
             + (t / 2.0) * wp(lat, 2 * al))
 
 
-def _growth_coefficient(ap):
+def _growth_coefficient(p):
     """wp(2a) + wp''(a)^2/(4 wp'(a)^2) - wp'''(a)/(6 wp'(a)); equals f on a
     zero-sum configuration."""
-    lat, al = ap.lat, ap.alpha
-    _, wp1, wpp, wppp = ap.wp_data
-    return wp(lat, 2 * al) + wpp**2 / (4.0 * wp1**2) - wppp / (6.0 * wp1)
+    _, wp1, wpp, wppp = p.wp_series
+    return wp(p.lat, 2 * p.alpha) + wpp**2 / (4.0 * wp1**2) - wppp / (6.0 * wp1)
 
 
-def sigma_shift_h(ap):
-    _, wp1, wpp, _ = ap.wp_data
-    lat, al, t, l = ap.lat, ap.alpha, ap.t, ap.l
-    return ((t * t / 4.0) * _growth_coefficient(ap)
+def sigma_shift_h(p, l):
+    _, wp1, wpp, _ = p.wp_series
+    lat, al, t = p.lat, p.alpha, p.t
+    return ((t * t / 4.0) * _growth_coefficient(p)
             - t * l * (zeta(lat, 2 * al) + wpp / (2.0 * wp1)))
 
 
-def sigma_shift_tau(ap):
-    """tau_l(t) = sigma(t + 2 l alpha) exp h_l(t); elementwise when ap.t is an array."""
-    s = sigma(ap.lat, ap.t + 2 * ap.l * ap.alpha)
+def sigma_shift_tau(p, l):
+    """tau_l(t) = sigma(t + 2 l alpha) exp h_l(t); elementwise when p.t is an array."""
+    s = sigma(p.lat, p.t + 2 * l * p.alpha)
     if _any(s == 0):
         raise DegenerateParameterError("sigma(t + 2 l alpha) vanishes")
-    return s * _math(s).exp(sigma_shift_h(ap))
+    return s * _math(s).exp(sigma_shift_h(p, l))
 
 
-def sigma_shift_dlog_tau_dt(ap):
+def sigma_shift_dlog_tau_dt(p, l):
     """d/dt log tau_l in closed form; elementwise in t."""
-    lat, al, t, l = ap.lat, ap.alpha, ap.t, ap.l
-    _, wp1, wpp, _ = ap.wp_data
+    lat, al, t = p.lat, p.alpha, p.t
+    _, wp1, wpp, _ = p.wp_series
     return (zeta(lat, t + 2 * l * al)
-            + (t / 2.0) * _growth_coefficient(ap)
+            + (t / 2.0) * _growth_coefficient(p)
             - l * (zeta(lat, 2 * al) + wpp / (2.0 * wp1)))
 
 
-def sigma_shift_y1(ap):
+def sigma_shift_y1(p, l):
     """First expansion matrix of the normalized solution at x = wp(alpha).
 
     The diagonal shift carries wp''/(2 wp'^2) (half the raw quotient): the
     half factor is what makes the trace identity with d/dt log tau_l close.
     """
-    _, wp1, wpp, wppp = ap.wp_data
-    t, l = ap.t, ap.l
+    _, wp1, wpp, wppp = p.wp_series
+    t = p.t
     core = np.array([
-        [_c1(ap, t, l), _c0(ap, -t, 1 - l) / _c0(ap, t, l)],
-        [_c0(ap, t, l + 1) / _c0(ap, -t, -l), _c1(ap, -t, -l)],
+        [_c1(p, t, l), _c0(p, -t, 1 - l) / _c0(p, t, l)],
+        [_c0(p, t, l + 1) / _c0(p, -t, -l), _c1(p, -t, -l)],
     ], dtype=complex) / wp1
     pole_shift = (t / 2.0) * (wpp**2 / (4.0 * wp1**3) - wppp / (6.0 * wp1**2))
     core += pole_shift * np.diag([1.0, -1.0])
@@ -229,10 +210,10 @@ def sigma_shift_y1(ap):
     return core
 
 
-def sigma_shift_trace_residual(ap):
+def sigma_shift_trace_residual(p, l):
     """|wp'(alpha) tr(Y1 diag(1/2,-1/2)) - d/dt log tau_l|, relative."""
-    _, wp1, _, _ = ap.wp_data
-    Y1 = sigma_shift_y1(ap)
+    _, wp1, _, _ = p.wp_series
+    Y1 = sigma_shift_y1(p, l)
     lhs = wp1 * 0.5 * (Y1[0, 0] - Y1[1, 1])
-    rhs = sigma_shift_dlog_tau_dt(ap)
+    rhs = sigma_shift_dlog_tau_dt(p, l)
     return abs(lhs - rhs) / max(1.0, abs(rhs))

@@ -177,16 +177,13 @@ def test_verify_integrates_the_scenario_cycles_once(monkeypatch):
 @pytest.mark.parametrize("seed", [None, 3, 4])
 def test_many_point_abel_values_equal_one_at_a_time(seed):
     # one path_integrals pass for all points gives each point's u and y bit
-    # for bit, and leaves each as an abel_with_y cache entry
+    # for bit
     b = _scenario_branch(seed)
     rng = SplitMix64(0xAB + (seed or 0))
     xs = [b.centroid + 1.7 * b.scale * rng.complex_box() for _ in range(12)]
     alone = [abel_with_y.__wrapped__(b, x) for x in xs]
-    misses = abel_with_y.cache_info().misses
     assert abel_values(b, xs) == alone
-    assert abel_with_y.cache_info().misses == misses + len(xs)
     assert [abel_with_y(b, x) for x in xs] == alone
-    assert abel_with_y.cache_info().misses == misses + len(xs)
 
 
 def test_moved_of_moved_carries_the_root_chart(golden_branch):
@@ -450,9 +447,8 @@ def test_abel_roundtrip_random_points(golden_branch, golden_lattice):
 def test_wp_alpha_relations_golden(golden_branch, golden_lattice):
     rel = wp_alpha_relations(golden_branch, 2.0)
     assert abs(rel.wp - 2.0) < 1e-14
-    assert abs(rel.wp_prime_sq - 24.0) < 1e-12
+    assert abs(rel.wp_prime**2 - 24.0) < 1e-12
     assert abs(rel.wp_pp - 22.0) < 1e-12
-    assert abs(rel.wp_prime**2 - rel.wp_prime_sq) < 1e-12
     # transcendental cross-check through the Abel map
     alpha, _ = abel_with_y(golden_branch, 2.0)
     assert abs(wp(golden_lattice, alpha) - rel.wp) < 1e-9

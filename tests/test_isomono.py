@@ -703,3 +703,23 @@ def test_translating_the_curve_changes_nothing():
             got = values([e + c for e in s.e], s.a + c, s)
             for g, r in zip(got, ref):
                 assert abs(g - r) <= 1e-12 * abs(r), (k, j, c)
+
+
+def test_moving_t_by_a_number_moves_t_and_no_branch_point():
+    # nu = 0 moves t, for a number as for an array of moves
+    p = make_params(GOLDEN.branch, GOLDEN.a, GOLDEN.t, GOLDEN.p, GOLDEN.q)
+    moved = p.moved(0, 1e-3)
+    assert moved.t == p.t + 1e-3
+    assert moved.branch.es == p.branch.es and moved.lat == p.lat
+    assert moved == shifted_params(p, "t", 1e-3)
+
+
+@pytest.mark.parametrize("seed", [None, 3, 4, 5])
+def test_wp_series_agrees_with_the_algebraic_wp_data(seed):
+    # the theta-series values of wp and its derivatives at alpha against the
+    # closed forms in a and the branch points
+    s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
+    p = make_params(s.branch, s.a, s.t, s.p, s.q)
+    rel = p.wp_a
+    for got, ref in zip(p.wp_series, (rel.wp, rel.wp_prime, rel.wp_pp, rel.wp_ppp)):
+        assert abs(got - ref) <= 1e-13 * abs(ref)

@@ -50,6 +50,7 @@ MUTANTS = {
     "sigma_shift_dlog_tau_dt": ("tau", "sigma_shift_dlog_tau_dt", _scaled,
                                 ("shifted_tau_dlog", "shifted_tau_trace")),
     "sigma_shift_tau": ("tau", "sigma_shift_tau", _scaled, ("shifted_tau_at_zero",)),
+    "sigma_shift_y1": ("tau", "sigma_shift_y1", _scaled, ("shifted_tau_trace",)),
     "theoretical_monodromy M": ("isomono", "theoretical_monodromy", _scaled_field("M"),
                                 ("monodromy_match",)),
     "YSolution.y1_closed_form": (None, "y1_closed_form", _scaled, ("y1_closed_form",)),

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from elliptau.errors import DegenerateParameterError
 from elliptau.isomono import make_params, shifted_params
 from elliptau.scenario import SplitMix64
 from elliptau.tau import (
-    SigmaShiftParams,
     H_nu,
     H_t,
     _c0,
@@ -158,73 +158,67 @@ def test_one_form_closedness(golden_ctx):
 
 
 @pytest.fixture(scope="module")
-def zs_lattice(golden_lattice):
-    return golden_lattice
+def zs_point(golden_branch, golden_lattice):
+    # golden is a zero-sum configuration, so wp(u) is the point x = a of u
+    return make_params(golden_branch, wp(golden_lattice, 0.4 + 0.15j), 0.12 + 0.05j,
+                       0.3, 0.2)
 
 
-def test_shifted_tau_at_zero(zs_lattice):
-    alpha = 0.4 + 0.15j
+def test_shifted_tau_at_zero(zs_point):
+    p = replace(zs_point, t=0.0)
     for l in (-1, 1, 2):
-        ap = SigmaShiftParams(l, 0.0, alpha, zs_lattice)
-        assert abs(sigma_shift_tau(ap) - sigma(zs_lattice, 2 * l * alpha)) < 1e-13
+        assert abs(sigma_shift_tau(p, l) - sigma(p.lat, 2 * l * p.alpha)) < 1e-13
 
 
-def test_sigma_shift_c0_c1_at_zero_time(zs_lattice):
-    alpha = 0.4 + 0.15j
+def test_sigma_shift_c0_c1_at_zero_time(zs_point):
+    p = replace(zs_point, t=0.0)
+    lat, alpha = p.lat, p.alpha
     for l in (-1, 1, 2):
-        ap = SigmaShiftParams(l, 0.0, alpha, zs_lattice)
-        c0, c1 = _c0(ap, ap.t, ap.l), _c1(ap, ap.t, ap.l)
-        expect = sigma(zs_lattice, 2 * alpha) ** (-l) * sigma(zs_lattice, 2 * l * alpha)
+        c0, c1 = _c0(p, p.t, l), _c1(p, p.t, l)
+        expect = sigma(lat, 2 * alpha) ** (-l) * sigma(lat, 2 * l * alpha)
         assert abs(c0 - expect) < 1e-12 * max(1.0, abs(expect))
-        expect_c1 = (zeta(zs_lattice, 2 * l * alpha)
-                     - l * zeta(zs_lattice, 2 * alpha))
+        expect_c1 = (zeta(lat, 2 * l * alpha)
+                     - l * zeta(lat, 2 * alpha))
         assert abs(c1 - expect_c1) < 1e-12 * max(1.0, abs(expect_c1))
 
 
-def test_shifted_tau_dlog_closed_vs_fd(zs_lattice):
-    alpha = 0.4 + 0.15j
-    t = 0.12 + 0.05j
+def test_shifted_tau_dlog_closed_vs_fd(zs_point):
+    p, h = zs_point, 1e-6
     for l in (-1, 0, 1, 2):
-        h = 1e-6
-        fd = (cmath.log(sigma_shift_tau(SigmaShiftParams(l, t + h, alpha, zs_lattice)))
-              - cmath.log(sigma_shift_tau(SigmaShiftParams(l, t - h, alpha, zs_lattice)))
+        fd = (cmath.log(sigma_shift_tau(replace(p, t=p.t + h), l))
+              - cmath.log(sigma_shift_tau(replace(p, t=p.t - h), l))
               ) / (2 * h)
-        assert abs(sigma_shift_dlog_tau_dt(SigmaShiftParams(l, t, alpha, zs_lattice))
-                   - fd) < 1e-7
+        assert abs(sigma_shift_dlog_tau_dt(p, l) - fd) < 1e-7
 
 
-def test_shifted_tau_dlog_at_zero_time(zs_lattice):
-    alpha = 0.4 + 0.15j
-    lat = zs_lattice
+def test_shifted_tau_dlog_at_zero_time(zs_point):
+    p = replace(zs_point, t=0.0)
+    lat, alpha = p.lat, p.alpha
     for l in (-1, 1, 2):
-        ap = SigmaShiftParams(l, 0.0, alpha, lat)
         wpp = wp_n(lat, alpha, 2)
         wp1 = wp_prime(lat, alpha)
         expect = (zeta(lat, 2 * l * alpha)
                   - l * (zeta(lat, 2 * alpha) + wpp / (2 * wp1)))
-        assert abs(sigma_shift_dlog_tau_dt(ap) - expect) < 1e-12
+        assert abs(sigma_shift_dlog_tau_dt(p, l) - expect) < 1e-12
 
 
-def test_shifted_tau_trace_identity(zs_lattice):
-    alpha = 0.4 + 0.15j
+def test_shifted_tau_trace_identity(zs_point):
     for l in (-1, 0, 1, 2):
-        ap = SigmaShiftParams(l, 0.12 + 0.05j, alpha, zs_lattice)
-        assert sigma_shift_trace_residual(ap) < 1e-12
+        assert sigma_shift_trace_residual(zs_point, l) < 1e-12
 
 
-def test_families_agree_at_second_t_derivative(golden_branch, zs_lattice):
-    lat = zs_lattice
-    l, alpha = 1, 0.4 + 0.15j
+def test_families_agree_at_second_t_derivative(golden_branch, zs_point):
+    p, l = zs_point, 1
+    lat, alpha = p.lat, p.alpha
     pchar = 0.5 + lat.eta1 * l * alpha / (1j * math.pi)
     qchar = 0.5 - lat.eta2 * l * alpha / (1j * math.pi)
-    a_val = wp(lat, alpha)  # e-sum is zero for the golden branch
-    t, h = 0.12 + 0.05j, 1e-5
+    t, h = p.t, 1e-5
 
     def ht(tt):
-        return H_t(make_params(golden_branch, a_val, tt, pchar, qchar))
+        return H_t(make_params(golden_branch, p.a, tt, pchar, qchar))
 
     def dl(tt):
-        return sigma_shift_dlog_tau_dt(SigmaShiftParams(l, tt, alpha, lat))
+        return sigma_shift_dlog_tau_dt(replace(p, t=tt), l)
 
     d2_main = (ht(t + h) - ht(t - h)) / (2 * h)
     d2_app = (dl(t + h) - dl(t - h)) / (2 * h)
