@@ -50,12 +50,13 @@ from .elliptic import (
 )
 from .errors import EllipTauError, ScenarioError
 from .isomono import (
+    _theta_checked,
     deformation_residual,
     make_params,
-    shifted_params,
     theoretical_monodromy,
 )
 from .monodromy import (
+    _clearance as _loop_clearance,
     monodromy_matrices,
     sector_connection_residuals,
     trivial_loop_identity,
@@ -335,23 +336,18 @@ def _lattice_distance(lat, u):
     return min(abs(u - m * w1 - n * w2) for m in (-1, 0, 1) for n in (-1, 0, 1))
 
 
-def _ring(f, params, directions, log=False):
-    """ring_derivative as t or e_nu moves, one ring per direction ('t' or
-    'e1'/'e2'/'e3'), from one call of f: on the batch point of all their
-    nodes (params.moved), or with t alone on params at the ring's times.  A
-    t ring is sized by the zeros of theta[p,q](t/omega1), (1/2 - q) omega1 +
-    (1/2 - p) omega2 modulo the lattice; an e_nu ring by the other singular
-    points.  Returns (d, d_sub), one row per direction."""
-    p, lat = params, params.lat
+def _ring(f, params, nus, log=False):
+    """ring_derivative as t or e_nu moves, one ring per direction nu (0 for
+    t), from one call of f on the point params.moved gives for all their
+    nodes.  A t ring is sized by the zeros of theta[p,q](t/omega1), (1/2 - q)
+    omega1 + (1/2 - p) omega2 modulo the lattice; an e_nu ring by the other
+    singular points.  Returns (d, d_sub), one row per direction."""
+    p, lat, nus = params, params.lat, np.array(nus)
     zero = (0.5 - p.char.q) * lat.omega1 + (0.5 - p.char.p) * lat.omega2
-    nus = np.array([0 if d == "t" else int(d[1]) for d in directions])
     centers = [p.t if nu == 0 else p.branch.es[nu - 1] for nu in nus]
     distances = [_lattice_distance(lat, c - zero) if nu == 0 else _clearance(p.branch, p.a, c)
                  for nu, c in zip(nus, centers)]
-    centers = np.array(centers)
-    if not nus.any():
-        return ring_derivative(lambda ts: f(replace(p, t=ts)), centers, distances, log)
-    return ring_derivative(lambda zs: f(p.moved(nus[:, None], zs - centers[:, None])),
+    return ring_derivative(lambda zs: f(p.moved(nus[:, None], zs - np.array(centers)[:, None])),
                            centers, distances, log)
 
 
@@ -635,9 +631,7 @@ def check_ode_residual(ctx, rng):
 
 def check_monodromy_match(ctx, rng):
     nums, offsets = ctx.numerical_monodromy
-    worst = 0.0
-    for which in (1, 2, 3, "inf"):
-        worst = max(worst, float(np.max(np.abs(nums[which] - ctx.theory.M[which]))))
+    worst = float(np.max([np.abs(M - ctx.theory.M[which]) for which, M in nums.items()]))
     return worst, f"loop frame offsets {offsets}"
 
 
@@ -657,29 +651,31 @@ def check_stokes_triviality(ctx, rng):
 
 
 def check_monodromy_invariance(ctx, rng):
+    # t, e1, e2 and e3 moved by delta as one batch point on the base point's
+    # loops; a tenth of their clearance keeps every moved pole off the loops
     nums, _ = ctx.numerical_monodromy
-    worst = 0.0
-    for direction in ("t", "e1", "e2", "e3"):
-        moved, _ = monodromy_matrices(shifted_params(ctx.params, direction, 1e-3))
-        for which in (1, 2, 3, "inf"):
-            worst = max(worst, float(np.max(np.abs(moved[which] - nums[which]))))
-    return worst, "drift under 1e-3 moves of t, e1, e2, e3"
+    delta = min(1e-3, 0.1 * _loop_clearance(ctx.params))
+    family = _theta_checked(ctx.params.moved(np.arange(4), delta))
+    with np.errstate(over="ignore", invalid="ignore"):  # Y can overflow at the domain edge
+        moved, _ = monodromy_matrices(family)
+        worst = float(np.max([np.abs(moved[which] - M) for which, M in nums.items()]))
+    notes = f"drift under {delta:.2g} moves of t, e1, e2, e3 on the base point's loops"
+    return (worst, notes) if math.isfinite(worst) else (math.inf, notes + "; Y overflowed")
 
 
-def deformation_ring(params, directions):
-    """Ring derivatives of (A_1, A_2, A_3) as t or e_nu moves, one row per
-    direction ('t' or 'e1'/'e2'/'e3'), and those of the 2-point sub-ring,
-    from one coefficient build on the batch point of all their nodes."""
+def deformation_ring(params, nus):
+    """Ring derivatives of (A_1, A_2, A_3) as t (nu = 0) or e_nu moves, one
+    row per direction nu, and those of the 2-point sub-ring, from one
+    coefficient build on the batch point of all their nodes."""
     return _ring(lambda q: np.stack([q.coeffs.A[nu] for nu in (1, 2, 3)], axis=-3),
-                 params, directions)
+                 params, nus)
 
 
 def check_deformation_equation(ctx, rng):
     worst, ratios = 0.0, []
     ctx.coeffs  # the base point's chain, timed as its stages
-    directions = ("t", "e1", "e2")
-    for direction, *dAs in zip(directions, *deformation_ring(ctx.params, directions)):
-        r, r_sub = (max(deformation_residual(ctx.params, direction, dA)["paired"].values())
+    for rho, *dAs in zip((0, 1, 2), *deformation_ring(ctx.params, (0, 1, 2))):
+        r, r_sub = (max(deformation_residual(ctx.params, rho, dA)["paired"].values())
                     for dA in dAs)
         worst = max(worst, r)
         ratios.append(r_sub / max(r, 1e-30))
@@ -733,7 +729,7 @@ def check_dlogtau_dt(ctx, rng):
     points, used = ctx.neighbours
     for p in points:
         v = H_t(p)
-        (d,), (d_sub,) = _ring(log_tau, p, ["t"], log=True)
+        (d,), (d_sub,) = _ring(log_tau, p, [0], log=True)
         worst = max(worst, abs(v - d) / max(1.0, abs(v)))
         gap = max(gap, abs(d - d_sub))
     return worst, f"sub-ring gap {gap:.2e}; {used}"
@@ -743,7 +739,7 @@ def check_dlogtau_de(ctx, rng):
     worst = 0.0
     points, used = ctx.neighbours
     for p in points:
-        ds, _ = _ring(log_tau, p, ["e1", "e2", "e3"], log=True)
+        ds, _ = _ring(log_tau, p, [1, 2, 3], log=True)
         for nu, d in zip((1, 2, 3), ds):
             v = H_nu(p, nu)
             worst = max(worst, abs(v - d) / max(1.0, abs(v)))
@@ -754,7 +750,7 @@ def check_omega_closedness(ctx, rng):
     def H(q):  # the 1-form's components (H_t, H_1, H_2, H_3) at q, last
         return np.stack([H_t(q)] + [H_nu(q, nu) for nu in (1, 2, 3)], axis=-1)
     # dH[i][j]: the derivative of component j along t (i = 0) or e_i
-    dH, _ = _ring(H, ctx.params, ["t", "e1", "e2", "e3"])
+    dH, _ = _ring(H, ctx.params, range(4))
     worst = max(abs(dH[j][i] - dH[i][j]) / max(1.0, abs(dH[j][i]))
                 for i in range(4) for j in range(i + 1, 4))
     return worst, "all six mixed partials of the 1-form"

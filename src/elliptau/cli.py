@@ -9,7 +9,7 @@ monodromy matrix.
 
 Exit codes: 0 all selected checks pass (tau: every row finite), 1 at least
 one failed (tau: a nan row, summarized on stderr), 2 configuration or
-scenario error.
+scenario error, an --out that cannot be written among them (checked first).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -53,6 +54,18 @@ def _parse_grid(spec):
         raise ScenarioError("grid step must be positive and stop >= start")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
     return start, step, n
+
+
+def _check_writable(path):
+    """Raise a configuration error unless path opens for writing; a file the
+    probe makes is removed again."""
+    fresh = not os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    if fresh:
+        os.remove(path)
 
 
 def _cmd_verify(args):
@@ -180,6 +193,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        if getattr(args, "out", None):  # before any check runs or any row is written
+            _check_writable(args.out)
         return args.fn(args)
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

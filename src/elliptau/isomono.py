@@ -135,14 +135,15 @@ class DeformationParams:
                 + zeta(self.lat, 2.0 * self.alpha))
 
     def moved(self, nu, delta):
-        """The same point with the branch point e_nu moved by delta, on its
-        lattice, or with t moved for nu = 0.  An array of deltas gives one
-        batch point of its shape, nu a number or an array broadcast against
-        it: its branch points and t are arrays on this point's chart, with
-        one batch lattice from one periods_of call, and this point is its root."""
-        if np.ndim(delta) == 0:
-            if nu == 0:
-                return replace(self, t=self.t + delta)
+        """The one way to move a point: the branch point e_nu moved by delta,
+        on its lattice, or t for nu = 0.  A move of t alone (every nu 0, delta
+        a number or an array) is replace(t=...).  Otherwise an array of nu or
+        delta gives one batch point of their broadcast shape: its branch
+        points and t are arrays on this point's chart, with one batch lattice
+        from one periods_of call, and this point is its root."""
+        if not np.any(nu):
+            return replace(self, t=self.t + delta)
+        if np.ndim(nu) + np.ndim(delta) == 0:
             b = self.branch.moved(nu, delta)
             return replace(self, branch=b, lat=_curve.periods(b))
         nu, delta = np.broadcast_arrays(nu, delta)
@@ -167,10 +168,9 @@ def theta_zero_errors(params):
 
 
 def _theta_checked(params):
-    """params, unless theta[p,q](t/omega1) is at a zero there."""
-    errors = theta_zero_errors(params)
-    if errors:
-        raise errors[0]
+    """params, unless theta[p,q](t/omega1) is at a zero: the first such entry raises."""
+    for error in theta_zero_errors(params).values():
+        raise error
     return params
 
 
@@ -182,11 +182,6 @@ def make_params(branch, a, t, p, q):
     branch.check_regular_point(a)
     return _theta_checked(DeformationParams(branch, _curve.periods(branch), a,
                                             complex(t), ThetaChar(p, q)))
-
-
-def shifted_params(params, direction, delta):
-    """The same point with t ('t') or one branch point ('e1'/'e2'/'e3') moved by delta."""
-    return _theta_checked(params.moved(0 if direction == "t" else int(direction[1]), delta))
 
 
 @dataclass(frozen=True)
@@ -414,14 +409,17 @@ class YSolution:
         """Y at a regular point x, a number (a 2x2 result) or an array
         (x.shape + (2, 2)).
 
-        u(x) follows the curve module's canonical sheet-1 path unless given,
-        and sqrt(det Phi(u)) is sqrt_det_a times the principal root of
-        sigma(2u)/sigma(2 alpha), the same root hatted takes.
+        u(x) follows the curve module's canonical sheet-1 path unless given;
+        on a batch point, Newton's method takes it from the root's, as alpha,
+        the batch axes after x's.  sqrt(det Phi(u)) is sqrt_det_a times the
+        principal root of sigma(2u)/sigma(2 alpha), the same root hatted takes.
         """
         p = self.params
         if u is None:
-            u = np.reshape([_curve.abel_with_y(p.branch, z)[0] for z in np.ravel(x)],
-                           np.shape(x))
+            u = np.reshape([_curve.abel_with_y((p.root or p).branch, z)[0] for z in np.ravel(x)],
+                           np.shape(x) + (1,) * np.ndim(p.alpha))
+            if p.root is not None:
+                u = _wp_inverse(p.lat, u, p.branch.e_sum / 3.0, np.reshape(x, u.shape))
         ratio = sigma(p.lat, 2.0 * u) / sigma(p.lat, 2.0 * p.alpha)
         root = self.sqrt_det_a * _math(ratio).sqrt(ratio)
         return (self.N @ self.phi.matrix(u)) / np.asarray(root)[..., None, None]
@@ -536,9 +534,9 @@ def _commutator(X, Y):
     return X @ Y - Y @ X
 
 
-def deformation_residual(params, direction, dA):
-    """dA[nu - 1], the derivative of A_nu as direction ('t' or 'e1'/'e2'/'e3')
-    moves, against the closed deformation equation in its paired reading (the
+def deformation_residual(params, rho, dA):
+    """dA[nu - 1], the derivative of A_nu as t (rho = 0) or e_rho moves,
+    against the closed deformation equation in its paired reading (the
     Fuchsian sum enters through d log(e_nu - e_mu), which carries both
     differentials; the simple-pole coefficient at a enters the regular part at
     e_nu).  Returns per-nu max-entry residuals ('paired') and the right-hand
@@ -547,9 +545,8 @@ def deformation_residual(params, direction, dA):
     base = p.coeffs
     Y1 = p.sol.y1_closed_form()
     wp1, es, a = p.wp_a.wp_prime, p.branch.es, p.a
-    rho = None if direction == "t" else int(direction[1])
     # the derivative of the exponent T_{-1} = diag(1, -1) wp'(alpha) t / 2
-    dT = np.diag([1.0, -1.0]) * (wp1 / 2.0 if rho is None
+    dT = np.diag([1.0, -1.0]) * (wp1 / 2.0 if rho == 0
                                  else -p.t * wp1 / (4.0 * (a - es[rho - 1])))
     out = {"paired": {}, "rhs": {}}
     A = base.A
@@ -562,7 +559,7 @@ def deformation_residual(params, direction, dA):
                     rhs += _commutator(A[mu], A[nu]) / (es[nu - 1] - es[mu - 1])
             # the simple-pole coefficient at a enters the regular part at e_nu
             rhs += (_commutator(A[nu], base.B0) - _commutator(A[nu], base.B_minus1) / d) / d
-        elif rho is not None:
+        elif rho:
             # d log(e_nu - e_rho) carries both differentials
             rhs += _commutator(A[rho], A[nu]) * (1.0 / (a - es[rho - 1])
                                                   - 1.0 / (es[nu - 1] - es[rho - 1]))

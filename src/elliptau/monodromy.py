@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -69,20 +70,14 @@ def loop_pieces(params, which):
 
 
 def _clearance(params):
-    sing = singularities(params)
-    gap = min(abs(sing[i] - sing[j])
-              for i in range(len(sing)) for j in range(i + 1, len(sing)))
-    return 0.2 * gap
+    """0.2 of the smallest gap between the singular points e_nu and a."""
+    b = params.branch
+    return 0.2 * min(b.min_gap, *(abs(e - params.a) for e in b.es))
 
 
 def _reverse(pieces):
-    out = []
-    for piece in reversed(pieces):
-        if isinstance(piece, Line):
-            out.append(Line(piece.b, piece.a))
-        else:
-            out.append(Arc(piece.center, piece.radius, piece.th1, piece.th0))
-    return out
+    return [Line(p.b, p.a) if isinstance(p, Line) else Arc(p.center, p.radius, p.th1, p.th0)
+            for p in reversed(pieces)]
 
 
 def _connected_cycle(params, pieces):
@@ -120,20 +115,15 @@ def calibrate_loops(params):
         r, m, n = lat.reduce(journey[name])
         if abs(r) > 1e-8 * lat.unit() or (abs(m) + abs(n)) != 1:
             raise QuadratureError(f"cycle loop journey is not a basis period: {(m, n)}")
-        if m != 0:
-            basis[0] = (name, m)
-        else:
-            basis[1] = (name, n)
+        basis[0 if m else 1] = (name, m or n)
     if sorted(basis) != [0, 1]:
         raise QuadratureError("cycle loops do not span the period lattice")
 
     loops, offsets = {}, {}
     for which in (1, 2, 3, "inf"):
         w_eff = u0 + 0.5 * journey[which]
-        if which == "inf":
-            target = 0j
-        else:
-            target = p.half_periods.omega_tilde[p.half_periods.slot_of_branch(which)]
+        hpt = p.half_periods
+        target = 0j if which == "inf" else hpt.omega_tilde[hpt.slot_of_branch(which)]
         r, m, n = lat.reduce(w_eff - target)
         if abs(r) > 1e-8 * lat.unit():
             raise QuadratureError(
@@ -141,9 +131,6 @@ def calibrate_loops(params):
                 f"translate of {target}"
             )
         offsets[which] = (m, n)
-        if (m, n) == (0, 0):
-            loops[which] = naive[which]
-            continue
         if abs(m) > 3 or abs(n) > 3:
             raise QuadratureError(f"loop {which}: offset {(m, n)} too large")
         conj = []
@@ -275,15 +262,25 @@ def _taylor_sums(coeffs, x0, x1):
 
 def monodromy_matrices(params, loops=(1, 2, 3, "inf")):
     """Numerical monodromy M = Y(x0)^{-1} W of each loop, W being Y(x0)
-    continued around the calibrated loop by the point's Y and coefficients.
-    Returns ({loop: M}, offsets of calibrate_loops).
+    continued around the calibrated loop by the point's Y and coefficients;
+    on a batch point each entry along its root's loops from the root's base
+    point, with its own chords and Taylor pass (each M a stack, batch shape
+    + (2, 2)).  Returns ({loop: M}, offsets of calibrate_loops).
     """
-    Y0 = params.sol.y_at(base_point(params.branch))
-    pieces, offsets = calibrate_loops(params)
-    Y0_inv = np.linalg.inv(Y0)
-    ends = _continue_paths(params.coeffs, [pieces[which] for which in loops],
-                           [Y0] * len(loops))
-    return {which: Y0_inv @ W for which, W in zip(loops, ends)}, offsets
+    root, co = params.root or params, params.coeffs
+    pieces, offsets = calibrate_loops(root)
+    paths = [pieces[which] for which in loops]
+    Y0 = params.sol.y_at(base_point(root.branch))
+    shape, Ms = Y0.shape[:-2], []
+    for k, Y in enumerate(Y0.reshape(-1, 2, 2)):
+        # entry k's poles, as Python numbers, and their matrices
+        mats = [np.reshape(m, (-1, 2, 2))[k] for m in (co.B_minus1, co.B0, *co.A.values())]
+        entry = replace(co, es=tuple(complex(np.broadcast_to(e, shape).flat[k]) for e in co.es),
+                        B_minus1=mats[0], B0=mats[1], A=dict(zip(co.A, mats[2:])))
+        Y_inv = np.linalg.inv(Y)
+        Ms.append([Y_inv @ W for W in _continue_paths(entry, paths, [Y] * len(loops))])
+    return {which: np.reshape([M[i] for M in Ms], shape + (2, 2))
+            for i, which in enumerate(loops)}, offsets
 
 
 def trivial_loop_identity(params):
@@ -291,10 +288,8 @@ def trivial_loop_identity(params):
     sing = singularities(params)
     c = params.branch.centroid
     R = 4.0 * max(max(abs(s - c) for s in sing), params.branch.scale)
-    center = c + R
-    r = 0.1 * R
-    pieces = [Arc(center, r, 0.0, 2 * math.pi)]
-    W = continue_solution(params.coeffs, pieces, np.eye(2, dtype=complex))
+    W = continue_solution(params.coeffs, [Arc(c + R, 0.1 * R, 0.0, 2 * math.pi)],
+                          np.eye(2, dtype=complex))
     return float(np.max(np.abs(W - np.eye(2))))
 
 
@@ -319,10 +314,7 @@ def sector_connection_residuals(params):
 
     Ws = _continue_paths(p.coeffs, [[Arc(p.a, radius, a0, a0 + math.pi)] for a0 in a0s],
                          [constructed(a0) for a0 in a0s])
-    out = []
-    for W, a0 in zip(Ws, a0s):
-        Y_end = constructed(a0 + math.pi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = float(np.max(np.abs(np.linalg.inv(Y_end) @ W - np.eye(2))))
-        out.append(r if math.isfinite(r) else math.inf)
-    return out
+    Y_ends = [constructed(a0 + math.pi) for a0 in a0s]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rs = [float(np.max(np.abs(np.linalg.inv(Y) @ W - np.eye(2)))) for Y, W in zip(Y_ends, Ws)]
+    return [r if math.isfinite(r) else math.inf for r in rs]

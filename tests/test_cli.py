@@ -414,6 +414,32 @@ def test_cli_unknown_check_exits_2(tmp_path):
     assert code == 2
 
 
+def test_cli_verify_unwritable_out_exits_2_before_any_check(tmp_path, monkeypatch, capsys):
+    scenario = tmp_path / "golden.json"
+    scenario.write_text(json.dumps(golden_dict()))
+    ran = []
+    monkeypatch.setattr(elliptau.cli, "run_checks", lambda *args, **kw: ran.append(args))
+    out = tmp_path / "missing" / "r.json"
+    code = main(["verify", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 2 and ran == []
+    assert f"configuration error: cannot write {out}" in capsys.readouterr().err
+    # a writable path that holds no file yet is left without one on an error
+    monkeypatch.undo()
+    code = main(["verify", "--scenario", str(scenario), "--checks", "bogus",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2 and not (tmp_path / "r.json").exists()
+
+
+def test_cli_tau_unwritable_out_exits_2_before_any_row(tmp_path, capsys):
+    scenario = tmp_path / "golden.json"
+    scenario.write_text(json.dumps(golden_dict()))
+    code = main(["tau", "--scenario", str(scenario), "--grid", "t=0:0.2:0.1",
+                 "--out", str(tmp_path)])  # a directory
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert f"configuration error: cannot write {tmp_path}" in err
+
+
 def test_cli_tau_grid(tmp_path, capsys):
     scenario = tmp_path / "golden.json"
     scenario.write_text(json.dumps(golden_dict()))

@@ -23,9 +23,9 @@ from elliptau.checks import (
 )
 from elliptau.isomono import (
     PhiMatrix,
+    _theta_checked,
     deformation_residual,
     make_params,
-    shifted_params,
     theoretical_monodromy,
 )
 from elliptau.scenario import GOLDEN, SplitMix64, random_admissible_scenario
@@ -289,14 +289,14 @@ def test_ode_residual_on_circle(golden):
 
 def test_deformation_equation_paired_reading(golden):
     p = golden.params
-    for direction in ("t", "e1", "e3"):
-        (dA,), _ = deformation_ring(p, [direction])
-        r = deformation_residual(p, direction, dA)
+    for rho in (0, 1, 3):
+        (dA,), _ = deformation_ring(p, [rho])
+        r = deformation_residual(p, rho, dA)
         assert max(r["paired"].values()) < 1e-5
     # the ring derivative rejects the single-differential reading, where the
     # commutator sum multiplies de_nu alone and B_0 does not enter
-    (dA,), _ = deformation_ring(p, ["e2"])
-    r = deformation_residual(p, "e2", dA)
+    (dA,), _ = deformation_ring(p, [2])
+    r = deformation_residual(p, 2, dA)
     assert max(r["paired"].values()) < 1e-5
     co = golden.coeffs
     es, A = p.branch.es, co.A
@@ -316,9 +316,9 @@ def test_deformation_equation_paired_reading(golden):
 
 def test_deformation_residual_shrinks_quadratically(golden):
     # the 2-point sub-ring errs by (r/R)^2, the 4-point ring by its square
-    (dA,), (dA_sub,) = deformation_ring(golden.params, ["e1"])
-    r = deformation_residual(golden.params, "e1", dA)
-    r_sub = deformation_residual(golden.params, "e1", dA_sub)
+    (dA,), (dA_sub,) = deformation_ring(golden.params, [1])
+    r = deformation_residual(golden.params, 1, dA)
+    r_sub = deformation_residual(golden.params, 1, dA_sub)
     assert max(r["paired"].values()) < 1e-3 * max(r_sub["paired"].values())
 
 
@@ -364,7 +364,7 @@ def test_the_point_reads_its_wp_data_instead_of_rebuilding_it(monkeypatch):
         p.sol.hatted(x)
         p.sol.u_near_a(x)
     p.sol.hatted(xs)
-    moved = shifted_params(p, "t", 1e-3)
+    moved = p.moved(0, 1e-3)
     moved.sol.hatted(xs)
     moved.sol.hatted(xs[0])
     assert calls == [p.a, p.a]
@@ -411,11 +411,29 @@ def test_point_builds_its_chain_once(golden_branch, monkeypatch):
         assert q.sol is not p.sol and q.sol.params is q
         assert not np.array_equal(q.coeffs.A[1], p.coeffs.A[1])
     # a verify builds each chain once: the base point, the batch point of the
-    # deformation rings and the 4 moved points of the monodromy-invariance check
+    # deformation rings and the batch point of the monodromy-invariance
+    # family (6 when the family's four moved points were scalar points)
     for name in calls:
         calls[name].clear()
     assert run_checks(GOLDEN).overall == "pass"
-    assert [len(c) for c in calls.values()] == [6, 6, 6]
+    assert [len(c) for c in calls.values()] == [3, 3, 3]
+
+
+def test_cold_golden_verify_calibrates_loops_twice(monkeypatch):
+    # the base point's loops, once for its own monodromy and once for the
+    # family of the invariance check, which continues along them (5 when
+    # each moved point calibrated its own)
+    for module in (elliptau.elliptic, elliptau.curve, elliptau.isomono):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    calls = []
+    real = elliptau.monodromy.calibrate_loops
+    monkeypatch.setattr(elliptau.monodromy, "calibrate_loops",
+                        lambda params: calls.append(params) or real(params))
+    assert run_checks(GOLDEN).overall == "pass"
+    assert len(calls) <= 2
+    assert all(q.root is None and q == calls[0] for q in calls)
 
 
 def _scalar_y_ring_moments(sol, radius, npoints, orders):
@@ -547,9 +565,10 @@ def test_golden_verify_draws_each_sample_and_ring_once(monkeypatch):
     # and one ring of them, the two dlogtau checks one set of neighbours, and
     # each t or e_nu ring of a point is one batch point: at most 54 cycle
     # integrals (116 when each check drew and ringed its own), at most 20
-    # theta-kernel calls in dlogtau_de (114 size-1 ones, one per node) and 40
-    # in deformation_equation (148), and the Abel values of abel_roundtrip in
-    # one path_integrals pass (50, one per point)
+    # theta-kernel calls in dlogtau_de (114 size-1 ones, one per node), 40
+    # in deformation_equation (148) and 35 in monodromy_invariance (73 with a
+    # scalar point per move), and the Abel values of abel_roundtrip in one
+    # path_integrals pass (50, one per point)
     for module in (elliptau.elliptic, elliptau.curve, elliptau.isomono):
         for fn in vars(module).values():
             if hasattr(fn, "cache_clear"):
@@ -590,6 +609,7 @@ def test_golden_verify_draws_each_sample_and_ring_once(monkeypatch):
     assert len(cycles) <= 54
     assert kernel.count("dlogtau_de") <= 20
     assert kernel.count("deformation_equation") <= 40
+    assert kernel.count("monodromy_invariance") <= 35
     assert node_passes.count("abel_roundtrip") == 1
 
 
@@ -679,7 +699,7 @@ def test_moved_configurations_continue_the_period_convention(seed):
     h = 1e-8 * s.branch.min_gap
     for nu in (1, 2, 3):
         for k in range(64):
-            moved = shifted_params(base, f"e{nu}", h * cmath.exp(2j * math.pi * k / 64))
+            moved = base.moved(nu, h * cmath.exp(2j * math.pi * k / 64))
             for v, r in zip(values(moved), ref):
                 assert abs(v - r) <= 1e-6 * abs(r), (nu, k)
 
@@ -705,13 +725,29 @@ def test_translating_the_curve_changes_nothing():
                 assert abs(g - r) <= 1e-12 * abs(r), (k, j, c)
 
 
+def test_theta_zero_in_a_batch_raises_the_failing_entry_error(golden):
+    # entry 1 sits on the zero of theta[p,q](t/omega1) at
+    # t0 = (1/2 - q) omega1 + (1/2 - p) omega2, entry 0 does not: the batch
+    # raises entry 1's error (a KeyError when it raised entry 0's)
+    p = golden.params
+    t0 = (0.5 - p.char.q) * p.lat.omega1 + (0.5 - p.char.p) * p.lat.omega2
+    with pytest.raises(DegenerateParameterError, match="too close to its zero"):
+        _theta_checked(p.moved(0, np.array([0, t0 - p.t])))
+
+
 def test_moving_t_by_a_number_moves_t_and_no_branch_point():
     # nu = 0 moves t, for a number as for an array of moves
     p = make_params(GOLDEN.branch, GOLDEN.a, GOLDEN.t, GOLDEN.p, GOLDEN.q)
     moved = p.moved(0, 1e-3)
     assert moved.t == p.t + 1e-3
     assert moved.branch.es == p.branch.es and moved.lat == p.lat
-    assert moved == shifted_params(p, "t", 1e-3)
+    # a move of t alone, by an array, is the point at those times on its own
+    # branch, lattice and alpha: no batch branch and no root
+    ds = np.array([1e-3, -2e-3j])
+    for nu in (0, np.zeros(2, dtype=int)):
+        ts = p.moved(nu, ds)
+        assert ts.branch is p.branch and ts.lat is p.lat and ts.root is None
+        assert np.array_equal(ts.t, p.t + ds)
 
 
 @pytest.mark.parametrize("seed", [None, 3, 4, 5])

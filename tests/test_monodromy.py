@@ -7,10 +7,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from elliptau.checks import run_checks
+from elliptau.checks import (
+    CheckContext,
+    check_monodromy_invariance,
+    check_monodromy_match,
+    run_checks,
+)
 from elliptau.curve import Line
 from elliptau.errors import QuadratureError
-from elliptau.isomono import shifted_params
+from elliptau.isomono import make_params
 from elliptau.monodromy import (
     _reverse,
     base_point,
@@ -20,7 +25,7 @@ from elliptau.monodromy import (
     sector_connection_residuals,
     trivial_loop_identity,
 )
-from elliptau.scenario import GOLDEN
+from elliptau.scenario import GOLDEN, SplitMix64, random_admissible_scenario
 
 
 @pytest.fixture(scope="module")
@@ -86,10 +91,55 @@ def test_monodromy_invariant_under_deformation(golden_ctx):
     # one representative direction here; the full four-direction drift is a
     # scenario check and part of the acceptance gate
     nums, _ = golden_ctx.numerical_monodromy
-    moved, _ = monodromy_matrices(shifted_params(golden_ctx.params, "t", 1e-3),
-                                  (1, "inf"))
+    moved, _ = monodromy_matrices(golden_ctx.params.moved(0, 1e-3), (1, "inf"))
     for which in (1, "inf"):
         assert np.max(np.abs(moved[which] - nums[which])) < 1e-6
+
+
+@pytest.mark.parametrize("seed", [None, 3, 4])
+def test_batch_monodromy_equals_each_entry_alone(seed):
+    # the invariance family, t, e1, e2 and e3 moved by 1e-3 as one batch
+    # point: each entry's matrices are those of its move as a point of its
+    # own (alpha from its own Abel map), with Y at the root's base point
+    # continued along the root's loops, to 1e-12 relative
+    s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
+    p = make_params(s.branch, s.a, s.t, s.p, s.q)
+    family, _ = monodromy_matrices(p.moved(np.arange(4), 1e-3))
+    loops, _ = calibrate_loops(p)
+    x0 = base_point(p.branch)
+    for nu in range(4):
+        q = p.moved(nu, 1e-3)
+        Y0 = q.sol.y_at(x0)
+        for which, M in family.items():
+            assert M.shape == (4, 2, 2)
+            ref = np.linalg.inv(Y0) @ continue_solution(q.coeffs, loops[which], Y0)
+            assert np.max(np.abs(M[nu] - ref)) <= 1e-12 * np.max(np.abs(ref)), (nu, which)
+
+
+def test_invariance_holds_next_to_a_branch_point():
+    # at a = 1.0001, 1e-4 from e1, moves of 1e-3 would carry e1 past a and
+    # across the base point's loops (a drift of 2.8e6); the moves are a
+    # tenth of the loops' clearance, 2e-6
+    r, = run_checks(replace(GOLDEN, a=1.0001), checks=["monodromy_invariance"]).results
+    assert r.status == "pass" and "2e-06 moves" in r.notes
+
+
+def test_overflowing_family_reads_inf_with_a_note():
+    # at a = 1e-5i, 1e-5 from e2, Y overflows on the loop around e2, for the
+    # base point (its M_2 is nan) as for the family: the check reads inf with
+    # a note, and the family's continuation lets no numpy warning out.  The
+    # match reads the nan too (a running max of the loops' misses dropped it)
+    ctx = CheckContext(replace(GOLDEN, a=1e-5j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        nums, _ = ctx.numerical_monodromy
+    assert np.isnan(nums[2]).any()
+    assert math.isnan(check_monodromy_match(ctx, None)[0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        worst, notes = check_monodromy_invariance(ctx, None)
+    assert not caught
+    assert worst == math.inf and "overflowed" in notes
 
 
 def test_base_point_above_all_singularities(golden_branch):
