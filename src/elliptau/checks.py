@@ -195,7 +195,8 @@ class CheckContext:
     @property
     def numerical_monodromy(self):
         self.coeffs
-        return self._get("numM", lambda: monodromy_matrices(self.params))
+        with np.errstate(over="ignore", invalid="ignore"):  # Y can overflow at the domain edge
+            return self._get("numM", lambda: monodromy_matrices(self.params))
 
     # the samples and rings that several checks read, each drawn from its own
     # stream: a check's residual does not depend on which other checks run
@@ -629,18 +630,23 @@ def check_ode_residual(ctx, rng):
     return worst, "Y'Y^{-1} vs the rational coefficient matrix"
 
 
+def _overflowed(worst, notes):
+    """(worst, notes), or residual inf with a note when a continued Y overflowed."""
+    return (worst, notes) if math.isfinite(worst) else (math.inf, notes + "; Y overflowed")
+
+
 def check_monodromy_match(ctx, rng):
     nums, offsets = ctx.numerical_monodromy
     worst = float(np.max([np.abs(M - ctx.theory.M[which]) for which, M in nums.items()]))
-    return worst, f"loop frame offsets {offsets}"
+    return _overflowed(worst, f"loop frame offsets {offsets}")
 
 
 def check_cyclic_relation(ctx, rng):
     nums, _ = ctx.numerical_monodromy
-    prod = nums[3] @ nums[2] @ nums[1] @ nums["inf"]
-    extra = trivial_loop_identity(ctx.params)
-    return max(float(np.max(np.abs(prod - np.eye(2)))), extra), \
-        "M3 M2 M1 M_inf = 1 and a contractible loop"
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = nums[3] @ nums[2] @ nums[1] @ nums["inf"]
+    worst = float(np.max([np.max(np.abs(prod - np.eye(2))), trivial_loop_identity(ctx.params)]))
+    return _overflowed(worst, "M3 M2 M1 M_inf = 1 and a contractible loop")
 
 
 def check_stokes_triviality(ctx, rng):
@@ -659,8 +665,8 @@ def check_monodromy_invariance(ctx, rng):
     with np.errstate(over="ignore", invalid="ignore"):  # Y can overflow at the domain edge
         moved, _ = monodromy_matrices(family)
         worst = float(np.max([np.abs(moved[which] - M) for which, M in nums.items()]))
-    notes = f"drift under {delta:.2g} moves of t, e1, e2, e3 on the base point's loops"
-    return (worst, notes) if math.isfinite(worst) else (math.inf, notes + "; Y overflowed")
+    return _overflowed(worst, f"drift under {delta:.2g} moves of t, e1, e2, e3 "
+                              "on the base point's loops")
 
 
 def deformation_ring(params, nus):

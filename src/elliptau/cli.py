@@ -52,6 +52,9 @@ def _parse_grid(spec):
         raise ScenarioError(f"grid start, stop and step must be finite, got {spec!r}")
     if step <= 0 or stop < start:
         raise ScenarioError("grid step must be positive and stop >= start")
+    if not math.isfinite((stop - start) / step):
+        raise ScenarioError("grid start, stop and step must be finite, and so must "
+                            f"their point count (stop - start) / step, got {spec!r}")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
     return start, step, n
 
@@ -94,17 +97,28 @@ def _cmd_verify(args):
 
 
 def _tau_rows(point, ts):
-    """Re and Im of log tau and of H_t per time of ts, as four float lists,
-    from one theta jet at point with those times, and by index the errors of
-    the rows that failed: theta[p,q](t/omega1) at a zero, or a value that is
-    not finite."""
-    params = replace(point, t=np.asarray(ts, dtype=complex))
+    """Re and Im of log tau and of H_t at the times ts, as the four rows of an
+    array, from one theta jet at point with those times, and by index the
+    errors of the rows that failed: theta[p,q](t/omega1) at a zero, or a value
+    that is not finite."""
+    params = replace(point, t=ts.astype(complex))
     with np.errstate(divide="ignore", invalid="ignore"):  # a row at a zero fails
         lt, ht = log_tau(params), H_t(params)
     errors = theta_zero_errors(params)
     for k in np.flatnonzero(~(np.isfinite(lt) & np.isfinite(ht))).tolist():
         errors.setdefault(k, EllipTauError("log tau or H_t is not finite"))
-    return [v.tolist() for v in (lt.real, lt.imag, ht.real, ht.imag)], errors
+    return np.array([lt.real, lt.imag, ht.real, ht.imag]), errors
+
+
+def _unwrap(im, prev):
+    """im with whole turns of 2 pi added so that each value lies within pi of
+    the one before, prev before im[0]; a value after a nan keeps its bits."""
+    x = np.concatenate(([np.nan, prev], im))
+    back = x[:-1] - x[1:]  # the value before minus the value, nan after a nan
+    linked = np.isfinite(back)
+    turns = np.cumsum(np.where(linked, np.rint(back / TWO_PI), 0.0))
+    turns -= turns[np.maximum.accumulate(np.where(linked, 0, np.arange(back.size)))]
+    return np.where(linked, x[1:] + TWO_PI * turns, x[1:])[1:]
 
 
 def _cmd_tau(args):
@@ -112,31 +126,26 @@ def _cmd_tau(args):
     t0, step, n = _parse_grid(args.grid)
     try:  # the lattice is built once; if that fails, every row does
         point = DeformationParams(s.branch, periods(s.branch), s.a, 0j, ThetaChar(s.p, s.q))
-        stage_error = None
     except EllipTauError as exc:
         point, stage_error = None, exc
     out = open(args.out, "w") if args.out else sys.stdout
-    failed, first = 0, None
+    write = out.write
+    failed, first, im = 0, None, [math.nan]  # im: Im log tau of the chunk before
     try:
-        out.write("t,re_log_tau,im_log_tau,re_H_t,im_H_t\n")
-        prev = None  # Im log tau of the row before, unless it failed
+        write("t,re_log_tau,im_log_tau,re_H_t,im_H_t\n")
         for lo in range(0, n, TAU_CHUNK):
-            ts = [t0 + k * step for k in range(lo, min(n, lo + TAU_CHUNK))]
-            if point is None:  # every row fails, so no column is read
-                cols, errors = [ts] * 4, dict.fromkeys(range(len(ts)), stage_error)
+            ts = t0 + np.arange(lo, min(n, lo + TAU_CHUNK)) * step
+            if point is None:  # every row fails, so every value is set to nan below
+                cols, errors = np.empty((4, ts.size)), dict.fromkeys(range(ts.size), stage_error)
             else:
                 cols, errors = _tau_rows(point, ts)
-            for k, (t, lr, li, hr, hi) in enumerate(zip(ts, *cols)):
-                if k in errors:
-                    out.write(f"{t:.12g},nan,nan,nan,nan\n")
-                    prev = None
-                    failed += 1
-                    first = first or (t, errors[k])
-                    continue
-                if prev is not None:  # keep the log branch continuous
-                    li += TWO_PI * round((prev - li) / TWO_PI)
-                prev = li
-                out.write("%.12g,%.17g,%.17g,%.17g,%.17g\n" % (t, lr, li, hr, hi))
+            if errors:  # a failed row prints nan
+                k = min(errors)
+                failed, first = failed + len(errors), first or (ts[k], errors[k])
+                cols[:, list(errors)] = np.nan
+            cols[1] = im = _unwrap(cols[1], im[-1])  # the log branch stays continuous
+            for row in zip(ts.tolist(), *cols.tolist()):
+                write("%.12g,%.17g,%.17g,%.17g,%.17g\n" % row)
     finally:
         if args.out:
             out.close()

@@ -312,9 +312,9 @@ def sector_connection_residuals(params):
         x = p.a + radius * cmath.exp(1j * th)
         return p.sol.hatted(x) @ p.sol.exp_T_a(x)
 
-    Ws = _continue_paths(p.coeffs, [[Arc(p.a, radius, a0, a0 + math.pi)] for a0 in a0s],
-                         [constructed(a0) for a0 in a0s])
     Y_ends = [constructed(a0 + math.pi) for a0 in a0s]
     with np.errstate(over="ignore", invalid="ignore"):
+        Ws = _continue_paths(p.coeffs, [[Arc(p.a, radius, a0, a0 + math.pi)] for a0 in a0s],
+                             [constructed(a0) for a0 in a0s])
         rs = [float(np.max(np.abs(np.linalg.inv(Y) @ W - np.eye(2)))) for Y, W in zip(Y_ends, Ws)]
     return [r if math.isfinite(r) else math.inf for r in rs]

@@ -31,7 +31,13 @@ from elliptau.checks import (
     run_checks,
 )
 from elliptau.cli import main
-from elliptau.errors import DegenerateParameterError, QuadratureError, ScenarioError
+from elliptau.elliptic import ThetaChar
+from elliptau.errors import (
+    DegenerateParameterError,
+    EllipTauError,
+    QuadratureError,
+    ScenarioError,
+)
 from elliptau.isomono import DeformationParams, make_params
 from elliptau.monodromy import monodromy_matrices
 from elliptau.scenario import (
@@ -625,6 +631,102 @@ def test_tau_chunking_leaves_no_trace(tmp_path, monkeypatch, capsys, data, grid)
         assert abs(im[-1] - principal - 2 * math.pi) < 1e-9  # one jump inside
 
 
+def _tau_by_rows(scenario, grid):
+    """The row rule of `elliptau tau` as a loop per row over the chunks' values,
+    as (exit code, CSV, stderr): a failed row prints nan and restarts the
+    unwrap of Im log tau, every other row moves by whole turns to within pi of
+    the row before."""
+    s, (t0, step, n) = load_scenario(scenario), elliptau.cli._parse_grid(grid)
+    try:
+        point = DeformationParams(s.branch, elliptau.curve.periods(s.branch), s.a, 0j,
+                                  ThetaChar(s.p, s.q))
+    except EllipTauError as exc:
+        point, stage_error = None, exc
+    lines, failed, prev = ["t,re_log_tau,im_log_tau,re_H_t,im_H_t\n"], [], None
+    for lo in range(0, n, elliptau.cli.TAU_CHUNK):
+        ts = [t0 + k * step for k in range(lo, min(n, lo + elliptau.cli.TAU_CHUNK))]
+        cols, errors = ([ts] * 4, dict.fromkeys(range(len(ts)), stage_error)) if point is None \
+            else elliptau.cli._tau_rows(point, np.array(ts))
+        for k, (t, lr, li, hr, hi) in enumerate(zip(ts, *np.asarray(cols).tolist())):
+            if k in errors:
+                lines.append(f"{t:.12g},nan,nan,nan,nan\n")
+                failed.append((t, errors[k]))
+                prev = None
+                continue
+            if prev is not None:
+                li += 2 * math.pi * round((prev - li) / (2 * math.pi))
+            prev = li
+            lines.append("%.12g,%.17g,%.17g,%.17g,%.17g\n" % (t, lr, li, hr, hi))
+    if not failed:
+        return 0, "".join(lines), ""
+    t, exc = failed[0]
+    return 1, "".join(lines), (f"tau: {len(failed)}/{n} rows failed; first at t={t:.12g}: "
+                               f"{type(exc).__name__}: {exc}\n")
+
+
+def _sawtooth_rows(point, ts):
+    # Im log tau stepping 1.3 a row, wrapped to (-pi, pi]: a turn every few
+    # rows; every 11th row fails and the row after it reads -0.0
+    k = np.rint(ts / 0.01)
+    im = np.where(k % 11 == 0, -0.0, np.pi - (1.3 * k) % (2 * np.pi))
+    errors = {j: EllipTauError("sawtooth") for j in np.flatnonzero(k % 11 == 10)}
+    return np.array([ts + 1, im, 1 - ts, 2 * ts + 1]), errors
+
+
+@pytest.mark.parametrize("case", ["jump", "zero", "stage", "sawtooth"])
+def test_tau_rows_match_the_loop_per_row(tmp_path, monkeypatch, capsys, case):
+    # the chunk's arrays carry the unwrap and the failed rows: the CSV, stderr
+    # and exit code equal those of the loop per row, on a 2 pi jump of Im log
+    # tau, a theta zero in the middle of a 7-row chunk, a failed lattice, and
+    # on made-up values whose turns add up over runs that restart mid-chunk
+    data, grid = golden_dict(), "t=0:4:0.001"
+    if case == "zero":
+        g = GOLDEN
+        t0 = (0.5 - g.q) * make_params(g.branch, g.a, g.t, 0.5, g.q).lat.omega1.real
+        data, grid = dict(data, p=0.5), f"t={t0 - 0.03!r}:{t0 + 0.17!r}:0.01"
+        monkeypatch.setattr(elliptau.cli, "TAU_CHUNK", 7)
+    if case == "stage":
+        def failing(branch):
+            raise QuadratureError("forced stage failure")
+        grid = "t=0.05:0.25:0.1"
+        monkeypatch.setattr(elliptau.curve, "period_data", failing)
+    if case == "sawtooth":
+        grid = "t=0:0.99:0.01"
+        monkeypatch.setattr(elliptau.cli, "_tau_rows", _sawtooth_rows)
+        monkeypatch.setattr(elliptau.cli, "TAU_CHUNK", 16)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(data))
+    code = main(["tau", "--scenario", str(scenario), "--grid", grid])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == _tau_by_rows(str(scenario), grid)
+    assert code == (0 if case == "jump" else 1)
+    if case == "sawtooth":
+        im = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+        assert ",-0," in out and np.nanmax(np.abs(im)) > 10  # the turns add up
+    if case == "zero":
+        assert out.splitlines()[4].endswith(",nan,nan,nan,nan") and out.count("nan") == 4
+
+
+def test_tau_writes_one_row_per_call(tmp_path, monkeypatch):
+    # perfbench times a tau sweep's rows by its writes: the header and each of
+    # the n rows are one write each, never a batch of rows
+    scenario = tmp_path / "golden.json"
+    scenario.write_text(json.dumps(golden_dict()))
+    grid = f"t=0:0.3:{0.3 / elliptau.cli.TAU_CHUNK!r}"
+    n = elliptau.cli._parse_grid(grid)[2]
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(["tau", "--scenario", str(scenario), "--grid", grid]) == 0
+    assert n > elliptau.cli.TAU_CHUNK and len(writes) == 1 + n
+    assert all(text.count("\n") == 1 and text.endswith("\n") for text in writes)
+
+
 def test_anchor_tail_is_integrated_only_for_the_abel_map(tmp_path, monkeypatch):
     # the period cycles read a frame's anchor and y only: from cold caches a
     # golden verify integrates the anchor's tail once per frame that
@@ -715,7 +817,8 @@ def test_cli_tau_bad_grid_exits_2(tmp_path):
     assert main(["tau", "--scenario", str(scenario), "--grid", "t=0:1:-0.1"]) == 2
 
 
-@pytest.mark.parametrize("grid", ["t=0:1:nan", "t=nan:1:0.1", "t=0:inf:0.1"])
+@pytest.mark.parametrize("grid", ["t=0:1:nan", "t=nan:1:0.1", "t=0:inf:0.1",
+                                  "t=0:1e308:1e-308", "t=-1e308:1e308:1"])
 def test_cli_tau_non_finite_grid_exits_2(tmp_path, capsys, grid):
     scenario = tmp_path / "golden.json"
     scenario.write_text(json.dumps(golden_dict()))

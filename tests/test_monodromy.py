@@ -7,12 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from elliptau.checks import (
-    CheckContext,
-    check_monodromy_invariance,
-    check_monodromy_match,
-    run_checks,
-)
+from elliptau.checks import CheckContext, run_checks
 from elliptau.curve import Line
 from elliptau.errors import QuadratureError
 from elliptau.isomono import make_params
@@ -76,15 +71,18 @@ def test_stokes_rays_and_triviality(mono):
 
 
 def test_overflowing_stokes_half_turn_is_a_failure_note():
-    # at a = 1+1e-5i the half turns at x = a overflow float64: the check
-    # fails with a note, and no numpy warning reaches the caller
+    # at a = 1+1e-5i the half turns' mismatch at x = a overflows float64, and
+    # at a = 1+3e-6i their continuation already does: the check fails with a
+    # note, and no numpy warning reaches the caller
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         report = run_checks(replace(GOLDEN, a=1 + 1e-5j))
+        closer = run_checks(replace(GOLDEN, a=1 + 3e-6j), checks=["stokes_triviality"])
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    stokes, = [r for r in report.results if r.name == "stokes_triviality"]
-    assert stokes.status == "fail" and stokes.residual == math.inf
-    assert "overflowed" in stokes.notes
+    stokes = [r for r in report.results + closer.results if r.name == "stokes_triviality"]
+    assert len(stokes) == 2
+    for r in stokes:
+        assert r.status == "fail" and r.residual == math.inf and "overflowed" in r.notes
 
 
 def test_monodromy_invariant_under_deformation(golden_ctx):
@@ -126,20 +124,21 @@ def test_invariance_holds_next_to_a_branch_point():
 
 def test_overflowing_family_reads_inf_with_a_note():
     # at a = 1e-5i, 1e-5 from e2, Y overflows on the loop around e2, for the
-    # base point (its M_2 is nan) as for the family: the check reads inf with
-    # a note, and the family's continuation lets no numpy warning out.  The
-    # match reads the nan too (a running max of the loops' misses dropped it)
-    ctx = CheckContext(replace(GOLDEN, a=1e-5j))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        nums, _ = ctx.numerical_monodromy
-    assert np.isnan(nums[2]).any()
-    assert math.isnan(check_monodromy_match(ctx, None)[0])
+    # base point (its M_2 is nan) as for the family: each check that reads a
+    # continued M fails with residual inf and a note, and neither continuation
+    # lets a numpy warning out
+    s = replace(GOLDEN, a=1e-5j)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        worst, notes = check_monodromy_invariance(ctx, None)
-    assert not caught
-    assert worst == math.inf and "overflowed" in notes
+        nums, _ = CheckContext(s).numerical_monodromy
+        report = run_checks(s, checks=["monodromy"])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert np.isnan(nums[2]).any()
+    results = {r.name: r for r in report.results}
+    for name in ("monodromy_match", "cyclic_relation", "monodromy_invariance"):
+        r = results[name]
+        assert (r.status, r.residual) == ("fail", math.inf), name
+        assert r.notes.endswith("; Y overflowed"), name
 
 
 def test_base_point_above_all_singularities(golden_branch):
