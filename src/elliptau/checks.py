@@ -9,16 +9,12 @@ per-check SplitMix64 streams derived from the scenario seed, so a report is
 reproducible bit-for-bit given the same platform floating point.
 """
 
-from __future__ import annotations
-
 import cmath
-import glob
 import math
 import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,14 +72,17 @@ from .tau import (
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str  # pass | fail | inconclusive
-    residual: float
-    tolerance: float
-    runtime_ms: float
-    notes: str = ""
+    """One check's record; status is pass, fail or inconclusive."""
+
+    __slots__ = ("name", "status", "residual", "tolerance", "runtime_ms", "notes")
+
+    def __init__(self, name, status, residual, tolerance, runtime_ms, notes=""):
+        self.name, self.status, self.residual = name, status, residual
+        self.tolerance, self.runtime_ms, self.notes = tolerance, runtime_ms, notes
+
+    def __repr__(self):
+        return f"CheckResult({self.name!r}, {self.status!r}, {self.residual!r})"
 
     @property
     def headroom(self):
@@ -94,12 +93,15 @@ class CheckResult:
         return math.log10(self.tolerance / r)
 
 
-@dataclass
 class Report:
-    overall: str
-    environment: dict
-    results: list
-    stage_s: dict = field(default_factory=dict)  # self seconds per shared stage
+    """The verdict, the environment block, the CheckResults, and the self
+    seconds of each shared stage."""
+
+    __slots__ = ("overall", "environment", "results", "stage_s")
+
+    def __init__(self, overall, environment, results, stage_s):
+        self.overall, self.environment, self.results = overall, environment, results
+        self.stage_s = stage_s
 
     def to_json_dict(self):
         def num(x):
@@ -790,11 +792,11 @@ def check_h_t_residue_oracle(ctx, rng):
 def _shift_point(ctx):
     """The scenario point, or that point at t = 0.1 when |t| <= 1e-3."""
     p = ctx.params
-    return p if abs(p.t) > 1e-3 else replace(p, t=0.1)
+    return p if abs(p.t) > 1e-3 else p._replace(t=0.1)
 
 
 def check_shifted_tau_at_zero(ctx, rng):
-    worst, q = 0.0, replace(ctx.params, t=0.0)
+    worst, q = 0.0, ctx.params._replace(t=0.0)
     for l in (-1, 1, 2):
         lhs = sigma_shift_tau(q, l)
         rhs = sigma(q.lat, 2 * l * q.alpha)
@@ -806,7 +808,7 @@ def check_shifted_tau_dlog(ctx, rng):
     worst, q = 0.0, _shift_point(ctx)
     for l in (-1, 0, 1, 2):
         d, _ = ring_derivative(
-            lambda ts: np.log(sigma_shift_tau(replace(q, t=ts), l)),
+            lambda ts: np.log(sigma_shift_tau(q._replace(t=ts), l)),
             q.t, _lattice_distance(q.lat, q.t + 2 * l * q.alpha), log=True)  # tau_l zeros
         cl = sigma_shift_dlog_tau_dt(q, l)
         worst = max(worst, abs(cl - d) / max(1.0, abs(cl)))
@@ -827,10 +829,10 @@ def check_shifted_tau_cross_family(ctx, rng):
     lat, al = q.lat, q.alpha
     pc = 0.5 + lat.eta1 * l * al / (1j * math.pi)
     qc = 0.5 - lat.eta2 * l * al / (1j * math.pi)
-    main = replace(q, char=ThetaChar(pc, qc))
+    main = q._replace(char=ThetaChar(pc, qc))
     distance = _lattice_distance(lat, q.t + 2 * l * al)  # to a zero of sigma(t + 2 l alpha)
-    d2_main, _ = ring_derivative(lambda ts: H_t(replace(main, t=ts)), q.t, distance)
-    d2_app, _ = ring_derivative(lambda ts: sigma_shift_dlog_tau_dt(replace(q, t=ts), l),
+    d2_main, _ = ring_derivative(lambda ts: H_t(main._replace(t=ts)), q.t, distance)
+    d2_app, _ = ring_derivative(lambda ts: sigma_shift_dlog_tau_dt(q._replace(t=ts), l),
                                 q.t, distance)
     return abs(d2_main - d2_app) / max(1.0, abs(d2_app)), \
         "second t-derivatives of log tau agree across the two constructions"
@@ -900,14 +902,22 @@ def resolve_check_names(names):
 
 def _installed_version(dist):
     """Version of an installed distribution, or None: the Version line of the
-    first dist-info METADATA of dist on sys.path, read without importing the
-    distribution or importlib.metadata (whose import costs about 20 ms)."""
+    first dist-info METADATA of dist on sys.path (dist-*.dist-info in name
+    order), read without importing the distribution or importlib.metadata
+    (whose import costs about 20 ms)."""
     for entry in sys.path:
-        pattern = os.path.join(glob.escape(entry or "."), dist + "-*.dist-info", "METADATA")
-        for path in sorted(glob.glob(pattern)):
-            with open(path, encoding="utf-8") as meta:
-                return next((line.partition(":")[2].strip() for line in meta
-                             if line.startswith("Version:")), None)
+        try:
+            names = sorted(d.name for d in os.scandir(entry or ".")
+                           if d.name.startswith(dist + "-") and d.name.endswith(".dist-info"))
+        except OSError:  # not a directory
+            continue
+        for name in names:
+            try:
+                with open(os.path.join(entry or ".", name, "METADATA"), encoding="utf-8") as meta:
+                    return next((line.partition(":")[2].strip() for line in meta
+                                 if line.startswith("Version:")), None)
+            except FileNotFoundError:
+                continue
     return None
 
 

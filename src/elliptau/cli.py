@@ -1,7 +1,10 @@
 """Command-line entry points: verify, tau, monodromy.
 
 verify runs the selected oracle checks against a scenario and writes one
-JSON report (numbers serialized as 17-significant-digit decimal strings).
+JSON report (numbers serialized as 17-significant-digit decimal strings),
+whose environment block names the scenario by the SHA-256 of the bytes
+that were parsed, from CPython's built-in _sha256 (hashlib, which loads
+OpenSSL, only where that module is missing).
 tau sweeps the deformation time over a grid and emits CSV with the
 branch-continuous log tau and the Hamiltonian, evaluated on arrays of
 TAU_CHUNK grid points.  monodromy prints one numerically continued 2x2
@@ -12,15 +15,11 @@ one failed (tau: a nan row, summarized on stderr), 2 configuration or
 scenario error, an --out that cannot be written among them (checked first).
 """
 
-from __future__ import annotations
-
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .curve import periods
 from .elliptic import ThetaChar
 from .isomono import DeformationParams, make_params, theta_zero_errors
 from .monodromy import base_point, monodromy_matrices
-from .scenario import load_scenario
+from .scenario import load_scenario, read_scenario
 from .tau import H_t, log_tau
 
 TAU_CHUNK = 1024  # grid points per array evaluation: memory is O(TAU_CHUNK)
@@ -76,14 +75,13 @@ def _cmd_verify(args):
                         ("--draw-scale", args.draw_scale)):
         if not (math.isfinite(value) and value > 0):
             raise ScenarioError(f"{flag} must be a positive finite number, got {value}")
-    scenario = load_scenario(args.scenario)
+    scenario, digest = read_scenario(args.scenario)
     if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
+        scenario = scenario._replace(seed=args.seed)
     checks = args.checks.split(",") if args.checks else None
     report = run_checks(scenario, checks=checks, tol_scale=args.tol_scale,
                         draw_scale=args.draw_scale)
-    with open(args.scenario, "rb") as fh:
-        report.environment["scenario_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    report.environment["scenario_sha256"] = digest
     report.environment["argv"] = args.argv
     payload = report.to_json_dict()
     with open(args.out, "w") as fh:
@@ -101,7 +99,7 @@ def _tau_rows(point, ts):
     array, from one theta jet at point with those times, and by index the
     errors of the rows that failed: theta[p,q](t/omega1) at a zero, or a value
     that is not finite."""
-    params = replace(point, t=ts.astype(complex))
+    params = point._replace(t=ts.astype(complex))
     with np.errstate(divide="ignore", invalid="ignore"):  # a row at a zero fails
         lt, ht = log_tau(params), H_t(params)
     errors = theta_zero_errors(params)

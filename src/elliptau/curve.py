@@ -29,10 +29,11 @@ One step rule cuts every path, here and in monodromy: chords() splits the
 pieces into straight chords no longer than RHO = 0.4 of the distance from
 the chord's start to the nearest singular point, so the steps grade
 geometrically toward a nearby branch point.  path_integrals applies one
-ORDER = 12-node Gauss-Legendre rule to each chord (the integrand is
-analytic within 2.5 chord lengths of the chord's start, so the rule is
-exact to rounding) and continues y through all nodes of a path at once,
-keeping at each node the sign of the principal root that moves y least.
+ORDER = 12-node Gauss-Legendre rule, written as literal constants, to each
+chord (the integrand is analytic within 2.5 chord lengths of the chord's
+start, so the rule is exact to rounding) and continues y through all nodes
+of a path at once, keeping at each node the sign of the principal root
+that moves y least.
 Paths are detoured by CLEARANCE = 0.1 of the smallest branch gap.
 
 path_integrals and periods_of work on many paths or configurations in one
@@ -40,59 +41,51 @@ array pass; path_integral and period_data are their one-item cases and give
 the same numbers.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .elliptic import Lattice, _any, _arg, lattice_from_periods, wp
+from .elliptic import _Value, _any, _arg, lattice_from_periods, wp
 from .errors import ContourGeometryError, DegenerateParameterError, EllipTauError, QuadratureError
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(_Value, namedtuple("Chart", "anchor omega1 omega2")):
     """The period convention a moved configuration continues from its root:
     the root's sheet anchor and its cycle periods before orientation.  Plain
     values, so the root's cache entries may go."""
 
-    anchor: complex
-    omega1: complex
-    omega2: complex
 
-
-@dataclass(frozen=True)
-class BranchConfig:
+class BranchConfig(_Value, namedtuple("BranchConfig", "e1 e2 e3 chart")):
     """Branch points of the curve; the geometric ground truth.
 
     chart is None on a fresh configuration, which chooses its own period
     convention; moved() copies carry their root's chart.  The chart is part
-    of equality and hash, so cached data never crosses between charts.  es,
-    scale and min_gap (largest and smallest gap) are set at construction.
-    Branch points that are arrays make a batch, one configuration per entry,
-    whose es, gaps and algebra broadcast; no cache takes a batch.
+    of equality and hash, so cached data never crosses between charts, but
+    not of the repr.  es, scale and min_gap (largest and smallest gap) are
+    set at construction.  Branch points that are arrays make a batch, one
+    configuration per entry, whose es, gaps and algebra broadcast; no cache
+    takes a batch.
     """
 
-    e1: complex
-    e2: complex
-    e3: complex
-    chart: Chart | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        e1, e2, e3 = es = (_arg(self.e1), _arg(self.e2), _arg(self.e3))
+    def __new__(cls, e1, e2, e3, chart=None):
+        self = tuple.__new__(cls, (e1, e2, e3, chart))
+        e1, e2, e3 = self.es = (_arg(e1), _arg(e2), _arg(e3))
         gaps = (abs(e1 - e2), abs(e1 - e3), abs(e2 - e3))
         if any(isinstance(g, np.ndarray) for g in gaps):
             gaps = np.broadcast_arrays(*gaps)
-            self.__dict__.update(es=es, scale=np.max(gaps, 0), min_gap=np.min(gaps, 0))
+            self.scale, self.min_gap = np.max(gaps, 0), np.min(gaps, 0)
         else:
-            self.__dict__.update(es=es, scale=max(gaps), min_gap=min(gaps))
+            self.scale, self.min_gap = max(gaps), min(gaps)
         if _any(self.min_gap <= 1e-8 * self.scale):
             raise ContourGeometryError(
-                f"branch points nearly collide: {es} (min gap {np.min(self.min_gap):.3e})")
+                f"branch points nearly collide: {self.es} (min gap {np.min(self.min_gap):.3e})")
+        return self
+
+    def __repr__(self):
+        return "BranchConfig(e1=%r, e2=%r, e3=%r)" % self[:3]
 
     @property
     def e_sum(self):
@@ -168,11 +161,7 @@ def _dist_to_ray(x, a, direction):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Line:
-    a: complex
-    b: complex
-
+class Line(_Value, namedtuple("Line", "a b")):
     def x(self, s):
         # exact at both ends, so a path ends exactly on its target
         return (1.0 - s) * self.a + s * self.b
@@ -181,13 +170,7 @@ class Line:
         return self.b - self.a
 
 
-@dataclass(frozen=True)
-class Arc:
-    center: complex
-    radius: float
-    th0: float
-    th1: float
-
+class Arc(_Value, namedtuple("Arc", "center radius th0 th1")):
     def x(self, s):
         th = self.th0 + s * (self.th1 - self.th0)
         return self.center + self.radius * cmath.exp(1j * th)
@@ -197,11 +180,16 @@ class Arc:
         return 1j * (self.th1 - self.th0) * self.radius * cmath.exp(1j * th)
 
 
-@lru_cache(maxsize=1)
-def _gauss():
-    """The ORDER-node Gauss-Legendre rule on [-1, 1], built at first use:
-    built at import, it loads LAPACK there and costs 1 MB of peak RSS."""
-    return leggauss(ORDER)
+# The ORDER-node Gauss-Legendre rule on [-1, 1], as numpy's leggauss(12) gives
+# it bit for bit (a Tier-1 test pins this), from its nonnegative nodes
+# (ascending) and their weights.  As constants it loads neither numpy's
+# polynomial package nor LAPACK.
+_X = (0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+      0.7699026741943047, 0.9041172563704748, 0.9815606342467192)
+_W = (0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+      0.16007832854334642, 0.10693932599531907, 0.04717533638651141)
+NODES = np.array([-x for x in _X[::-1]] + list(_X))
+WEIGHTS = np.array(_W[::-1] + _W)
 
 
 def chords(pieces, poles):
@@ -276,9 +264,8 @@ def path_integrals(paths, branches, y_starts, numerator=None):
     stop = sizes.cumsum()[live]  # one past each path's last chord
     start = stop - sizes[live]
     e = np.array([b.es for b in branches]).repeat(sizes, axis=0)  # each chord's branch
-    nodes, weights = _gauss()
     half = 0.5 * (x1 - x0)[:, None]
-    x = x0[:, None] + half * (1.0 + nodes)
+    x = x0[:, None] + half * (1.0 + NODES)
     # the nodes of each chord, then its end: sqrt(y^2) there, in path order
     xe = np.concatenate([x, x1[:, None]], axis=1)
     w = np.sqrt(4.0 * (xe - e[:, :1]) * (xe - e[:, 1:2]) * (xe - e[:, 2:])).ravel()
@@ -289,7 +276,7 @@ def path_integrals(paths, branches, y_starts, numerator=None):
     sign *= np.where(start > 0, sign[start * (ORDER + 1) - 1], 1.0).repeat(
         sizes[live] * (ORDER + 1))
     y = (sign * w).reshape(xe.shape)
-    f = half * weights / y[:, :ORDER]
+    f = half * WEIGHTS / y[:, :ORDER]
     if numerator is not None:
         f = f * numerator(x, path)
     for k, r0, r1 in zip(live.tolist(), start.tolist(), stop.tolist()):
@@ -369,15 +356,9 @@ def _tail_g(branch, X):
     return out
 
 
-@dataclass(frozen=True)
-class SheetFrame:
+class SheetFrame(_Value, namedtuple("SheetFrame", "branch anchor y_anchor clearance")):
     """Anchor data fixing sheet 1: the anchor, y there and the detour radius;
     the Abel value u there, which only the Abel map reads, at first read."""
-
-    branch: BranchConfig
-    anchor: complex
-    y_anchor: complex
-    clearance: float
 
     @cached_property
     def u_anchor(self):
@@ -388,9 +369,8 @@ class SheetFrame:
         exact to rounding."""
         X = self.anchor - self.branch.centroid
         inv_sqrt_X = abs(X) ** -0.5 * cmath.exp(-0.5j * cmath.phase(X))
-        nodes, weights = _gauss()
-        s = 0.5 * (1.0 + nodes)
-        total = np.sum(0.5 * weights / _tail_g(self.branch, X / (s * s)))
+        s = 0.5 * (1.0 + NODES)
+        total = np.sum(0.5 * WEIGHTS / _tail_g(self.branch, X / (s * s)))
         return complex(-inv_sqrt_X * total)
 
 
@@ -428,12 +408,8 @@ def _sheet_frame(branch):
     return SheetFrame(branch, anchor, y_anchor, CLEARANCE * branch.min_gap)
 
 
-@dataclass(frozen=True)
-class PeriodData:
-    lattice: Lattice
-    omega1: complex
-    omega2: complex
-    delta_flipped: bool
+class PeriodData(_Value, namedtuple("PeriodData", "lattice omega1 omega2 delta_flipped")):
+    """The lattice, its oriented periods, and whether omega2 was flipped."""
 
 
 def _cycles(branch):
@@ -627,17 +603,12 @@ def x_from_u(branch, lat, u):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HalfPeriodTable:
+class HalfPeriodTable(_Value, namedtuple("HalfPeriodTable", "omega_tilde eta_tilde perm")):
     """Half periods, their quasi-period constants, and the branch matching.
 
     perm[k] is the index nu in {1,2,3} with wp(omega_tilde[k]) = e_nu - e_sum/3;
     slot_of_branch inverts it.
     """
-
-    omega_tilde: tuple
-    eta_tilde: tuple
-    perm: tuple
 
     def slot_of_branch(self, nu):
         return self.perm.index(nu)
@@ -676,14 +647,9 @@ def half_period_table(branch, lat):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WpAtA:
-    """Algebraic values of wp and derivatives at alpha = u(a), sheet 1."""
-
-    wp: complex
-    wp_prime: complex  # signed, sheet-1 branch
-    wp_pp: complex
-    wp_ppp: complex
+class WpAtA(_Value, namedtuple("WpAtA", "wp wp_prime wp_pp wp_ppp")):
+    """Algebraic values of wp and derivatives at alpha = u(a), sheet 1;
+    wp_prime is signed, on the sheet-1 branch."""
 
 
 def wp_alpha_relations(branch, a, near=None):

@@ -27,11 +27,9 @@ size-1 call up to the rings past its own K that other points need, which
 lie below SERIES_TOL of its scale.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -41,12 +39,28 @@ from .errors import LatticeOrientationError, LatticePoleError, ThetaConvergenceE
 TWO_PI_I = 2j * math.pi
 
 
-@dataclass(frozen=True)
-class ThetaChar:
-    """Characteristic (p, q) of a theta function; generically non-half-integer."""
+class _Value:
+    """Base of the package's value types, each a namedtuple subclass (so no
+    methods are generated at import): equal only to its own type, hashed as
+    its tuple, and copied with fields changed by _replace, through the
+    constructor, so that a copy passes the constructor's checks."""
 
-    p: complex
-    q: complex
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+    def _replace(self, **changes):
+        return self.__class__(**{**self._asdict(), **changes})
+
+
+class ThetaChar(_Value, namedtuple("ThetaChar", "p q")):
+    """Characteristic (p, q) of a theta function; generically non-half-integer."""
 
 
 HALF_HALF = ThetaChar(0.5, 0.5)
@@ -214,8 +228,7 @@ def theta11_constants(Omega):
     return jet[1], jet[3], jet[5]
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(_Value, namedtuple("Lattice", "omega1 omega2")):
     """Full periods.  The period ratio, quasi-period constants and cubic
     invariants follow, each at first read: the periods alone need no theta
     constants.
@@ -223,9 +236,6 @@ class Lattice:
     Periods that are arrays of one shape make a batch, one lattice per
     point: every derived value is then an array of that shape, and every
     function of u broadcasts u against it."""
-
-    omega1: complex
-    omega2: complex
 
     @cached_property
     def Omega(self):

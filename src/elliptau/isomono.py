@@ -23,11 +23,9 @@ evaluates the four rows and Pi on all of them with one call of each sigma
 function, and matrix, hatted, y_at and coefficients read it.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -35,8 +33,8 @@ import numpy as np
 from . import curve as _curve
 from .curve import BranchConfig
 from .elliptic import (
-    Lattice,
     ThetaChar,
+    _Value,
     _any,
     _math,
     _theta_rows,
@@ -54,17 +52,17 @@ from .elliptic import (
 from .errors import DegenerateParameterError
 
 TWO_PI_I = 2j * math.pi
-M_INF = -1j  # m at infinity; of the coefficients, only the G frames depend on it
+M_INF = -1j  # m at infinity; of the coefficients, only the frames G^(nu) depend on it
 
 
-@dataclass(frozen=True)
-class DeformationParams:
+class DeformationParams(_Value, namedtuple("DeformationParams", "branch lat a t char root",
+                                            defaults=(None,))):
     """One point of the deformation space: the branch with its lattice, a, t
     and the characteristic.  Derived at first read: theta_jet, which the
     theta-zero test, log tau and the Hamiltonians read, and what only Y, its
     coefficients and its monodromy read: alpha = u(a), the wp data at alpha,
     the half-period table and the chain phi -> sol -> coeffs; and wp_series,
-    which the sigma-shift family of tau reads.  A copy (replace, moved)
+    which the sigma-shift family of tau reads.  A copy (_replace, moved)
     carries none of it.
 
     A batch point holds one point per entry: t an array of times (then
@@ -72,14 +70,17 @@ class DeformationParams:
     moved gives for an array of moves, a batch branch on one batch lattice
     whose alpha, wp data and half periods come from its root, the point it
     moved from.  Its Phi, Y and coefficient arrays carry the batch axes
-    after the axes of the points u or x, before a matrix's (2, 2)."""
+    after the axes of the points u or x, before a matrix's (2, 2).  Its root
+    (None unless it is a batch) takes no part in equality, hash or repr."""
 
-    branch: BranchConfig
-    lat: Lattice
-    a: complex
-    t: complex
-    char: ThetaChar
-    root: DeformationParams | None = field(default=None, repr=False, compare=False)
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and self[:5] == other[:5]
+
+    def __hash__(self):
+        return hash(self[:5])
+
+    def __repr__(self):
+        return "DeformationParams(branch=%r, lat=%r, a=%r, t=%r, char=%r)" % self[:5]
 
     @cached_property
     def theta_jet(self):
@@ -137,15 +138,15 @@ class DeformationParams:
     def moved(self, nu, delta):
         """The one way to move a point: the branch point e_nu moved by delta,
         on its lattice, or t for nu = 0.  A move of t alone (every nu 0, delta
-        a number or an array) is replace(t=...).  Otherwise an array of nu or
+        a number or an array) is _replace(t=...).  Otherwise an array of nu or
         delta gives one batch point of their broadcast shape: its branch
         points and t are arrays on this point's chart, with one batch lattice
         from one periods_of call, and this point is its root."""
         if not np.any(nu):
-            return replace(self, t=self.t + delta)
+            return self._replace(t=self.t + delta)
         if np.ndim(nu) + np.ndim(delta) == 0:
             b = self.branch.moved(nu, delta)
-            return replace(self, branch=b, lat=_curve.periods(b))
+            return self._replace(branch=b, lat=_curve.periods(b))
         nu, delta = np.broadcast_arrays(nu, delta)
         lats = iter(_curve.periods_of([self.branch.moved(k, d)
                                        for k, d in zip(nu.flat, delta.flat) if k]))
@@ -153,8 +154,8 @@ class DeformationParams:
         lat = lattice_from_periods(*(np.reshape([getattr(l, w) for l in lats], delta.shape)
                                      for w in ("omega1", "omega2")))
         es = [e + np.where(nu == k, delta, 0) for k, e in enumerate(self.branch.es, 1)]
-        return replace(self, branch=BranchConfig(*es, chart=self.branch.root_chart), lat=lat,
-                       t=self.t + np.where(nu == 0, delta, 0), root=self)
+        return self._replace(branch=BranchConfig(*es, chart=self.branch.root_chart), lat=lat,
+                             t=self.t + np.where(nu == 0, delta, 0), root=self)
 
 
 def theta_zero_errors(params):
@@ -184,17 +185,11 @@ def make_params(branch, a, t, p, q):
                                             complex(t), ThetaChar(p, q)))
 
 
-@dataclass(frozen=True)
-class PhiRows:
+class PhiRows(_Value, namedtuple("PhiRows", "hat Pi hat_du Pi_du", defaults=(None, None))):
     """The hatted rows of Phi at points u and Pi(u), with their u-derivatives
     when asked for.  hat[i, j] = sigma[p,q](u_j + s_i + t) sigma(u_j - s_i)
     for u_j = u, -u and s_i = alpha, -alpha (phi, psi): the entry layout of
     Phi, followed by u's shape.  hat_du[i, j] is its derivative in u_j."""
-
-    hat: np.ndarray
-    Pi: object
-    hat_du: np.ndarray | None = None
-    Pi_du: object = None
 
     @property
     def det(self):
@@ -282,12 +277,9 @@ def _m_slot_values(char):
     )
 
 
-@dataclass(frozen=True)
-class MonodromyData:
-    """The anti-diagonal scalars m and monodromy matrices M of Y, by loop."""
-
-    m: dict
-    M: dict
+class MonodromyData(_Value, namedtuple("MonodromyData", "M")):
+    """The monodromy matrices M of Y by loop, each anti-diagonal
+    [[0, m], [-1/m, 0]] with its scalar m."""
 
 
 def _mat(a, b, c, d):
@@ -323,7 +315,7 @@ def theoretical_monodromy(params):
     m = {"inf": M_INF}
     for nu in (1, 2, 3):
         m[nu] = slots[hpt.slot_of_branch(nu)]
-    return MonodromyData(m=m, M={k: _off_diag(v) for k, v in m.items()})
+    return MonodromyData({k: _off_diag(v) for k, v in m.items()})
 
 
 class YSolution:
@@ -450,17 +442,8 @@ def _wp_inverse(lat, u, shift, x):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SystemCoefficients:
+class SystemCoefficients(_Value, namedtuple("SystemCoefficients", "a es B_minus1 B0 A")):
     """Rational connection A(x) = B_{-1}/(x-a)^2 + B_0/(x-a) + sum A_nu/(x-e_nu)."""
-
-    a: complex
-    es: tuple
-    B_minus1: np.ndarray
-    B0: np.ndarray
-    A: dict
-    G: dict
-    D: dict
 
     def A_of(self, x):
         out = self.B_minus1 / (x - self.a) ** 2 + self.B0 / (x - self.a)
@@ -475,11 +458,11 @@ class SystemCoefficients:
 
 
 def coefficients(params, phi, sol):
-    """Assemble B_{-1}, B_0, A_nu, the frames G^(nu), G^(inf), and D^(nu).
+    """Assemble B_{-1}, B_0 and A_nu, the last through the frames G^(nu).
 
-    Each finite branch point uses the half period lying over it.  D^(nu) is
-    the slope of det Phi at that half period, which stays exact where phi or
-    psi vanishes there.  The quarter powers use principal branches;
+    Each finite branch point uses the half period lying over it.  D^(nu), the
+    slope of det Phi at that half period, normalizes G^(nu); it stays exact
+    where phi or psi vanishes there.  The quarter powers use principal branches;
     conjugation cancels any global quarter-power ambiguity in A_nu.  On a
     batch point every matrix is a stack, one per entry (batch shape + (2, 2)).
     """
@@ -494,20 +477,19 @@ def coefficients(params, phi, sol):
     slots = _m_slot_values(p.char)
     hpt = p.half_periods
     es = p.branch.es
-    A, G, D = {}, {}, {}
+    A = {}
     ks = [hpt.slot_of_branch(nu) for nu in (1, 2, 3)]
-    # the half periods over e1, e2, e3 and u = 0 in one evaluation, with the
-    # batch axes last: the rows phi, psi (column u of Phi) and their u-derivatives
+    # the half periods over e1, e2, e3 in one evaluation, with the batch axes
+    # last: the rows phi, psi (column u of Phi) and their u-derivatives
     shape = np.broadcast_shapes(np.shape(p.t), np.shape(p.lat.omega1))
-    r = phi.rows([np.broadcast_to(u, shape) for u in [hpt.omega_tilde[k] for k in ks] + [0j]],
-                 du=True)
+    r = phi.rows([np.broadcast_to(hpt.omega_tilde[k], shape) for k in ks], du=True)
     ex = np.exp(r.Pi)
     rows, drows = r.hat[:, 0] * ex, (r.hat_du[:, 0] + r.hat[:, 0] * r.Pi_du) * ex
     dets = r.det_du
     for i, (nu, k) in enumerate(zip((1, 2, 3), ks)):
         eta_t = hpt.eta_tilde[k]
         m = slots[k]
-        D[nu] = Dv = dets[i]
+        Dv = dets[i]
         if _any(Dv == 0):
             raise DegenerateParameterError(f"D at half period over e_{nu} vanished")
         e_t = [x for j, x in enumerate(es, start=1) if j != nu]
@@ -515,14 +497,9 @@ def coefficients(params, phi, sol):
         quarter = (wpp_half / 2.0) ** 0.25
         F = _columns(rows[:, i], drows[:, i] - eta_t * rows[:, i])
         pref = cmath.sqrt(2.0 * m) / _math(Dv).sqrt(Dv * 1j)
-        G[nu] = Gn = sol.N @ (_each(pref) * F) @ _mat(quarter, 0.0, 0.0, 1.0 / quarter)
-        A[nu] = Gn @ np.diag([-0.25, 0.25]) @ np.linalg.inv(Gn)
-    # frame at infinity: columns from the value and u-derivative of the row
-    # functions at u = 0
-    q = drows[0, 3] / rows[0, 3] - drows[1, 3] / rows[1, 3]
-    G["inf"] = sol.N @ _columns(-1j * rows[:, 3], 1j * drows[:, 3]) / _each(_math(q).sqrt(q))
-    return SystemCoefficients(a=p.a, es=es, B_minus1=B_minus1, B0=B0,
-                              A=A, G=G, D=D)
+        G = sol.N @ (_each(pref) * F) @ _mat(quarter, 0.0, 0.0, 1.0 / quarter)
+        A[nu] = G @ np.diag([-0.25, 0.25]) @ np.linalg.inv(G)
+    return SystemCoefficients(a=p.a, es=es, B_minus1=B_minus1, B0=B0, A=A)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,8 @@ circle enclosing everything.  Matrices are reported in the basis of the
 constructed solution at the base point: M = Y(x0)^{-1} * (Y continued).
 """
 
-from __future__ import annotations
-
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -275,8 +272,8 @@ def monodromy_matrices(params, loops=(1, 2, 3, "inf")):
     for k, Y in enumerate(Y0.reshape(-1, 2, 2)):
         # entry k's poles, as Python numbers, and their matrices
         mats = [np.reshape(m, (-1, 2, 2))[k] for m in (co.B_minus1, co.B0, *co.A.values())]
-        entry = replace(co, es=tuple(complex(np.broadcast_to(e, shape).flat[k]) for e in co.es),
-                        B_minus1=mats[0], B0=mats[1], A=dict(zip(co.A, mats[2:])))
+        entry = co._replace(es=tuple(complex(np.broadcast_to(e, shape).flat[k]) for e in co.es),
+                            B_minus1=mats[0], B0=mats[1], A=dict(zip(co.A, mats[2:])))
         Y_inv = np.linalg.inv(Y)
         Ms.append([Y_inv @ W for W in _continue_paths(entry, paths, [Y] * len(loops))])
     return {which: np.reshape([M[i] for M in Ms], shape + (2, 2))

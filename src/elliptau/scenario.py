@@ -15,15 +15,19 @@ ordering never change the draws and reports are bit-reproducible across
 platforms up to floating-point law.
 """
 
-from __future__ import annotations
-
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .curve import BranchConfig, periods, periods_of
+from .elliptic import _Value
 from .errors import EllipTauError, ScenarioError
+
+try:  # CPython's own SHA-256: hashlib would load OpenSSL for one small file
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 _MASK = (1 << 64) - 1
 
@@ -64,16 +68,12 @@ def check_stream(seed, name):
     return SplitMix64((seed ^ fnv1a64(name)) & _MASK)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    e: tuple
-    a: complex
-    t: complex
-    p: float
-    q: float
-    seed: int = 0
-    checks: tuple = ()
-    tolerances: dict = field(default_factory=dict)
+class Scenario(_Value, namedtuple("Scenario", "e a t p q seed checks tolerances")):
+    """A scenario's fields; tolerances defaults to a new empty dict."""
+
+    def __new__(cls, e, a, t, p, q, seed=0, checks=(), tolerances=None):
+        return tuple.__new__(cls, (e, a, t, p, q, seed, checks,
+                                   {} if tolerances is None else tolerances))
 
     @property
     def branch(self):
@@ -139,15 +139,24 @@ def scenario_from_dict(data):
     )
 
 
-def load_scenario(path):
+def read_scenario(path):
+    """The scenario in the file at path and the SHA-256 hex digest of the
+    bytes it was parsed from, which are read once."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        obj = json.loads(data)
+    except ValueError as exc:  # not JSON, or not text
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(obj), sha256(data).hexdigest()
+
+
+def load_scenario(path):
+    """The scenario in the file at path."""
+    return read_scenario(path)[0]
 
 
 GOLDEN = Scenario(e=(1.0 + 0j, 0j, -1.0 + 0j), a=2.0 + 0j, t=0.1 + 0j,

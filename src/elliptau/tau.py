@@ -16,8 +16,6 @@ point's lattice, alpha = u(a), t (elementwise when t is an array) and
 wp_series, the series values of wp and its first three derivatives at alpha.
 """
 
-from __future__ import annotations
-
 import cmath
 
 import numpy as np

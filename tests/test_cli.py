@@ -9,7 +9,6 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ import elliptau.curve
 import elliptau.elliptic
 import elliptau.isomono
 import elliptau.monodromy
+import elliptau.scenario
 from elliptau.checks import (
     CHECKS,
     SUITES,
@@ -48,6 +48,7 @@ from elliptau.scenario import (
     golden_dict,
     load_scenario,
     random_admissible_scenario,
+    read_scenario,
     scenario_from_dict,
 )
 from elliptau.tau import H_t, log_tau
@@ -210,26 +211,31 @@ def test_platform_name_is_platform_platform():
     assert _platform_name() == platform.platform()
 
 
+def _fresh_python(script):
+    """The JSON of the last stdout line of script, run in a fresh interpreter
+    that imports the package from this checkout."""
+    src = str(Path(elliptau.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_verify_imports_no_subprocess(tmp_path):
     # a fresh interpreter's verify fills its environment block without
     # spawning anything (platform.platform() runs `uname -p`)
     scenario = tmp_path / "golden.json"
     scenario.write_text(json.dumps(golden_dict()))
-    script = textwrap.dedent(f"""
+    assert _fresh_python(f"""
         import contextlib, io, json, sys
         import elliptau.cli
         with contextlib.redirect_stdout(io.StringIO()):
             code = elliptau.cli.main(["verify", "--scenario", {str(scenario)!r},
                                       "--out", {str(tmp_path / "report.json")!r}])
         print(json.dumps([code, "subprocess" in sys.modules]))
-    """)
-    src = str(Path(elliptau.cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
+    """) == [0, False]
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["environment"]["platform"] == _platform_name()
 
@@ -237,10 +243,14 @@ def test_verify_imports_no_subprocess(tmp_path):
 def test_cli_imports_no_scipy_and_tau_imports_nothing_late(tmp_path):
     # In a fresh interpreter: the runtime needs numpy only, and a tau sweep
     # imports no numpy or package module lazily, inside the timed region.
+    # Nor does the import, a tau sweep or a one-suite verify load OpenSSL's
+    # _hashlib, numpy.polynomial, dataclasses or glob, which numpy leaves out.
     scenario = tmp_path / "golden.json"
     scenario.write_text(json.dumps(golden_dict()))
-    script = textwrap.dedent(f"""
+    code, scipy, late, verified, heavy = _fresh_python(f"""
         import contextlib, io, json, sys
+        import numpy
+        with_numpy = set(sys.modules)
         import elliptau.cli
         scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         before = set(sys.modules)
@@ -249,18 +259,56 @@ def test_cli_imports_no_scipy_and_tau_imports_nothing_late(tmp_path):
                                       "--grid", "t=0:0.01:0.001"])
         late = sorted(m for m in set(sys.modules) - before
                       if m.split(".")[0] in ("numpy", "elliptau"))
-        print(json.dumps([code, scipy, late]))
+        with contextlib.redirect_stdout(io.StringIO()):
+            verified = elliptau.cli.main(["verify", "--scenario", {str(scenario)!r},
+                                          "--checks", "elliptic",
+                                          "--out", {str(tmp_path / "report.json")!r}])
+        heavy = [m for m in ("_hashlib", "numpy.polynomial", "dataclasses", "glob")
+                 if m in sys.modules and m not in with_numpy]
+        print(json.dumps([code, scipy, late, verified, heavy]))
     """)
-    src = str(Path(elliptau.cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    code, scipy, late = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
     assert scipy == []
     assert late == []
+    assert verified == 0
+    assert heavy == []
+
+
+def test_scenario_digest_with_and_without_the_builtin_sha256(tmp_path):
+    # CPython's own _sha256 where it exists, else hashlib: the same digest
+    import _sha256
+
+    scenario = tmp_path / "golden.json"
+    scenario.write_text(json.dumps(golden_dict()))
+    expected = hashlib.sha256(scenario.read_bytes()).hexdigest()
+    assert elliptau.scenario.sha256 is _sha256.sha256
+    assert read_scenario(scenario) == (GOLDEN, expected)
+    assert _fresh_python(f"""
+        import hashlib, json, sys
+        sys.modules["_sha256"] = None  # import _sha256 raises ImportError
+        import elliptau.scenario
+        print(json.dumps([elliptau.scenario.sha256 is hashlib.sha256,
+                          elliptau.scenario.read_scenario({str(scenario)!r})[1]]))
+    """) == [True, expected]
+
+
+def test_report_digest_names_the_bytes_that_were_verified(tmp_path, monkeypatch):
+    # a check that rewrites the scenario file does not change the digest:
+    # the file is read once, and parsed and hashed from the same bytes
+    scenario = tmp_path / "golden.json"
+    scenario.write_text(json.dumps(golden_dict()))
+    original = hashlib.sha256(scenario.read_bytes()).hexdigest()
+
+    def rewriting(ctx, rng):
+        scenario.write_text(json.dumps(dict(golden_dict(), seed=7)))
+        return 0.0, "rewrote the scenario file"
+
+    monkeypatch.setitem(CHECKS, "legendre", (rewriting, "elliptic", 1e-10))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--scenario", str(scenario), "--checks", "legendre",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(scenario.read_bytes()).hexdigest() != original
+    assert json.loads(out.read_text())["environment"]["scenario_sha256"] == original
 
 
 def test_headroom_at_the_extremes():
@@ -796,7 +844,7 @@ def test_shared_draws_do_not_depend_on_which_checks_run(seed):
     # the checks that read the shared branch samples, branch ring and
     # neighbours give the same residual run alone, in their suite and in the
     # full run: each shared stage draws from its own stream
-    scenario = GOLDEN if seed is None else replace(GOLDEN, seed=seed)
+    scenario = GOLDEN if seed is None else GOLDEN._replace(seed=seed)
     names = ["theta_constants", "domega_de", "dlog_omega1_de",
              "quasiperiod_ratio_derivative", "dlogtau_dt", "dlogtau_de"]
 

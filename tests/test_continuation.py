@@ -6,7 +6,6 @@ here as the independent check.
 """
 
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -110,7 +109,7 @@ def test_unsettled_chord_is_halved(golden_ctx):
 
 
 def test_series_that_never_settles_raises(golden_ctx):
-    coeffs = dataclasses.replace(golden_ctx.coeffs, B0=np.full((2, 2), np.nan, dtype=complex))
+    coeffs = golden_ctx.coeffs._replace(B0=np.full((2, 2), np.nan, dtype=complex))
     with pytest.raises(QuadratureError, match=r"did not converge at x=.* with step h="):
         continue_solution(coeffs, [Line(3.0 + 1.0j, 3.0 - 1.0j)], np.eye(2))
 

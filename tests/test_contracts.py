@@ -3,6 +3,7 @@
 import concurrent.futures
 
 import numpy as np
+import pytest
 
 from elliptau.checks import run_checks
 from elliptau.elliptic import (
@@ -25,10 +26,9 @@ def test_reports_deterministic_given_seed():
 
 
 def test_seed_changes_draws_not_verdicts():
-    from dataclasses import replace
     names = ["wp_ode"]
     r1 = run_checks(GOLDEN, checks=names)
-    r2 = run_checks(replace(GOLDEN, seed=GOLDEN.seed + 1), checks=names)
+    r2 = run_checks(GOLDEN._replace(seed=GOLDEN.seed + 1), checks=names)
     assert r1.results[0].residual != r2.results[0].residual
     assert r1.results[0].status == r2.results[0].status == "pass"
 
@@ -93,6 +93,63 @@ def test_every_public_name_has_a_reader_outside_tests():
     unread = sorted(f"{module}:{name}" for name, module in public.items()
                     if name not in named)
     assert not unread, f"read only by tests, or by nothing: {unread}"
+
+
+def test_every_field_has_a_reader_outside_tests():
+    # a field of a public class of the package, named in its namedtuple base
+    # or its __slots__, must be read as an attribute (x.field) somewhere in
+    # src/ or perfbench/: data that only tests read has no job
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "elliptau").glob("*.py"))
+    fields = []  # (defining file, class, field)
+    for path in package:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            names = [b.args[1].value.split() for b in node.bases
+                     if isinstance(b, ast.Call) and getattr(b.func, "id", None) == "namedtuple"]
+            names += [[e.value for e in a.value.elts] for a in node.body
+                      if isinstance(a, ast.Assign)
+                      and [getattr(t, "id", None) for t in a.targets] == ["__slots__"]]
+            fields += [(path.name, node.name, f) for group in names for f in group]
+    read = {n.attr for path in package + sorted((root / "perfbench").glob("*.py"))
+            for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    assert len({cls for _, cls, _ in fields}) >= 17  # the parse found the value types
+    unread = sorted(f"{where}:{cls}.{f}" for where, cls, f in fields if f not in read)
+    assert not unread, f"read only by tests, or by nothing: {unread}"
+
+
+def test_value_types_keep_their_semantics():
+    # equality within a type only, hash of the value, fresh defaults, the
+    # constructor's checks on a copy, and what equality and repr leave out
+    from elliptau.checks import CheckResult
+    from elliptau.curve import BranchConfig, Line
+    from elliptau.elliptic import ThetaChar
+    from elliptau.errors import ContourGeometryError
+    from elliptau.isomono import make_params
+    from elliptau.scenario import Scenario
+
+    assert Line(0.5, 0.25) != ThetaChar(0.5, 0.25) and Line(0.5, 0.25) != (0.5, 0.25)
+    assert Line(0.5, 0.25) == Line(0.5, 0.25) and len({Line(0.5, 0.25), Line(0.5, 0.25)}) == 1
+    b = BranchConfig(1.0, 0.0, -1.0)
+    moved = b.moved(1, 1e-3)
+    assert "chart" not in repr(moved) and moved != BranchConfig(*moved.es)
+    with pytest.raises(ContourGeometryError):
+        b._replace(e2=1.0)
+    p = make_params(b, 2.0, 0.1, 0.3, 0.2)
+    batch = p.moved(np.array([0, 1]), 1e-3)
+    assert batch.root is p and batch._replace(t=0.2).root is p
+    assert p._replace(root=batch) == p and hash(p._replace(root=batch)) == hash(p)
+    assert "root" not in repr(p)
+    s = Scenario(*GOLDEN[:5])
+    assert s.tolerances == {} and s.tolerances is not Scenario(*GOLDEN[:5]).tolerances
+    r = CheckResult("x", "pass", 0.0, 1e-6, 1.0)
+    r.status = "fail"
+    assert r.status == "fail" and r.notes == ""
 
 
 def test_every_default_parameter_is_set_outside_tests():

@@ -64,6 +64,14 @@ def random_branch(rng):
 def test_branch_config_rejects_collisions():
     with pytest.raises(ContourGeometryError):
         BranchConfig(1.0, 1.0 + 1e-12j, -1.0)
+    with pytest.raises(ContourGeometryError):  # a copy is checked as well
+        BranchConfig(1.0, 0.5, -1.0)._replace(e2=1.0 + 1e-12j)
+
+
+def test_gauss_rule_constants_are_leggauss_bit_for_bit():
+    nodes, weights = leggauss(ORDER)
+    assert np.array_equal(elliptau.curve.NODES, nodes)
+    assert np.array_equal(elliptau.curve.WEIGHTS, weights)
 
 
 def test_golden_periods_against_elliptic_integral():

@@ -2,7 +2,6 @@
 
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from elliptau.checks import (
 )
 from elliptau.isomono import (
     PhiMatrix,
+    _m_slot_values,
     _theta_checked,
     deformation_residual,
     make_params,
@@ -199,11 +199,11 @@ def test_y1_cauchy_vs_closed_form(golden):
 def test_theoretical_monodromy_values(golden_branch):
     # direct substitution at p = q = 0
     p = make_params(golden_branch, 2.0, 0.1, 0.0, 0.0)
-    md = theoretical_monodromy(p)
-    assert abs(md.m[1] - 1j) < 1e-14
-    assert abs(md.m[2] + 1j) < 1e-14
-    assert abs(md.m[3] - 1j) < 1e-14
-    assert abs(md.m["inf"] + 1j) < 1e-14
+    m = {k: M[0, 1] for k, M in theoretical_monodromy(p).M.items()}  # M = [[0, m], [-1/m, 0]]
+    assert abs(m[1] - 1j) < 1e-14
+    assert abs(m[2] + 1j) < 1e-14
+    assert abs(m[3] - 1j) < 1e-14
+    assert abs(m["inf"] + 1j) < 1e-14
 
 
 def test_theoretical_monodromy_structure(golden):
@@ -253,8 +253,13 @@ def test_residue_bookkeeping_at_infinity(golden):
     ev = sorted(np.linalg.eigvals(-S), key=lambda z: z.real)
     assert abs(ev[0] + 0.25) < 1e-8
     assert abs(ev[1] - 0.25) < 1e-8
-    # the frame at infinity diagonalizes it with exponents (1/4, -1/4)
-    G = co.G["inf"]
+    # the frame at infinity diagonalizes it with exponents (1/4, -1/4): its
+    # columns are the value and u-derivative of the rows phi, psi at u = 0
+    r = golden.phi.rows(0j, du=True)
+    rows = r.hat[:, 0] * np.exp(r.Pi)
+    drows = (r.hat_du[:, 0] + r.hat[:, 0] * r.Pi_du) * np.exp(r.Pi)
+    q = drows[0] / rows[0] - drows[1] / rows[1]
+    G = golden.sol.N @ np.column_stack([-1j * rows, 1j * drows]) / cmath.sqrt(q)
     D = np.linalg.inv(G) @ S @ G
     assert np.max(np.abs(D - np.diag([0.25, -0.25]))) < 1e-9
 
@@ -406,7 +411,7 @@ def test_point_builds_its_chain_once(golden_branch, monkeypatch):
     assert p.coeffs is p.coeffs
     assert calls["coefficients"] == [(p, p.phi, p.sol)]
     # a copy carries none of its parent's chain, so it never returns stale Y or A
-    for q in (replace(p, t=0.2), p.moved(1, 1e-3)):
+    for q in (p._replace(t=0.2), p.moved(1, 1e-3)):
         assert not {"phi", "sol", "coeffs"} & set(vars(q))
         assert q.sol is not p.sol and q.sol.params is q
         assert not np.array_equal(q.coeffs.A[1], p.coeffs.A[1])
@@ -624,7 +629,7 @@ def test_a_batch_point_equals_its_nodes_one_by_one(seed):
     w = 1e-3 * np.exp(2j * math.pi * (np.arange(4) + 0.25) / 4)
 
     def node(nu, d):
-        return replace(p, t=p.t + d) if nu == 0 else p.moved(nu, d)
+        return p._replace(t=p.t + d) if nu == 0 else p.moved(nu, d)
 
     def values(q):
         co = q.coeffs
@@ -632,7 +637,7 @@ def test_a_batch_point_equals_its_nodes_one_by_one(seed):
                 + [co.A[nu] for nu in (1, 2, 3)] + [co.B0])
 
     nus = np.arange(4)[:, None]
-    batches = [(replace(p, t=p.t + w), np.zeros((1, 4), int))]
+    batches = [(p._replace(t=p.t + w), np.zeros((1, 4), int))]
     batches += [(p.moved(nu, w), np.full((1, 4), nu)) for nu in (1, 2, 3)]
     batches += [(p.moved(nus, np.broadcast_to(w, (4, 4))), np.broadcast_to(nus, (4, 4)))]
     for batch, which in batches:
@@ -672,15 +677,14 @@ def test_d_is_the_product_formula(seed):
     # the half period h over e_nu wherever phi and psi do not vanish there
     s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
     p = make_params(s.branch, s.a, s.t, s.p, s.q)
-    phi, co = p.phi, p.coeffs
-    slots = theoretical_monodromy(p).m
+    slots = _m_slot_values(p.char)
     for nu in (1, 2, 3):
-        h = p.half_periods.omega_tilde[p.half_periods.slot_of_branch(nu)]
-        r = phi.rows(h, du=True)
+        k = p.half_periods.slot_of_branch(nu)
+        r = p.phi.rows(p.half_periods.omega_tilde[k], du=True)
         ph, ps = r.hat[:, 0] * np.exp(r.Pi)  # the rows at u = h, s = +-alpha
         dlog = r.hat_du[:, 0] / r.hat[:, 0]  # Pi' cancels in their difference
-        product = (2.0 * slots[nu] / -1j) * ph * ps * (dlog[0] - dlog[1])
-        assert abs(co.D[nu] - product) <= 1e-13 * abs(product)
+        product = (2.0 * slots[k] / -1j) * ph * ps * (dlog[0] - dlog[1])
+        assert abs(r.det_du - product) <= 1e-13 * abs(product)
 
 
 @pytest.mark.parametrize("seed", [None, 3, 4, 5])

@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,8 +75,8 @@ def test_overflowing_stokes_half_turn_is_a_failure_note():
     # note, and no numpy warning reaches the caller
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = run_checks(replace(GOLDEN, a=1 + 1e-5j))
-        closer = run_checks(replace(GOLDEN, a=1 + 3e-6j), checks=["stokes_triviality"])
+        report = run_checks(GOLDEN._replace(a=1 + 1e-5j))
+        closer = run_checks(GOLDEN._replace(a=1 + 3e-6j), checks=["stokes_triviality"])
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     stokes = [r for r in report.results + closer.results if r.name == "stokes_triviality"]
     assert len(stokes) == 2
@@ -118,7 +117,7 @@ def test_invariance_holds_next_to_a_branch_point():
     # at a = 1.0001, 1e-4 from e1, moves of 1e-3 would carry e1 past a and
     # across the base point's loops (a drift of 2.8e6); the moves are a
     # tenth of the loops' clearance, 2e-6
-    r, = run_checks(replace(GOLDEN, a=1.0001), checks=["monodromy_invariance"]).results
+    r, = run_checks(GOLDEN._replace(a=1.0001), checks=["monodromy_invariance"]).results
     assert r.status == "pass" and "2e-06 moves" in r.notes
 
 
@@ -127,7 +126,7 @@ def test_overflowing_family_reads_inf_with_a_note():
     # base point (its M_2 is nan) as for the family: each check that reads a
     # continued M fails with residual inf and a note, and neither continuation
     # lets a numpy warning out
-    s = replace(GOLDEN, a=1e-5j)
+    s = GOLDEN._replace(a=1e-5j)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         nums, _ = CheckContext(s).numerical_monodromy

@@ -10,7 +10,6 @@ mutant passes them.
 
 import importlib
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -30,7 +29,7 @@ def _scaled_field(name):
     def factory(fn, s):
         def mutant(*args, **kwargs):
             out = fn(*args, **kwargs)
-            return replace(out, **{name: {k: v * s for k, v in getattr(out, name).items()}})
+            return out._replace(**{name: {k: v * s for k, v in getattr(out, name).items()}})
         return mutant
     return factory
 

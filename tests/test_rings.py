@@ -1,7 +1,6 @@
 """The one derivative rule: Cauchy rings sized by the local geometry."""
 
 import cmath
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,7 +121,7 @@ def test_x_radius_is_the_distance_to_singular_points_and_cuts(seed, monkeypatch)
 def test_log_tau_rings_pass_where_a_branch_difference_sits_on_the_cut():
     # mirrored golden: e1 - e2 = -1 lies on the principal cut of log, so the
     # (e1 - e2)^(-1/8) of log tau jumps on a complex ring around e1 or e2
-    s = replace(GOLDEN, e=(-1 + 0j, 0j, 1 + 0j), a=-2 + 0j)
+    s = GOLDEN._replace(e=(-1 + 0j, 0j, 1 + 0j), a=-2 + 0j)
     rep = run_checks(s, checks=["dlogtau_de", "omega_closedness", "dlog_omega1_de"])
     assert [r.status for r in rep.results] == ["pass"] * 3, rep.results
 
@@ -131,7 +130,7 @@ def test_log_tau_t_ring_where_the_hamiltonian_is_steep():
     # a = 1.0001 puts |H_t| near 500, so log tau moves by 0.43 in Im from the
     # centre to a node of the t-ring, beyond the pi/8 that a fold about the
     # centre value can tell from a jump
-    rep = run_checks(replace(GOLDEN, a=1.0001 + 0j), checks=["dlogtau_dt", "dlogtau_de"])
+    rep = run_checks(GOLDEN._replace(a=1.0001 + 0j), checks=["dlogtau_dt", "dlogtau_de"])
     assert [r.status for r in rep.results] == ["pass"] * 2, rep.results
 
 

@@ -2,7 +2,6 @@
 
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,13 +164,13 @@ def zs_point(golden_branch, golden_lattice):
 
 
 def test_shifted_tau_at_zero(zs_point):
-    p = replace(zs_point, t=0.0)
+    p = zs_point._replace(t=0.0)
     for l in (-1, 1, 2):
         assert abs(sigma_shift_tau(p, l) - sigma(p.lat, 2 * l * p.alpha)) < 1e-13
 
 
 def test_sigma_shift_c0_c1_at_zero_time(zs_point):
-    p = replace(zs_point, t=0.0)
+    p = zs_point._replace(t=0.0)
     lat, alpha = p.lat, p.alpha
     for l in (-1, 1, 2):
         c0, c1 = _c0(p, p.t, l), _c1(p, p.t, l)
@@ -185,14 +184,14 @@ def test_sigma_shift_c0_c1_at_zero_time(zs_point):
 def test_shifted_tau_dlog_closed_vs_fd(zs_point):
     p, h = zs_point, 1e-6
     for l in (-1, 0, 1, 2):
-        fd = (cmath.log(sigma_shift_tau(replace(p, t=p.t + h), l))
-              - cmath.log(sigma_shift_tau(replace(p, t=p.t - h), l))
+        fd = (cmath.log(sigma_shift_tau(p._replace(t=p.t + h), l))
+              - cmath.log(sigma_shift_tau(p._replace(t=p.t - h), l))
               ) / (2 * h)
         assert abs(sigma_shift_dlog_tau_dt(p, l) - fd) < 1e-7
 
 
 def test_shifted_tau_dlog_at_zero_time(zs_point):
-    p = replace(zs_point, t=0.0)
+    p = zs_point._replace(t=0.0)
     lat, alpha = p.lat, p.alpha
     for l in (-1, 1, 2):
         wpp = wp_n(lat, alpha, 2)
@@ -218,7 +217,7 @@ def test_families_agree_at_second_t_derivative(golden_branch, zs_point):
         return H_t(make_params(golden_branch, p.a, tt, pchar, qchar))
 
     def dl(tt):
-        return sigma_shift_dlog_tau_dt(replace(p, t=tt), l)
+        return sigma_shift_dlog_tau_dt(p._replace(t=tt), l)
 
     d2_main = (ht(t + h) - ht(t - h)) / (2 * h)
     d2_app = (dl(t + h) - dl(t - h)) / (2 * h)

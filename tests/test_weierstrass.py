@@ -191,10 +191,11 @@ ARRAY_FUNCTIONS = {
 
 
 def batch_of(lats):
-    """The lattices as one batch lattice of their array's shape."""
-    lats = np.array(lats, dtype=object)
-    return lattice_from_periods(np.vectorize(lambda lat: lat.omega1, otypes=[complex])(lats),
-                                np.vectorize(lambda lat: lat.omega2, otypes=[complex])(lats))
+    """The lattices, a list or a list of rows, as one batch lattice of that shape."""
+    def periods(x, name):
+        return [periods(v, name) for v in x] if isinstance(x, list) else getattr(x, name)
+    return lattice_from_periods(np.array(periods(lats, "omega1")),
+                                np.array(periods(lats, "omega2")))
 
 
 def mixed_lattices(rng):
