@@ -39,10 +39,8 @@ from .elliptic import (
     sigma_char,
     theta_dOmega,
     theta_dz,
-    wp,
-    wp_n,
-    wp_prime,
     zeta,
+    zeta_jet,
 )
 from .errors import EllipTauError, ScenarioError
 from .isomono import (
@@ -392,7 +390,7 @@ def check_heat_equation(ctx, rng):
 def check_wp_ode(ctx, rng):
     lats, us = _draws(rng, ctx.draws(20), _lattice_and_u)
     lat, u = _batch(lats), np.array(us)
-    w, w1 = wp(lat, u), wp_prime(lat, u)
+    _, w, w1 = (-z for z in zeta_jet(lat, u, 2))  # wp = -zeta', wp' = -zeta''
     res = w1 * w1 - (4.0 * w**3 - lat.g2 * w - lat.g3)
     scale = np.maximum(np.maximum(np.abs(w1 * w1), np.abs(4 * w**3)), 1e-30)
     return float(np.max(np.abs(res) / scale)), "wp'^2 = 4 wp^3 - g2 wp - g3"
@@ -401,8 +399,8 @@ def check_wp_ode(ctx, rng):
 def check_wp_addition(ctx, rng):
     lats, us = _draws(rng, ctx.draws(20), _lattice_and_u)
     lat, u = _batch(lats), np.array(us)
-    w, lhs = wp(lat, np.stack([u, 2 * u]))
-    w1, w2 = wp_prime(lat, u), wp_n(lat, u, 2)
+    # wp, wp', wp'' at u and wp at 2u, of one jet at both
+    _, (w, lhs), (w1, _), (w2, _) = (-z for z in zeta_jet(lat, np.stack([u, 2 * u]), 3))
     rhs = -2.0 * w + 0.25 * (w2 / w1) ** 2
     worst = np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0))
     return float(worst), "duplication wp(2u) = -2 wp + (wp''/wp')^2/4"
@@ -411,8 +409,8 @@ def check_wp_addition(ctx, rng):
 def check_wp_triple(ctx, rng):
     lats, us = _draws(rng, ctx.draws(20), _lattice_and_u)
     lat, u = _batch(lats), np.array(us)
-    lhs = wp_n(lat, u, 3)
-    rhs = 12.0 * wp(lat, u) * wp_prime(lat, u)
+    _, w, w1, _, lhs = (-z for z in zeta_jet(lat, u, 4))  # wp, wp' and wp'''
+    rhs = 12.0 * w * w1
     worst = np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0))
     return float(worst), "wp''' = 12 wp wp'"
 

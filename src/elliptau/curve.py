@@ -621,10 +621,9 @@ def half_period_values(lat):
             (lat.eta1, lat.eta1 + lat.eta2, lat.eta2))
 
 
-@lru_cache(maxsize=64)
 def half_period_table(branch, lat):
     """The half periods of lat, the branch's lattice, matched to its branch
-    points; built once per branch."""
+    points."""
     tildes, etas = half_period_values(lat)
     te = branch.tilde_es
     perm = []

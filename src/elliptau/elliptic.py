@@ -10,11 +10,16 @@ Conventions, fixed once for the whole package:
 * sigma(u) = exp(eta1*u^2/(2*omega1)) * (omega1/theta11') * theta11(u/omega1)
   is the odd Weierstrass sigma: sigma'(0) = 1, simple zeros exactly on the
   lattice.  sigma[p,q] replaces theta11 by theta[p,q] (same prefactors).
-* zeta = sigma'/sigma, wp = -zeta'; derivatives of wp are taken analytically
-  through the theta representation, never by finite differences.
+* zeta = sigma'/sigma, wp = -zeta'.  Derivatives come in jets, never by
+  finite differences: zeta_jet(lat, u, order) gives zeta and its first order
+  u-derivatives (wp = -zeta', wp' = -zeta'', ...) from one theta11 jet, and
+  sigma_jet(lat, char, u) gives sigma[p,q] and sigma[p,q]' from one order-1
+  theta jet.  zeta and wp read the zeta jet; sigma and sigma_char need no
+  derivative and read theta alone.
 
 Every public function of z or u takes a number (the cached size-1 call of
-one kernel) or an array (one call of it, result in the array's shape).  The
+one kernel) or an array (one call of it, result in the array's shape); a
+jet is a tuple of such results, one per derivative.  The
 lattice may be a batch: a Lattice whose periods are arrays of one shape
 holds one lattice per point, and u broadcasts against it; likewise Omega
 and the characteristic (p, q) of the theta functions may be arrays.  The
@@ -293,32 +298,32 @@ def lattice_from_periods(omega1, omega2):
     return lat
 
 
-def _logdiv_coeffs(cs):
-    """Taylor coefficients of f'/f from Taylor coefficients cs of f (cs[0] != 0)."""
-    K = len(cs) - 1
-    g = [0j] * K
-    for k in range(K):
-        s = (k + 1) * cs[k + 1]
-        for j in range(1, k + 1):
-            s -= cs[j] * g[k - j]
-        g[k] = s / cs[0]
-    return g
-
-
-_FACT = [1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0]
-
-
-def _theta11_logdiv(lat, u, depth):
-    """Derivatives d^m/dz^m [theta11'/theta11](u/omega1) for m = 0..depth-1;
-    raises LatticePoleError naming the first u within 1e-12 of the lattice."""
+def zeta_jet(lat, u, order):
+    """zeta and its first order u-derivatives at u (order 0..4), from one
+    theta11 jet of order + 1: wp = -zeta', wp' = -zeta'', and so on.
+    Raises LatticePoleError naming the first u within 1e-12 of the lattice."""
+    if order not in range(5):
+        raise ValueError(f"order must be in 0..4, got {order}")
     u = _arg(u)
     near = abs(lat.reduce(u)[0]) <= 1e-12 * lat.unit()
     if _any(near):
         v = np.broadcast_to(u, np.shape(near))[near][0]
         raise LatticePoleError(f"u={complex(v)} is within 1e-12 of a lattice point")
-    jet, _ = _theta_rows(HALF_HALF, u / lat.omega1, lat.Omega, depth)
-    g = _logdiv_coeffs([jet[k] / _FACT[k] for k in range(depth + 1)])
-    return [g[m] * _FACT[m] for m in range(depth)]
+    w1 = lat.omega1
+    f, *df = _theta_rows(HALF_HALF, u / w1, lat.Omega, order + 1)[0]
+    # g = f'/f at z = u/omega1 and its derivatives, by Leibniz on f' = g f:
+    # f^(k+1) = sum_j C(k, j) g^(j) f^(k-j), the j = k term being g^(k) f
+    g = []
+    for k in range(order + 1):
+        s = df[k]
+        for j in range(k):
+            s = s - math.comb(k, j) * g[j] * df[k - j - 1]
+        g.append(s / f)
+    jet = [g[m] / w1 ** (m + 1) for m in range(order + 1)]
+    jet[0] += lat.eta1 * u / w1
+    if order:
+        jet[1] += lat.eta1 / w1
+    return tuple(jet)
 
 
 def _gauss(lat, u):
@@ -328,8 +333,18 @@ def _gauss(lat, u):
     return _math(x).exp(x) * (lat.omega1 / d1)
 
 
+def sigma_jet(lat, char, u):
+    """(sigma[p,q](u), sigma[p,q]'(u)) from one order-1 theta jet at
+    u/omega1; the derivative is regular at the zeros of sigma[p,q]."""
+    u = _arg(u)
+    (th, dth), _ = _theta_rows(char, u / lat.omega1, lat.Omega, 1)
+    gauss = _gauss(lat, u)
+    return gauss * th, gauss * ((lat.eta1 * u / lat.omega1) * th + dth / lat.omega1)
+
+
 def sigma_char(lat, char, u):
-    """sigma[p,q](u) = exp(eta1 u^2/(2 omega1)) (omega1/theta11') theta[p,q](u/omega1)."""
+    """sigma[p,q](u) = exp(eta1 u^2/(2 omega1)) (omega1/theta11') theta[p,q](u/omega1),
+    from the order-0 theta alone."""
     u = _arg(u)
     return _gauss(lat, u) * theta(char, u / lat.omega1, lat.Omega)
 
@@ -344,47 +359,11 @@ def _char_dlog(lat, u, jet):
     return lat.eta1 * u / lat.omega1 + jet[1] / (jet[0] * lat.omega1)
 
 
-def sigma_char_dlog(lat, char, u):
-    """Logarithmic derivative sigma[p,q]'(u)/sigma[p,q](u)."""
-    u = _arg(u)
-    jet, _ = _theta_rows(char, u / lat.omega1, lat.Omega, 1)
-    return _char_dlog(lat, u, jet)
-
-
-def sigma_char_du(lat, char, u):
-    """Plain derivative sigma[p,q]'(u); regular at the zeros of sigma[p,q]."""
-    u = _arg(u)
-    jet, _ = _theta_rows(char, u / lat.omega1, lat.Omega, 1)
-    return _gauss(lat, u) * ((lat.eta1 * u / lat.omega1) * jet[0] + jet[1] / lat.omega1)
-
-
-def sigma_du(lat, u):
-    """Plain derivative sigma'(u); sigma_du(0) = 1."""
-    return sigma_char_du(lat, HALF_HALF, u)
-
-
 def zeta(lat, u):
     """Weierstrass zeta = sigma'/sigma."""
-    u = _arg(u)
-    (g0,) = _theta11_logdiv(lat, u, 1)
-    return lat.eta1 * u / lat.omega1 + g0 / lat.omega1
+    return zeta_jet(lat, u, 0)[0]
 
 
 def wp(lat, u):
     """Weierstrass wp = -zeta'."""
-    g = _theta11_logdiv(lat, u, 2)
-    return -lat.eta1 / lat.omega1 - g[1] / lat.omega1**2
-
-
-def wp_prime(lat, u):
-    """First derivative of wp, via the analytic theta chain (no differencing)."""
-    g = _theta11_logdiv(lat, u, 3)
-    return -g[2] / lat.omega1**3
-
-
-def wp_n(lat, u, order):
-    """Second or third derivative of wp (order in {2, 3}), analytic."""
-    if order not in (2, 3):
-        raise ValueError(f"order must be 2 or 3, got {order}")
-    g = _theta11_logdiv(lat, u, order + 2)
-    return -g[order + 1] / lat.omega1 ** (order + 2)
+    return -zeta_jet(lat, u, 1)[1]

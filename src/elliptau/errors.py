@@ -9,9 +9,6 @@ class ThetaConvergenceError(EllipTauError):
     """Theta series failed to converge within the term budget."""
 
     def __init__(self, z, Omega, max_terms):
-        self.z = z
-        self.Omega = Omega
-        self.max_terms = max_terms
         super().__init__(
             f"theta series did not converge within {max_terms} terms "
             f"at z={z}, Omega={Omega}"

@@ -19,8 +19,9 @@ square root of det Phi is sigma[p,q](t) sigma(2 alpha) times the principal
 root of sigma(2u)/sigma(2 alpha); y_at and hatted both take that root.  Its
 slope at the half period over e_nu is D^(nu) of the frame there.  Every
 evaluator of Phi and Y takes a number or an array of points: PhiMatrix.rows
-evaluates the four rows and Pi on all of them with one call of each sigma
-function, and matrix, hatted, y_at and coefficients read it.
+evaluates the four rows and Pi on all of them with one sigma jet of each
+characteristic, and with their u-derivatives one zeta jet for Pi and Pi', and
+matrix, hatted, y_at and coefficients read it.
 """
 
 import cmath
@@ -31,23 +32,22 @@ from functools import cached_property
 import numpy as np
 
 from . import curve as _curve
+from . import monodromy as _monodromy
 from .curve import BranchConfig
 from .elliptic import (
+    HALF_HALF,
     ThetaChar,
     _Value,
     _any,
+    _char_dlog,
     _math,
     _theta_rows,
+    lattice_from_periods,
     sigma,
     sigma_char,
-    sigma_char_dlog,
-    sigma_char_du,
-    sigma_du,
-    lattice_from_periods,
-    wp,
-    wp_n,
-    wp_prime,
+    sigma_jet,
     zeta,
+    zeta_jet,
 )
 from .errors import DegenerateParameterError
 
@@ -61,15 +61,15 @@ class DeformationParams(_Value, namedtuple("DeformationParams", "branch lat a t 
     and the characteristic.  Derived at first read: theta_jet, which the
     theta-zero test, log tau and the Hamiltonians read, and what only Y, its
     coefficients and its monodromy read: alpha = u(a), the wp data at alpha,
-    the half-period table and the chain phi -> sol -> coeffs; and wp_series,
-    which the sigma-shift family of tau reads.  A copy (_replace, moved)
-    carries none of it.
+    zeta and wp at 2 alpha, the half-period table, the calibrated loops and
+    the chain phi -> sol -> coeffs; and wp_series, which the sigma-shift
+    family of tau reads.  A copy (_replace, moved) carries none of it.
 
     A batch point holds one point per entry: t an array of times (then
     theta_jet, log_tau, H_t and the chain evaluate elementwise), or what
     moved gives for an array of moves, a batch branch on one batch lattice
-    whose alpha, wp data and half periods come from its root, the point it
-    moved from.  Its Phi, Y and coefficient arrays carry the batch axes
+    whose alpha, wp data, half periods and loops come from its root, the
+    point it moved from.  Its Phi, Y and coefficient arrays carry the batch axes
     after the axes of the points u or x, before a matrix's (2, 2).  Its root
     (None unless it is a batch) takes no part in equality, hash or repr."""
 
@@ -104,10 +104,16 @@ class DeformationParams(_Value, namedtuple("DeformationParams", "branch lat a t 
 
     @cached_property
     def wp_series(self):
-        """(wp, wp', wp'', wp''') at alpha from the theta series on the point's
+        """(wp, wp', wp'', wp''') at alpha from one zeta jet on the point's
         lattice: the sigma-shift family of tau tests sigma and zeta against them."""
-        lat, al = self.lat, self.alpha
-        return wp(lat, al), wp_prime(lat, al), wp_n(lat, al, 2), wp_n(lat, al, 3)
+        return tuple(-w for w in zeta_jet(self.lat, self.alpha, 4)[1:])
+
+    @cached_property
+    def zeta_wp_2alpha(self):
+        """(zeta, wp) at 2 alpha from one zeta jet: kappa and the sigma-shift
+        family of tau read them."""
+        z, dz = zeta_jet(self.lat, 2.0 * self.alpha, 1)
+        return z, -dz
 
     @cached_property
     def half_periods(self):
@@ -116,6 +122,13 @@ class DeformationParams(_Value, namedtuple("DeformationParams", "branch lat a t 
         if r is None:
             return _curve.half_period_table(self.branch, self.lat)
         return _curve.HalfPeriodTable(*_curve.half_period_values(self.lat), r.half_periods.perm)
+
+    @cached_property
+    def calibrated_loops(self):
+        """calibrate_loops of the point: its calibrated loops and their frame
+        offsets; a batch point reads its root's."""
+        r = self.root
+        return _monodromy.calibrate_loops(self) if r is None else r.calibrated_loops
 
     @cached_property
     def phi(self):
@@ -132,8 +145,7 @@ class DeformationParams(_Value, namedtuple("DeformationParams", "branch lat a t 
     @cached_property
     def kappa(self):
         """wp''(alpha)/(2 wp'(alpha)) + zeta(2 alpha); the local exponent shift."""
-        return (self.wp_a.wp_pp / (2.0 * self.wp_a.wp_prime)
-                + zeta(self.lat, 2.0 * self.alpha))
+        return self.wp_a.wp_pp / (2.0 * self.wp_a.wp_prime) + self.zeta_wp_2alpha[0]
 
     def moved(self, nu, delta):
         """The one way to move a point: the branch point e_nu moved by delta,
@@ -223,22 +235,22 @@ class PhiMatrix:
         return -(p.t / 2.0) * (z[0] + z[1])
 
     def rows(self, u, du=False):
-        """PhiRows at u, from one call of each sigma function on all points;
-        with du also the derivatives, Pi' = (t/2) (wp(u - alpha) + wp(u + alpha)).
-        On a batch point u's last axes are the batch's."""
+        """PhiRows at u, from one sigma jet of each characteristic on all
+        points and Pi; with du also the derivatives, from one zeta jet for Pi
+        and Pi' = (t/2) (wp(u - alpha) + wp(u + alpha)).  On a batch point
+        u's last axes are the batch's."""
         p = self.params
         u = np.asarray(u, dtype=complex)
         s = np.reshape([p.alpha, -p.alpha],
                        (2, 1) + (1,) * (u.ndim - np.ndim(p.alpha)) + np.shape(p.alpha))
         uj = np.stack([u, -u])
-        shifted, plain = uj + s + p.t, uj - s
-        a, b = sigma_char(p.lat, p.char, shifted), sigma(p.lat, plain)
+        a, da = sigma_jet(p.lat, p.char, uj + s + p.t)
+        b, db = sigma_jet(p.lat, HALF_HALF, uj - s)
         if not du:
             return PhiRows(a * b, self.Pi(u))
-        w = wp(p.lat, np.stack([u - p.alpha, u + p.alpha]))
-        return PhiRows(a * b, self.Pi(u),
-                       sigma_char_du(p.lat, p.char, shifted) * b + a * sigma_du(p.lat, plain),
-                       (p.t / 2.0) * (w[0] + w[1]))
+        z, dz = zeta_jet(p.lat, np.stack([u - p.alpha, u + p.alpha]), 1)
+        return PhiRows(a * b, -(p.t / 2.0) * (z[0] + z[1]), da * b + a * db,
+                       -(p.t / 2.0) * (dz[0] + dz[1]))
 
     def matrix(self, u):
         r = self.rows(u)
@@ -384,15 +396,13 @@ class YSolution:
         p = self.params
         wp1, wpp = p.wp_a.wp_prime, p.wp_a.wp_pp
         wpa = p.wp_a.wp
-        L = sigma_char_dlog(p.lat, p.char, p.t)
+        L = _char_dlog(p.lat, p.t, p.theta_jet)
         d11 = (L - (p.t / 2.0) * (4.0 * wpa - 0.5 * (wpp / wp1) ** 2)) / wp1
-        st = sigma_char(p.lat, p.char, p.t)
-        s2a = sigma(p.lat, 2.0 * p.alpha)
         tk = p.t * p.kappa
         y21 = (-sigma_char(p.lat, p.char, 2.0 * p.alpha + p.t)
-               / (st * s2a * wp1)) * _math(tk).exp(-tk)
+               / (self.sqrt_det_a * wp1)) * _math(tk).exp(-tk)
         y12 = (-sigma_char(p.lat, p.char, -2.0 * p.alpha + p.t)
-               / (st * s2a * wp1)) * _math(tk).exp(tk)
+               / (self.sqrt_det_a * wp1)) * _math(tk).exp(tk)
         return _mat(d11, y12, y21, -d11)
 
     # -- global evaluation ---------------------------------------------------
@@ -430,7 +440,8 @@ def _wp_inverse(lat, u, shift, x):
     """u refined by Newton's method on wp(u) + shift = x, until every point
     converged (at most 8 steps)."""
     for _ in range(8):
-        du = (wp(lat, u) + shift - x) / wp_prime(lat, u)
+        _, zeta1, zeta2 = zeta_jet(lat, u, 2)  # -wp and -wp' at u
+        du = (x - (shift - zeta1)) / zeta2
         u = u - du
         if np.all(np.abs(du) <= 1e-14 * np.maximum(1.0, np.abs(u))):
             break

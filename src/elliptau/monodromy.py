@@ -259,13 +259,13 @@ def _taylor_sums(coeffs, x0, x1):
 
 def monodromy_matrices(params, loops=(1, 2, 3, "inf")):
     """Numerical monodromy M = Y(x0)^{-1} W of each loop, W being Y(x0)
-    continued around the calibrated loop by the point's Y and coefficients;
+    continued around the point's calibrated loop by its Y and coefficients;
     on a batch point each entry along its root's loops from the root's base
     point, with its own chords and Taylor pass (each M a stack, batch shape
     + (2, 2)).  Returns ({loop: M}, offsets of calibrate_loops).
     """
     root, co = params.root or params, params.coeffs
-    pieces, offsets = calibrate_loops(root)
+    pieces, offsets = params.calibrated_loops
     paths = [pieces[which] for which in loops]
     Y0 = params.sol.y_at(base_point(root.branch))
     shape, Ms = Y0.shape[:-2], []

@@ -12,8 +12,9 @@ a multiplicative constant, so every comparison here is a logarithmic
 derivative.  The module also carries the zero-sum-lattice family
 tau_l = sigma(t + 2 l alpha) exp h_l(t) built from shifted sigma quotients.
 Each function of it reads a deformation point and a shift index l: the
-point's lattice, alpha = u(a), t (elementwise when t is an array) and
-wp_series, the series values of wp and its first three derivatives at alpha.
+point's lattice, alpha = u(a), t (elementwise when t is an array),
+wp_series, the series values of wp and its first three derivatives at alpha,
+and zeta_wp_2alpha, zeta and wp at 2 alpha.
 """
 
 import cmath
@@ -21,16 +22,7 @@ import cmath
 import numpy as np
 
 from .curve import dOmega_de, dlog_omega1_de, quasiperiod_ratio_derivative
-from .elliptic import (
-    _any,
-    _char_dlog,
-    _math,
-    sigma,
-    sigma_char_dlog,
-    theta_dOmega,
-    wp,
-    zeta,
-)
+from .elliptic import _any, _char_dlog, _math, sigma, theta_dOmega, zeta
 from .errors import DegenerateParameterError
 
 
@@ -66,7 +58,7 @@ def H_t(params):
 def omega_a_de_component(params, nu):
     """de_nu-component contributed by the expansion at the irregular point."""
     p = params
-    L = sigma_char_dlog(p.lat, p.char, p.t)
+    L = _char_dlog(p.lat, p.t, p.theta_jet)
     d = p.a - p.branch.es[nu - 1]
     f = f_func(*p.branch.es, p.a)
     return -p.t * L / (2.0 * d) - p.t**2 * f / (4.0 * d)
@@ -96,7 +88,7 @@ def residue_formula(params, nu):
     sum_inv = sum(1.0 / (e - o) for o in others)
     prod = (e - others[0]) * (e - others[1])
     dl_w1 = dlog_omega1_de(p.branch, p.lat, nu)
-    L = sigma_char_dlog(p.lat, p.char, p.t)
+    L = _char_dlog(p.lat, p.t, p.theta_jet)
     d = p.a - e
     t = p.t
     return (-0.125 * sum_inv
@@ -148,29 +140,27 @@ def _c0(p, t, l):
     _, wp1, wpp, _ = p.wp_series
     return (sigma(lat, 2 * al) ** (-l)
             * sigma(lat, t + 2 * l * al)
-            * cmath.exp(-(t / 2.0) * zeta(lat, 2 * al)
+            * cmath.exp(-(t / 2.0) * p.zeta_wp_2alpha[0]
                         - (t / 4.0) * wpp / wp1))
 
 
 def _c1(p, t, l):
-    lat, al = p.lat, p.alpha
-    return (zeta(lat, t + 2 * l * al)
-            - l * zeta(lat, 2 * al)
-            + (t / 2.0) * wp(lat, 2 * al))
+    z2, w2 = p.zeta_wp_2alpha
+    return zeta(p.lat, t + 2 * l * p.alpha) - l * z2 + (t / 2.0) * w2
 
 
 def _growth_coefficient(p):
     """wp(2a) + wp''(a)^2/(4 wp'(a)^2) - wp'''(a)/(6 wp'(a)); equals f on a
     zero-sum configuration."""
     _, wp1, wpp, wppp = p.wp_series
-    return wp(p.lat, 2 * p.alpha) + wpp**2 / (4.0 * wp1**2) - wppp / (6.0 * wp1)
+    return p.zeta_wp_2alpha[1] + wpp**2 / (4.0 * wp1**2) - wppp / (6.0 * wp1)
 
 
 def sigma_shift_h(p, l):
     _, wp1, wpp, _ = p.wp_series
-    lat, al, t = p.lat, p.alpha, p.t
+    t = p.t
     return ((t * t / 4.0) * _growth_coefficient(p)
-            - t * l * (zeta(lat, 2 * al) + wpp / (2.0 * wp1)))
+            - t * l * (p.zeta_wp_2alpha[0] + wpp / (2.0 * wp1)))
 
 
 def sigma_shift_tau(p, l):
@@ -183,11 +173,11 @@ def sigma_shift_tau(p, l):
 
 def sigma_shift_dlog_tau_dt(p, l):
     """d/dt log tau_l in closed form; elementwise in t."""
-    lat, al, t = p.lat, p.alpha, p.t
+    t = p.t
     _, wp1, wpp, _ = p.wp_series
-    return (zeta(lat, t + 2 * l * al)
+    return (zeta(p.lat, t + 2 * l * p.alpha)
             + (t / 2.0) * _growth_coefficient(p)
-            - l * (zeta(lat, 2 * al) + wpp / (2.0 * wp1)))
+            - l * (p.zeta_wp_2alpha[0] + wpp / (2.0 * wp1)))
 
 
 def sigma_shift_y1(p, l):

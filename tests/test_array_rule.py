@@ -1,7 +1,8 @@
 """Every public function of z or u in the elliptic module takes arrays.
 
 The rule of the module docstring: a number takes the cached scalar path and
-an array goes to one kernel call, with a result of the array's shape; a
+an array goes to one kernel call, with a result of the array's shape (a
+jet, named *_jet, gives a tuple of such results, one per derivative); a
 batch lattice (periods that are arrays), a batch Omega and a characteristic
 of arrays give one lattice, Omega or characteristic per point.  The walk
 below finds the functions by their parameters, so a function added later
@@ -34,15 +35,19 @@ def _functions_of_z_or_u():
 def test_the_walk_finds_the_theta_and_weierstrass_functions():
     names = {name for name, _, _ in _functions_of_z_or_u()}
     assert {"theta", "theta_dz", "theta_dOmega", "sigma_char", "sigma",
-            "sigma_char_dlog", "sigma_char_du", "sigma_du", "zeta", "wp",
-            "wp_prime", "wp_n"} <= names
+            "sigma_jet", "zeta", "wp", "zeta_jet"} <= names
+
+
+def _rows(name, out):
+    """A function's result as a tuple of rows: a jet's derivatives, or the one value."""
+    return out if name.endswith("_jet") else (out,)
 
 
 def test_a_shape_3_array_gives_a_shape_3_result():
     for name, fn, params in _functions_of_z_or_u():
         args = [POINTS if p in ("z", "u") else ARGUMENTS[p] for p in params]
-        out = fn(*args)
-        assert isinstance(out, np.ndarray) and out.shape == (3,), name
+        rows = _rows(name, fn(*args))
+        assert rows and all(isinstance(r, np.ndarray) and r.shape == (3,) for r in rows), name
 
 
 # one lattice per point: Im(Omega) = 0.25 needs more rings than 1.8
@@ -76,9 +81,10 @@ def test_a_batch_equals_its_points_one_by_one(monkeypatch):
     for name, fn, params in _functions_of_z_or_u():
         args = [POINTS if p in ("z", "u") else BATCH_ARGUMENTS[p] for p in params]
         monkeypatch.setattr(elliptic, "_rings", spy)
-        out = fn(*args)
+        out = np.array(_rows(name, fn(*args)))
         monkeypatch.undo()
-        one = np.array([fn(*[_point(k, a) for a in args]) for k in range(len(POINTS))])
-        assert out.shape == POINTS.shape, name
+        one = np.array([_rows(name, fn(*[_point(k, a) for a in args]))
+                        for k in range(len(POINTS))]).T
+        assert out.shape[1:] == POINTS.shape, name
         assert np.all(np.abs(out - one) <= 1e-14 * np.abs(one)), name
     assert max(ring_bounds) > 8

@@ -97,8 +97,9 @@ def test_every_public_name_has_a_reader_outside_tests():
 
 def test_every_field_has_a_reader_outside_tests():
     # a field of a public class of the package, named in its namedtuple base
-    # or its __slots__, must be read as an attribute (x.field) somewhere in
-    # src/ or perfbench/: data that only tests read has no job
+    # or its __slots__ or set as self.field in its __init__, must be read as an
+    # attribute (x.field) somewhere in src/ or perfbench/: data that only
+    # tests read has no job
     import ast
     from pathlib import Path
 
@@ -114,6 +115,11 @@ def test_every_field_has_a_reader_outside_tests():
             names += [[e.value for e in a.value.elts] for a in node.body
                       if isinstance(a, ast.Assign)
                       and [getattr(t, "id", None) for t in a.targets] == ["__slots__"]]
+            names += [[t.attr for a in ast.walk(init) if isinstance(a, ast.Assign)
+                       for t in a.targets if isinstance(t, ast.Attribute)
+                       and getattr(t.value, "id", None) == "self"]
+                      for init in node.body
+                      if isinstance(init, ast.FunctionDef) and init.name == "__init__"]
             fields += [(path.name, node.name, f) for group in names for f in group]
     read = {n.attr for path in package + sorted((root / "perfbench").glob("*.py"))
             for n in ast.walk(ast.parse(path.read_text()))

@@ -45,36 +45,41 @@ def test_params_validation(golden_branch):
         make_params(golden_branch, 2.0, 0.0, 0.5, 0.5)
 
 
-def test_half_period_table_is_built_once_per_branch(monkeypatch):
+def test_half_period_table_is_built_once_per_point(monkeypatch):
+    # the table is the point's, derived at first read; a batch point keeps
+    # its root's slots and matches no half period again
     branch = BranchConfig(1.0, 0.05j, -1.0)  # a branch no other test builds
-    first = make_params(branch, 2.0, 0.1, 0.3, 0.2)
-    halves = first.half_periods.omega_tilde
+    p = make_params(branch, 2.0, 0.1, 0.3, 0.2)
+    batch = p.moved(np.arange(1, 4), 1e-3)
     at_half_periods = []
     real = elliptau.curve.wp
 
     def spy(lat, u):
-        if any(abs(u - h) < 1e-12 for h in halves):
-            at_half_periods.append(u)
+        at_half_periods.append(u)
         return real(lat, u)
 
     monkeypatch.setattr(elliptau.curve, "wp", spy)
-    second = make_params(branch, 2.0, 0.2, 0.3, 0.2)
-    assert at_half_periods == []
-    assert second.half_periods is first.half_periods
+    table = p.half_periods
+    assert len(at_half_periods) == 3
+    assert p.half_periods is table and batch.half_periods.perm == table.perm
+    assert len(at_half_periods) == 3
 
 
-def test_tau_and_hamiltonians_read_no_abel_map_or_half_periods():
+def test_tau_and_hamiltonians_read_no_abel_map_or_half_periods(monkeypatch):
     # log tau, H_t and H_nu read the branch, its lattice, a, t and (p, q) only:
     # on a point and on its moved copies they build neither alpha nor the
     # half-period table, which come at first read
     branch = BranchConfig(1.0, 0.07j, -1.0)  # a branch no other test builds
     abel_misses = abel_with_y.cache_info().misses
-    table_misses = elliptau.curve.half_period_table.cache_info().misses
+    tables = []
+    real = elliptau.curve.half_period_table
+    monkeypatch.setattr(elliptau.curve, "half_period_table",
+                        lambda *args: tables.append(args) or real(*args))
     p = make_params(branch, 2.0, 0.1, 0.3, 0.2)
     for q in [p] + [p.moved(nu, 1e-3 * 1j ** nu) for nu in (1, 2, 3)]:
         log_tau(q), H_t(q), [H_nu(q, nu) for nu in (1, 2, 3)]
     assert abel_with_y.cache_info().misses == abel_misses
-    assert elliptau.curve.half_period_table.cache_info().misses == table_misses
+    assert tables == []
     assert p.alpha is p.alpha
     assert p.wp_a is p.wp_a and p.half_periods is p.half_periods
     assert abel_with_y.cache_info().misses == abel_misses + 1
@@ -424,10 +429,11 @@ def test_point_builds_its_chain_once(golden_branch, monkeypatch):
     assert [len(c) for c in calls.values()] == [3, 3, 3]
 
 
-def test_cold_golden_verify_calibrates_loops_twice(monkeypatch):
-    # the base point's loops, once for its own monodromy and once for the
-    # family of the invariance check, which continues along them (5 when
-    # each moved point calibrated its own)
+def test_cold_golden_verify_calibrates_loops_once(monkeypatch):
+    # the base point owns its calibrated loops: its own monodromy and the
+    # family of the invariance check, which continues along them, read them
+    # (2 when each monodromy_matrices call calibrated its root, 5 when each
+    # moved point calibrated its own)
     for module in (elliptau.elliptic, elliptau.curve, elliptau.isomono):
         for fn in vars(module).values():
             if hasattr(fn, "cache_clear"):
@@ -437,8 +443,8 @@ def test_cold_golden_verify_calibrates_loops_twice(monkeypatch):
     monkeypatch.setattr(elliptau.monodromy, "calibrate_loops",
                         lambda params: calls.append(params) or real(params))
     assert run_checks(GOLDEN).overall == "pass"
-    assert len(calls) <= 2
-    assert all(q.root is None and q == calls[0] for q in calls)
+    assert len(calls) == 1
+    assert calls[0].root is None
 
 
 def _scalar_y_ring_moments(sol, radius, npoints, orders):
@@ -526,10 +532,11 @@ def test_phi_and_y_on_an_array_equal_pointwise(name, seed):
 
 
 def test_golden_verify_stays_array_first(monkeypatch):
-    # from cold caches, one golden verify makes at most 900 theta-kernel
+    # from cold caches, one golden verify makes at most 184 theta-kernel
     # calls (3,896 when Phi, Y and the coefficient frames were built one
     # scalar call at a time, 1,602 when the elliptic checks built one lattice
-    # per draw), at most 8 Taylor passes (23 with one per loop), at most 146
+    # per draw, 233 with one entry point per derivative of sigma, zeta and
+    # wp), at most 7 Taylor passes (23 with one per loop), at most 146
     # path_integrals node passes (366 with one per path) and, continuing each
     # distinct loop piece once, at most 140 chords for the base system's
     # monodromy, the first pass (277 when every loop piece was summed)
@@ -559,8 +566,8 @@ def test_golden_verify_stays_array_first(monkeypatch):
     for module in (elliptau.curve, elliptau.monodromy, elliptau.checks):
         monkeypatch.setattr(module, "path_integrals", counted_integrals)
     assert run_checks(GOLDEN).overall == "pass"
-    assert len(calls) <= 900
-    assert len(passes) <= 8
+    assert len(calls) <= 184
+    assert len(passes) <= 7
     assert len(node_passes) <= 146
     assert passes[0] <= 140
 

@@ -9,18 +9,17 @@ import pytest
 from elliptau.elliptic import (
     HALF_HALF,
     ThetaChar,
+    _char_dlog,
+    _theta_rows,
     lattice_from_periods,
     sigma,
     sigma_char,
-    sigma_char_dlog,
-    sigma_char_du,
-    sigma_du,
+    sigma_jet,
     theta,
     theta11_constants,
     wp,
-    wp_n,
-    wp_prime,
     zeta,
+    zeta_jet,
 )
 from elliptau.errors import LatticeOrientationError, LatticePoleError
 from elliptau.scenario import SplitMix64
@@ -31,6 +30,11 @@ WP_SQ = complex(10.03518820042540541470372, -11.49435774572733536579038)
 WP_PRIME_SQ = complex(-23.57577436865108114222563, 119.6705601052089168926016)
 SIGMA_SQ = complex(0.2305207565279158794982994, 0.1093302490909568013588629)
 U_SQ = 0.23 + 0.11j
+
+
+def wp_derivative(lat, u, order):
+    """The order-th u-derivative of wp, from the zeta jet of order + 1."""
+    return -zeta_jet(lat, u, order + 1)[order + 1]
 
 
 def random_lattice(rng):
@@ -69,7 +73,7 @@ def test_square_lattice_values_against_jtheta_route():
     lat = lattice_from_periods(1.0, 1j)
     assert abs(zeta(lat, U_SQ) - ZETA_SQ) < 1e-12 * abs(ZETA_SQ)
     assert abs(wp(lat, U_SQ) - WP_SQ) < 1e-12 * abs(WP_SQ)
-    assert abs(wp_prime(lat, U_SQ) - WP_PRIME_SQ) < 1e-12 * abs(WP_PRIME_SQ)
+    assert abs(wp_derivative(lat, U_SQ, 1) - WP_PRIME_SQ) < 1e-12 * abs(WP_PRIME_SQ)
     assert abs(sigma(lat, U_SQ) - SIGMA_SQ) < 1e-12 * abs(SIGMA_SQ)
 
 
@@ -77,7 +81,7 @@ def test_sigma_normalization_and_oddness():
     lat = lattice_from_periods(1.0, 1j)
     assert abs(sigma(lat, 0.0)) < 1e-15
     assert abs(sigma(lat, 1e-3) / 1e-3 - 1.0) < 1e-12
-    assert abs(sigma_du(lat, 0.0) - 1.0) < 1e-14
+    assert abs(sigma_jet(lat, HALF_HALF, 0.0)[1] - 1.0) < 1e-14
     u = 0.3 + 0.2j
     assert abs(sigma(lat, -u) + sigma(lat, u)) < 1e-14
 
@@ -131,9 +135,11 @@ def test_sigma_char_derivatives_consistent():
     ch = ThetaChar(0.3, 0.2)
     u, h = 0.27 + 0.09j, 1e-6
     fd = (sigma_char(lat, ch, u + h) - sigma_char(lat, ch, u - h)) / (2 * h)
-    assert abs(sigma_char_du(lat, ch, u) - fd) < 1e-8
-    assert abs(sigma_char_dlog(lat, ch, u)
-               - sigma_char_du(lat, ch, u) / sigma_char(lat, ch, u)) < 1e-13
+    s, ds = sigma_jet(lat, ch, u)
+    assert abs(ds - fd) < 1e-8
+    # the log-derivative that H_t reads from a theta jet
+    jet, _ = _theta_rows(ch, u / lat.omega1, lat.Omega, 1)
+    assert abs(_char_dlog(lat, u, jet) - ds / s) < 1e-13
 
 
 def test_wp_differential_equation():
@@ -141,7 +147,7 @@ def test_wp_differential_equation():
     for _ in range(20):
         lat = random_lattice(rng)
         u = rng.uniform(0.1, 0.4) * lat.omega1 + rng.uniform(0.1, 0.4) * lat.omega2
-        w, w1 = wp(lat, u), wp_prime(lat, u)
+        w, w1 = wp(lat, u), wp_derivative(lat, u, 1)
         res = w1 * w1 - (4 * w**3 - lat.g2 * w - lat.g3)
         assert abs(res) < 1e-9 * max(abs(w1 * w1), abs(4 * w**3))
 
@@ -151,15 +157,15 @@ def test_wp_parity_and_triple_derivative():
     u = 0.21 * lat.omega1 + 0.13 * lat.omega2
     assert abs(zeta(lat, -u) + zeta(lat, u)) < 1e-12
     assert abs(wp(lat, -u) - wp(lat, u)) < 1e-12
-    lhs = wp_n(lat, u, 3)
-    assert abs(lhs - 12 * wp(lat, u) * wp_prime(lat, u)) < 1e-9 * abs(lhs)
+    lhs = wp_derivative(lat, u, 3)
+    assert abs(lhs - 12 * wp(lat, u) * wp_derivative(lat, u, 1)) < 1e-9 * abs(lhs)
 
 
 def test_wp_duplication():
     lat = lattice_from_periods(1.0, 0.4 + 1.2j)
     u = 0.19 * lat.omega1 + 0.23 * lat.omega2
     lhs = wp(lat, 2 * u)
-    rhs = -2 * wp(lat, u) + 0.25 * (wp_n(lat, u, 2) / wp_prime(lat, u)) ** 2
+    rhs = -2 * wp(lat, u) + 0.25 * (wp_derivative(lat, u, 2) / wp_derivative(lat, u, 1)) ** 2
     assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
 
@@ -171,22 +177,23 @@ def test_pole_guard():
         with pytest.raises(LatticePoleError):
             wp(lat, bad)
     with pytest.raises(ValueError):
-        wp_n(lat, 0.3, 4)
+        zeta_jet(lat, 0.3, 5)
 
 
-# every Weierstrass-layer function of u, as a function of (lattice, u)
+# every Weierstrass-layer value of u, as a function of (lattice, u): the
+# derivatives are rows of the sigma and zeta jets
 CH = ThetaChar(0.3, 0.2)
 ARRAY_FUNCTIONS = {
     "sigma_char": lambda lat, u: sigma_char(lat, CH, u),
     "sigma": sigma,
-    "sigma_char_dlog": lambda lat, u: sigma_char_dlog(lat, CH, u),
-    "sigma_char_du": lambda lat, u: sigma_char_du(lat, CH, u),
-    "sigma_du": sigma_du,
+    "sigma_char_dlog": lambda lat, u: (lambda s, ds: ds / s)(*sigma_jet(lat, CH, u)),
+    "sigma_char_du": lambda lat, u: sigma_jet(lat, CH, u)[1],
+    "sigma_du": lambda lat, u: sigma_jet(lat, HALF_HALF, u)[1],
     "zeta": zeta,
     "wp": wp,
-    "wp_prime": wp_prime,
-    "wp_n2": lambda lat, u: wp_n(lat, u, 2),
-    "wp_n3": lambda lat, u: wp_n(lat, u, 3),
+    "wp_prime": lambda lat, u: wp_derivative(lat, u, 1),
+    "wp_n2": lambda lat, u: wp_derivative(lat, u, 2),
+    "wp_n3": lambda lat, u: wp_derivative(lat, u, 3),
 }
 
 
