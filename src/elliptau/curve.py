@@ -38,7 +38,8 @@ Paths are detoured by CLEARANCE = 0.1 of the smallest branch gap.
 
 path_integrals and periods_of work on many paths or configurations in one
 array pass; path_integral and period_data are their one-item cases and give
-the same numbers.
+the same numbers.  A configuration owns its sheet frame (sheet_frame); the
+module caches are period_data and abel_with_y.
 """
 
 import cmath
@@ -65,9 +66,9 @@ class BranchConfig(_Value, namedtuple("BranchConfig", "e1 e2 e3 chart")):
     convention; moved() copies carry their root's chart.  The chart is part
     of equality and hash, so cached data never crosses between charts, but
     not of the repr.  es, scale and min_gap (largest and smallest gap) are
-    set at construction.  Branch points that are arrays make a batch, one
-    configuration per entry, whose es, gaps and algebra broadcast; no cache
-    takes a batch.
+    set at construction, root_chart and sheet_frame at first read.  Branch
+    points that are arrays make a batch, one configuration per entry, whose
+    es, gaps and algebra broadcast; no cache takes a batch.
     """
 
     def __new__(cls, e1, e2, e3, chart=None):
@@ -107,8 +108,20 @@ class BranchConfig(_Value, namedtuple("BranchConfig", "e1 e2 e3 chart")):
         if self.chart is not None:
             return self.chart
         pd = period_data(self)
-        return Chart(_sheet_frame(self).anchor, pd.omega1,
-                     -pd.omega2 if pd.delta_flipped else pd.omega2)
+        w2 = -pd.lattice.omega2 if pd.delta_flipped else pd.lattice.omega2
+        return Chart(self.sheet_frame.anchor, pd.lattice.omega1, w2)
+
+    @cached_property
+    def sheet_frame(self):
+        """The SheetFrame at the chart's anchor, or at the anchor ray of a fresh
+        configuration.  Either lies 8 (1 + spread) from its root's centroid c,
+        far outside every e_nu of a move, so the tail g keeps its principal roots
+        there: y(anchor) = 2 |X|^{3/2} e^{1.5 i arg X} g(X), X = anchor - c."""
+        anchor = self.chart.anchor if self.chart is not None else _fresh_anchor(self)
+        X = anchor - self.centroid
+        y_anchor = complex(2.0 * abs(X) ** 1.5 * cmath.exp(1.5j * cmath.phase(X))
+                           * _tail_g(self, X))
+        return SheetFrame(self, anchor, y_anchor, CLEARANCE * self.min_gap)
 
     def moved(self, nu, delta):
         """The configuration with e_nu moved by delta, on the chart of this
@@ -393,23 +406,8 @@ def _fresh_anchor(branch):
     return c + R * _RAYS[best]
 
 
-@lru_cache(maxsize=64)
-def _sheet_frame(branch):
-    """The frame at the chart's anchor, or at the anchor ray of a fresh
-    configuration.  Either lies 8 (1 + spread) from its root's centroid c,
-    far outside every e_nu of a move, so the tail g keeps its principal roots
-    there: y(anchor) = 2 |X|^{3/2} e^{1.5 i arg X} g(X), X = anchor - c.
-    """
-    chart = branch.chart
-    anchor = chart.anchor if chart is not None else _fresh_anchor(branch)
-    X = anchor - branch.centroid
-    y_anchor = complex(2.0 * abs(X) ** 1.5 * cmath.exp(1.5j * cmath.phase(X))
-                       * _tail_g(branch, X))
-    return SheetFrame(branch, anchor, y_anchor, CLEARANCE * branch.min_gap)
-
-
-class PeriodData(_Value, namedtuple("PeriodData", "lattice omega1 omega2 delta_flipped")):
-    """The lattice, its oriented periods, and whether omega2 was flipped."""
+class PeriodData(_Value, namedtuple("PeriodData", "lattice delta_flipped")):
+    """The lattice of the oriented periods, and whether omega2 was flipped."""
 
 
 def _cycles(branch):
@@ -428,7 +426,7 @@ def _cycle_integrals(branches, cycles, numerator=None):
     """Integral of numerator/y dx (numerator as path_integrals takes it)
     around each cycle on its configuration's sheet-1 frame: the approach
     paths in one pass, the cycles in one."""
-    frames = [_sheet_frame(b) for b in branches]
+    frames = [b.sheet_frame for b in branches]
     approach = [detoured_path(f.anchor, c[0].x(0.0), b.es, f.clearance)
                 for b, f, c in zip(branches, frames, cycles)]
     y0s = [y for _, y in path_integrals(approach, branches, [f.y_anchor for f in frames])]
@@ -508,7 +506,7 @@ def _period_data_batch(branches):
         om1, om2 = m1 * b1 + n1 * b2, m2 * b1 + n2 * b2
         flipped = (om2 / om1).imag <= 0
         om2 = -om2 if flipped else om2
-        out.append(PeriodData(lattice_from_periods(om1, om2), om1, om2, flipped))
+        out.append(PeriodData(lattice_from_periods(om1, om2), flipped))
     return out
 
 
@@ -573,7 +571,7 @@ def second_kind_periods(branches):
 def abel_with_y(branch, x):
     """Sheet-1 Abel map value u(x) together with the sheet-1 value y(x)."""
     x = complex(x)
-    frame = _sheet_frame(branch)
+    frame = branch.sheet_frame
     pieces = detoured_path(frame.anchor, x, branch.es, frame.clearance)
     val, y_end = path_integral(pieces, branch, frame.y_anchor)
     return frame.u_anchor + val, y_end
@@ -582,14 +580,11 @@ def abel_with_y(branch, x):
 def abel_values(branch, xs):
     """abel_with_y(branch, x) of each point of xs, their paths integrated in
     one path_integrals pass; no abel_with_y cache entry is read or filled.
-    When one path fails they are taken one at a time through abel_with_y,
-    and the first failing point raises its own error."""
-    frame, xs = _sheet_frame(branch), [complex(x) for x in xs]
+    The paths are cut in order, so the first failing point raises its own
+    error."""
+    frame, xs = branch.sheet_frame, [complex(x) for x in xs]
     paths = [detoured_path(frame.anchor, x, branch.es, frame.clearance) for x in xs]
-    try:
-        ends = path_integrals(paths, [branch] * len(xs), [frame.y_anchor] * len(xs))
-    except EllipTauError:
-        return [abel_with_y(branch, x) for x in xs]
+    ends = path_integrals(paths, [branch] * len(xs), [frame.y_anchor] * len(xs))
     return [(frame.u_anchor + val, y) for val, y in ends]
 
 

@@ -17,19 +17,19 @@ Conventions, fixed once for the whole package:
   theta jet.  zeta and wp read the zeta jet; sigma and sigma_char need no
   derivative and read theta alone.
 
-Every public function of z or u takes a number (the cached size-1 call of
-one kernel) or an array (one call of it, result in the array's shape); a
-jet is a tuple of such results, one per derivative.  The
-lattice may be a batch: a Lattice whose periods are arrays of one shape
-holds one lattice per point, and u broadcasts against it; likewise Omega
-and the characteristic (p, q) of the theta functions may be arrays.  The
-kernel sums a block of rings |n| <= K at every point; K grows 8, 16, 32, ...
-up to MAX_TERMS = 200 until the edge terms fall below SERIES_TOL = 1e-16 of
-the running scale at every point, else it raises ThetaConvergenceError.
-These are module constants, not options.  Every point adds its rings in
-the same order in a call of any size, so a point's value is that of its
-size-1 call up to the rings past its own K that other points need, which
-lie below SERIES_TOL of its scale.
+Every public function of z or u takes a number (the size-1 call of one
+kernel, cached in _theta_jet, its ring tables in _rings) or an array (one
+call of it, result in the array's shape); a jet is a tuple of such results,
+one per derivative.  The lattice may be a batch: a Lattice whose periods are
+arrays of one shape holds one lattice per point, and u broadcasts against
+it; likewise Omega and the characteristic (p, q) of the theta functions may
+be arrays.  The kernel sums a block of rings |n| <= K at every point; K
+grows 8, 16, 32, ... up to MAX_TERMS = 200 until the edge terms fall below
+SERIES_TOL = 1e-16 of the running scale at every point, else it raises
+ThetaConvergenceError.  These are module constants, not options.  Every
+point adds its rings in the same order in a call of any size, so a point's
+value is that of its size-1 call up to the rings past its own K that other
+points need, which lie below SERIES_TOL of its scale.
 """
 
 import cmath

@@ -16,12 +16,12 @@ Everything here evaluates on one coherent branch: alpha and the sign of
 wp'(alpha) come from the curve module's sheet-1 frame.  With the rows at
 u = +-alpha, det Phi(u) = sigma[p,q](t)^2 sigma(2 alpha) sigma(2u), so the
 square root of det Phi is sigma[p,q](t) sigma(2 alpha) times the principal
-root of sigma(2u)/sigma(2 alpha); y_at and hatted both take that root.  Its
-slope at the half period over e_nu is D^(nu) of the frame there.  Every
-evaluator of Phi and Y takes a number or an array of points: PhiMatrix.rows
-evaluates the four rows and Pi on all of them with one sigma jet of each
-characteristic, and with their u-derivatives one zeta jet for Pi and Pi', and
-matrix, hatted, y_at and coefficients read it.
+root of sigma(2u)/sigma(2 alpha); y_at and hatted both take that root (the
+point holds sigma(2 alpha)).  Its slope at the half period over e_nu is D^(nu)
+of the frame there.  Every evaluator of Phi and Y takes a number or an array
+of points: PhiMatrix.rows evaluates the four rows and Pi on all of them with
+one sigma jet of each characteristic, and with their u-derivatives one zeta
+jet for Pi and Pi', and matrix, hatted, y_at and coefficients read it.
 """
 
 import cmath
@@ -58,12 +58,12 @@ M_INF = -1j  # m at infinity; of the coefficients, only the frames G^(nu) depend
 class DeformationParams(_Value, namedtuple("DeformationParams", "branch lat a t char root",
                                             defaults=(None,))):
     """One point of the deformation space: the branch with its lattice, a, t
-    and the characteristic.  Derived at first read: theta_jet, which the
-    theta-zero test, log tau and the Hamiltonians read, and what only Y, its
-    coefficients and its monodromy read: alpha = u(a), the wp data at alpha,
-    zeta and wp at 2 alpha, the half-period table, the calibrated loops and
-    the chain phi -> sol -> coeffs; and wp_series, which the sigma-shift
-    family of tau reads.  A copy (_replace, moved) carries none of it.
+    and the characteristic.  Derived at first read: theta_jet and
+    theta_dOmega (read by the theta-zero test, log tau and the Hamiltonians),
+    what Y, its coefficients and its monodromy read: alpha = u(a), the wp
+    data, sigma, zeta and wp at 2 alpha, sigma[p,q](t +- 2 alpha), the half
+    periods, the calibrated loops and the chain phi -> sol -> coeffs; and
+    wp_series (the sigma-shift family).  A copy (_replace, moved) has none.
 
     A batch point holds one point per entry: t an array of times (then
     theta_jet, log_tau, H_t and the chain evaluate elementwise), or what
@@ -109,11 +109,28 @@ class DeformationParams(_Value, namedtuple("DeformationParams", "branch lat a t 
         return tuple(-w for w in zeta_jet(self.lat, self.alpha, 4)[1:])
 
     @cached_property
+    def theta_dOmega(self):
+        """d/dOmega theta[p,q] at t/omega1 from one kernel call; H_nu reads it."""
+        return _theta_rows(self.char, self.t / self.lat.omega1, self.lat.Omega, 0,
+                           with_dOmega=True)[1]
+
+    @cached_property
     def zeta_wp_2alpha(self):
         """(zeta, wp) at 2 alpha from one zeta jet: kappa and the sigma-shift
         family of tau read them."""
         z, dz = zeta_jet(self.lat, 2.0 * self.alpha, 1)
         return z, -dz
+
+    @cached_property
+    def sigma_2alpha(self):
+        """sigma(2 alpha): sqrt(det Phi(a)), y_at and tau's sigma-shift family read it."""
+        return sigma(self.lat, 2.0 * self.alpha)
+
+    @cached_property
+    def sigma_char_t_2alpha(self):
+        """sigma[p,q](t + 2 alpha) and sigma[p,q](t - 2 alpha), which Y_1 reads."""
+        return (sigma_char(self.lat, self.char, 2.0 * self.alpha + self.t),
+                sigma_char(self.lat, self.char, -2.0 * self.alpha + self.t))
 
     @cached_property
     def half_periods(self):
@@ -341,7 +358,7 @@ class YSolution:
         # square root is fixed with it and everything downstream keeps it.
         tk = p.t * p.kappa / 2.0
         self.N = _off_diag(_math(tk).exp(tk))
-        self.sqrt_det_a = sigma_char(p.lat, p.char, p.t) * sigma(p.lat, 2.0 * p.alpha)
+        self.sqrt_det_a = sigma_char(p.lat, p.char, p.t) * p.sigma_2alpha
         self.det_a = self.sqrt_det_a**2
 
     # -- local evaluation near x = a (single-valued, overflow-free) ---------
@@ -399,10 +416,9 @@ class YSolution:
         L = _char_dlog(p.lat, p.t, p.theta_jet)
         d11 = (L - (p.t / 2.0) * (4.0 * wpa - 0.5 * (wpp / wp1) ** 2)) / wp1
         tk = p.t * p.kappa
-        y21 = (-sigma_char(p.lat, p.char, 2.0 * p.alpha + p.t)
-               / (self.sqrt_det_a * wp1)) * _math(tk).exp(-tk)
-        y12 = (-sigma_char(p.lat, p.char, -2.0 * p.alpha + p.t)
-               / (self.sqrt_det_a * wp1)) * _math(tk).exp(tk)
+        plus, minus = p.sigma_char_t_2alpha
+        y21 = (-plus / (self.sqrt_det_a * wp1)) * _math(tk).exp(-tk)
+        y12 = (-minus / (self.sqrt_det_a * wp1)) * _math(tk).exp(tk)
         return _mat(d11, y12, y21, -d11)
 
     # -- global evaluation ---------------------------------------------------
@@ -422,7 +438,7 @@ class YSolution:
                            np.shape(x) + (1,) * np.ndim(p.alpha))
             if p.root is not None:
                 u = _wp_inverse(p.lat, u, p.branch.e_sum / 3.0, np.reshape(x, u.shape))
-        ratio = sigma(p.lat, 2.0 * u) / sigma(p.lat, 2.0 * p.alpha)
+        ratio = sigma(p.lat, 2.0 * u) / p.sigma_2alpha
         root = self.sqrt_det_a * _math(ratio).sqrt(ratio)
         return (self.N @ self.phi.matrix(u)) / np.asarray(root)[..., None, None]
 
@@ -522,13 +538,12 @@ def _commutator(X, Y):
     return X @ Y - Y @ X
 
 
-def deformation_residual(params, rho, dA):
-    """dA[nu - 1], the derivative of A_nu as t (rho = 0) or e_rho moves,
-    against the closed deformation equation in its paired reading (the
-    Fuchsian sum enters through d log(e_nu - e_mu), which carries both
-    differentials; the simple-pole coefficient at a enters the regular part at
-    e_nu).  Returns per-nu max-entry residuals ('paired') and the right-hand
-    sides ('rhs'), from the point's Y and coefficients."""
+def deformation_rhs(params, rho):
+    """The closed deformation equation in its paired reading: dA_nu/dt
+    (rho = 0) or dA_nu/de_rho for nu = 1, 2, 3, as one (3, 2, 2) array, from
+    the point's Y and coefficients.  The Fuchsian sum enters through
+    d log(e_nu - e_mu), which carries both differentials; the simple-pole
+    coefficient at a enters the regular part at e_nu."""
     p = params
     base = p.coeffs
     Y1 = p.sol.y1_closed_form()
@@ -536,7 +551,7 @@ def deformation_residual(params, rho, dA):
     # the derivative of the exponent T_{-1} = diag(1, -1) wp'(alpha) t / 2
     dT = np.diag([1.0, -1.0]) * (wp1 / 2.0 if rho == 0
                                  else -p.t * wp1 / (4.0 * (a - es[rho - 1])))
-    out = {"paired": {}, "rhs": {}}
+    out = []
     A = base.A
     for nu in (1, 2, 3):
         d = a - es[nu - 1]
@@ -551,6 +566,5 @@ def deformation_residual(params, rho, dA):
             # d log(e_nu - e_rho) carries both differentials
             rhs += _commutator(A[rho], A[nu]) * (1.0 / (a - es[rho - 1])
                                                   - 1.0 / (es[nu - 1] - es[rho - 1]))
-        out["paired"][nu] = float(np.max(np.abs(dA[nu - 1] - rhs)))
-        out["rhs"][nu] = rhs
-    return out
+        out.append(rhs)
+    return np.array(out)

@@ -14,7 +14,8 @@ tau_l = sigma(t + 2 l alpha) exp h_l(t) built from shifted sigma quotients.
 Each function of it reads a deformation point and a shift index l: the
 point's lattice, alpha = u(a), t (elementwise when t is an array),
 wp_series, the series values of wp and its first three derivatives at alpha,
-and zeta_wp_2alpha, zeta and wp at 2 alpha.
+and sigma_2alpha and zeta_wp_2alpha, sigma, zeta and wp at 2 alpha.  H_nu and
+residue_formula read d/dOmega theta[p,q] at t/omega1 from the point.
 """
 
 import cmath
@@ -22,7 +23,7 @@ import cmath
 import numpy as np
 
 from .curve import dOmega_de, dlog_omega1_de, quasiperiod_ratio_derivative
-from .elliptic import _any, _char_dlog, _math, sigma, theta_dOmega, zeta
+from .elliptic import _any, _char_dlog, _math, sigma, zeta
 from .errors import DegenerateParameterError
 
 
@@ -68,10 +69,9 @@ def dlog_theta_de(params, nu):
     """Full branch-point derivative of log theta[p,q](t/omega1; Omega)."""
     p = params
     th, thz = p.theta_jet
-    tho = theta_dOmega(p.char, p.t / p.lat.omega1, p.lat.Omega)
     dl_w1 = dlog_omega1_de(p.branch, p.lat, nu)
     d_om = dOmega_de(p.branch, p.lat, nu)
-    return -(p.t / p.lat.omega1) * dl_w1 * (thz / th) + d_om * (tho / th)
+    return -(p.t / p.lat.omega1) * dl_w1 * (thz / th) + d_om * (p.theta_dOmega / th)
 
 
 def residue_formula(params, nu):
@@ -138,7 +138,7 @@ def log_tau(params):
 def _c0(p, t, l):
     lat, al = p.lat, p.alpha
     _, wp1, wpp, _ = p.wp_series
-    return (sigma(lat, 2 * al) ** (-l)
+    return (p.sigma_2alpha ** (-l)
             * sigma(lat, t + 2 * l * al)
             * cmath.exp(-(t / 2.0) * p.zeta_wp_2alpha[0]
                         - (t / 4.0) * wpp / wp1))

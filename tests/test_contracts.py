@@ -250,3 +250,49 @@ def test_batched_draws_consume_the_stream_as_sequential_draws(monkeypatch):
             assert admissible_branches(batch_rng, count) == ones == ref
             assert batch_rng.state == one_rng.state == ref_rng.state
     assert rejected
+
+
+def test_module_state_is_four_caches_and_a_verify_leaves_no_trace():
+    # derived data lives on the value that owns it: the only module caches
+    # are the four below, and no module-level dict, list or set of the
+    # package holds other contents after a cold golden verify than before
+    import importlib
+    import pkgutil
+    import sys
+
+    import elliptau
+
+    for info in pkgutil.iter_modules(elliptau.__path__):
+        importlib.import_module(f"elliptau.{info.name}")
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name.startswith("elliptau.") and m is not None]
+    caches = {fn for m in modules for fn in vars(m).values()
+              if callable(fn) and hasattr(fn, "cache_info")}
+    assert {f"{fn.__module__}.{fn.__qualname__}" for fn in caches} == {
+        # the size-1 theta call: perfbench reads its cache_info()
+        "elliptau.elliptic._theta_jet",
+        # the ring tables of a number p: a cold golden verify ran slower
+        # without it in 18 and in 15 of two series of 20 alternating pairs
+        "elliptau.elliptic._rings",
+        # the periods of a configuration: a cold verify saves about 30 ms
+        # with it, and perfbench reads its cache_info()
+        "elliptau.curve.period_data",
+        # the Abel map of one point: perfbench reads its cache_info()
+        "elliptau.curve.abel_with_y",
+    }
+
+    def contents():
+        out = {}
+        for m in modules:
+            for name, v in vars(m).items():
+                if isinstance(v, dict) and not name.startswith("__"):
+                    out[m.__name__, name] = [(k, id(x)) for k, x in v.items()]
+                elif isinstance(v, (list, set)):
+                    out[m.__name__, name] = sorted(map(id, v))
+        return out
+
+    for fn in caches:
+        fn.cache_clear()
+    before = contents()
+    assert run_checks(GOLDEN).overall == "pass"
+    assert contents() == before

@@ -21,7 +21,6 @@ from elliptau.curve import (
     _cycles,
     _period_data_batch,
     _lattice_coords,
-    _sheet_frame,
     abel_values,
     abel_with_y,
     chords,
@@ -77,8 +76,8 @@ def test_gauss_rule_constants_are_leggauss_bit_for_bit():
 def test_golden_periods_against_elliptic_integral():
     pd = period_data(BranchConfig(1.0, 0.0, -1.0))
     assert abs(pd.lattice.Omega - 1j) < 1e-10
-    assert abs(pd.omega1 - OMEGA1_GOLDEN) < 1e-10
-    assert abs(abs(pd.omega2) - OMEGA1_GOLDEN) < 1e-10
+    assert abs(pd.lattice.omega1 - OMEGA1_GOLDEN) < 1e-10
+    assert abs(abs(pd.lattice.omega2) - OMEGA1_GOLDEN) < 1e-10
 
 
 def _quadrature_period_data(branch):
@@ -101,8 +100,8 @@ def test_agm_periods_match_cycle_quadrature(es):
     branch = BranchConfig(*es)
     pd = period_data(branch)
     om1, om2, flipped = _quadrature_period_data(branch)
-    assert abs(pd.omega1 - om1) <= 1e-12 * abs(om1)
-    assert abs(pd.omega2 - om2) <= 1e-12 * abs(om2)
+    assert abs(pd.lattice.omega1 - om1) <= 1e-12 * abs(om1)
+    assert abs(pd.lattice.omega2 - om2) <= 1e-12 * abs(om2)
     assert pd.delta_flipped == flipped
 
 
@@ -130,12 +129,12 @@ def test_charted_periods_match_cycle_integrals_on_the_inherited_frame(seed):
     rng = SplitMix64(47)
     for nu in (1, 2, 3):
         moved = root.moved(nu, 0.05 * root.min_gap * rng.unit_phase())
-        assert _sheet_frame(moved).anchor == moved.chart.anchor
+        assert moved.sheet_frame.anchor == moved.chart.anchor
         assert _rounds_within_slack(moved.chart, moved)
         pd = period_data(moved)
         om1, om2, flipped = _quadrature_period_data(moved)
-        assert abs(pd.omega1 - om1) <= 1e-12 * abs(om1)
-        assert abs(pd.omega2 - om2) <= 1e-12 * abs(om2)
+        assert abs(pd.lattice.omega1 - om1) <= 1e-12 * abs(om1)
+        assert abs(pd.lattice.omega2 - om2) <= 1e-12 * abs(om2)
         assert pd.delta_flipped == flipped
 
 
@@ -145,8 +144,8 @@ def test_chart_beyond_the_slack_falls_back_to_cycle_integrals(golden_branch, nu)
     assert not _rounds_within_slack(moved.chart, moved)
     pd = period_data(moved)
     om1, om2, flipped = _quadrature_period_data(moved)
-    assert abs(pd.omega1 - om1) <= 1e-12 * abs(om1)
-    assert abs(pd.omega2 - om2) <= 1e-12 * abs(om2)
+    assert abs(pd.lattice.omega1 - om1) <= 1e-12 * abs(om1)
+    assert abs(pd.lattice.omega2 - om2) <= 1e-12 * abs(om2)
     assert pd.delta_flipped == flipped
 
 
@@ -166,7 +165,7 @@ def test_verify_integrates_the_scenario_cycles_once(monkeypatch):
     # the checks read the scenario lattice from its params and moves carry the
     # root's chart, so however many configurations pass through the period
     # cache, golden's own two cycles are integrated once per verify
-    for cached in (period_data, _sheet_frame, abel_with_y):
+    for cached in (period_data, abel_with_y):
         cached.cache_clear()
     calls = []
     real = elliptau.curve._cycle_integrals
@@ -194,6 +193,17 @@ def test_many_point_abel_values_equal_one_at_a_time(seed):
     assert [abel_with_y(b, x) for x in xs] == alone
 
 
+def test_a_failing_point_fails_its_abel_batch_with_its_own_error(golden_branch):
+    # a point 1e-14 off e1 runs its path into the pole; the batch cuts the
+    # paths in order, so it raises that point's own error
+    bad = golden_branch.e1 + 1e-14j
+    with pytest.raises(EllipTauError) as alone:
+        abel_with_y(golden_branch, bad)
+    with pytest.raises(type(alone.value)) as batched:
+        abel_values(golden_branch, [0.4 + 0.3j, bad, -1.7 + 0.2j])
+    assert str(batched.value) == str(alone.value)
+
+
 def test_moved_of_moved_carries_the_root_chart(golden_branch):
     once = golden_branch.moved(1, 1e-3)
     twice = once.moved(2, 1e-3j)
@@ -207,7 +217,6 @@ def test_charted_and_fresh_configurations_share_no_cache_entry(golden_branch):
     # equal branch points on two charts are two keys of every cache
     calls = [
         (period_data, ()),
-        (_sheet_frame, ()),
         (abel_with_y, (2.0,)),
     ]
     for k, (cached, args) in enumerate(calls, start=1):
@@ -234,7 +243,7 @@ def test_anchor_tail_integral_matches_mpmath(es):
     # y = 2 X^{3/2} prod sqrt(1 - e~/X) and the phase of X^{3/2} taken from
     # arg(anchor - c); mpmath at 30 digits
     branch = BranchConfig(*es)
-    frame = _sheet_frame(branch)
+    frame = branch.sheet_frame
     X = frame.anchor - branch.centroid
     with mpmath.workdps(30):
         d = mpmath.mpc(X) / abs(X)
@@ -307,7 +316,7 @@ def test_path_integrals_equal_one_path_at_a_time(golden_branch):
     generic = BranchConfig(0.3 + 0.7j, -0.9 + 0.1j, 0.5 - 0.8j)
     paths, branches, starts = [], [], []
     for b in (golden_branch, generic):
-        frame = _sheet_frame(b)
+        frame = b.sheet_frame
         for x in (0.4 + 0.3j, -1.7 + 0.2j, b.es[0] + 1e-4):
             paths.append(detoured_path(frame.anchor, x, b.es, frame.clearance))
             branches.append(b)
@@ -386,7 +395,7 @@ def test_abel_map_at_the_domain_edge(es):
 def test_chord_count_grows_like_log_of_the_distance(golden_branch):
     # a path that ends d from a branch point takes a bounded number of
     # chords per decade of d: the step rule grades geometrically
-    frame = _sheet_frame(golden_branch)
+    frame = golden_branch.sheet_frame
 
     def most_chords(rel):
         return max(len(chords(detoured_path(frame.anchor, x, golden_branch.es,
@@ -433,7 +442,7 @@ def test_abel_base_point_is_infinity(golden_branch, golden_lattice):
     u_farther, _ = abel_with_y(golden_branch, 800.0 + 1200.0j)
     assert abs(u_farther) < abs(u_far) / 2
     # at the anchor the path is empty
-    frame = _sheet_frame(golden_branch)
+    frame = golden_branch.sheet_frame
     assert abel_with_y(golden_branch, frame.anchor) == (frame.u_anchor, frame.y_anchor)
 
 

@@ -24,7 +24,7 @@ from elliptau.isomono import (
     PhiMatrix,
     _m_slot_values,
     _theta_checked,
-    deformation_residual,
+    deformation_rhs,
     make_params,
     theoretical_monodromy,
 )
@@ -301,13 +301,12 @@ def test_deformation_equation_paired_reading(golden):
     p = golden.params
     for rho in (0, 1, 3):
         (dA,), _ = deformation_ring(p, [rho])
-        r = deformation_residual(p, rho, dA)
-        assert max(r["paired"].values()) < 1e-5
+        assert np.max(np.abs(dA - deformation_rhs(p, rho))) < 1e-5
     # the ring derivative rejects the single-differential reading, where the
     # commutator sum multiplies de_nu alone and B_0 does not enter
     (dA,), _ = deformation_ring(p, [2])
-    r = deformation_residual(p, 2, dA)
-    assert max(r["paired"].values()) < 1e-5
+    paired = deformation_rhs(p, 2)
+    assert np.max(np.abs(dA - paired)) < 1e-5
     co = golden.coeffs
     es, A = p.branch.es, co.A
 
@@ -317,9 +316,9 @@ def test_deformation_equation_paired_reading(golden):
     unpaired = {}
     for nu in (1, 2, 3):
         if nu == 2:
-            rhs = r["rhs"][nu] - comm(A[2], co.B0) / (p.a - es[1])
+            rhs = paired[nu - 1] - comm(A[2], co.B0) / (p.a - es[1])
         else:
-            rhs = r["rhs"][nu] + comm(A[2], A[nu]) / (es[nu - 1] - es[1])
+            rhs = paired[nu - 1] + comm(A[2], A[nu]) / (es[nu - 1] - es[1])
         unpaired[nu] = float(np.max(np.abs(dA[nu - 1] - rhs)))
     assert max(unpaired.values()) > 1e-3
 
@@ -327,9 +326,8 @@ def test_deformation_equation_paired_reading(golden):
 def test_deformation_residual_shrinks_quadratically(golden):
     # the 2-point sub-ring errs by (r/R)^2, the 4-point ring by its square
     (dA,), (dA_sub,) = deformation_ring(golden.params, [1])
-    r = deformation_residual(golden.params, 1, dA)
-    r_sub = deformation_residual(golden.params, 1, dA_sub)
-    assert max(r["paired"].values()) < 1e-3 * max(r_sub["paired"].values())
+    rhs = deformation_rhs(golden.params, 1)
+    assert np.max(np.abs(dA - rhs)) < 1e-3 * np.max(np.abs(dA_sub - rhs))
 
 
 
@@ -532,11 +530,13 @@ def test_phi_and_y_on_an_array_equal_pointwise(name, seed):
 
 
 def test_golden_verify_stays_array_first(monkeypatch):
-    # from cold caches, one golden verify makes at most 184 theta-kernel
+    # from cold caches, one golden verify makes at most 181 theta-kernel
     # calls (3,896 when Phi, Y and the coefficient frames were built one
     # scalar call at a time, 1,602 when the elliptic checks built one lattice
     # per draw, 233 with one entry point per derivative of sigma, zeta and
-    # wp), at most 7 Taylor passes (23 with one per loop), at most 146
+    # wp, 184 before the point held sigma(2 alpha), sigma[p,q](t +- 2 alpha)
+    # and d/dOmega theta), at most 33 _theta_jet hits (82 before), at most 7
+    # Taylor passes (23 with one per loop), at most 146
     # path_integrals node passes (366 with one per path) and, continuing each
     # distinct loop piece once, at most 140 chords for the base system's
     # monodromy, the first pass (277 when every loop piece was summed)
@@ -566,7 +566,8 @@ def test_golden_verify_stays_array_first(monkeypatch):
     for module in (elliptau.curve, elliptau.monodromy, elliptau.checks):
         monkeypatch.setattr(module, "path_integrals", counted_integrals)
     assert run_checks(GOLDEN).overall == "pass"
-    assert len(calls) <= 184
+    assert len(calls) <= 181
+    assert elliptau.elliptic._theta_jet.cache_info().hits <= 33
     assert len(passes) <= 7
     assert len(node_passes) <= 146
     assert passes[0] <= 140

@@ -55,6 +55,7 @@ MUTANTS = {
     "YSolution.y1_closed_form": (None, "y1_closed_form", _scaled, ("y1_closed_form",)),
     "coefficients A_nu": ("isomono", "coefficients", _scaled_field("A"),
                           ("ode_residual", "deformation_equation")),
+    "deformation_rhs": ("isomono", "deformation_rhs", _scaled, ("deformation_equation",)),
 }
 
 
