@@ -203,14 +203,15 @@ class CheckContext:
 
     @property
     def branch_samples(self):
-        """The scenario's branch with its lattice, then admissible draws with theirs."""
+        """The scenario's branch, then admissible draws, and their lattices as
+        one batch lattice."""
         return self._get("branch_samples", lambda: _branch_samples(self))
 
     @property
     def branch_ring(self):
         """The e_nu rings of the sampled branches (centres, distances) and the
         lattices of all their nodes as one batch of shape (rings, RING_POINTS)."""
-        return self._get("branch_ring", lambda: _branch_ring(self.branch_samples))
+        return self._get("branch_ring", lambda: _branch_ring(self.branch_samples[0]))
 
     @property
     def neighbours(self):
@@ -454,18 +455,18 @@ def check_sigma_homogeneity(ctx, rng):
 
 
 def _branch_samples(ctx):
-    """The scenario's branch with its lattice, then ctx.draws(9) admissible
-    draws with theirs, from the stream named branch_samples."""
+    """The scenario's branch, then ctx.draws(9) admissible draws, from the
+    stream named branch_samples, and their lattices as one batch lattice."""
     rng = check_stream(ctx.scenario.seed, "branch_samples")
     draws = admissible_branches(rng, ctx.draws(9, minimum=1))
-    return [(ctx.branch, ctx.params.lat)] + [(b, periods(b)) for b in draws]
+    return [ctx.branch, *draws], _batch([ctx.params.lat, *map(periods, draws)])
 
 
-def _branch_ring(samples):
-    """(centers, distances, lat): the e1, e2, e3 rings of each sampled branch,
-    sized by its other branch points, and the lattices of all their nodes,
-    from one periods_of call, as one batch lattice."""
-    keys = [(b, nu) for b, _ in samples for nu in (1, 2, 3)]
+def _branch_ring(branches):
+    """(centers, distances, lat): the e1, e2, e3 rings of each branch, sized
+    by its other branch points, and the lattices of all their nodes, from
+    one periods_of call, as one batch lattice."""
+    keys = [(b, nu) for b in branches for nu in (1, 2, 3)]
     centers = np.array([b.es[nu - 1] for b, nu in keys])
     distances = [_clearance(b, None, e) for (b, _), e in zip(keys, centers)]
     nodes, _ = _ring_nodes(centers, distances)
@@ -475,8 +476,7 @@ def _branch_ring(samples):
 
 
 def check_theta_constants(ctx, rng):
-    branches, lats = zip(*ctx.branch_samples)
-    r1, r2 = theta_constant_residuals(branches, _batch(lats))
+    r1, r2 = theta_constant_residuals(*ctx.branch_samples)
     return (float(max(r1.max(), r2.max())),
             "odd theta-constant identities vs geometric quasi-period")
 
@@ -485,22 +485,20 @@ def _branch_derivative_residual(ctx, value, closed, degree=None):
     """Worst miss of closed(b, lat, nu) = d value(lattice)/de_nu against its
     ring derivative over the sampled branches, of the translation sum (which
     vanishes) and, given the homogeneity degree, of the Euler sum.  The ring
-    nodes are the context's shared branch ring."""
-    samples = ctx.branch_samples
+    nodes are the context's shared branch ring; closed runs on the samples as
+    one batch configuration and lattice, one call per nu."""
+    branches, lat = ctx.branch_samples
     centers, distances, nodes_lat = ctx.branch_ring
-    ds = iter(ring_derivative(lambda nodes: value(nodes_lat).reshape(nodes.shape),
-                              centers, distances)[0])
-    worst = 0.0
-    for b, lat in samples:
-        cls = [closed(b, lat, nu) for nu in (1, 2, 3)]
-        for cl in cls:
-            d = next(ds)
-            worst = max(worst, abs(d - cl) / max(abs(cl), 1e-30))
-        worst = max(worst, abs(sum(cls)) / max(abs(cl) for cl in cls))
-        if degree is not None:
-            euler = sum(e * cl for e, cl in zip(b.es, cls))
-            worst = max(worst, abs(euler - degree * value(lat)) / abs(degree * value(lat)))
-    return worst
+    d = ring_derivative(lambda nodes: value(nodes_lat).reshape(nodes.shape),
+                        centers, distances)[0].reshape(-1, 3).T
+    batch = BranchConfig(*np.array([b.es for b in branches]).T)
+    cls = [closed(batch, lat, nu) for nu in (1, 2, 3)]
+    misses = [np.abs(d - cls) / np.maximum(np.abs(cls), 1e-30),
+              np.abs(sum(cls)) / np.max(np.abs(cls), axis=0)]
+    if degree is not None:
+        euler = sum(e * cl for e, cl in zip(batch.es, cls))
+        misses.append(np.abs(euler - degree * value(lat)) / np.abs(degree * value(lat)))
+    return float(max(np.max(m) for m in misses))
 
 
 def check_domega_de(ctx, rng):
@@ -568,12 +566,9 @@ def check_phi_transformation(ctx, rng):
     us = np.array([_random_u(rng, lat) + 0.03 * lat.omega1
                    for _ in range(ctx.draws(20, minimum=5))])
     ms = phi.matrix(np.stack([us, us + lat.omega1, us + lat.omega2]))
-    worst = 0.0
-    for u, m0, m1, m2 in zip(us, *ms):
-        for lhs, mult in ((m1, phi.gamma_multiplier(u)), (m2, phi.delta_multiplier(u))):
-            rhs = m0 @ mult
-            worst = max(worst, np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
-    return worst, "both cycle transformations of the row functions"
+    rhs = ms[0] @ np.stack([phi.gamma_multiplier(us), phi.delta_multiplier(us)])
+    worst = np.max(np.max(np.abs(ms[1:] - rhs), axis=(2, 3)) / np.max(np.abs(rhs), axis=(2, 3)))
+    return float(worst), "both cycle transformations of the row functions"
 
 
 def check_det_phi_zeros(ctx, rng):
@@ -610,24 +605,21 @@ def check_ode_residual(ctx, rng):
     n = ctx.draws(8, minimum=4)
     xs = [center + radius * cmath.exp(2j * math.pi * j / n) for j in range(n)]
     u0, y0 = np.array(abel_values(b, xs)).T
-
-    def y_rings(nodes):
-        # each ring stays within 1e-3 of the distance to the cuts, so u and y
-        # continue from its centre to each node along a straight chord
-        ends = path_integrals([[Line(x, z)] for x, zs in zip(xs, nodes) for z in zs],
-                              [b] * nodes.size, np.repeat(y0, nodes.shape[1]))
-        us = np.repeat(u0, nodes.shape[1]) + np.array([du for du, _ in ends])
-        return ctx.sol.y_at(nodes, us.reshape(nodes.shape))
-
-    dYs, _ = ring_derivative(y_rings, xs, [min(_clearance(b, a, x), b.distance_to_cuts(x))
-                                           for x in xs])
-    worst = 0.0
-    for x, Y, dY in zip(xs, ctx.sol.y_at(np.array(xs), u0), dYs):
-        lhs = dY @ np.linalg.inv(Y)
-        rhs = ctx.coeffs.A_of(x)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))
-                                 / max(1.0, float(np.max(np.abs(rhs))))))
-    return worst, "Y'Y^{-1} vs the rational coefficient matrix"
+    distances = [min(_clearance(b, a, x), b.distance_to_cuts(x)) for x in xs]
+    # each ring stays within 1e-3 of the distance to the cuts, so u and y
+    # continue from its centre to each node along a straight chord; Y at the
+    # centres and the nodes comes from one y_at call
+    nodes, _ = _ring_nodes(np.array(xs), distances)
+    ends = path_integrals([[Line(x, z)] for x, zs in zip(xs, nodes) for z in zs],
+                          [b] * nodes.size, np.repeat(y0, RING_POINTS))
+    us = u0[:, None] + np.reshape([du for du, _ in ends], nodes.shape)
+    Ys = ctx.sol.y_at(np.column_stack([xs, nodes]), np.column_stack([u0, us]))
+    dYs, _ = ring_derivative(lambda _: Ys[:, 1:], xs, distances)
+    lhs = dYs @ np.linalg.inv(Ys[:, 0])
+    rhs = ctx.coeffs.A_of(np.array(xs)[:, None, None])
+    worst = np.max(np.max(np.abs(lhs - rhs), axis=(1, 2))
+                   / np.maximum(1.0, np.max(np.abs(rhs), axis=(1, 2))))
+    return float(worst), "Y'Y^{-1} vs the rational coefficient matrix"
 
 
 def _overflowed(worst, notes):
@@ -713,18 +705,25 @@ def check_residue_sum_rule(ctx, rng):
 
 def _admissible_neighbors(ctx, rng):
     """Params of the scenario point and of the admissible ones of 4 mild moves
-    of (t, e), whose periods come from one call; and a note of their count."""
+    of (t, e), whose periods come from one call on their configurations, each
+    built once; and a note of their count."""
     s, count = ctx.scenario, ctx.draws(4, minimum=1)
     moves = [(tuple(e + 0.08 * ctx.branch.scale * rng.complex_box() for e in ctx.branch.es),
               s.t + 0.05 * rng.complex_box()) for _ in range(count)]
+    points = []
+    for es, t in moves:
+        try:
+            points.append((BranchConfig(*es), t))
+        except EllipTauError:
+            continue
     try:
-        periods_of([BranchConfig(*es) for es, _ in moves])
+        periods_of([b for b, _ in points])
     except EllipTauError:
         pass  # each move below then computes alone and fails alone
     out = [ctx.params]
-    for es, t in moves:
+    for b, t in points:
         try:
-            out.append(make_params(BranchConfig(*es), s.a, t, s.p, s.q))
+            out.append(make_params(b, s.a, t, s.p, s.q))
         except EllipTauError:
             continue
     return out, f"{len(out) - 1} of {count} neighbours"
@@ -814,10 +813,8 @@ def check_shifted_tau_dlog(ctx, rng):
 
 
 def check_shifted_tau_trace(ctx, rng):
-    worst, q = 0.0, _shift_point(ctx)
-    for l in (-1, 0, 1, 2):
-        worst = max(worst, sigma_shift_trace_residual(q, l))
-    return worst, "wp' tr(Y1 diag(1/2,-1/2)) vs d/dt log tau_l"
+    worst = np.max(sigma_shift_trace_residual(_shift_point(ctx), np.arange(-1, 3)))
+    return float(worst), "wp' tr(Y1 diag(1/2,-1/2)) vs d/dt log tau_l"
 
 
 def check_shifted_tau_cross_family(ctx, rng):

@@ -84,9 +84,12 @@ def _cmd_verify(args):
     report.environment["scenario_sha256"] = digest
     report.environment["argv"] = args.argv
     payload = report.to_json_dict()
-    with open(args.out, "w") as fh:
+    # written over the old report and cut at its end: truncating on open
+    # would wait for the old report's pages to be written back first
+    with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+        fh.truncate()
     for r in report.results:
         print(f"{r.status.upper():12s} {r.name:32s} residual "
               f"{r.residual:9.3e}  tol {r.tolerance:8.1e}  {r.runtime_ms:8.1f} ms")

@@ -274,17 +274,18 @@ class PhiMatrix:
         return r.entries(r.Pi)
 
     def gamma_multiplier(self, u):
-        """Diagonal-and-scalar transformation picked up by Phi under u -> u + omega1."""
+        """Diagonal-and-scalar transformation picked up by Phi under u -> u + omega1;
+        u a number or an array (u.shape + (2, 2))."""
         p = self.params
         lam = cmath.exp(1j * math.pi * (2 * p.char.p + 1))
-        scal = cmath.exp(p.lat.eta1 * (2 * u + p.lat.omega1))
-        return np.diag([lam, 1.0 / lam]) * scal
+        scal = np.exp(p.lat.eta1 * (2 * u + p.lat.omega1))
+        return _mat(lam * scal, 0.0, 0.0, (1.0 / lam) * scal)
 
     def delta_multiplier(self, u):
         p = self.params
         lam = cmath.exp(-1j * math.pi * (2 * p.char.q + 1))
-        scal = cmath.exp(p.lat.eta2 * (2 * u + p.lat.omega2))
-        return np.diag([lam, 1.0 / lam]) * scal
+        scal = np.exp(p.lat.eta2 * (2 * u + p.lat.omega2))
+        return _mat(lam * scal, 0.0, 0.0, (1.0 / lam) * scal)
 
 
 def build_phi(params):
@@ -397,10 +398,11 @@ class YSolution:
         return np.asarray(ratio)[..., None, None] * (self.N @ mat)
 
     def exp_T_a(self, x):
-        """exp T^(a)(x) = diag(exp(-c/(x-a)), exp(c/(x-a))), c = wp'(alpha) t/2."""
+        """exp T^(a)(x) = diag(exp(-c/(x-a)), exp(c/(x-a))), c = wp'(alpha) t/2;
+        x a number (a 2x2 result) or an array (x.shape + (2, 2))."""
         p = self.params
         c = p.wp_a.wp_prime * p.t / 2.0
-        return np.diag([cmath.exp(-c / (x - p.a)), cmath.exp(c / (x - p.a))])
+        return _mat(np.exp(-c / (x - p.a)), 0.0, 0.0, np.exp(c / (x - p.a)))
 
     def y1_closed_form(self):
         """The (x-a)-linear coefficient of the hatted solution, in closed form.

@@ -221,39 +221,48 @@ def _taylor_sums(coeffs, x0, x1):
     C_j / (x - s_j) (B_0 at a, A_nu at e_nu), the coefficients y_n of Y(s)
     obey (n+1) y_{n+1} = sum_j q_j C_j W_{j,n} + (h / d_a^2) B_{-1} V_n,
     where W_j = Y / (1 + q_j s) and V = W_a / (1 + q_a s), so that
-    W_{j,n} = y_n - q_j W_{j,n-1} and V_n = W_{a,n} - q_a V_{n-1}.  A chord
-    has settled once two consecutive terms are below machine epsilon times
-    the partial sum; the term cap is twice the count at which RHO^n reaches
-    epsilon.  Returns the sums at s = 1 and the settled mask.
+    W_{j,n} = y_n - q_j W_{j,n-1} and V_n = y_n - q_a (W_{a,n-1} + V_{n-1}).
+    Each order is one product of the pole matrices side by side, (2, 10),
+    which every chord shares, with the (10, 2n) stack of W_a, W_1, W_2, W_3, V
+    scaled by their chords' factors.  A chord has settled once two
+    consecutive terms are below machine epsilon times the partial sum,
+    tested on the orders 4k - 1 and 4k; the term cap is twice the count at
+    which RHO^n reaches epsilon.  Returns the sums at s = 1 and the settled
+    mask.
     """
     eps = np.finfo(float).eps
+    n, cap = len(x0), int(2 * math.log(eps) / math.log(RHO))
     h = x1 - x0
     d = x0 - np.array([coeffs.a, *coeffs.es])[:, None]
     q = h / d
-    # chords last: the five pole terms as (2, 5, 2, n) blocks f_j C_j[i, k],
-    # the double pole last, and W_a, W_1, W_2, W_3, V as (5, 2, 2, n); the
-    # order's sum over (j, k) runs on their (2, 10, 1, n) and (10, 2, n) views
-    C = np.stack([coeffs.B0, coeffs.A[1], coeffs.A[2], coeffs.A[3], coeffs.B_minus1])
-    f = np.concatenate([q, (h / d[0] ** 2)[None]])
-    M = (C.transpose(1, 0, 2)[..., None] * f[:, None]).reshape(2, 10, 1, len(h))
-    W = np.zeros((5, 2, 2, len(h)), dtype=complex)
-    Wjk = W.reshape(10, 2, len(h))
-    qW, qa = q[:, None, None], q[0]
-    y = np.zeros((2, 2, len(h)), dtype=complex)
-    y[0, 0] = y[1, 1] = 1.0
-    S = y.copy()
-    terms = np.empty((2, 10, 2, len(h)), dtype=complex)
-    small = ok = np.zeros(len(h), dtype=bool)
-    for order in range(1, int(2 * math.log(eps) / math.log(RHO)) + 1):
-        W[:4] = y - qW * W[:4]
-        W[4] = W[0] - qa * W[4]
-        y = np.multiply(M, Wjk, out=terms).sum(axis=1) / order
+    # the pole matrices side by side, (2, 10), divided by each order 1 .. cap
+    C = np.concatenate([coeffs.B0, coeffs.A[1], coeffs.A[2], coeffs.A[3], coeffs.B_minus1],
+                       axis=1) / np.arange(1.0, cap + 1)[:, None, None]
+    f = np.concatenate([q, (h / d[0] ** 2)[None]])[:, None, None]
+    mq = -np.concatenate([q, q[:1]])[:, None, None]
+    W = np.zeros((5, 2, 2, n), dtype=complex)  # W_a, W_1, W_2, W_3, V; chords last
+    fW = np.empty_like(W)
+    rhs = fW.reshape(10, 2 * n)
+    yS = np.zeros((2, 2, 2 * n), dtype=complex)  # the order's term y and the sum S
+    y, S = yS[0].reshape(2, 2, n), yS[1].reshape(2, 2, n)
+    y[0, 0] = y[1, 1] = S[0, 0] = S[1, 1] = 1.0
+    small = ok = np.zeros(n, dtype=bool)
+    for order in range(1, cap + 1):
+        W[4] += W[0]
+        W *= mq
+        W += y
+        np.multiply(W, f, out=fW)
+        np.matmul(C[order - 1], rhs, out=yS[0])
         S += y
-        tiny = np.abs(y.reshape(4, -1)).max(axis=0) <= eps * np.abs(S.reshape(4, -1)).max(axis=0)
-        ok = ok | (small & tiny)
-        small = tiny
-        if ok.all():
-            break
+        if order % 4 in (0, 3):
+            size = np.maximum.reduce(np.abs(yS).reshape(2, 4, n), axis=1)
+            tiny = size[0] <= eps * size[1]
+            if order % 4:
+                small = tiny
+            else:
+                ok = ok | (small & tiny)
+                if np.logical_and.reduce(ok):
+                    break
     return np.moveaxis(S, -1, 0), ok
 
 
@@ -304,14 +313,11 @@ def sector_connection_residuals(params):
     radius = 0.2 * min(abs(p.a - e) for e in p.branch.es)
     th0 = cmath.phase(p.wp_a.wp_prime * p.t)
     a0s = (th0, th0 + math.pi)
-
-    def constructed(th):  # the constructed Y at angle th on the circle
-        x = p.a + radius * cmath.exp(1j * th)
-        return p.sol.hatted(x) @ p.sol.exp_T_a(x)
-
-    Y_ends = [constructed(a0 + math.pi) for a0 in a0s]
+    # the constructed Y at both starts, then both ends, from one evaluation
+    x = p.a + radius * np.exp(1j * np.array([*a0s, *(a0 + math.pi for a0 in a0s)]))
+    Ys = p.sol.hatted(x) @ p.sol.exp_T_a(x)
     with np.errstate(over="ignore", invalid="ignore"):
         Ws = _continue_paths(p.coeffs, [[Arc(p.a, radius, a0, a0 + math.pi)] for a0 in a0s],
-                             [constructed(a0) for a0 in a0s])
-        rs = [float(np.max(np.abs(np.linalg.inv(Y) @ W - np.eye(2)))) for Y, W in zip(Y_ends, Ws)]
-    return [r if math.isfinite(r) else math.inf for r in rs]
+                             Ys[:2])
+        rs = np.max(np.abs(np.linalg.inv(Ys[2:]) @ Ws - np.eye(2)), axis=(1, 2))
+    return [r if math.isfinite(r) else math.inf for r in rs.tolist()]

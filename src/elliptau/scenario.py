@@ -182,7 +182,8 @@ def admissible_branch(rng):
 def admissible_branches(rng, count):
     """count admissible_branch draws, leaving rng where count calls of it
     leave it: the candidates that pass the gap test get their periods from
-    one periods_of call, and those the period ratio rejects are topped up."""
+    one periods_of call, and those the period ratio rejects are topped up.
+    Each accepted configuration is the object that periods_of computed."""
     out, tries = [], 0  # tries: attempts of the draw under way
     while len(out) < count:
         found, spent, last = [], 0, 0  # candidates and their attempt; attempts; last accepted
@@ -192,13 +193,13 @@ def admissible_branches(rng, count):
             gaps = [abs(es[i] - es[j]) for i in range(3) for j in range(i + 1, 3)]
             if min(gaps) >= 0.3 * max(gaps) and max(gaps) >= 0.5:
                 found.append((es, spent))
+        branches = [BranchConfig(*es) for es, _ in found]  # the gap test keeps them apart
         try:
-            periods_of([BranchConfig(*es) for es, _ in found])
+            periods_of(branches)
         except EllipTauError:
             pass  # each candidate below then computes alone and fails alone
-        for es, attempt in found:
+        for branch, (_, attempt) in zip(branches, found):
             try:
-                branch = BranchConfig(*es)
                 if periods(branch).Omega.imag < 0.05:
                     continue
             except EllipTauError:

@@ -332,6 +332,34 @@ def test_cli_verify_subset(tmp_path):
     assert data["overall"] == "pass"
 
 
+def test_cli_verify_writes_over_an_existing_report(tmp_path):
+    # the report is written over the old file and cut at its end: a longer
+    # file at --out keeps no stale tail, and through a symlink the target
+    # is updated (the link stays a link)
+    scenario = tmp_path / "golden.json"
+    scenario.write_text(json.dumps(golden_dict()))
+    argv = ["verify", "--scenario", str(scenario), "--checks", "legendre", "--out"]
+    fresh = tmp_path / "fresh.json"
+    assert main(argv + [str(fresh)]) == 0
+    expected = json.loads(fresh.read_text())
+    out = tmp_path / "report.json"
+    out.write_text("x" * (10 * fresh.stat().st_size))
+    assert main(argv + [str(out)]) == 0
+    text = out.read_text()
+    got = json.loads(text)
+    assert text == json.dumps(got, indent=2) + "\n"
+    for report in (got, expected):  # the same report but for its times and argv
+        for check in report["checks"]:
+            del check["runtime_ms"]
+        del report["stage_s"], report["environment"]["argv"]
+    assert got == expected
+    link = tmp_path / "link.json"
+    link.symlink_to(out)
+    assert main(argv + [str(link)]) == 0
+    assert link.is_symlink()
+    assert json.loads(out.read_text())["environment"]["argv"][-1] == str(link)
+
+
 def test_cli_tol_scale_can_force_failure(tmp_path):
     scenario = tmp_path / "golden.json"
     scenario.write_text(json.dumps(golden_dict()))

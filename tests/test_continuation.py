@@ -13,7 +13,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from elliptau import monodromy
-from elliptau.curve import Arc, Line
+from elliptau.checks import run_checks
+from elliptau.curve import RHO, Arc, Line
 from elliptau.errors import QuadratureError
 from elliptau.isomono import make_params, theoretical_monodromy
 from elliptau.monodromy import (
@@ -23,7 +24,7 @@ from elliptau.monodromy import (
     monodromy_matrices,
     singularities,
 )
-from elliptau.scenario import SplitMix64, random_admissible_scenario
+from elliptau.scenario import GOLDEN, SplitMix64, random_admissible_scenario
 
 
 def dop853(coeffs, pieces, Y0):
@@ -140,3 +141,58 @@ def test_draw_10_of_seed_1_matches_theory():
     theory = theoretical_monodromy(params)
     for which in (1, 2, 3, "inf"):
         assert np.max(np.abs(mats[which] - theory.M[which])) < 1e-6
+
+
+def taylor_sums_by_order(coeffs, x0, x1):
+    # the recurrence of _taylor_sums with each order's sum taken term by term
+    # over the ten (pole, column) products and the settlement tested on every
+    # order: the reference for the one-product form
+    eps = np.finfo(float).eps
+    h = x1 - x0
+    d = x0 - np.array([coeffs.a, *coeffs.es])[:, None]
+    q = h / d
+    C = np.stack([coeffs.B0, coeffs.A[1], coeffs.A[2], coeffs.A[3], coeffs.B_minus1])
+    f = np.concatenate([q, (h / d[0] ** 2)[None]])
+    M = (C.transpose(1, 0, 2)[..., None] * f[:, None]).reshape(2, 10, 1, len(h))
+    W = np.zeros((5, 2, 2, len(h)), dtype=complex)
+    Wjk = W.reshape(10, 2, len(h))
+    y = np.zeros((2, 2, len(h)), dtype=complex)
+    y[0, 0] = y[1, 1] = 1.0
+    S = y.copy()
+    small = ok = np.zeros(len(h), dtype=bool)
+    for order in range(1, int(2 * math.log(eps) / math.log(RHO)) + 1):
+        W[:4] = y - q[:, None, None] * W[:4]
+        W[4] = W[0] - q[0] * W[4]
+        y = (M * Wjk).sum(axis=1) / order
+        S += y
+        tiny = np.abs(y.reshape(4, -1)).max(axis=0) <= eps * np.abs(S.reshape(4, -1)).max(axis=0)
+        ok = ok | (small & tiny)
+        small = tiny
+        if ok.all():
+            break
+    return np.moveaxis(S, -1, 0), ok
+
+
+def test_taylor_sums_match_the_sum_by_order(golden_ctx, monkeypatch):
+    # every pass of a cold golden verify (seven) and the near-a circle of
+    # test_close_circle_around_a: the same settled chords, and sums within
+    # 1e-14 of the reference, chord by chord
+    taylor, passes = monodromy._taylor_sums, []
+
+    def recorded(coeffs, x0, x1):
+        passes.append((coeffs, x0, x1))
+        return taylor(coeffs, x0, x1)
+
+    monkeypatch.setattr(monodromy, "_taylor_sums", recorded)
+    assert run_checks(GOLDEN).overall == "pass"
+    assert len(passes) == 7
+    p, coeffs = golden_ctx.params, golden_ctx.coeffs
+    r = 0.05 * min(abs(p.a - e) for e in p.branch.es)
+    continue_solution(coeffs, [Arc(p.a, r, 0.3, 0.3 + 2 * math.pi)], np.eye(2))
+    assert len(passes) == 8
+    for coeffs, x0, x1 in passes:
+        T, ok = taylor(coeffs, x0, x1)
+        T_ref, ok_ref = taylor_sums_by_order(coeffs, x0, x1)
+        assert ok.all() and (ok == ok_ref).all()
+        assert (np.max(np.abs(T - T_ref), axis=(1, 2))
+                <= 1e-14 * np.max(np.abs(T_ref), axis=(1, 2))).all()

@@ -40,9 +40,9 @@ from elliptau.curve import (
     wp_alpha_relations,
     x_from_u,
 )
-from elliptau.elliptic import wp
+from elliptau.elliptic import lattice_from_periods, wp
 from elliptau.errors import ContourGeometryError, EllipTauError, QuadratureError
-from elliptau.scenario import GOLDEN, SplitMix64, random_admissible_scenario
+from elliptau.scenario import GOLDEN, SplitMix64, admissible_branches, random_admissible_scenario
 
 # sqrt(2) * K(m = 1/2); mpmath, 40 digits.  The self-dual modulus makes the
 # period ratio exactly i.
@@ -613,3 +613,41 @@ def test_quasiperiod_ratio_derivative(golden_branch, golden_lattice):
         assert residual(nu, 0.1) < 1e-6
     # both sides scale as t^2, so the relative residual is t-invariant
     assert abs(residual(1, 0.1) - residual(1, 0.2)) < 1e-6
+
+
+def test_closed_forms_on_a_batch_branch(golden_branch):
+    # dOmega/de_nu, dlog omega1/de_nu and d/de_nu (eta1 t^2/(2 omega1)) on
+    # a configuration of arrays and its batch lattice, one call per nu, equal
+    # the calls on each configuration and its own lattice
+    branches = [golden_branch, *admissible_branches(SplitMix64(61), 4)]
+    lats = periods_of(branches)
+    batch = BranchConfig(*np.array([b.es for b in branches]).T)
+    lat = lattice_from_periods(np.array([l.omega1 for l in lats]),
+                               np.array([l.omega2 for l in lats]))
+    forms = (dOmega_de, dlog_omega1_de,
+             lambda b, lat, nu: quasiperiod_ratio_derivative(b, lat, nu, 0.1 + 0.05j))
+    for nu in (1, 2, 3):
+        for form in forms:
+            values = form(batch, lat, nu)
+            assert values.shape == (len(branches),)
+            for value, b, one_lat in zip(values, branches, lats):
+                one = form(b, one_lat, nu)
+                assert abs(value - one) <= 1e-14 * abs(one), (nu, form)
+
+
+def test_cold_golden_verify_builds_each_sheet_frame_once(monkeypatch):
+    # the drawn branches and neighbours keep the configuration objects whose
+    # periods periods_of computed, so each (es, chart) builds its frame once
+    # (35 builds for 22 configurations when they were built again)
+    for fn in vars(elliptau.curve).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    frame, builds = elliptau.curve.SheetFrame, []
+
+    def counted(branch, *args):
+        builds.append((tuple(np.asarray(e).tobytes() for e in branch.es), branch.chart))
+        return frame(branch, *args)
+
+    monkeypatch.setattr(elliptau.curve, "SheetFrame", counted)
+    assert run_checks(GOLDEN).overall == "pass"
+    assert len(builds) == len(set(builds)) >= 22

@@ -100,6 +100,34 @@ def test_phi_cycle_transformations(golden):
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * np.max(np.abs(rhs))
 
 
+def test_multipliers_and_exp_T_a_on_arrays(golden):
+    # on an array of points each equals its per-point call and the diagonal
+    # it stands for, to 1e-14
+    p, phi, sol = golden.params, golden.phi, golden.sol
+    lat, rng = p.lat, SplitMix64(53)
+    us = np.array([[rng.uniform(0.05, 0.45) * lat.omega1 + rng.uniform(0.05, 0.45) * lat.omega2
+                    for _ in range(3)] for _ in range(2)])
+    xs = p.a + 0.2 * np.exp(2j * math.pi * np.arange(6).reshape(2, 3) / 6)
+    c = p.wp_a.wp_prime * p.t / 2.0
+    lam_gamma = cmath.exp(1j * math.pi * (2 * p.char.p + 1))
+    lam_delta = cmath.exp(-1j * math.pi * (2 * p.char.q + 1))
+    cases = (
+        (phi.gamma_multiplier, us, lambda u: np.diag([lam_gamma, 1.0 / lam_gamma])
+         * cmath.exp(lat.eta1 * (2 * u + lat.omega1))),
+        (phi.delta_multiplier, us, lambda u: np.diag([lam_delta, 1.0 / lam_delta])
+         * cmath.exp(lat.eta2 * (2 * u + lat.omega2))),
+        (sol.exp_T_a, xs, lambda x: np.diag([cmath.exp(-c / (x - p.a)),
+                                             cmath.exp(c / (x - p.a))])),
+    )
+    for f, pts, diagonal in cases:
+        arr = f(pts)
+        assert arr.shape == pts.shape + (2, 2)
+        for idx in np.ndindex(pts.shape):
+            pt = complex(pts[idx])
+            for one in (f(pt), diagonal(pt)):
+                assert np.max(np.abs(arr[idx] - one)) <= 1e-14 * np.max(np.abs(one))
+
+
 def test_det_phi_vanishes_only_at_branch_places(golden):
     phi = golden.phi
     p = golden.params
@@ -530,13 +558,15 @@ def test_phi_and_y_on_an_array_equal_pointwise(name, seed):
 
 
 def test_golden_verify_stays_array_first(monkeypatch):
-    # from cold caches, one golden verify makes at most 181 theta-kernel
+    # from cold caches, one golden verify makes at most 142 theta-kernel
     # calls (3,896 when Phi, Y and the coefficient frames were built one
     # scalar call at a time, 1,602 when the elliptic checks built one lattice
     # per draw, 233 with one entry point per derivative of sigma, zeta and
     # wp, 184 before the point held sigma(2 alpha), sigma[p,q](t +- 2 alpha)
-    # and d/dOmega theta), at most 33 _theta_jet hits (82 before), at most 7
-    # Taylor passes (23 with one per loop), at most 146
+    # and d/dOmega theta, 181 before the Stokes ends, the ODE rings with
+    # their centres, the sigma-shift trace and the branch closed forms each
+    # took one array call), at most 33 _theta_jet hits (82 before), at most
+    # 7 Taylor passes (23 with one per loop), at most 146
     # path_integrals node passes (366 with one per path) and, continuing each
     # distinct loop piece once, at most 140 chords for the base system's
     # monodromy, the first pass (277 when every loop piece was summed)
@@ -566,7 +596,7 @@ def test_golden_verify_stays_array_first(monkeypatch):
     for module in (elliptau.curve, elliptau.monodromy, elliptau.checks):
         monkeypatch.setattr(module, "path_integrals", counted_integrals)
     assert run_checks(GOLDEN).overall == "pass"
-    assert len(calls) <= 181
+    assert len(calls) <= 142
     assert elliptau.elliptic._theta_jet.cache_info().hits <= 33
     assert len(passes) <= 7
     assert len(node_passes) <= 146
@@ -658,6 +688,9 @@ def test_a_batch_point_equals_its_nodes_one_by_one(seed):
 
 
 def test_verify_evaluates_each_shared_ring_once(monkeypatch):
+    # hatted on the normalization ring (32), on the Y_1 moment ring (48),
+    # shared by two checks, and at the four ends of the Stokes half turns
+    # in one array call; the residue rings of tr A^2/2 each once
     hatted = elliptau.isomono.YSolution.hatted
     trace = elliptau.isomono.SystemCoefficients.trace_A2_half
     array_x, rings = [], []
@@ -675,7 +708,7 @@ def test_verify_evaluates_each_shared_ring_once(monkeypatch):
     monkeypatch.setattr(elliptau.isomono.SystemCoefficients, "trace_A2_half", count_trace)
     report = run_checks(GOLDEN)
     assert report.overall == "pass"
-    assert array_x == [32, 48]
+    assert array_x == [32, 48, 4]
     assert len(rings) == len(set(rings)) <= 5
 
 

@@ -24,6 +24,14 @@ def _scaled(fn, s):
     return lambda *args, **kwargs: fn(*args, **kwargs) * s
 
 
+def _scaled_sums(fn, s):
+    """Mutant factory scaling the sums of a (sums, settled mask) result."""
+    def mutant(*args, **kwargs):
+        sums, ok = fn(*args, **kwargs)
+        return sums * s, ok
+    return mutant
+
+
 def _scaled_field(name):
     """Mutant factory scaling each matrix of the result's dict field `name`."""
     def factory(fn, s):
@@ -56,6 +64,7 @@ MUTANTS = {
     "coefficients A_nu": ("isomono", "coefficients", _scaled_field("A"),
                           ("ode_residual", "deformation_equation")),
     "deformation_rhs": ("isomono", "deformation_rhs", _scaled, ("deformation_equation",)),
+    "_taylor_sums transfers": ("monodromy", "_taylor_sums", _scaled_sums, ("monodromy_match",)),
 }
 
 

@@ -18,6 +18,7 @@ from elliptau.tau import (
     sigma_shift_dlog_tau_dt,
     sigma_shift_tau,
     sigma_shift_trace_residual,
+    sigma_shift_y1,
     df_de,
     f_func,
     log_tau,
@@ -204,6 +205,21 @@ def test_shifted_tau_dlog_at_zero_time(zs_point):
 def test_shifted_tau_trace_identity(zs_point):
     for l in (-1, 0, 1, 2):
         assert sigma_shift_trace_residual(zs_point, l) < 1e-12
+
+
+@pytest.mark.parametrize("t", [None, 0.1])
+def test_sigma_shift_y1_on_an_array_of_shifts(zs_point, t):
+    # l = -1 .. 2 in one call: each Y_1 and trace residual equals its
+    # per-shift call's
+    p = zs_point if t is None else zs_point._replace(t=t)
+    ls = np.arange(-1, 3)
+    Y1s, residuals = sigma_shift_y1(p, ls), sigma_shift_trace_residual(p, ls)
+    assert Y1s.shape == (4, 2, 2) and residuals.shape == (4,)
+    for l, Y1, residual in zip(ls.tolist(), Y1s, residuals):
+        one = sigma_shift_y1(p, l)
+        assert one.shape == (2, 2)
+        assert np.max(np.abs(Y1 - one)) <= 1e-14 * np.max(np.abs(one))
+        assert abs(residual - sigma_shift_trace_residual(p, l)) <= 1e-14
 
 
 def test_families_agree_at_second_t_derivative(golden_branch, zs_point):
