@@ -26,7 +26,6 @@ from .curve import (
     dOmega_de,
     dlog_omega1_de,
     path_integrals,
-    periods,
     periods_of,
     quasiperiod_ratio_derivative,
     theta_constant_residuals,
@@ -459,7 +458,7 @@ def _branch_samples(ctx):
     stream named branch_samples, and their lattices as one batch lattice."""
     rng = check_stream(ctx.scenario.seed, "branch_samples")
     draws = admissible_branches(rng, ctx.draws(9, minimum=1))
-    return [ctx.branch, *draws], _batch([ctx.params.lat, *map(periods, draws)])
+    return [ctx.branch, *draws], _batch([ctx.params.lat, *(b.lattice for b in draws)])
 
 
 def _branch_ring(branches):

@@ -25,7 +25,6 @@ import numpy as np
 
 from .checks import run_checks
 from .errors import EllipTauError, ScenarioError
-from .curve import periods
 from .elliptic import ThetaChar
 from .isomono import DeformationParams, make_params, theta_zero_errors
 from .monodromy import base_point, monodromy_matrices
@@ -126,7 +125,8 @@ def _cmd_tau(args):
     s = load_scenario(args.scenario)
     t0, step, n = _parse_grid(args.grid)
     try:  # the lattice is built once; if that fails, every row does
-        point = DeformationParams(s.branch, periods(s.branch), s.a, 0j, ThetaChar(s.p, s.q))
+        b = s.branch
+        point = DeformationParams(b, b.lattice, s.a, 0j, ThetaChar(s.p, s.q))
     except EllipTauError as exc:
         point, stage_error = None, exc
     out = open(args.out, "w") if args.out else sys.stdout

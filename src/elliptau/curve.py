@@ -13,15 +13,15 @@ Geometry conventions (the "sheet-1" frame everything downstream relies on):
   sign of y(a), and the period cycles all live on one coherent branch.
 * The first cycle is a counterclockwise stadium around {e2, e3}, the second
   a stadium around {e1, e2} (it crosses both cuts); the second period's sign
-  is flipped if needed so that Im(omega2/omega1) > 0, and the flip is
-  recorded.
+  is flipped if needed so that Im(omega2/omega1) > 0.
 * Period values come from the complex AGM; the two cycles, integrated at
   full accuracy, only pick which lattice vectors they are.  The cycle
   integral also serves as the independent oracle (second_kind_periods).
 * Fresh configurations choose all this themselves.  A configuration made by
-  BranchConfig.moved continues its root's chart instead: the root's anchor,
-  and its periods, rounded in the moved configuration's AGM basis (the
-  cycles are integrated on the inherited frame only when rounding fails).
+  BranchConfig.moved continues its root configuration instead: the root's
+  anchor, and its oriented periods, rounded in the moved configuration's AGM
+  basis (the cycles are integrated on the inherited frame only when rounding
+  fails).
   So the periods, and with them the half-period slots wp matches, move
   continuously with the e_nu, even where two anchor rays tie, as at golden.
 
@@ -38,8 +38,9 @@ Paths are detoured by CLEARANCE = 0.1 of the smallest branch gap.
 
 path_integrals and periods_of work on many paths or configurations in one
 array pass; path_integral and period_data are their one-item cases and give
-the same numbers.  A configuration owns its sheet frame (sheet_frame); the
-module caches are period_data and abel_with_y.
+the same numbers.  A configuration owns its sheet frame (sheet_frame) and
+its lattice (lattice), which periods_of sets on the configurations it
+computes; the module caches are period_data and abel_with_y.
 """
 
 import cmath
@@ -53,20 +54,15 @@ from .elliptic import _Value, _any, _arg, lattice_from_periods, wp
 from .errors import ContourGeometryError, DegenerateParameterError, EllipTauError, QuadratureError
 
 
-class Chart(_Value, namedtuple("Chart", "anchor omega1 omega2")):
-    """The period convention a moved configuration continues from its root:
-    the root's sheet anchor and its cycle periods before orientation.  Plain
-    values, so the root's cache entries may go."""
-
-
 class BranchConfig(_Value, namedtuple("BranchConfig", "e1 e2 e3 chart")):
     """Branch points of the curve; the geometric ground truth.
 
     chart is None on a fresh configuration, which chooses its own period
-    convention; moved() copies carry their root's chart.  The chart is part
-    of equality and hash, so cached data never crosses between charts, but
-    not of the repr.  es, scale and min_gap (largest and smallest gap) are
-    set at construction, root_chart and sheet_frame at first read.  Branch
+    convention; moved() copies carry their root configuration as chart and
+    continue its anchor and periods.  The chart is part of equality and hash,
+    so cached data never crosses between charts, but not of the repr.  es,
+    scale and min_gap (largest and smallest gap) are set at construction,
+    lattice and sheet_frame at first read (periods_of sets lattice).  Branch
     points that are arrays make a batch, one configuration per entry, whose
     es, gaps and algebra broadcast; no cache takes a batch.
     """
@@ -101,23 +97,18 @@ class BranchConfig(_Value, namedtuple("BranchConfig", "e1 e2 e3 chart")):
         return self.e_sum / 3.0
 
     @cached_property
-    def root_chart(self):
-        """The chart that moved copies carry: this configuration's chart, or
-        on a fresh one its own anchor and cycle periods, built once per
-        object, so moves never need the fresh one's cache entries again."""
-        if self.chart is not None:
-            return self.chart
-        pd = period_data(self)
-        w2 = -pd.lattice.omega2 if pd.delta_flipped else pd.lattice.omega2
-        return Chart(self.sheet_frame.anchor, pd.lattice.omega1, w2)
+    def lattice(self):
+        """The lattice of the oriented periods (see period_data), built once
+        per object, unless periods_of set it."""
+        return period_data(self)
 
     @cached_property
     def sheet_frame(self):
-        """The SheetFrame at the chart's anchor, or at the anchor ray of a fresh
+        """The SheetFrame at the root's anchor, or at the anchor ray of a fresh
         configuration.  Either lies 8 (1 + spread) from its root's centroid c,
         far outside every e_nu of a move, so the tail g keeps its principal roots
         there: y(anchor) = 2 |X|^{3/2} e^{1.5 i arg X} g(X), X = anchor - c."""
-        anchor = self.chart.anchor if self.chart is not None else _fresh_anchor(self)
+        anchor = self.chart.sheet_frame.anchor if self.chart is not None else _fresh_anchor(self)
         X = anchor - self.centroid
         y_anchor = complex(2.0 * abs(X) ** 1.5 * cmath.exp(1.5j * cmath.phase(X))
                            * _tail_g(self, X))
@@ -128,7 +119,7 @@ class BranchConfig(_Value, namedtuple("BranchConfig", "e1 e2 e3 chart")):
         configuration's root (this one when it is fresh)."""
         es = list(self.es)
         es[nu - 1] += delta
-        return BranchConfig(*es, chart=self.root_chart)
+        return BranchConfig(*es, chart=self.chart or self)
 
     def check_regular_point(self, a):
         """Raise unless a keeps at least 1e-6 of the spread from every e_nu."""
@@ -406,10 +397,6 @@ def _fresh_anchor(branch):
     return c + R * _RAYS[best]
 
 
-class PeriodData(_Value, namedtuple("PeriodData", "lattice delta_flipped")):
-    """The lattice of the oriented periods, and whether omega2 was flipped."""
-
-
 def _cycles(branch):
     """The two stadium cycles: around {e2, e3}, then around {e1, e2}."""
     e1, e2, e3 = branch.es
@@ -478,16 +465,17 @@ def _lattice_coords(w, b1, b2):
 
 
 def _period_data_batch(branches):
-    """PeriodData of each configuration, as period_data defines it, with the
-    cycles that need integrating (both on a fresh configuration, a chart's
+    """The lattice of each configuration, as period_data defines it, with the
+    cycles that need integrating (both on a fresh configuration, a root's
     period beyond the slack on a moved one) in one _cycle_integrals call."""
     bases = [_agm_basis(b) for b in branches]
     coords, todo = {}, []
     for i, (b, basis) in enumerate(zip(branches, bases)):
+        root = b.chart.lattice if b.chart is not None else None
         for c in (0, 1):
             try:
-                if b.chart is not None:
-                    coords[i, c] = _lattice_coords((b.chart.omega1, b.chart.omega2)[c], *basis)
+                if root is not None:
+                    coords[i, c] = _lattice_coords((root.omega1, root.omega2)[c], *basis)
                     continue
             except QuadratureError:
                 pass  # moved beyond the slack: integrate on the inherited frame
@@ -504,50 +492,38 @@ def _period_data_batch(branches):
             raise QuadratureError(
                 f"cycles do not span the period lattice: {(m1, n1)}, {(m2, n2)}")
         om1, om2 = m1 * b1 + n1 * b2, m2 * b1 + n2 * b2
-        flipped = (om2 / om1).imag <= 0
-        om2 = -om2 if flipped else om2
-        out.append(PeriodData(lattice_from_periods(om1, om2), flipped))
+        om2 = -om2 if (om2 / om1).imag <= 0 else om2
+        out.append(lattice_from_periods(om1, om2))
     return out
 
 
-_batched = {}  # configuration -> the PeriodData that periods_of computed for it
-
-
-@lru_cache(maxsize=256)  # the 120 ring configurations of a branch check fit
+@lru_cache(maxsize=256)  # perfbench reads its cache_info(); one miss a cold golden verify
 def period_data(branch):
-    """Both periods from the complex AGM, oriented so Im(omega2/omega1) > 0.
+    """Both periods from the complex AGM, oriented so Im(omega2/omega1) > 0,
+    as a lattice.
 
     The AGM basis is carried onto the cycle convention (omega1 around
     {e2, e3}, omega2 around {e1, e2}, both on the sheet-1 frame) by rounding
-    lattice coordinates in that basis to integers: of the chart's periods on
-    a moved configuration, else (and when those are off by more than the
-    slack) of the two cycle integrals.  The one-item case of periods_of,
-    whose values a miss takes when periods_of computed them.
+    lattice coordinates in that basis to integers: of the root's oriented
+    periods on a moved configuration, else (and when those are off by more
+    than the slack) of the two cycle integrals.  The root's omega2 is
+    oriented, so its coordinates may be those of the cycle negated; the
+    orientation flip takes either sign, and negation is exact.  The one-item
+    case of periods_of; BranchConfig.lattice reads it.
     """
-    done = _batched.get(branch)
-    return done if done is not None else _period_data_batch([branch])[0]
-
-
-def periods(branch):
-    """The lattice of the curve (see period_data for orientation bookkeeping)."""
-    return period_data(branch).lattice
+    return _period_data_batch([branch])[0]
 
 
 def periods_of(branches):
-    """periods(b) of each configuration, computed together (a cached one again),
-    each a period_data cache entry afterwards.  When one fails they are
-    computed one at a time, and the first failing one raises its own error."""
+    """The lattice of each configuration, computed together and set as its
+    lattice (one already set keeps it).  When one fails they are computed
+    one at a time, and the first failing one raises its own error."""
     try:
-        values = _period_data_batch(branches)
+        for b, lat in zip(branches, _period_data_batch(branches)):
+            vars(b).setdefault("lattice", lat)
     except EllipTauError:
-        values = []
-    added = {b: v for b, v in zip(branches, values) if b not in _batched}
-    _batched.update(added)
-    try:
-        return [period_data(b).lattice for b in branches]
-    finally:
-        for b in added:
-            del _batched[b]
+        pass  # each configuration below then computes alone and fails alone
+    return [b.lattice for b in branches]
 
 
 def second_kind_periods(branches):

@@ -175,7 +175,7 @@ class DeformationParams(_Value, namedtuple("DeformationParams", "branch lat a t 
             return self._replace(t=self.t + delta)
         if np.ndim(nu) + np.ndim(delta) == 0:
             b = self.branch.moved(nu, delta)
-            return self._replace(branch=b, lat=_curve.periods(b))
+            return self._replace(branch=b, lat=b.lattice)
         nu, delta = np.broadcast_arrays(nu, delta)
         lats = iter(_curve.periods_of([self.branch.moved(k, d)
                                        for k, d in zip(nu.flat, delta.flat) if k]))
@@ -183,7 +183,8 @@ class DeformationParams(_Value, namedtuple("DeformationParams", "branch lat a t 
         lat = lattice_from_periods(*(np.reshape([getattr(l, w) for l in lats], delta.shape)
                                      for w in ("omega1", "omega2")))
         es = [e + np.where(nu == k, delta, 0) for k, e in enumerate(self.branch.es, 1)]
-        return self._replace(branch=BranchConfig(*es, chart=self.branch.root_chart), lat=lat,
+        chart = self.branch.chart or self.branch
+        return self._replace(branch=BranchConfig(*es, chart=chart), lat=lat,
                              t=self.t + np.where(nu == 0, delta, 0), root=self)
 
 
@@ -210,7 +211,7 @@ def make_params(branch, a, t, p, q):
     must not vanish."""
     a = complex(a)
     branch.check_regular_point(a)
-    return _theta_checked(DeformationParams(branch, _curve.periods(branch), a,
+    return _theta_checked(DeformationParams(branch, branch.lattice, a,
                                             complex(t), ThetaChar(p, q)))
 
 

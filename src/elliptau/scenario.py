@@ -20,7 +20,7 @@ import json
 import math
 from collections import namedtuple
 
-from .curve import BranchConfig, periods, periods_of
+from .curve import BranchConfig, periods_of
 from .elliptic import _Value
 from .errors import EllipTauError, ScenarioError
 
@@ -151,6 +151,8 @@ def read_scenario(path):
         obj = json.loads(data)
     except ValueError as exc:  # not JSON, or not text
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # valid JSON too, nested past the recursion limit
+        raise ScenarioError("scenario file nests too deeply to parse") from exc
     return scenario_from_dict(obj), sha256(data).hexdigest()
 
 
@@ -200,7 +202,7 @@ def admissible_branches(rng, count):
             pass  # each candidate below then computes alone and fails alone
         for branch, (_, attempt) in zip(branches, found):
             try:
-                if periods(branch).Omega.imag < 0.05:
+                if branch.lattice.Omega.imag < 0.05:
                     continue
             except EllipTauError:
                 continue

@@ -1,7 +1,7 @@
 import pytest
 
 from elliptau.checks import CheckContext
-from elliptau.curve import BranchConfig, periods
+from elliptau.curve import BranchConfig
 from elliptau.scenario import GOLDEN
 
 
@@ -18,4 +18,4 @@ def golden_branch():
 
 @pytest.fixture(scope="session")
 def golden_lattice(golden_branch):
-    return periods(golden_branch)
+    return golden_branch.lattice

@@ -512,6 +512,22 @@ def test_cli_verify_unwritable_out_exits_2_before_any_check(tmp_path, monkeypatc
     assert code == 2 and not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command", [["verify"], ["tau", "--grid", "t=0:1:0.5"],
+                                     ["monodromy", "--loop", "1"]],
+                         ids=["verify", "tau", "monodromy"])
+def test_a_scenario_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, command):
+    # valid JSON 3,000 levels deep makes the parser raise RecursionError, a
+    # configuration error like any other unreadable scenario, and verify
+    # writes no report
+    scenario, out = tmp_path / "deep.json", tmp_path / "r.json"
+    scenario.write_text('{"e": ' + "[" * 3000 + "]" * 3000 + "}")
+    argv = [command[0], "--scenario", str(scenario), *command[1:]]
+    code = main(argv + (["--out", str(out)] if command == ["verify"] else []))
+    assert code == 2 and not out.exists()
+    assert ("configuration error: scenario file nests too deeply to parse"
+            in capsys.readouterr().err)
+
+
 def test_cli_tau_unwritable_out_exits_2_before_any_row(tmp_path, capsys):
     scenario = tmp_path / "golden.json"
     scenario.write_text(json.dumps(golden_dict()))
@@ -714,8 +730,8 @@ def _tau_by_rows(scenario, grid):
     the row before."""
     s, (t0, step, n) = load_scenario(scenario), elliptau.cli._parse_grid(grid)
     try:
-        point = DeformationParams(s.branch, elliptau.curve.periods(s.branch), s.a, 0j,
-                                  ThetaChar(s.p, s.q))
+        b = s.branch
+        point = DeformationParams(b, b.lattice, s.a, 0j, ThetaChar(s.p, s.q))
     except EllipTauError as exc:
         point, stage_error = None, exc
     lines, failed, prev = ["t,re_log_tau,im_log_tau,re_H_t,im_H_t\n"], [], None

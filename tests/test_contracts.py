@@ -204,7 +204,7 @@ def test_every_default_parameter_is_set_outside_tests():
     assert not unset, f"set only by tests, or by nothing: {unset}"
 
 
-def _sequential_draw(rng, periods):
+def _sequential_draw(rng, lattice):
     """One admissible branch as a lone draw makes it: candidates in stream
     order, the gap test, then the period ratio; a reference."""
     from elliptau.curve import BranchConfig
@@ -217,7 +217,7 @@ def _sequential_draw(rng, periods):
             continue
         try:
             branch = BranchConfig(*es)
-            if periods(branch).Omega.imag >= 0.05:
+            if lattice(branch).Omega.imag >= 0.05:
                 return branch
         except EllipTauError:
             continue
@@ -226,22 +226,23 @@ def _sequential_draw(rng, periods):
 
 def test_batched_draws_consume_the_stream_as_sequential_draws(monkeypatch):
     # the period-ratio test rejects no drawn branch on its own, so it is
-    # forced here to reject every candidate whose e1 has a positive real part
+    # forced here, at the configuration's lattice read, to reject every
+    # candidate whose e1 has a positive real part
     import types
 
-    from elliptau import scenario
+    from elliptau.curve import BranchConfig
     from elliptau.scenario import SplitMix64, admissible_branch, admissible_branches
 
-    real = scenario.periods
+    real = BranchConfig.lattice
     rejected = []
 
     def forced(branch):
         if branch.es[0].real > 0:
             rejected.append(branch)
             return types.SimpleNamespace(Omega=0.01j)
-        return real(branch)
+        return real.__get__(branch, BranchConfig)
 
-    monkeypatch.setattr(scenario, "periods", forced)
+    monkeypatch.setattr(BranchConfig, "lattice", property(forced))
     for seed in (7, 8):
         for count in (1, 4, 9):
             ref_rng, one_rng, batch_rng = (SplitMix64(seed) for _ in range(3))
@@ -274,8 +275,9 @@ def test_module_state_is_four_caches_and_a_verify_leaves_no_trace():
         # the ring tables of a number p: a cold golden verify ran slower
         # without it in 18 and in 15 of two series of 20 alternating pairs
         "elliptau.elliptic._rings",
-        # the periods of a configuration: a cold verify saves about 30 ms
-        # with it, and perfbench reads its cache_info()
+        # the periods of a configuration, which BranchConfig.lattice reads:
+        # perfbench reads its cache_info(), and a cold golden verify makes
+        # one miss and no hit on it
         "elliptau.curve.period_data",
         # the Abel map of one point: perfbench reads its cache_info()
         "elliptau.curve.abel_with_y",

@@ -32,7 +32,6 @@ from elliptau.curve import (
     path_integral,
     path_integrals,
     period_data,
-    periods,
     periods_of,
     quasiperiod_ratio_derivative,
     second_kind_periods,
@@ -74,18 +73,17 @@ def test_gauss_rule_constants_are_leggauss_bit_for_bit():
 
 
 def test_golden_periods_against_elliptic_integral():
-    pd = period_data(BranchConfig(1.0, 0.0, -1.0))
-    assert abs(pd.lattice.Omega - 1j) < 1e-10
-    assert abs(pd.lattice.omega1 - OMEGA1_GOLDEN) < 1e-10
-    assert abs(abs(pd.lattice.omega2) - OMEGA1_GOLDEN) < 1e-10
+    lat = period_data(BranchConfig(1.0, 0.0, -1.0))
+    assert abs(lat.Omega - 1j) < 1e-10
+    assert abs(lat.omega1 - OMEGA1_GOLDEN) < 1e-10
+    assert abs(abs(lat.omega2) - OMEGA1_GOLDEN) < 1e-10
 
 
 def _quadrature_period_data(branch):
     """The cycle-quadrature route: both stadium cycles at full accuracy on
     the sheet-1 frame, then the same orientation flip as period_data."""
     om1, om2 = _cycle_integrals([branch] * 2, _cycles(branch))
-    flipped = (om2 / om1).imag <= 0
-    return om1, -om2 if flipped else om2, flipped
+    return om1, -om2 if (om2 / om1).imag <= 0 else om2
 
 
 # Stadium cycles keep Im(Omega) above about 0.3 for every branch shape with
@@ -98,11 +96,10 @@ def _quadrature_period_data(branch):
 ], ids=["golden", "skewed-near-real", "generic-complex", "small-im-omega"])
 def test_agm_periods_match_cycle_quadrature(es):
     branch = BranchConfig(*es)
-    pd = period_data(branch)
-    om1, om2, flipped = _quadrature_period_data(branch)
-    assert abs(pd.lattice.omega1 - om1) <= 1e-12 * abs(om1)
-    assert abs(pd.lattice.omega2 - om2) <= 1e-12 * abs(om2)
-    assert pd.delta_flipped == flipped
+    lat = branch.lattice
+    om1, om2 = _quadrature_period_data(branch)
+    assert abs(lat.omega1 - om1) <= 1e-12 * abs(om1)
+    assert abs(lat.omega2 - om2) <= 1e-12 * abs(om2)
 
 
 def _scenario_branch(seed):
@@ -110,11 +107,11 @@ def _scenario_branch(seed):
     return s.branch
 
 
-def _rounds_within_slack(chart, branch):
+def _rounds_within_slack(lat, branch):
     b1, b2 = _agm_basis(branch)
     try:
-        _lattice_coords(chart.omega1, b1, b2)
-        _lattice_coords(chart.omega2, b1, b2)
+        _lattice_coords(lat.omega1, b1, b2)
+        _lattice_coords(lat.omega2, b1, b2)
     except QuadratureError:
         return False
     return True
@@ -129,24 +126,22 @@ def test_charted_periods_match_cycle_integrals_on_the_inherited_frame(seed):
     rng = SplitMix64(47)
     for nu in (1, 2, 3):
         moved = root.moved(nu, 0.05 * root.min_gap * rng.unit_phase())
-        assert moved.sheet_frame.anchor == moved.chart.anchor
-        assert _rounds_within_slack(moved.chart, moved)
-        pd = period_data(moved)
-        om1, om2, flipped = _quadrature_period_data(moved)
-        assert abs(pd.lattice.omega1 - om1) <= 1e-12 * abs(om1)
-        assert abs(pd.lattice.omega2 - om2) <= 1e-12 * abs(om2)
-        assert pd.delta_flipped == flipped
+        assert moved.sheet_frame.anchor == moved.chart.sheet_frame.anchor
+        assert _rounds_within_slack(moved.chart.lattice, moved)
+        lat = moved.lattice
+        om1, om2 = _quadrature_period_data(moved)
+        assert abs(lat.omega1 - om1) <= 1e-12 * abs(om1)
+        assert abs(lat.omega2 - om2) <= 1e-12 * abs(om2)
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3])
 def test_chart_beyond_the_slack_falls_back_to_cycle_integrals(golden_branch, nu):
     moved = golden_branch.moved(nu, 0.3 * golden_branch.min_gap)
-    assert not _rounds_within_slack(moved.chart, moved)
-    pd = period_data(moved)
-    om1, om2, flipped = _quadrature_period_data(moved)
-    assert abs(pd.lattice.omega1 - om1) <= 1e-12 * abs(om1)
-    assert abs(pd.lattice.omega2 - om2) <= 1e-12 * abs(om2)
-    assert pd.delta_flipped == flipped
+    assert not _rounds_within_slack(moved.chart.lattice, moved)
+    lat = moved.lattice
+    om1, om2 = _quadrature_period_data(moved)
+    assert abs(lat.omega1 - om1) <= 1e-12 * abs(om1)
+    assert abs(lat.omega2 - om2) <= 1e-12 * abs(om2)
 
 
 @pytest.mark.parametrize("seed", [None, 3, 4, 5])
@@ -155,10 +150,10 @@ def test_moved_configurations_keep_the_root_half_period_slots(seed, fraction):
     # wp matching on the charted periods, within the slack and beyond it,
     # gives each half period the branch point it had at the root
     root = _scenario_branch(seed)
-    slots = half_period_table(root, periods(root)).perm
+    slots = half_period_table(root, root.lattice).perm
     for nu in (1, 2, 3):
         moved = root.moved(nu, fraction * root.min_gap * 1j ** nu)
-        assert half_period_table(moved, periods(moved)).perm == slots
+        assert half_period_table(moved, moved.lattice).perm == slots
 
 
 def test_verify_integrates_the_scenario_cycles_once(monkeypatch):
@@ -208,9 +203,9 @@ def test_moved_of_moved_carries_the_root_chart(golden_branch):
     once = golden_branch.moved(1, 1e-3)
     twice = once.moved(2, 1e-3j)
     assert golden_branch.chart is None
-    assert once.chart is golden_branch.root_chart
-    assert twice.chart is once.chart
-    assert golden_branch.moved(3, -1e-3).chart is once.chart
+    assert once.chart is golden_branch
+    assert twice.chart is golden_branch
+    assert golden_branch.moved(3, -1e-3).chart is golden_branch
 
 
 def test_charted_and_fresh_configurations_share_no_cache_entry(golden_branch):
@@ -348,14 +343,29 @@ def test_a_failing_configuration_fails_alone():
         periods_of([good[0], bad, good[1]])
     assert str(batched.value) == str(alone.value)
     assert [period_data(b) for b in good] == want
-    # a batch that succeeds: each configuration a cache entry, equal to its
-    # own call's data
+    # a batch that succeeds: each configuration owns a lattice equal to its
+    # own call's, and the batch makes no period_data miss
     others = [BranchConfig(0.32 + 0.7j, -0.9 + 0.1j * k, 0.5 - 0.8j) for k in (1, 2, 3)]
     misses = period_data.cache_info().misses
     lats = periods_of(others)
-    assert [period_data(b).lattice for b in others] == lats
-    assert period_data.cache_info().misses == misses + 3
-    assert lats == [_period_data_batch([b])[0].lattice for b in others]
+    assert period_data.cache_info().misses == misses
+    assert [b.lattice for b in others] == lats
+    assert lats == [_period_data_batch([b])[0] for b in others]
+
+
+def test_periods_of_sets_each_lattice_and_fills_no_cache_entry(golden_branch):
+    # a batch of fresh and moved configurations: each owns the lattice the
+    # batch returned for it, no period_data entry is read or filled, and a
+    # configuration whose lattice is set keeps it
+    root = golden_branch.lattice  # the moves round their root's periods
+    bs = [BranchConfig(0.33 + 0.7j, -0.9 + 0.1j * k, 0.5 - 0.8j) for k in (1, 2)]
+    bs += [golden_branch.moved(nu, 0.01j * nu) for nu in (1, 2, 3)]
+    info = period_data.cache_info()
+    lats = periods_of(bs)
+    assert period_data.cache_info() == info
+    assert all(b.lattice is lat for b, lat in zip(bs, lats))
+    assert periods_of([bs[0], golden_branch]) == [lats[0], root]
+    assert bs[0].lattice is lats[0] and golden_branch.lattice is root
 
 
 def test_continue_once_around_a_branch_point_flips_y(golden_branch):
@@ -383,7 +393,7 @@ def _edge_points(branch, rel):
                          ids=["golden", "near-collinear"])
 def test_abel_map_at_the_domain_edge(es):
     branch = BranchConfig(*es)
-    lat = periods(branch)
+    lat = branch.lattice
     for rel in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         for x in _edge_points(branch, rel):
             u, y = abel_with_y(branch, x)
@@ -409,19 +419,19 @@ def test_chord_count_grows_like_log_of_the_distance(golden_branch):
 
 def test_second_kind_period_near_collinear():
     branch = BranchConfig(*NEAR_COLLINEAR)
-    eta1 = periods(branch).eta1
+    eta1 = branch.lattice.eta1
     assert abs(second_kind_periods([branch])[0] - eta1) <= 1e-12 * max(1.0, abs(eta1))
 
 
 def test_periods_scaling_and_translation():
     b = BranchConfig(1.0, 0.0, -1.0)
-    lat = periods(b)
+    lat = b.lattice
     lam = 1.3 - 0.4j
-    lat_s = periods(BranchConfig(*(lam * e for e in b.es)))
+    lat_s = BranchConfig(*(lam * e for e in b.es)).lattice
     # dx/y has homogeneity degree -1/2; squares kill the root-branch sign
     assert abs((lat_s.omega1 / lat.omega1) ** 2 * lam - 1.0) < 1e-10
     c = 0.37 + 0.21j
-    lat_t = periods(BranchConfig(*(e + c for e in b.es)))
+    lat_t = BranchConfig(*(e + c for e in b.es)).lattice
     assert abs(lat_t.omega1 - lat.omega1) < 1e-10 * abs(lat.omega1)
     assert abs(lat_t.omega2 - lat.omega2) < 1e-10 * abs(lat.omega2)
 
@@ -550,7 +560,7 @@ def test_theta_constant_residuals_random():
     rng = SplitMix64(33)
     for _ in range(4):
         b = random_branch(rng)
-        lat = periods(b)
+        lat = b.lattice
         (r1,), (r2,) = theta_constant_residuals([b], lat)
         assert r1 < 1e-8
         assert r2 < 1e-8
@@ -560,13 +570,13 @@ def test_domega_de_closed_vs_fd():
     rng = SplitMix64(34)
     for _ in range(3):
         b = random_branch(rng)
-        lat = periods(b)
+        lat = b.lattice
         h = 1e-5 * b.scale
         for nu in (1, 2, 3):
             es_p = list(b.es); es_p[nu - 1] += h
             es_m = list(b.es); es_m[nu - 1] -= h
-            fd = (periods(BranchConfig(*es_p)).Omega
-                  - periods(BranchConfig(*es_m)).Omega) / (2 * h)
+            fd = (BranchConfig(*es_p).lattice.Omega
+                  - BranchConfig(*es_m).lattice.Omega) / (2 * h)
             cl = dOmega_de(b, lat, nu)
             assert abs(fd - cl) < 1e-6 * abs(cl)
 
@@ -582,8 +592,8 @@ def test_dlog_omega1_de_closed_vs_fd(golden_branch, golden_lattice):
     for nu in (1, 2, 3):
         es_p = list(golden_branch.es); es_p[nu - 1] += h
         es_m = list(golden_branch.es); es_m[nu - 1] -= h
-        fd = (cmath.log(periods(BranchConfig(*es_p)).omega1)
-              - cmath.log(periods(BranchConfig(*es_m)).omega1)) / (2 * h)
+        fd = (cmath.log(BranchConfig(*es_p).lattice.omega1)
+              - cmath.log(BranchConfig(*es_m).lattice.omega1)) / (2 * h)
         cl = dlog_omega1_de(golden_branch, golden_lattice, nu)
         assert abs(fd - cl) < 1e-6 * max(1.0, abs(cl))
 
@@ -602,7 +612,7 @@ def test_quasiperiod_ratio_derivative(golden_branch, golden_lattice):
         e = b.es[nu - 1]
 
         def ratio(zs):
-            lats = [periods(b.moved(nu, z - e)) for z in zs]
+            lats = [b.moved(nu, z - e).lattice for z in zs]
             return np.array([t * t * lat.eta1 / (2 * lat.omega1) for lat in lats])
 
         d, _ = ring_derivative(ratio, e, min(abs(e - o) for o in b.es if o != e))

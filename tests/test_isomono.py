@@ -603,6 +603,21 @@ def test_golden_verify_stays_array_first(monkeypatch):
     assert passes[0] <= 140
 
 
+def test_golden_verify_reads_the_period_cache_once():
+    # every configuration owns its lattice, set by the periods_of call that
+    # computed it or built at its first read: from cold caches, one golden
+    # verify makes at most one period_data miss (the scenario's own branch)
+    # and no hit (190 misses and 71 hits when periods_of left each result a
+    # cache entry and moved configurations copied their root's periods)
+    for module in (elliptau.elliptic, elliptau.curve, elliptau.isomono):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    assert run_checks(GOLDEN).overall == "pass"
+    info = elliptau.curve.period_data.cache_info()
+    assert info.misses <= 1 and info.hits == 0
+
+
 def test_golden_verify_draws_each_sample_and_ring_once(monkeypatch):
     # from cold caches, the branch checks share one set of sampled branches
     # and one ring of them, the two dlogtau checks one set of neighbours, and
@@ -726,6 +741,17 @@ def test_d_is_the_product_formula(seed):
         dlog = r.hat_du[:, 0] / r.hat[:, 0]  # Pi' cancels in their difference
         product = (2.0 * slots[k] / -1j) * ph * ps * (dlog[0] - dlog[1])
         assert abs(r.det_du - product) <= 1e-13 * abs(product)
+
+
+def test_every_move_carries_the_root_configuration_as_chart(golden):
+    # a scalar move, a batch move and a batch move of a moved point all
+    # continue the point's root configuration itself, not a copy of it
+    p = golden.params
+    nus, deltas = np.array([1, 2, 3]), np.array([1e-3, 1e-3j, -1e-3])
+    once = p.moved(1, 1e-3)
+    assert p.branch.chart is None
+    for moved in (once, p.moved(nus, deltas), once.moved(nus, deltas)):
+        assert moved.branch.chart is p.branch
 
 
 @pytest.mark.parametrize("seed", [None, 3, 4, 5])

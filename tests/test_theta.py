@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import elliptau.elliptic
-from elliptau.curve import BranchConfig, periods
+from elliptau.curve import BranchConfig
 from elliptau.elliptic import (
     HALF_HALF,
     MAX_TERMS,
@@ -128,7 +128,7 @@ def _direct_sum(char, z, Omega, order, rings=80):
 ])
 def test_array_kernel_matches_size_one(monkeypatch, Omega, zs):
     if Omega is None:
-        Omega = periods(BranchConfig(1.01, 1.0, -1.0)).Omega
+        Omega = BranchConfig(1.01, 1.0, -1.0).lattice.Omega
     ring_bounds = []
     real = elliptau.elliptic._rings
 
