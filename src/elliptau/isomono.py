@@ -17,11 +17,12 @@ wp'(alpha) come from the curve module's sheet-1 frame.  With the rows at
 u = +-alpha, det Phi(u) = sigma[p,q](t)^2 sigma(2 alpha) sigma(2u), so the
 square root of det Phi is sigma[p,q](t) sigma(2 alpha) times the principal
 root of sigma(2u)/sigma(2 alpha); y_at and hatted both take that root (the
-point holds sigma(2 alpha)).  Its slope at the half period over e_nu is D^(nu)
-of the frame there.  Every evaluator of Phi and Y takes a number or an array
-of points: PhiMatrix.rows evaluates the four rows and Pi on all of them with
-one sigma jet of each characteristic, and with their u-derivatives one zeta
-jet for Pi and Pi', and matrix, hatted, y_at and coefficients read it.
+point holds sigma(2 alpha)).  The frames G^(nu) at the branch points carry
+no normalization, because A_nu = G diag(-1/4, 1/4) G^{-1} does not see one.
+Every evaluator of Phi and Y takes a number or an array of points:
+PhiMatrix.rows evaluates the four rows and Pi on all of them with one sigma
+jet of each characteristic, and with their u-derivatives one zeta jet for Pi
+and Pi', and matrix, hatted, y_at and coefficients read it.
 """
 
 import cmath
@@ -52,7 +53,7 @@ from .elliptic import (
 from .errors import DegenerateParameterError
 
 TWO_PI_I = 2j * math.pi
-M_INF = -1j  # m at infinity; of the coefficients, only the frames G^(nu) depend on it
+M_INF = -1j  # m at infinity; the monodromy data read it, the coefficients do not
 
 
 class DeformationParams(_Value, namedtuple("DeformationParams", "branch lat a t char root",
@@ -325,11 +326,6 @@ def _columns(c0, c1):
     return np.moveaxis(np.stack([c0, c1], axis=1), (0, 1), (-2, -1))
 
 
-def _each(x):
-    """A number, or an array of one per matrix of a stack, to scale matrices by."""
-    return np.asarray(x)[..., None, None]
-
-
 def _off_diag(m):
     return _mat(0.0, m, -1.0 / m, 0.0)
 
@@ -490,11 +486,12 @@ class SystemCoefficients(_Value, namedtuple("SystemCoefficients", "a es B_minus1
 def coefficients(params, phi, sol):
     """Assemble B_{-1}, B_0 and A_nu, the last through the frames G^(nu).
 
-    Each finite branch point uses the half period lying over it.  D^(nu), the
-    slope of det Phi at that half period, normalizes G^(nu); it stays exact
-    where phi or psi vanishes there.  The quarter powers use principal branches;
-    conjugation cancels any global quarter-power ambiguity in A_nu.  On a
-    batch point every matrix is a stack, one per entry (batch shape + (2, 2)).
+    Each finite branch point uses the half period h lying over it: G^(nu) =
+    N F, F = [row, row' - eta~ row] from the hatted rows phi, psi (column u
+    of Phi) at h and their u-derivatives.  A_nu = G diag(-1/4, 1/4) G^{-1}
+    does not see a scalar factor of G or a diagonal one on its right, so F
+    carries no normalization; a singular F raises.  On a batch point every
+    matrix is a stack, one per entry (batch shape + (2, 2)).
     """
     p = params
     wp1 = p.wp_a.wp_prime
@@ -504,32 +501,21 @@ def coefficients(params, phi, sol):
     # residue of Y'Y^{-1} at a pins this down.
     Y1 = sol.y1_closed_form()
     B0 = Y1 @ B_minus1 - B_minus1 @ Y1
-    slots = _m_slot_values(p.char)
     hpt = p.half_periods
-    es = p.branch.es
     A = {}
     ks = [hpt.slot_of_branch(nu) for nu in (1, 2, 3)]
     # the half periods over e1, e2, e3 in one evaluation, with the batch axes
     # last: the rows phi, psi (column u of Phi) and their u-derivatives
     shape = np.broadcast_shapes(np.shape(p.t), np.shape(p.lat.omega1))
     r = phi.rows([np.broadcast_to(hpt.omega_tilde[k], shape) for k in ks], du=True)
-    ex = np.exp(r.Pi)
-    rows, drows = r.hat[:, 0] * ex, (r.hat_du[:, 0] + r.hat[:, 0] * r.Pi_du) * ex
-    dets = r.det_du
+    rows, drows = r.hat[:, 0], r.hat_du[:, 0] + r.hat[:, 0] * r.Pi_du
     for i, (nu, k) in enumerate(zip((1, 2, 3), ks)):
-        eta_t = hpt.eta_tilde[k]
-        m = slots[k]
-        Dv = dets[i]
-        if _any(Dv == 0):
-            raise DegenerateParameterError(f"D at half period over e_{nu} vanished")
-        e_t = [x for j, x in enumerate(es, start=1) if j != nu]
-        wpp_half = 2.0 * (es[nu - 1] - e_t[0]) * (es[nu - 1] - e_t[1])
-        quarter = (wpp_half / 2.0) ** 0.25
-        F = _columns(rows[:, i], drows[:, i] - eta_t * rows[:, i])
-        pref = cmath.sqrt(2.0 * m) / _math(Dv).sqrt(Dv * 1j)
-        G = sol.N @ (_each(pref) * F) @ _mat(quarter, 0.0, 0.0, 1.0 / quarter)
+        F = _columns(rows[:, i], drows[:, i] - hpt.eta_tilde[k] * rows[:, i])
+        if _any(np.linalg.det(F) == 0):
+            raise DegenerateParameterError(f"the frame at the half period over e_{nu} is singular")
+        G = sol.N @ F
         A[nu] = G @ np.diag([-0.25, 0.25]) @ np.linalg.inv(G)
-    return SystemCoefficients(a=p.a, es=es, B_minus1=B_minus1, B0=B0, A=A)
+    return SystemCoefficients(a=p.a, es=p.branch.es, B_minus1=B_minus1, B0=B0, A=A)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Explicit solution: transformation laws, normalization, coefficients."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -20,15 +21,18 @@ from elliptau.checks import (
     ring_moments,
     run_checks,
 )
+from elliptau.cli import main
 from elliptau.isomono import (
     PhiMatrix,
+    _columns,
     _m_slot_values,
+    _mat,
     _theta_checked,
     deformation_rhs,
     make_params,
     theoretical_monodromy,
 )
-from elliptau.scenario import GOLDEN, SplitMix64, random_admissible_scenario
+from elliptau.scenario import GOLDEN, SplitMix64, golden_dict, random_admissible_scenario
 from elliptau.tau import H_nu, H_t, log_tau
 
 
@@ -741,6 +745,67 @@ def test_d_is_the_product_formula(seed):
         dlog = r.hat_du[:, 0] / r.hat[:, 0]  # Pi' cancels in their difference
         product = (2.0 * slots[k] / -1j) * ph * ps * (dlog[0] - dlog[1])
         assert abs(r.det_du - product) <= 1e-13 * abs(product)
+
+
+def _normalized_frame_A(p):
+    """A_nu through the normalized frames G = N (sqrt(2m)/sqrt(i D^(nu))) F
+    diag(q, 1/q): F with its exp Pi, D^(nu) the slope of det Phi and q the
+    quarter power of wp''/2 at the half period over e_nu, m its slot value."""
+    slots, hpt, es = _m_slot_values(p.char), p.half_periods, p.branch.es
+    ks = [hpt.slot_of_branch(nu) for nu in (1, 2, 3)]
+    shape = np.broadcast_shapes(np.shape(p.t), np.shape(p.lat.omega1))
+    r = p.phi.rows([np.broadcast_to(hpt.omega_tilde[k], shape) for k in ks], du=True)
+    ex = np.exp(r.Pi)
+    rows, drows = r.hat[:, 0] * ex, (r.hat_du[:, 0] + r.hat[:, 0] * r.Pi_du) * ex
+    A = {}
+    for i, (nu, k) in enumerate(zip((1, 2, 3), ks)):
+        e, (f, g) = es[nu - 1], [x for j, x in enumerate(es, 1) if j != nu]
+        quarter = np.asarray((e - f) * (e - g), dtype=complex) ** 0.25
+        F = _columns(rows[:, i], drows[:, i] - hpt.eta_tilde[k] * rows[:, i])
+        pref = np.sqrt(2.0 * slots[k]) / np.sqrt(1j * r.det_du[i])
+        G = p.sol.N @ (np.asarray(pref)[..., None, None] * F) @ _mat(quarter, 0, 0, 1 / quarter)
+        A[nu] = G @ np.diag([-0.25, 0.25]) @ np.linalg.inv(G)
+    return A
+
+
+@pytest.mark.parametrize("seed", [None, 3, 4, 5])
+def test_a_nu_does_not_see_the_frame_normalization(seed):
+    # the frames carry no normalization: A_nu equals the one the normalized
+    # frames give, on the point and on a batch point of all four directions
+    s = GOLDEN if seed is None else random_admissible_scenario(SplitMix64(seed))
+    p = make_params(s.branch, s.a, s.t, s.p, s.q)
+    for q in (p, p.moved(np.arange(4), 1e-3)):
+        ref = _normalized_frame_A(q)
+        for nu in (1, 2, 3):
+            err = np.max(np.abs(q.coeffs.A[nu] - ref[nu]))
+            assert err <= 1e-14 * np.max(np.abs(ref[nu])), (seed, nu, err)
+
+
+def test_a_singular_frame_raises_at_the_half_period(monkeypatch, tmp_path, capsys):
+    # the u column of the rows and their slopes zero at every half period:
+    # the frame over e_1 is the zero matrix, and the point, the checks that
+    # read the coefficients and the monodromy command all reject it
+    real = PhiMatrix.rows
+
+    def zero_u_column(self, u, du=False):
+        r = real(self, u, du)
+        if not du:
+            return r
+        hat, hat_du = r.hat.copy(), r.hat_du.copy()
+        hat[:, 0] = hat_du[:, 0] = 0
+        return r._replace(hat=hat, hat_du=hat_du)
+
+    monkeypatch.setattr(PhiMatrix, "rows", zero_u_column)
+    s = GOLDEN
+    with pytest.raises(DegenerateParameterError, match="half period over e_1"):
+        make_params(s.branch, s.a, s.t, s.p, s.q).coeffs
+    (result,) = run_checks(GOLDEN, checks=["ode_residual"]).results
+    assert result.status == "fail"
+    assert result.notes.startswith("error: DegenerateParameterError in stage 'coeffs'")
+    scenario = tmp_path / "golden.json"
+    scenario.write_text(json.dumps(golden_dict()))
+    assert main(["monodromy", "--scenario", str(scenario), "--loop", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_every_move_carries_the_root_configuration_as_chart(golden):
