@@ -24,12 +24,13 @@ one per derivative.  The lattice may be a batch: a Lattice whose periods are
 arrays of one shape holds one lattice per point, and u broadcasts against
 it; likewise Omega and the characteristic (p, q) of the theta functions may
 be arrays.  The kernel sums a block of rings |n| <= K at every point; K
-grows 8, 16, 32, ... up to MAX_TERMS = 200 until the edge terms fall below
-SERIES_TOL = 1e-16 of the running scale at every point, else it raises
-ThetaConvergenceError.  These are module constants, not options.  Every
-point adds its rings in the same order in a call of any size, so a point's
-value is that of its size-1 call up to the rings past its own K that other
-points need, which lie below SERIES_TOL of its scale.
+starts where the Gaussian bound on the terms says (at most 8) and doubles
+up to MAX_TERMS = 200 until the edge terms fall below SERIES_TOL = 1e-16
+of the running scale at every point, else it raises ThetaConvergenceError.
+These are module constants, not options.  A point adds each block's rings
+in order, -K first, in a call of any size, so its value is that of its
+size-1 call up to the rings past its own K that other points need, which
+lie below SERIES_TOL of its scale.
 """
 
 import cmath
@@ -109,24 +110,32 @@ def _theta_block(char, z, Omega, kmax, with_dOmega):
     a number p reads the cached _rings columns, an array p builds the
     (rings, points) block m = n + p.
 
-    K doubles from 8 (capped at MAX_TERMS) until at every point the edge
-    terms (rings +-K) of every row are at most SERIES_TOL of that row's
-    scale max(|partial sum|, largest |term|); the bare partial sum would
-    deadlock at symmetric zeros such as theta11(0).  A term beyond
-    exp(_EXP_MAX) raises ThetaConvergenceError before it overflows.
+    The first block |n| <= K, K = ceil(max|m*| + max|p| + sqrt((ln(1/SERIES_TOL)
+    + 3 kmax)/(pi min Im Omega))) but at most 8, reaches SERIES_TOL (and e^3
+    per power of m in the weights) below the top of the terms, |term| =
+    exp(-pi Im Omega (m - m*)^2 + c) in m = n + p, m* = -Im(z + q)/Im Omega.
+    Then K doubles (capped at MAX_TERMS) until at every point the edge terms
+    (rings +-K) of every row, which bound the log-concave terms past them,
+    are at most SERIES_TOL of that row's scale max(|partial sum|, largest
+    |term|); the bare partial sum would deadlock at symmetric zeros such as
+    theta11(0).  A term beyond exp(_EXP_MAX) raises ThetaConvergenceError.
     """
     def at(bad):  # the error's z and Omega at point bad
         return complex(z[bad]), complex(np.broadcast_to(Omega, z.shape)[bad])
 
-    wrong = Omega.imag <= 0
+    im = Omega.imag
+    wrong = im <= 0
     if _any(wrong):
         worst = np.ravel(Omega)[np.argmax(np.ravel(wrong))]
         raise LatticeOrientationError(f"Im(Omega) must be positive, got {worst}")
     if not z.size:
         return np.zeros((kmax + 1 + with_dOmega, 0), dtype=complex)
     p, zq = char.p, z + char.q
+    lo = im.min() if isinstance(im, np.ndarray) else im
+    head = _top(p) + _top(zq.imag) / lo + math.sqrt(
+        (math.log(1 / SERIES_TOL) + 3.0 * kmax) / (math.pi * lo))
     sums = peaks = 0.0
-    done, K = -1, 8
+    done, K = -1, math.ceil(head) if 0 < head < 8 else 8  # K = 0 would not double
     while True:
         if isinstance(p, np.ndarray):
             msq, lin, weights = _ring_tables(_ring_indices(done, K) + p, kmax, with_dOmega)
@@ -166,6 +175,13 @@ def _any(mask):
     """Whether a mask, a bool or a bool array, holds a true entry (numpy's
     own any costs microseconds on a bool)."""
     return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _top(v):
+    """max |v| of a number or an array, of size 1 by its item (numpy's max costs 1 us)."""
+    if isinstance(v, np.ndarray):
+        return abs(v.item()) if v.size == 1 else np.abs(v).max()
+    return abs(v)
 
 
 def _arg(z):

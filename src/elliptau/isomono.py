@@ -490,8 +490,9 @@ def coefficients(params, phi, sol):
     N F, F = [row, row' - eta~ row] from the hatted rows phi, psi (column u
     of Phi) at h and their u-derivatives.  A_nu = G diag(-1/4, 1/4) G^{-1}
     does not see a scalar factor of G or a diagonal one on its right, so F
-    carries no normalization; a singular F raises.  On a batch point every
-    matrix is a stack, one per entry (batch shape + (2, 2)).
+    carries no normalization; an F singular up to rounding (|det F| <= 1e-12
+    max|F|^2) raises.  On a batch point every matrix is a stack, one per
+    entry (batch shape + (2, 2)).
     """
     p = params
     wp1 = p.wp_a.wp_prime
@@ -511,7 +512,7 @@ def coefficients(params, phi, sol):
     rows, drows = r.hat[:, 0], r.hat_du[:, 0] + r.hat[:, 0] * r.Pi_du
     for i, (nu, k) in enumerate(zip((1, 2, 3), ks)):
         F = _columns(rows[:, i], drows[:, i] - hpt.eta_tilde[k] * rows[:, i])
-        if _any(np.linalg.det(F) == 0):
+        if _any(abs(np.linalg.det(F)) <= 1e-12 * np.abs(F).max(axis=(-2, -1)) ** 2):
             raise DegenerateParameterError(f"the frame at the half period over e_{nu} is singular")
         G = sol.N @ F
         A[nu] = G @ np.diag([-0.25, 0.25]) @ np.linalg.inv(G)

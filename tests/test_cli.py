@@ -691,6 +691,25 @@ def test_tau_sweep_makes_one_kernel_call_per_chunk(tmp_path, monkeypatch):
     assert calls == [elliptau.cli.TAU_CHUNK, 1]
 
 
+def test_a_golden_tau_chunk_sums_one_short_block(monkeypatch):
+    # golden has Omega = i, where a term 4 rings from the top is about e^-50
+    # of it: the first block, sized from that Gaussian bound, holds at most
+    # 5 rings a side, and the edge test finds it enough
+    g = GOLDEN
+    b = g.branch
+    point = DeformationParams(b, b.lattice, g.a, 0j, ThetaChar(g.p, g.q))
+    reads = []
+    real = elliptau.elliptic._rings
+
+    def spy(p, done, K, *rest):
+        reads.append((done, K))
+        return real(p, done, K, *rest)
+
+    monkeypatch.setattr(elliptau.elliptic, "_rings", spy)
+    elliptau.cli._tau_rows(point, np.arange(elliptau.cli.TAU_CHUNK) * 1e-4)
+    assert reads and all(done == -1 and K <= 5 for done, K in reads), reads
+
+
 @pytest.mark.parametrize("data, grid", [
     (golden_dict(), "t=0:4:0.001"),  # Im log tau jumps by 2 pi inside
     (dict(golden_dict(), p=0.5), None),  # a theta zero at the end of a 7-chunk

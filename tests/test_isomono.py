@@ -808,6 +808,26 @@ def test_a_singular_frame_raises_at_the_half_period(monkeypatch, tmp_path, capsy
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_frame_singular_up_to_rounding_raises(monkeypatch):
+    # psi's u entries equal to phi's at every half period: the rows of each
+    # frame are equal, but its determinant is rounding, not an exact zero,
+    # and inverting it would give A_nu of about 1e16
+    real = PhiMatrix.rows
+
+    def psi_is_phi(self, u, du=False):
+        r = real(self, u, du)
+        if not du:
+            return r
+        hat, hat_du = r.hat.copy(), r.hat_du.copy()
+        hat[1, 0], hat_du[1, 0] = hat[0, 0], hat_du[0, 0]
+        return r._replace(hat=hat, hat_du=hat_du)
+
+    monkeypatch.setattr(PhiMatrix, "rows", psi_is_phi)
+    s = GOLDEN
+    with pytest.raises(DegenerateParameterError, match="half period over e_1"):
+        make_params(s.branch, s.a, s.t, s.p, s.q).coeffs
+
+
 def test_every_move_carries_the_root_configuration_as_chart(golden):
     # a scalar move, a batch move and a batch move of a moved point all
     # continue the point's root configuration itself, not a copy of it

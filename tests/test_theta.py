@@ -157,6 +157,45 @@ def test_array_kernel_matches_size_one(monkeypatch, Omega, zs):
         assert np.all(np.abs(arr - ref) <= 2e-13 * np.abs(ref))
 
 
+def test_a_first_block_too_short_is_doubled(monkeypatch):
+    # the first block is sized for the powers m^k of the z-rows, not for the
+    # m^2 weight of the Omega-row: at Omega = i and small Im z it holds 4
+    # rings a side, the Omega-row's edge fails the test, and the guard sums
+    # the rings to 8; the heat equation theta_Omega = theta_zz/(4 pi i)
+    # gives the reference
+    reads = []
+    real = elliptau.elliptic._rings
+
+    def spy(p, done, K, *rest):
+        reads.append((done, K))
+        return real(p, done, K, *rest)
+
+    ch, Omega = ThetaChar(0.3, 0.2), 1j
+    zs = np.array([0.1 + 0.1j, -0.2 + 0.2j])
+    monkeypatch.setattr(elliptau.elliptic, "_rings", spy)
+    values = theta_dOmega(ch, zs, Omega)
+    monkeypatch.undo()
+    assert reads == [(-1, 4), (4, 8)]
+    ref = np.array([_direct_sum(ch, z, Omega, 2) / (4j * math.pi) for z in zs.tolist()])
+    assert np.all(np.abs(values - ref) <= 2e-13 * np.abs(ref))
+
+
+def test_the_edge_test_is_relative_to_the_scale(monkeypatch):
+    # at Omega = i and Im z = 7 the terms peak near ring -7 at about e^154;
+    # the edge rings +-16 are e^-238 of that peak, so the second block ends
+    # the sum (an edge test against SERIES_TOL / scale would need a third)
+    reads = []
+    real = elliptau.elliptic._rings
+
+    def spy(p, done, K, *rest):
+        reads.append((done, K))
+        return real(p, done, K, *rest)
+
+    monkeypatch.setattr(elliptau.elliptic, "_rings", spy)
+    theta(ThetaChar(0.3, 0.2), np.array([0.1 + 7j]), 1j)
+    assert reads == [(-1, 8), (8, 16)]
+
+
 def test_a_point_is_bit_for_bit_its_size_one_call(monkeypatch):
     # every point adds its rings in one order in a call of any size, so its
     # value is that of its size-1 call: the first point settles at K = 8,
