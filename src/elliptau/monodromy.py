@@ -4,9 +4,9 @@ A(x) is rational with poles at a and the e_nu only, so Y has a convergent
 Taylor series in every disc that avoids them.  continue_solution cuts a path
 into chords by curve's step rule |h| <= RHO * dist(x, {a, e_nu}), bounded
 also by |h| <= KAPPA * |x - a|^2 / max|B_{-1}| (which keeps the growth of
-one step near the irregular point bounded), sums each chord's series from a
-recurrence over the pole terms, and halves a chord whose series has not
-settled within a term cap.
+one step near the irregular point bounded), and sums each chord's series
+from a recurrence over the pole terms; a chord whose series has not settled
+within a term cap raises.
 
 Loops are keyholes from a base point above the singular points: a detoured
 descent to a circle of safe clearance, one full counterclockwise turn, and
@@ -150,11 +150,12 @@ def _continue_paths(coeffs, paths, Y0s):
 
     Each distinct piece is cut once by the rule of curve.chords, around
     {a, e_nu} under the KAPPA bound and with the floor of the longest path
-    through it, and _transfers sums all the chords in one array pass.  A
-    piece met after its reverse (loops return along their descents,
-    conjugating cycles come back reversed) runs back through the reverse's
-    chords by their inverse transfers.  The paths take their chords in step,
-    one stacked product per step.
+    through it, and _taylor_sums sums all the chords in one array pass; the
+    first chord that has not settled raises.  A piece met after its reverse
+    (loops return along their descents, conjugating cycles come back
+    reversed) runs back through the reverse's chords by their inverse
+    transfers.  The paths take their chords in step, one stacked product per
+    step.
     """
     b = float(np.max(np.abs(coeffs.B_minus1)))
     bound = (lambda x: KAPPA * abs(x - coeffs.a) ** 2 / b) if b > 0 else None
@@ -174,8 +175,12 @@ def _continue_paths(coeffs, paths, Y0s):
         return [np.array(Y0, dtype=complex) for Y0 in Y0s]
     cuts = [_cut_piece(piece, (coeffs.a, *coeffs.es), bound, floor)
             for piece, floor in zip(distinct, floors)]
-    T = _transfers(coeffs, *(np.array([x for xs in ends for x in xs], dtype=complex)
-                             for ends in zip(*cuts)))
+    x0, x1 = (np.array([x for xs in ends for x in xs], dtype=complex) for ends in zip(*cuts))
+    T, ok = _taylor_sums(coeffs, x0, x1)
+    if not ok.all():
+        k = ok.argmin()  # the first unsettled chord
+        raise QuadratureError(
+            f"Taylor series did not converge at x={x0[k]} with step h={x1[k] - x0[k]}")
     n, ends = len(T), np.cumsum([len(x0) for x0, _ in cuts]).tolist()
 
     def rows(piece):  # its chords as rows of [T, T^-1, 1], backwards by the inverses
@@ -190,28 +195,6 @@ def _continue_paths(coeffs, paths, Y0s):
     for Tk in np.concatenate([T, np.linalg.inv(T), np.eye(2)[None]])[steps]:
         Y = Tk @ Y  # every path one chord on
     return list(Y)
-
-
-def _transfers(coeffs, x0, x1, halvings=0):
-    """Transfer matrices of the chords x0 -> x1, shape (n, 2, 2).
-
-    A chord whose series has not settled is replaced by its two halves,
-    which are retried; a chord still unsettled after 8 halvings, or with a
-    sum that is not finite, raises.
-    """
-    T, ok = _taylor_sums(coeffs, x0, x1)
-    if ok.all():
-        return T
-    bad = np.flatnonzero(~ok)
-    if halvings == 8 or not np.isfinite(T[bad]).all():
-        k = bad[0]
-        raise QuadratureError(
-            f"Taylor series did not converge at x={x0[k]} with step h={x1[k] - x0[k]}")
-    mid = 0.5 * (x0[bad] + x1[bad])
-    halves = _transfers(coeffs, np.concatenate([x0[bad], mid]),
-                        np.concatenate([mid, x1[bad]]), halvings + 1)
-    T[bad] = halves[len(bad):] @ halves[:len(bad)]
-    return T
 
 
 def _taylor_sums(coeffs, x0, x1):

@@ -14,8 +14,8 @@ tau_l = sigma(t + 2 l alpha) exp h_l(t) built from shifted sigma quotients.
 Each function of it reads a deformation point and a shift index l: the
 point's lattice, alpha = u(a), t (elementwise when t is an array),
 wp_series, the series values of wp and its first three derivatives at alpha,
-and sigma_2alpha and zeta_wp_2alpha, sigma, zeta and wp at 2 alpha.  H_nu and
-residue_formula read d/dOmega theta[p,q] at t/omega1 from the point.
+and zeta_wp_2alpha, zeta and wp at 2 alpha.  H_nu and residue_formula read
+d/dOmega theta[p,q] at t/omega1 from the point.
 """
 
 import numpy as np
@@ -23,7 +23,6 @@ import numpy as np
 from .curve import dOmega_de, dlog_omega1_de, quasiperiod_ratio_derivative
 from .elliptic import _any, _char_dlog, _math, sigma, zeta
 from .errors import DegenerateParameterError
-from .isomono import _mat
 
 
 def f_func(e1, e2, e3, a):
@@ -134,14 +133,6 @@ def log_tau(params):
 # ---------------------------------------------------------------------------
 
 
-def _c0(p, t, l):
-    """sigma(2 alpha)^-l sigma(t + 2 l alpha) exp(-(t/2) zeta(2 alpha) - (t/4)
-    wp''/wp'); elementwise in t and l."""
-    _, wp1, wpp, _ = p.wp_series
-    x = -(t / 2.0) * p.zeta_wp_2alpha[0] - (t / 4.0) * wpp / wp1
-    return p.sigma_2alpha ** (-l) * sigma(p.lat, t + 2 * l * p.alpha) * _math(x).exp(x)
-
-
 def _c1(p, t, l):
     """zeta(t + 2 l alpha) - l zeta(2 alpha) + (t/2) wp(2 alpha); elementwise in t and l."""
     z2, w2 = p.zeta_wp_2alpha
@@ -180,31 +171,28 @@ def sigma_shift_dlog_tau_dt(p, l):
 
 
 def sigma_shift_y1(p, l):
-    """First expansion matrix of the normalized solution at x = wp(alpha);
-    l a number (a 2x2 result) or an array (l.shape + (2, 2)).
+    """Diagonal (Y11, Y22) of the first expansion matrix of the normalized
+    solution at x = wp(alpha), the entries the trace identity reads; l a
+    number or an array, the result of shape (2,) + l.shape.
 
     The diagonal shift carries wp''/(2 wp'^2) (half the raw quotient): the
     half factor is what makes the trace identity with d/dt log tau_l close.
     """
     _, wp1, wpp, wppp = p.wp_series
     l = np.asarray(l)
-    # _c0 at (-t, 1 - l), (t, l), (t, l + 1), (-t, -l) in one call, and _c1
-    # at (t, l), (-t, -l) in one
-    ts = np.reshape([-p.t, p.t, p.t, -p.t], (4,) + (1,) * l.ndim)
-    c0 = _c0(p, ts, np.stack([1 - l, l, l + 1, -l]))
-    c1 = _c1(p, ts[1::2], np.stack([l, -l]))
-    core = _mat(c1[0], c0[0] / c0[1], c0[2] / c0[3], c1[1]) / wp1
+    # _c1 at (t, l), (-t, -l) in one call
+    lift = (2,) + (1,) * l.ndim
+    c1 = _c1(p, np.reshape([p.t, -p.t], lift), np.stack([l, -l]))
     pole_shift = (p.t / 2.0) * (wpp**2 / (4.0 * wp1**3) - wppp / (6.0 * wp1**2))
-    core += pole_shift * np.diag([1.0, -1.0])
-    core -= (wpp / (2.0 * wp1**2)) * _mat(l - 1.0, 0.0, 0.0, -l - 1.0)
-    return core
+    return (c1 / wp1 + pole_shift * np.reshape([1.0, -1.0], lift)
+            - (wpp / (2.0 * wp1**2)) * np.stack([l - 1.0, -l - 1.0]))
 
 
 def sigma_shift_trace_residual(p, l):
     """|wp'(alpha) tr(Y1 diag(1/2,-1/2)) - d/dt log tau_l|, relative;
     elementwise in l."""
     _, wp1, _, _ = p.wp_series
-    Y1 = sigma_shift_y1(p, l)
-    lhs = wp1 * 0.5 * (Y1[..., 0, 0] - Y1[..., 1, 1])
+    Y11, Y22 = sigma_shift_y1(p, l)
+    lhs = wp1 * 0.5 * (Y11 - Y22)
     rhs = sigma_shift_dlog_tau_dt(p, l)
     return np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))

@@ -4,7 +4,9 @@
 
 names functions of the package by module (`isomono`) or by module and
 qualified name (`isomono.coefficients`, `isomono.YSolution.hatted`); a bare
-module names each of its functions and methods.  In every named function it
+module names each of its functions and methods, and a class each of its
+methods.  Every target is resolved before the first verify runs, and an
+unknown one exits at once, naming itself.  In every named function it
 mutates one AST site at a time, in a temporary copy of src/: a binary + and
 - swapped, a * and / swapped, a unary minus dropped, or a nonzero float
 constant scaled by 1.5.  Each mutant runs a verify of the golden scenario
@@ -38,18 +40,20 @@ for s in (GOLDEN, random_admissible_scenario(SplitMix64(0xBEEF + 3))):
 
 
 def _functions(tree, qualname):
-    """(qualified name, node) of each function under tree, or only qualname's."""
+    """(qualified name, node) of each function under tree, or only of the
+    function qualname or the methods of the class qualname."""
     found = []
 
-    def visit(node, prefix):
+    def visit(node, prefix, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 name = prefix + child.name
-                if isinstance(child, ast.FunctionDef) and qualname in (None, name):
+                named = in_class or qualname in (None, name)
+                if isinstance(child, ast.FunctionDef) and named:
                     found.append((name, child))
-                visit(child, name + ".")
+                visit(child, name + ".", named and isinstance(child, ast.ClassDef))
 
-    visit(tree, "")
+    visit(tree, "", False)
     return found
 
 
@@ -80,17 +84,25 @@ def _mutate(tree, node):
                     value[[v is node for v in value].index(True)] = node.operand
 
 
-def _mutants(target):
-    """(module, qualified name, line, kind, source line, mutated module
-    source) of each site of the target's functions."""
+def _resolve(target):
+    """(module, source, (qualified name, node) of each of the target's
+    functions); exits naming the target when its module or name is unknown."""
     module, _, qualname = target.partition(".")
     path = SRC / "elliptau" / f"{module}.py"
+    if not path.is_file():
+        sys.exit(f"no module {module!r} for target {target!r}")
     source = path.read_text()
-    lines = source.splitlines()
-    names = _functions(ast.parse(source), qualname or None)
-    if not names:
+    functions = _functions(ast.parse(source), qualname or None)
+    if not functions:
         sys.exit(f"no function {target!r} in {path}")
-    for name, fn in names:
+    return module, source, functions
+
+
+def _mutants(module, source, functions):
+    """(module, qualified name, line, kind, source line, mutated module
+    source) of each site of the functions of the module's source."""
+    lines = source.splitlines()
+    for name, fn in functions:
         for i, (node, kind) in enumerate(_sites(fn)):
             tree = ast.parse(source)
             fresh = dict(_functions(tree, name))[name]
@@ -117,12 +129,12 @@ def _survives(module, mutated, tmp):
 def main(argv):
     if not argv:
         sys.exit(__doc__)
-    tally = {}
+    targets, tally = [_resolve(target) for target in argv], {}
     with tempfile.TemporaryDirectory() as tmp:
         if not _survives(None, None, tmp):
             sys.exit("the unmutated source fails a verify; no sweep")
-        for target in argv:
-            for module, name, line, kind, text, mutated in _mutants(target):
+        for target in targets:
+            for module, name, line, kind, text, mutated in _mutants(*target):
                 label = f"{module}.{name}"
                 total, survived = tally.get(label, (0, 0))
                 alive = _survives(module, mutated, tmp)

@@ -7,6 +7,7 @@ here as the independent check.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,18 +96,20 @@ def test_close_circle_around_a(golden_ctx):
     assert np.max(np.abs(np.linalg.solve(Y_start, W) - np.eye(2))) < 1e-12
 
 
-def test_unsettled_chord_is_halved(golden_ctx):
+def test_an_unsettled_chord_raises_naming_x_and_h(golden_ctx, monkeypatch):
     # A chord of 0.9 of the distance to the nearest pole converges too
-    # slowly for the term cap; its halves settle, and the product matches
-    # DOP853 along the same segment.
+    # slowly for the term cap.  Cut as one chord, its line raises through
+    # continue_solution, naming the chord's start and step.
     coeffs = golden_ctx.coeffs
     x0 = 2.0 + 1.0j
     x1 = x0 - 0.9j * min(abs(x0 - s) for s in singularities(golden_ctx.params))
     _, ok = monodromy._taylor_sums(coeffs, np.array([x0]), np.array([x1]))
     assert not ok[0]
-    T = monodromy._transfers(coeffs, np.array([x0]), np.array([x1]))[0]
-    ref = dop853(coeffs, [Line(x0, x1)], np.eye(2))
-    assert np.max(np.abs(T - ref)) <= 1e-9 * np.max(np.abs(ref))
+    monkeypatch.setattr(monodromy, "_cut_piece",
+                        lambda piece, poles, bound, floor: ([piece.a], [piece.b]))
+    with pytest.raises(QuadratureError, match=r"did not converge at x=\(2\+1j\) "
+                                              rf"with step h={re.escape(str(x1 - x0))}$"):
+        continue_solution(coeffs, [Line(x0, x1)], np.eye(2))
 
 
 def test_series_that_never_settles_raises(golden_ctx):
@@ -115,13 +118,17 @@ def test_series_that_never_settles_raises(golden_ctx):
         continue_solution(coeffs, [Line(3.0 + 1.0j, 3.0 - 1.0j)], np.eye(2))
 
 
-def test_chord_unsettled_after_eight_halvings_raises(golden_ctx, monkeypatch):
+def test_an_unsettled_chord_raises_at_once(golden_ctx, monkeypatch):
+    calls = []
+
     def never_settles(coeffs, x0, x1):
+        calls.append(len(x0))
         return np.zeros((len(x0), 2, 2), dtype=complex), np.zeros(len(x0), dtype=bool)
 
     monkeypatch.setattr(monodromy, "_taylor_sums", never_settles)
     with pytest.raises(QuadratureError, match=r"did not converge at x=\(3\+1j\)"):
         continue_solution(golden_ctx.coeffs, [Line(3.0 + 1.0j, 3.0 + 1.1j)], np.eye(2))
+    assert len(calls) == 1
 
 
 def test_path_into_a_pole_raises(golden_ctx):

@@ -93,6 +93,20 @@ def test_monodromy_invariant_under_deformation(golden_ctx):
         assert np.max(np.abs(moved[which] - nums[which])) < 1e-6
 
 
+@pytest.mark.parametrize("edge", [{"a": 1 + 1e-5j}, {"a": 1.0001 + 0j}, {"t": 10.0 + 0j}])
+def test_every_chord_settles_at_the_domain_edge(edge):
+    # the loops and the Stokes half turns where the step rule cuts the most
+    # chords (a verify at a = 1+1e-5i cuts 4,868) or Y grows fastest: every
+    # chord of RHO and the KAPPA bound settles within the term cap, so
+    # neither continuation raises QuadratureError
+    s = GOLDEN._replace(**edge)
+    p = make_params(s.branch, s.a, s.t, s.p, s.q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats, _ = monodromy_matrices(p)
+        residuals = sector_connection_residuals(p)
+    assert list(mats) == [1, 2, 3, "inf"] and len(residuals) == 2
+
+
 @pytest.mark.parametrize("seed", [None, 3, 4])
 def test_batch_monodromy_equals_each_entry_alone(seed):
     # the invariance family, t, e1, e2 and e3 moved by 1e-3 as one batch

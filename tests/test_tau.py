@@ -13,7 +13,6 @@ from elliptau.scenario import SplitMix64
 from elliptau.tau import (
     H_nu,
     H_t,
-    _c0,
     _c1,
     sigma_shift_dlog_tau_dt,
     sigma_shift_tau,
@@ -170,13 +169,11 @@ def test_shifted_tau_at_zero(zs_point):
         assert abs(sigma_shift_tau(p, l) - sigma(p.lat, 2 * l * p.alpha)) < 1e-13
 
 
-def test_sigma_shift_c0_c1_at_zero_time(zs_point):
+def test_sigma_shift_c1_at_zero_time(zs_point):
     p = zs_point._replace(t=0.0)
     lat, alpha = p.lat, p.alpha
     for l in (-1, 1, 2):
-        c0, c1 = _c0(p, p.t, l), _c1(p, p.t, l)
-        expect = sigma(lat, 2 * alpha) ** (-l) * sigma(lat, 2 * l * alpha)
-        assert abs(c0 - expect) < 1e-12 * max(1.0, abs(expect))
+        c1 = _c1(p, p.t, l)
         expect_c1 = (zeta(lat, 2 * l * alpha)
                      - l * zeta(lat, 2 * alpha))
         assert abs(c1 - expect_c1) < 1e-12 * max(1.0, abs(expect_c1))
@@ -209,15 +206,15 @@ def test_shifted_tau_trace_identity(zs_point):
 
 @pytest.mark.parametrize("t", [None, 0.1])
 def test_sigma_shift_y1_on_an_array_of_shifts(zs_point, t):
-    # l = -1 .. 2 in one call: each Y_1 and trace residual equals its
-    # per-shift call's
+    # l = -1 .. 2 in one call: each diagonal (Y11, Y22) of Y_1 and trace
+    # residual equals its per-shift call's
     p = zs_point if t is None else zs_point._replace(t=t)
     ls = np.arange(-1, 3)
     Y1s, residuals = sigma_shift_y1(p, ls), sigma_shift_trace_residual(p, ls)
-    assert Y1s.shape == (4, 2, 2) and residuals.shape == (4,)
-    for l, Y1, residual in zip(ls.tolist(), Y1s, residuals):
+    assert Y1s.shape == (2, 4) and residuals.shape == (4,)
+    for l, Y1, residual in zip(ls.tolist(), Y1s.T, residuals):
         one = sigma_shift_y1(p, l)
-        assert one.shape == (2, 2)
+        assert one.shape == (2,)
         assert np.max(np.abs(Y1 - one)) <= 1e-14 * np.max(np.abs(one))
         assert abs(residual - sigma_shift_trace_residual(p, l)) <= 1e-14
 
