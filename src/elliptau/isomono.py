@@ -21,8 +21,8 @@ point holds sigma(2 alpha)).  The frames G^(nu) at the branch points carry
 no normalization, because A_nu = G diag(-1/4, 1/4) G^{-1} does not see one.
 Every evaluator of Phi and Y takes a number or an array of points:
 PhiMatrix.rows evaluates the four rows and Pi on all of them with one sigma
-jet of each characteristic, and with their u-derivatives one zeta jet for Pi
-and Pi', and matrix, hatted, y_at and coefficients read it.
+jet of each characteristic, or the rows and their u-derivatives and Pi'
+from a zeta jet, and matrix, hatted, y_at and coefficients read it.
 """
 
 import cmath
@@ -217,22 +217,17 @@ def make_params(branch, a, t, p, q):
 
 
 class PhiRows(_Value, namedtuple("PhiRows", "hat Pi hat_du Pi_du", defaults=(None, None))):
-    """The hatted rows of Phi at points u and Pi(u), with their u-derivatives
-    when asked for.  hat[i, j] = sigma[p,q](u_j + s_i + t) sigma(u_j - s_i)
-    for u_j = u, -u and s_i = alpha, -alpha (phi, psi): the entry layout of
-    Phi, followed by u's shape.  hat_du[i, j] is its derivative in u_j."""
+    """The hatted rows of Phi at points u, and Pi(u) or, when asked for, the
+    u-derivatives of the rows and of Pi (Pi then None).  hat[i, j] =
+    sigma[p,q](u_j + s_i + t) sigma(u_j - s_i) for u_j = u, -u and s_i =
+    alpha, -alpha (phi, psi): the entry layout of Phi, followed by u's
+    shape.  hat_du[i, j] is its derivative in u_j."""
 
     @property
     def det(self):
         """det Phi; the Pi exponentials cancel."""
         (r11, r12), (r21, r22) = self.hat
         return r11 * r22 - r12 * r21
-
-    @property
-    def det_du(self):
-        (r11, r12), (r21, r22) = self.hat
-        (d11, d12), (d21, d22) = self.hat_du
-        return d11 * r22 - r11 * d22 + d12 * r21 - r12 * d21
 
     def entries(self, pi):
         """hat times exp(pi) in the u column and exp(-pi) in the -u column,
@@ -255,9 +250,9 @@ class PhiMatrix:
 
     def rows(self, u, du=False):
         """PhiRows at u, from one sigma jet of each characteristic on all
-        points and Pi; with du also the derivatives, from one zeta jet for Pi
-        and Pi' = (t/2) (wp(u - alpha) + wp(u + alpha)).  On a batch point
-        u's last axes are the batch's."""
+        points and Pi; with du the derivatives in place of Pi, from one zeta
+        jet for Pi' = (t/2) (wp(u - alpha) + wp(u + alpha)).  On a batch
+        point u's last axes are the batch's."""
         p = self.params
         u = np.asarray(u, dtype=complex)
         s = np.reshape([p.alpha, -p.alpha],
@@ -267,9 +262,8 @@ class PhiMatrix:
         b, db = sigma_jet(p.lat, HALF_HALF, uj - s)
         if not du:
             return PhiRows(a * b, self.Pi(u))
-        z, dz = zeta_jet(p.lat, np.stack([u - p.alpha, u + p.alpha]), 1)
-        return PhiRows(a * b, -(p.t / 2.0) * (z[0] + z[1]), da * b + a * db,
-                       -(p.t / 2.0) * (dz[0] + dz[1]))
+        _, dz = zeta_jet(p.lat, np.stack([u - p.alpha, u + p.alpha]), 1)
+        return PhiRows(a * b, None, da * b + a * db, -(p.t / 2.0) * (dz[0] + dz[1]))
 
     def matrix(self, u):
         r = self.rows(u)

@@ -10,6 +10,7 @@ import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -193,6 +194,33 @@ def test_report_explains_itself(tmp_path):
     # y_normalization builds params, phi and sol; each stage is timed once
     assert {"branch", "params", "phi", "sol"} <= set(d["stage_s"])
     assert all(float(v) >= 0 for v in d["stage_s"].values())
+
+
+def test_verify_defaults_are_the_library_defaults(tmp_path):
+    # --tol-scale and --draw-scale default to run_checks' 1.0: the record of
+    # a check in the report is the one run_checks gives (its notes count
+    # the draws)
+    scenario = tmp_path / "golden.json"
+    scenario.write_text(json.dumps(golden_dict()))
+    out = tmp_path / "r.json"
+    assert main(["verify", "--scenario", str(scenario), "--checks", "abel_roundtrip",
+                 "--out", str(out)]) == 0
+    (c,) = json.loads(out.read_text())["checks"]
+    (ref,) = run_checks(GOLDEN, checks=["abel_roundtrip"]).results
+    assert (float(c["residual"]), float(c["tolerance"]), c["notes"]) == (
+        ref.residual, ref.tolerance, ref.notes)
+
+
+def test_stage_and_check_times_read_one_clock(monkeypatch):
+    # on a clock that reads 0.5 s later at each read, a stage excludes the
+    # stage it builds, and a check that builds none spends one tick
+    ticks = iter(np.arange(0.0, 100.0, 0.5).tolist())
+    monkeypatch.setattr(elliptau.checks, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    ctx = elliptau.checks.CheckContext(GOLDEN)
+    ctx._get("outer", lambda: ctx._get("inner", lambda: None))
+    assert ctx.stage_s == {"inner": 0.5, "outer": 1.0}
+    (r,) = run_checks(GOLDEN, checks=["legendre"]).results
+    assert r.runtime_ms == 500.0
 
 
 def test_environment_versions_match_importlib_metadata():

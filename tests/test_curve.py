@@ -645,6 +645,23 @@ def test_closed_forms_on_a_batch_branch(golden_branch):
                 assert abs(value - one) <= 1e-14 * abs(one), (nu, form)
 
 
+def test_branch_closed_forms_obey_the_translation_and_euler_sums(golden_branch):
+    # each value is translation invariant, so its d/de_nu sum to zero, and
+    # homogeneous, so sum e_nu d/de_nu is its degree times the value
+    t = 0.1 + 0.05j
+    for b in [golden_branch, *admissible_branches(SplitMix64(61), 4)]:
+        lat = b.lattice
+        for value, form, degree in (
+                (lat.Omega, dOmega_de, 0.0),
+                (lat.omega1, lambda b, lat, nu: lat.omega1 * dlog_omega1_de(b, lat, nu), -0.5),
+                (t * t * lat.eta1 / (2 * lat.omega1),
+                 lambda b, lat, nu: quasiperiod_ratio_derivative(b, lat, nu, t), 1.0)):
+            ds = [form(b, lat, nu) for nu in (1, 2, 3)]
+            terms = [e * d for e, d in zip(b.es, ds)]
+            assert abs(sum(ds)) <= 1e-13 * max(map(abs, ds))
+            assert abs(sum(terms) - degree * value) <= 1e-13 * max(*map(abs, terms), abs(value))
+
+
 def test_cold_golden_verify_builds_each_sheet_frame_once(monkeypatch):
     # the drawn branches and neighbours keep the configuration objects whose
     # periods periods_of computed, so each (es, chart) builds its frame once
